@@ -2,7 +2,8 @@
 
 Commands: sweep, gains, simulate, check, plot.  Configuration comes from a
 flat key = value file plus --key value overrides; flags win.  Exit codes:
-0 success, 1 any failing diagnostic verdict, 2 usage or config error.
+0 success, 1 any failing diagnostic verdict or a negative certified margin,
+2 usage or config error.
 """
 
 import argparse
@@ -14,8 +15,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import fattorini, simulate as sim, svgplot, sweep as sweep_mod
-from .fattorini import ApproximationPair, PathSpec
-from .gains import DEFAULT_THETA, assemble_gains, growth_bound, sector_bound
+from .fattorini import PathSpec
+from .gains import DEFAULT_THETA, GrowthBound, SectorBound, assemble_gains
 from .sweep import CSV_HEADER, DEFAULT_SCHEDULE
 from .systems import GridSpec, WeightedSpace, build_heat_dirichlet, build_preclosure_heat
 
@@ -65,8 +66,13 @@ class RunConfig:
             raise ConfigError(f"weight_exponent must be 1 or 2, got {self.weight_exponent}")
         if self.u_norm not in ("euclidean", "max"):
             raise ConfigError(f"u_norm must be 'euclidean' or 'max', got {self.u_norm!r}")
+        if not self.mu_p > 0 or not self.mu_e > 0:
+            raise ConfigError(f"mu_p and mu_e must be positive, got {self.mu_p} and {self.mu_e}")
         if not self.t_end > 0 or not self.h > 0:
             raise ConfigError("t_end and h must be positive")
+        steps = self.t_end / self.h
+        if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
+            raise ConfigError(f"t_end = {self.t_end} is not a whole number of steps h = {self.h}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
 
@@ -125,24 +131,23 @@ def _out(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
 
 
+def _records(cfg: RunConfig) -> list:
+    return sweep_mod.run_sweep(cfg.n_schedule, cfg.a, cfg.alpha, cfg.path(),
+                               weight_exponent=cfg.weight_exponent, input_norm=cfg.u_norm)
+
+
 def _run_chain(cfg: RunConfig):
-    records = sweep_mod.run_sweep(cfg.n_schedule, cfg.a, cfg.alpha, cfg.path(),
-                                  weight_exponent=cfg.weight_exponent, input_norm=cfg.u_norm)
-    omega_hat, d_hat, frac_limit = sweep_mod.aggregate(records, tol_omega=1e-3,
+    omega_hat, d_hat, frac_limit = sweep_mod.aggregate(_records(cfg), tol_omega=1e-3,
                                                        tol_frac=1e-3, mu_p=cfg.mu_p,
                                                        mu_e=cfg.mu_e)
-    from .gains import GrowthBound, SectorBound
-
     gb = GrowthBound(m=1.0, omega=omega_hat.value)
-    sb = SectorBound(d=d_hat.value, sector_angle=0.0, lambda_max_used=cfg.lambda_max)
-    bundle = assemble_gains(cfg.alpha, cfg.theta, gb, sb, frac_limit.value,
-                            mu_e=cfg.mu_e, mu_p=cfg.mu_p)
-    return records, bundle
+    sb = SectorBound(d=d_hat.value)
+    return assemble_gains(cfg.alpha, cfg.theta, gb, sb, frac_limit.value,
+                          mu_e=cfg.mu_e, mu_p=cfg.mu_p)
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
-    records = sweep_mod.run_sweep(cfg.n_schedule, cfg.a, cfg.alpha, cfg.path(),
-                                  weight_exponent=cfg.weight_exponent, input_norm=cfg.u_norm)
+    records = _records(cfg)
     dest = _out(cfg, "sweep.csv")
     nbytes = sweep_mod.emit_csv(records, dest)
     print(f"wrote {dest} ({nbytes} bytes, {len(records)} resolutions)")
@@ -150,7 +155,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_gains(cfg: RunConfig) -> int:
-    _, bundle = _run_chain(cfg)
+    bundle = _run_chain(cfg)
     rows = [
         ("alpha", bundle.alpha),
         ("theta", bundle.theta),
@@ -182,7 +187,7 @@ def _traj_csv(path: str, traj) -> None:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    _, bundle = _run_chain(cfg)
+    bundle = _run_chain(cfg)
     n = max(cfg.n_schedule)
     space = WeightedSpace(GridSpec(n), weight_exponent=1, input_norm=cfg.u_norm)
     system = build_heat_dirichlet(n, cfg.a, space)
@@ -204,6 +209,9 @@ def _cmd_simulate(cfg: RunConfig) -> int:
             # Reported as a diagnostic only: the two-sided constant case is
             # norm-convention sensitive (see README).
             note = " (diagnostic only)"
+        elif margin < 0.0:
+            note = " (ISS bound violated)"
+            status = 1
         print(f"{label}: min margin {margin:+.6f} at t = {at:.4g}{note}")
     return status
 
@@ -217,7 +225,6 @@ def _cmd_check(cfg: RunConfig) -> int:
     pre_systems = [build_preclosure_heat(n, cfg.a) for n in small if n <= 64] or [
         build_preclosure_heat(16, cfg.a)
     ]
-    pair = ApproximationPair(mu_p=cfg.mu_p, mu_e=cfg.mu_e)
     probes = [
         ("sin_pi", lambda x: math.sin(math.pi * x),
          lambda x: -math.pi**2 * math.sin(math.pi * x)),
@@ -225,11 +232,11 @@ def _cmd_check(cfg: RunConfig) -> int:
     ]
     reports = [
         fattorini.sector_diagnostic(systems, path),
-        fattorini.resolvent_gap(pair, 16, 32, path, probe_modes=(1,), a=cfg.a),
-        fattorini.consistency_diagnostic(pair, systems, probes),
-        fattorini.right_inverse_gap(pre_systems, pair),
+        fattorini.resolvent_gap(16, 32, path, probe_modes=(1,), a=cfg.a),
+        fattorini.consistency_diagnostic(systems, probes),
+        fattorini.right_inverse_gap(pre_systems),
     ]
-    mu_p, mu_e = fattorini.estimate_mu(pair, [p[1] for p in probes], small)
+    mu_p, mu_e = fattorini.estimate_mu([p[1] for p in probes], small)
     blocks = [r.as_text() for r in reports]
     blocks.append(f"[INFO] empirical operator bounds\n  mu_p = {mu_p:.6f}\n  mu_e = {mu_e:.6f}")
     kv_blocks = [r.as_kv() for r in reports]

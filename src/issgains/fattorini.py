@@ -13,11 +13,11 @@ import numpy as np
 import scipy.linalg
 
 from .systems import (
-    ApproximationPair,
     ClosedControlSystem,
     GridSpec,
     PreClosureSystem,
     WeightedSpace,
+    build_heat_dirichlet,
     extend,
     function_l2_norm,
     restrict,
@@ -54,6 +54,13 @@ class PathSpec:
 
     def grid(self) -> np.ndarray:
         return np.geomspace(self.lambda_min, self.lambda_max, self.count)
+
+    def resolvent_constant(self, mu_min: float) -> float:
+        """sup over the path of (lambda + 1) ||R(lambda, A)||; for a
+        symmetric Hurwitz generator the norm is 1 / (lambda + mu_min), with
+        mu_min the smallest eigenvalue of -A."""
+        grid = self.grid()
+        return float(np.max((grid + 1.0) / (grid + mu_min)))
 
 
 @dataclass(frozen=True)
@@ -105,22 +112,15 @@ def close_system(pre: PreClosureSystem, space: WeightedSpace) -> ClosedControlSy
                                b_matrix=b, diffusion=pre.diffusion)
 
 
-def _min_spectrum_neg(sys: ClosedControlSystem) -> float:
-    """Smallest eigenvalue of -A; positive iff the system is Hurwitz."""
-    values = scipy.linalg.eigh_tridiagonal(sys.a_diag, sys.a_offdiag, eigvals_only=True)
-    return -float(values[-1])
-
-
 def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
     """Per-resolution resolvent constant D_n = sup (lambda+1) ||R(lambda, A_n)||
     over the path, with a uniformity verdict across resolutions."""
     systems = list(systems)
     if len(systems) < 2:
         raise ValueError("need at least 2 systems for a uniformity check")
-    grid = path.grid()
     values = {}
     for sys in systems:
-        mu_min = _min_spectrum_neg(sys)
+        mu_min = float(sys.neg_spectrum()[0])
         if mu_min <= 0.0:
             return DiagnosticReport(
                 name="sector",
@@ -128,7 +128,7 @@ def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
                 verdict="fail",
                 detail=f"system n = {sys.n} is not Hurwitz (min eigenvalue of -A is {mu_min})",
             )
-        values[f"D_{sys.n}"] = float(np.max((grid + 1.0) / (grid + mu_min)))
+        values[f"D_{sys.n}"] = path.resolvent_constant(mu_min)
     d_list = list(values.values())
     top_half = d_list[len(d_list) // 2 :]
     spread = (max(top_half) - min(top_half)) / max(top_half)
@@ -161,8 +161,8 @@ def _resolvent_solve(sys: ClosedControlSystem, lam: float, rhs: np.ndarray) -> n
         raise ValueError(f"singular shift lambda = {lam}") from exc
 
 
-def resolvent_gap(pair: ApproximationPair, n_coarse: int, n_fine: int,
-                  path: PathSpec, probe_modes, a: float = 1.0) -> DiagnosticReport:
+def resolvent_gap(n_coarse: int, n_fine: int, path: PathSpec, probe_modes,
+                  a: float = 1.0) -> DiagnosticReport:
     """Gap between the lifted discrete resolvent and the exact resolvent on
     sine modes, at two resolutions; passes when refinement at least halves
     the gap."""
@@ -172,7 +172,7 @@ def resolvent_gap(pair: ApproximationPair, n_coarse: int, n_fine: int,
     values = {}
     for n in (n_coarse, n_fine):
         gs = GridSpec(n)
-        sys = _heat(n, a)
+        sys = build_heat_dirichlet(n, a)
         worst = 0.0
         for k in probe_modes:
             samples = np.sin(k * np.pi * gs.nodes())
@@ -197,12 +197,6 @@ def resolvent_gap(pair: ApproximationPair, n_coarse: int, n_fine: int,
     )
 
 
-def _heat(n: int, a: float) -> ClosedControlSystem:
-    from .systems import build_heat_dirichlet
-
-    return build_heat_dirichlet(n, a)
-
-
 def _panels_for(n: int) -> int:
     panels = 2048
     while panels % n:
@@ -210,7 +204,7 @@ def _panels_for(n: int) -> int:
     return panels
 
 
-def consistency_diagnostic(pair: ApproximationPair, systems, probes) -> DiagnosticReport:
+def consistency_diagnostic(systems, probes) -> DiagnosticReport:
     """Uniform boundedness of the lifted discrete generator on smooth probes
     vanishing at the boundary, in both the strong and the A-inverse-weighted
     (extrapolation surrogate) readings."""
@@ -261,7 +255,7 @@ def _bounded(ratios: dict) -> bool:
     return max(vals) / min(vals) <= 10.0
 
 
-def right_inverse_gap(pre_systems, pair: ApproximationPair) -> DiagnosticReport:
+def right_inverse_gap(pre_systems) -> DiagnosticReport:
     """Boundary right-inverse conditions: the lifted right inverse matches
     the linear boundary profiles, the stencil annihilates it, and the
     extrapolation-weighted image vanishes.  All three are exactly zero for
@@ -298,7 +292,7 @@ def right_inverse_gap(pre_systems, pair: ApproximationPair) -> DiagnosticReport:
     )
 
 
-def estimate_mu(pair: ApproximationPair, samples, n_list, seed: int = 0,
+def estimate_mu(samples, n_list, seed: int = 0,
                 random_vectors: int = 16) -> tuple[float, float]:
     """Empirical bounds for the restriction and extension operator norms
     (L2-consistent weight), from function samples and random grid vectors."""

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .fattorini import PathSpec, DiagnosticReport
 from .numerics import apply_matrix_function, gamma_fn, quad_cauchy_tail, quad_exp_tail, weighted_op_norm
@@ -59,8 +58,6 @@ class SectorBound:
     generators."""
 
     d: float
-    sector_angle: float = 0.0
-    lambda_max_used: float = float("nan")
 
     def __post_init__(self):
         if not self.d > 0.0:
@@ -87,10 +84,9 @@ class GainBundle:
         return self.gamma_slope * s
 
 
-def _spectrum_neg(sys: ClosedControlSystem) -> np.ndarray:
-    """Spectrum of -A, ascending and required positive."""
-    values = scipy.linalg.eigh_tridiagonal(sys.a_diag, sys.a_offdiag, eigvals_only=True)
-    mu = -values[::-1]
+def _hurwitz_neg_spectrum(sys: ClosedControlSystem) -> np.ndarray:
+    """Ascending spectrum of -A, required positive."""
+    mu = sys.neg_spectrum()
     if mu[0] <= 0.0:
         raise StabilityError(f"system n = {sys.n} is not Hurwitz (min eigenvalue of -A is {mu[0]})")
     return mu
@@ -99,59 +95,24 @@ def _spectrum_neg(sys: ClosedControlSystem) -> np.ndarray:
 def growth_bound(sys: ClosedControlSystem) -> GrowthBound:
     """Type of exp(At): the generator is symmetric, so m = 1 and omega is
     the spectral abscissa magnitude."""
-    mu = _spectrum_neg(sys)
+    mu = _hurwitz_neg_spectrum(sys)
     return GrowthBound(m=1.0, omega=float(mu[0]))
 
 
-def estimate_transient_bound(a_dense: np.ndarray, omega: float, t_count: int = 200) -> float:
-    """Generic transient estimator sup_t ||exp(At)|| exp(omega t) on a log
-    t-grid; only needed for non-symmetric generators."""
-    t_grid = np.geomspace(1e-4, 10.0 / omega, t_count)
-    best = 1.0
-    for t in t_grid:
-        norm = np.linalg.norm(scipy.linalg.expm(a_dense * t), 2)
-        best = max(best, norm * math.exp(omega * t))
-    return best
-
-
 def sector_bound(sys: ClosedControlSystem, path: PathSpec) -> SectorBound:
-    """Resolvent constant sup (lambda+1) ||R(lambda, A)|| over the real path;
-    for a symmetric Hurwitz generator the norm is 1 / (lambda + mu_min)."""
-    mu_min = float(_spectrum_neg(sys)[0])
-    grid = path.grid()
-    if grid.size == 0:
-        raise ValueError("empty path")
-    d = float(np.max((grid + 1.0) / (grid + mu_min)))
-    return SectorBound(d=d, sector_angle=0.0, lambda_max_used=path.lambda_max)
+    """Resolvent constant sup (lambda+1) ||R(lambda, A)|| over the real path,
+    with mu_min = omega for the symmetric generator."""
+    return SectorBound(d=path.resolvent_constant(growth_bound(sys).omega))
 
 
 def frac_control_norm(sys: ClosedControlSystem, alpha: float) -> float:
     """Norm of (-A)^(alpha - 1) B from U into the weighted state space."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _hurwitz_neg_spectrum(sys)
     eig = sys.eigendecomposition()
-    if eig.eigenvalues[-1] >= 0.0:
-        raise StabilityError(f"system n = {sys.n} is not Hurwitz")
     w = apply_matrix_function(eig, lambda lam: (-lam) ** (alpha - 1.0), sys.b_matrix)
     return weighted_op_norm(w, sys.space.state_scale, sys.space.input_norm)
-
-
-def frac_control_norm_gram(sys: ClosedControlSystem) -> float:
-    """Independent route for alpha = 1/2: the squared image norm is the
-    quadratic form <Bu, (-A)^{-1} Bu>, evaluated by a tridiagonal solve."""
-    from .fattorini import _resolvent_solve
-
-    inv_b = np.column_stack([
-        _resolvent_solve(sys, 0.0, sys.b_matrix[:, j]) for j in range(2)
-    ])
-    gram = sys.b_matrix.T @ inv_b
-    if sys.space.input_norm == "euclidean":
-        top = float(np.max(np.linalg.eigvalsh(0.5 * (gram + gram.T))))
-        return sys.space.state_scale * math.sqrt(top)
-    best = 0.0
-    for u in (np.array([1.0, 1.0]), np.array([1.0, -1.0])):
-        best = max(best, float(u @ gram @ u))
-    return sys.space.state_scale * math.sqrt(best)
 
 
 def k_constants(alpha: float, theta: float, gb: GrowthBound, sb: SectorBound) -> tuple[float, float, float]:
@@ -195,7 +156,7 @@ def lemma_frac_semigroup_check(sys: ClosedControlSystem, bundle: GainBundle, t_g
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
         raise ValueError("time grid must be strictly positive (the bound is singular at 0)")
-    mu = _spectrum_neg(sys)
+    mu = _hurwitz_neg_spectrum(sys)
     alpha = bundle.alpha
     omega = bundle.beta_omega
     worst_excess = -math.inf

@@ -14,7 +14,6 @@ import numpy as np
 from .fattorini import DiagnosticReport
 from .gains import GainBundle
 from .systems import (
-    ApproximationPair,
     ClosedControlSystem,
     GridSpec,
     WeightedSpace,
@@ -83,18 +82,24 @@ class Trajectory:
     norms: np.ndarray
 
 
-def step_exact(sys: ClosedControlSystem, x, u, h: float) -> np.ndarray:
-    """One step of x' = Ax + Bu with u frozen on [0, h]:
-    exp(Ah) x + A^{-1}(exp(Ah) - I) B u, evaluated spectrally."""
+def _step_factors(sys: ClosedControlSystem, h: float):
+    """Eigenvectors V and the diagonal factors exp(lambda h) and
+    (exp(lambda h) - 1) / lambda of one exact step of length h."""
     if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h}")
     eig = sys.eigendecomposition()
     lam = eig.eigenvalues
     if lam[-1] >= 0.0:
         raise ValueError("generator must be Hurwitz")
-    v = eig.eigenvectors
     decay = np.exp(lam * h)
     phi = (decay - 1.0) / lam
+    return eig.eigenvectors, decay, phi
+
+
+def step_exact(sys: ClosedControlSystem, x, u, h: float) -> np.ndarray:
+    """One step of x' = Ax + Bu with u frozen on [0, h]:
+    exp(Ah) x + A^{-1}(exp(Ah) - I) B u, evaluated spectrally."""
+    v, decay, phi = _step_factors(sys, h)
     y = v.T @ np.asarray(x, dtype=float)
     forcing = v.T @ (sys.b_matrix @ np.asarray(u, dtype=float))
     return v @ (decay * y + phi * forcing)
@@ -122,11 +127,7 @@ def simulate(sys: ClosedControlSystem, x0, input_signal: InputSignal,
             raise ValueError("initial state length does not match the grid")
     norm_space = WeightedSpace(grid, weight_exponent=norm_exponent,
                                input_norm=sys.space.input_norm)
-    eig = sys.eigendecomposition()
-    lam = eig.eigenvalues
-    v = eig.eigenvectors
-    decay = np.exp(lam * h)
-    phi = (decay - 1.0) / lam
+    v, decay, phi = _step_factors(sys, h)
     g = v.T @ sys.b_matrix
     y = v.T @ state
     scale = norm_space.state_scale
@@ -161,8 +162,7 @@ def iss_margin(traj: Trajectory, bundle: GainBundle, x0_norm: float,
     return float(margins[idx]), float(traj.times[idx])
 
 
-def trotter_kato_check(pair: ApproximationPair, a: float, x0_modes, t: float,
-                       n_list) -> DiagnosticReport:
+def trotter_kato_check(a: float, x0_modes, t: float, n_list) -> DiagnosticReport:
     """L2 distance between the lifted simulated state and the analytic
     solution, per resolution; passes when each doubling at least halves it."""
     if not t > 0.0:

@@ -13,7 +13,6 @@ __all__ = [
     "WeightedSpace",
     "ClosedControlSystem",
     "PreClosureSystem",
-    "ApproximationPair",
     "build_heat_dirichlet",
     "build_preclosure_heat",
     "weighted_state_norm",
@@ -26,20 +25,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [0, 1] with n intervals and n-1 interior nodes."""
+    """Uniform grid on [0, 1] with n intervals and n-1 interior nodes; other
+    domain lengths are rescaled via the diffusion coefficient."""
 
     n: int
-    length: float = 1.0
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 intervals, got n = {self.n}")
-        if self.length != 1.0:
-            raise ValueError("domain length is fixed to 1; rescale via the diffusion coefficient")
 
     @property
     def dx(self) -> float:
-        return self.length / self.n
+        return 1.0 / self.n
 
     @property
     def interior_nodes(self) -> int:
@@ -113,17 +110,20 @@ class ClosedControlSystem:
             self._eig_cache.append(sym_tridiag_eig(self.a_diag, self.a_offdiag))
         return self._eig_cache[0]
 
+    def neg_spectrum(self) -> np.ndarray:
+        """Spectrum of -A, ascending, from the memoized decomposition."""
+        return -self.eigendecomposition().eigenvalues[::-1]
+
 
 @dataclass(frozen=True)
 class PreClosureSystem:
     """The quintuple describing the discretization before boundary closure:
-    stencil with boundary columns, discrete boundary trace, descriptor,
-    interior projection and the right inverse of the trace.
+    stencil with boundary columns, discrete boundary trace, interior
+    projection (also the descriptor) and the right inverse of the trace.
     """
 
     ainit: np.ndarray      # (n-1) x (n+1)
     bop: np.ndarray        # 2 x (n+1)
-    q: np.ndarray          # (n-1) x (n+1)
     restrict_r: np.ndarray  # (n-1) x (n+1)
     bop_rinv: np.ndarray   # (n+1) x 2
     diffusion: float
@@ -131,15 +131,6 @@ class PreClosureSystem:
     @property
     def n(self) -> int:
         return self.ainit.shape[1] - 1
-
-
-@dataclass(frozen=True)
-class ApproximationPair:
-    """Sampling restriction and hat-function extension with their uniform
-    operator-norm bounds."""
-
-    mu_p: float = 1.0
-    mu_e: float = 1.0
 
 
 def build_heat_dirichlet(n: int, a: float, space: WeightedSpace | None = None) -> ClosedControlSystem:
@@ -180,16 +171,14 @@ def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
     bop = np.zeros((2, n + 1))
     bop[0, 0] = 1.0
     bop[1, n] = 1.0
-    q = np.zeros((n - 1, n + 1))
     restrict_r = np.zeros((n - 1, n + 1))
     for i in range(n - 1):
-        q[i, i + 1] = 1.0
         restrict_r[i, i + 1] = 1.0
     # Right inverse of the trace: the linear profiles 1 - xi and xi
     # sampled at all nodes, so that the trace of each column is a unit vector.
     k = np.arange(n + 1, dtype=float)
     bop_rinv = np.column_stack([(n - k) / n, k / n])
-    return PreClosureSystem(ainit=ainit, bop=bop, q=q, restrict_r=restrict_r,
+    return PreClosureSystem(ainit=ainit, bop=bop, restrict_r=restrict_r,
                             bop_rinv=bop_rinv, diffusion=a)
 
 

@@ -32,7 +32,8 @@ class TestParseConfig:
             parse_config("a = 1.0\nnot a pair\n")
 
     @pytest.mark.parametrize("line", ["a = -1", "theta = 1.0", "u_norm = taxicab",
-                                      "n_schedule = 4,3", "weight_exponent = 3"])
+                                      "n_schedule = 4,3", "weight_exponent = 3",
+                                      "mu_e = 0", "mu_p = -1", "h = 0.07"])
     def test_validation(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
@@ -90,6 +91,16 @@ class TestDispatch:
                 assert fh.readline().strip() == "t,norm"
         out = capsys.readouterr().out
         assert "diagnostic only" in out
+
+    def test_simulate_fails_on_negative_margin(self, tmp_path, capsys):
+        # Halving mu_e halves the gain slope, so the one-sided and the
+        # bang-bang trajectories leave the certified bound.
+        code = main(["simulate", "--mu_e", "0.5", "--n_schedule", "64,128",
+                     "--output_dir", str(tmp_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "onesided: min margin -" in out
+        assert "bangbang: min margin -" in out
 
     def test_plot_requires_sweep(self, tmp_path, capsys):
         assert dispatch("plot", small_cfg(tmp_path)) == 2

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from issgains.fattorini import (
-    ApproximationPair,
     DiagnosticReport,
     PathSpec,
     close_system,
@@ -21,8 +20,6 @@ from issgains.systems import (
     build_heat_dirichlet,
     build_preclosure_heat,
 )
-
-PAIR = ApproximationPair()
 
 
 def space_for(n, p=2):
@@ -62,7 +59,7 @@ class TestCloseSystem:
 
     def test_invalid_right_inverse(self):
         pre = build_preclosure_heat(4, 1.0)
-        bad = PreClosureSystem(ainit=pre.ainit, bop=pre.bop, q=pre.q,
+        bad = PreClosureSystem(ainit=pre.ainit, bop=pre.bop,
                                restrict_r=pre.restrict_r,
                                bop_rinv=pre.bop_rinv + 0.1, diffusion=pre.diffusion)
         with pytest.raises(ValueError, match="right inverse"):
@@ -101,13 +98,13 @@ class TestSectorDiagnostic:
 
 class TestResolventGap:
     def test_second_order_refinement(self):
-        report = resolvent_gap(PAIR, 16, 32, PathSpec(count=60), probe_modes=(1,))
+        report = resolvent_gap(16, 32, PathSpec(count=60), probe_modes=(1,))
         assert report.verdict == "pass"
         assert 3.0 <= report.values["ratio"] <= 5.0
 
     def test_requires_doubling(self):
         with pytest.raises(ValueError):
-            resolvent_gap(PAIR, 16, 24, PathSpec(), probe_modes=(1,))
+            resolvent_gap(16, 24, PathSpec(), probe_modes=(1,))
 
 
 PROBES = [
@@ -120,13 +117,13 @@ PROBES = [
 class TestConsistency:
     def test_bounded_on_smooth_probes(self):
         systems = [build_heat_dirichlet(n, 1.0) for n in (16, 32, 64, 128)]
-        report = consistency_diagnostic(PAIR, systems, PROBES)
+        report = consistency_diagnostic(systems, PROBES)
         assert report.verdict == "pass"
 
     def test_sine_probe_strong_norm_level(self):
         # E A P sin(pi xi) converges to -pi^2 sin(pi xi), whose L2 norm is pi^2/sqrt(2).
         systems = [build_heat_dirichlet(256, 1.0)]
-        report = consistency_diagnostic(PAIR, systems, PROBES[:1])
+        report = consistency_diagnostic(systems, PROBES[:1])
         f_norm = 1.0 / math.sqrt(2.0)
         f2_norm = math.pi**2 / math.sqrt(2.0)
         expected_ratio = f2_norm / (f_norm + f2_norm)
@@ -147,13 +144,13 @@ class TestConsistency:
         systems = [build_heat_dirichlet(16, 1.0)]
         bad = [("cos", lambda x: math.cos(math.pi * x), lambda x: -math.pi**2 * math.cos(math.pi * x))]
         with pytest.raises(ValueError, match="vanish"):
-            consistency_diagnostic(PAIR, systems, bad)
+            consistency_diagnostic(systems, bad)
 
 
 class TestRightInverse:
     def test_exact_zeros_for_heat(self):
         pres = [build_preclosure_heat(n, 1.0) for n in (2, 10, 32)]
-        report = right_inverse_gap(pres, PAIR)
+        report = right_inverse_gap(pres)
         assert report.verdict == "pass"
         for value in report.values.values():
             assert value <= 1e-13
@@ -162,17 +159,17 @@ class TestRightInverse:
         pre = build_preclosure_heat(10, 1.0)
         rinv = pre.bop_rinv.copy()
         rinv[5, 0] += 0.1  # interior perturbation keeps the trace intact
-        bad = PreClosureSystem(ainit=pre.ainit, bop=pre.bop, q=pre.q,
+        bad = PreClosureSystem(ainit=pre.ainit, bop=pre.bop,
                                restrict_r=pre.restrict_r, bop_rinv=rinv,
                                diffusion=pre.diffusion)
-        report = right_inverse_gap([bad], PAIR)
+        report = right_inverse_gap([bad])
         assert report.verdict == "warn"
         assert report.values["interp_gap_10"] > 0.0
 
 
 class TestEstimateMu:
     def test_sine_ratio_near_one(self):
-        mu_p, _ = estimate_mu(PAIR, [lambda x: math.sin(math.pi * x)], [512, 1024])
+        mu_p, _ = estimate_mu([lambda x: math.sin(math.pi * x)], [512, 1024])
         assert mu_p == pytest.approx(1.0, abs=5e-3)
 
     def test_hat_coefficient_extension_norm(self):
@@ -187,13 +184,13 @@ class TestEstimateMu:
 
     def test_bounds_dominate_observations(self):
         samples = [lambda x: math.sin(math.pi * x), lambda x: x * (1 - x)]
-        mu_p, mu_e = estimate_mu(PAIR, samples, [64, 128], seed=2)
+        mu_p, mu_e = estimate_mu(samples, [64, 128], seed=2)
         assert mu_p > 0.9
         assert 0.5 < mu_e <= 1.01
 
     def test_empty_samples(self):
         with pytest.raises(ValueError):
-            estimate_mu(PAIR, [], [16])
+            estimate_mu([], [16])
 
 
 class TestDiagnosticReport:

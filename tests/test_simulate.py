@@ -5,9 +5,7 @@ import pytest
 
 from issgains.gains import DEFAULT_THETA, GainBundle
 from issgains.simulate import InputSignal, Trajectory, iss_margin, simulate, step_exact, trotter_kato_check
-from issgains.systems import ApproximationPair, GridSpec, WeightedSpace, build_heat_dirichlet, restrict
-
-PAIR = ApproximationPair()
+from issgains.systems import GridSpec, WeightedSpace, build_heat_dirichlet, restrict
 
 REFERENCE_BUNDLE = GainBundle(
     alpha=0.5, theta=DEFAULT_THETA, k1=3.1408, k2=0.5626, kappa=0.6359,
@@ -185,15 +183,15 @@ class TestIssMargin:
 
 class TestTrotterKato:
     def test_first_mode_second_order(self):
-        report = trotter_kato_check(PAIR, 1.0, [(1, 1.0)], 0.1, [16, 32, 64])
+        report = trotter_kato_check(1.0, [(1, 1.0)], 0.1, [16, 32, 64])
         assert report.verdict == "pass"
         assert 3.0 <= report.values["ratio_16_32"] <= 5.0
         assert 3.0 <= report.values["ratio_32_64"] <= 5.0
 
     def test_third_mode(self):
-        report = trotter_kato_check(PAIR, 1.0, [(3, 1.0)], 0.05, [32, 64, 128])
+        report = trotter_kato_check(1.0, [(3, 1.0)], 0.05, [32, 64, 128])
         assert report.verdict == "pass"
 
     def test_time_zero_rejected(self):
         with pytest.raises(ValueError):
-            trotter_kato_check(PAIR, 1.0, [(1, 1.0)], 0.0, [16, 32])
+            trotter_kato_check(1.0, [(1, 1.0)], 0.0, [16, 32])

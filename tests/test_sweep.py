@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from issgains.fattorini import PathSpec
 from issgains.sweep import CSV_HEADER, LimitEstimate, SweepRecord, aggregate, emit_csv, run_sweep
@@ -28,6 +29,20 @@ class TestRunSweep:
         alone = run_sweep([64], 1.0, 0.5, PATH)[0]
         within = run_sweep([32, 64, 128], 1.0, 0.5, PATH)[1]
         assert alone == within
+
+    def test_one_eigensolve_per_resolution(self, monkeypatch):
+        # growth, sector and fractional norm all read the one memoized
+        # decomposition of each system.
+        calls = []
+        solver = scipy.linalg.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+        run_sweep([16, 32, 64], 1.0, 0.5, PATH)
+        assert calls == [15, 31, 63]
 
     @pytest.mark.parametrize("schedule", [[], [4, 4], [8, 4], [1, 4]])
     def test_bad_schedules(self, schedule):

@@ -98,7 +98,7 @@ class TestPreClosure:
     def test_descriptor_extracts_interior(self):
         pre = build_preclosure_heat(3, 1.0)
         v = np.array([0.0, 1.5, -2.5, 0.0])
-        np.testing.assert_array_equal(pre.q @ v, [1.5, -2.5])
+        np.testing.assert_array_equal(pre.restrict_r @ v, [1.5, -2.5])
 
 
 class TestNorms:
