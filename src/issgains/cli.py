@@ -2,8 +2,8 @@
 
 Commands: sweep, gains, simulate, check, plot.  Configuration comes from a
 flat key = value file plus --key value overrides; flags win.  Exit codes:
-0 success, 1 any failing diagnostic verdict or a negative certified margin,
-2 usage or config error.
+0 success, 1 any failing diagnostic verdict, a negative certified margin or
+a sweep limit that did not converge, 2 usage or config error.
 """
 
 import argparse
@@ -23,10 +23,16 @@ from .systems import GridSpec, WeightedSpace, build_heat_dirichlet, build_preclo
 __all__ = ["RunConfig", "ConfigError", "parse_config", "dispatch", "main"]
 
 COMMANDS = ("sweep", "gains", "simulate", "check", "plot")
+# Cauchy tolerance of the sweep limits: the change over the last refinement.
+LIMIT_TOL = 1e-3
 
 
 class ConfigError(ValueError):
     pass
+
+
+class LimitError(RuntimeError):
+    """A sweep limit failed its Cauchy check, so no certified gain exists."""
 
 
 @dataclass(frozen=True)
@@ -68,11 +74,10 @@ class RunConfig:
             raise ConfigError(f"u_norm must be 'euclidean' or 'max', got {self.u_norm!r}")
         if not self.mu_p > 0 or not self.mu_e > 0:
             raise ConfigError(f"mu_p and mu_e must be positive, got {self.mu_p} and {self.mu_e}")
-        if not self.t_end > 0 or not self.h > 0:
-            raise ConfigError("t_end and h must be positive")
-        steps = self.t_end / self.h
-        if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
-            raise ConfigError(f"t_end = {self.t_end} is not a whole number of steps h = {self.h}")
+        try:
+            sim.step_count(self.t_end, self.h)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
 
@@ -137,9 +142,15 @@ def _records(cfg: RunConfig) -> list:
 
 
 def _run_chain(cfg: RunConfig):
-    omega_hat, d_hat, frac_limit = sweep_mod.aggregate(_records(cfg), tol_omega=1e-3,
-                                                       tol_frac=1e-3, mu_p=cfg.mu_p,
+    # omega keeps its last value without a Cauchy gate: omega_n rises toward
+    # its limit from below, so the last value is on the safe side.  D is a
+    # supremum.  The fractional norm has no such direction, so it must converge.
+    omega_hat, d_hat, frac_limit = sweep_mod.aggregate(_records(cfg), tol_omega=LIMIT_TOL,
+                                                       tol_frac=LIMIT_TOL, mu_p=cfg.mu_p,
                                                        mu_e=cfg.mu_e)
+    if not frac_limit.converged:
+        raise LimitError(f"frac_norm_limit did not converge: last_delta = "
+                         f"{frac_limit.last_delta:.6g} > {LIMIT_TOL:g}")
     gb = GrowthBound(m=1.0, omega=omega_hat.value)
     sb = SectorBound(d=d_hat.value)
     return assemble_gains(cfg.alpha, cfg.theta, gb, sb, frac_limit.value,
@@ -192,7 +203,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     space = WeightedSpace(GridSpec(n), weight_exponent=1, input_norm=cfg.u_norm)
     system = build_heat_dirichlet(n, cfg.a, space)
     x0 = np.zeros(n - 1)
-    steps = int(round(cfg.t_end / cfg.h))
+    steps = sim.step_count(cfg.t_end, cfg.h)
 
     scenarios = {
         "onesided": sim.InputSignal.constant((1.0, 0.0), space),
@@ -298,7 +309,11 @@ def dispatch(command: str, cfg: RunConfig) -> int:
         print(f"error: unknown command {command!r}; choose from {', '.join(COMMANDS)}",
               file=_sys.stderr)
         return 2
-    return handlers[command](cfg)
+    try:
+        return handlers[command](cfg)
+    except LimitError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 1
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,6 @@
 """Numerical kernels: special functions, improper-integral quadrature,
-tridiagonal eigendecompositions, spectral matrix functions and weighted
-operator norms.
+tridiagonal eigendecompositions (closed form for uniform matrices, LAPACK
+otherwise), spectral matrix functions and weighted operator norms.
 
 Everything here is pure and deterministic; results may be shared freely
 between threads.
@@ -23,7 +23,6 @@ __all__ = [
     "quad_exp_tail",
     "quad_cauchy_tail",
     "sym_tridiag_eig",
-    "matrix_function",
     "apply_matrix_function",
     "weighted_op_norm",
 ]
@@ -31,6 +30,9 @@ __all__ = [
 GAMMA_OVERFLOW_LIMIT = 170.0
 MAX_CORNER_COLUMNS = 20
 QUAD_EVAL_BUDGET = 10**6
+# Rows of the closed-form eigenvector matrix filled per block; bounds the
+# index temporary at EIG_BLOCK_ROWS x m integers.
+EIG_BLOCK_ROWS = 256
 
 
 class QuadratureError(RuntimeError):
@@ -71,10 +73,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
 
 
 def gamma_fn(x: float) -> float:
@@ -138,7 +136,11 @@ def _combine(head, tail) -> QuadratureResult:
 
 
 def sym_tridiag_eig(diag, offdiag) -> EigenDecomposition:
-    """Spectral decomposition of a real symmetric tridiagonal matrix."""
+    """Spectral decomposition of a real symmetric tridiagonal matrix.
+
+    A uniform matrix tridiag(e, d, e) (constant diagonal, constant nonzero
+    off-diagonal) takes the closed form; every other input goes to LAPACK.
+    """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
     if diag.ndim != 1 or offdiag.ndim != 1:
@@ -147,6 +149,8 @@ def sym_tridiag_eig(diag, offdiag) -> EigenDecomposition:
         raise ValueError(
             f"offdiag length {offdiag.shape[0]} must be diag length {diag.shape[0]} minus one"
         )
+    if _is_uniform(diag, offdiag):
+        return _uniform_tridiag_eig(diag.size, float(diag[0]), float(offdiag[0]))
     try:
         values, vectors = scipy.linalg.eigh_tridiagonal(diag, offdiag)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -154,25 +158,53 @@ def sym_tridiag_eig(diag, offdiag) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
-def _mapped_eigenvalues(eig: EigenDecomposition, f) -> np.ndarray:
+def _is_uniform(diag: np.ndarray, offdiag: np.ndarray) -> bool:
+    if offdiag.size == 0:
+        return False
+    d, e = diag[0], offdiag[0]
+    return (e != 0.0 and math.isfinite(abs(d) + 4.0 * abs(e))
+            and bool(np.all(diag == d)) and bool(np.all(offdiag == e)))
+
+
+def _uniform_tridiag_eig(m: int, d: float, e: float) -> EigenDecomposition:
+    """Closed-form eigenpairs of the m x m matrix tridiag(e, d, e).
+
+    Mode k (k = 1..m) has eigenvalue d + 2e cos(k pi/(m+1)) and eigenvector
+    sqrt(2/(m+1)) sin(j k pi/(m+1)), j = 1..m (the DST-I basis).  In
+    ascending order column c holds k = m - c when e > 0 and k = c + 1 when
+    e < 0; either way its eigenvalue is (d + 2|e|) - 4|e| sin^2((m-c) pi/(2(m+1))),
+    which keeps the few-ulp accuracy of the sine.
+    """
+    period = 2 * (m + 1)
+    c = np.arange(m)
+    values = (d + 2.0 * abs(e)) - 4.0 * abs(e) * np.sin((m - c) * (np.pi / period)) ** 2
+    # Scaled sin(r pi/(m+1)) for r = 0..period-1; the argument is reduced to
+    # [0, pi/2] by sin(pi - x) = sin(x), and the second half is the negated first.
+    r = np.arange(m + 1)
+    half = np.sin(np.minimum(r, m + 1 - r) * (np.pi / (m + 1)))
+    table = math.sqrt(2.0 / (m + 1)) * np.concatenate([half, -half])
+    k = c + 1 if e < 0.0 else m - c
+    vectors = np.empty((m, m))
+    # j k <= m^2; 32-bit indices halve the cost of the index arithmetic.
+    itype = np.int32 if m * m < 2**31 else np.int64
+    k = k.astype(itype)
+    index = np.empty((min(EIG_BLOCK_ROWS, m), m), dtype=itype)
+    for start in range(0, m, EIG_BLOCK_ROWS):
+        stop = min(start + EIG_BLOCK_ROWS, m)
+        idx = index[:stop - start]
+        np.multiply.outer(np.arange(start + 1, stop + 1, dtype=itype), k, out=idx)
+        np.remainder(idx, period, out=idx)
+        np.take(table, idx, out=vectors[start:stop], mode="clip")
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+
+
+def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarray:
+    """``V diag(f(lambda)) V^T @ b`` without forming the full matrix."""
     mapped = np.array([f(lam) for lam in eig.eigenvalues], dtype=float)
     bad = ~np.isfinite(mapped)
     if bad.any():
         lam = eig.eigenvalues[bad][0]
         raise ValueError(f"matrix function undefined or non-finite at eigenvalue {lam}")
-    return mapped
-
-
-def matrix_function(eig: EigenDecomposition, f) -> np.ndarray:
-    """Evaluate ``V diag(f(lambda)) V^T`` for a scalar map ``f``."""
-    mapped = _mapped_eigenvalues(eig, f)
-    v = eig.eigenvectors
-    return (v * mapped) @ v.T
-
-
-def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarray:
-    """``matrix_function(eig, f) @ b`` without forming the full matrix."""
-    mapped = _mapped_eigenvalues(eig, f)
     v = eig.eigenvectors
     return v @ (mapped[:, None] * (v.T @ b))
 

@@ -102,6 +102,17 @@ class TestDispatch:
         assert "onesided: min margin -" in out
         assert "bangbang: min margin -" in out
 
+    @pytest.mark.parametrize("command", ["gains", "simulate"])
+    def test_diverging_frac_norm_fails(self, tmp_path, capsys, command):
+        # At alpha = 3/4 the fractional norm grows like n^(1/4): no limit.
+        code = main([command, "--alpha", "0.75", "--n_schedule", "64,128,256",
+                     "--output_dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "frac_norm_limit" in err and "last_delta" in err
+        assert not os.path.exists(tmp_path / "gains.kv")
+        assert not os.path.exists(tmp_path / "traj_onesided.csv")
+
     def test_plot_requires_sweep(self, tmp_path, capsys):
         assert dispatch("plot", small_cfg(tmp_path)) == 2
 

@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from issgains.numerics import (
-    EigenDecomposition,
-    gamma_fn,
-    matrix_function,
     apply_matrix_function,
+    gamma_fn,
     quad_cauchy_tail,
     quad_exp_tail,
     sym_tridiag_eig,
     weighted_op_norm,
 )
+from oracles import matrix_function, reconstruct
 
 
 def heat_diagonals(n, a=1.0):
@@ -119,7 +119,7 @@ class TestTridiagEig:
             eig = sym_tridiag_eig(diag, off)
             m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             scale = max(1.0, np.max(np.abs(m)))
-            assert np.max(np.abs(eig.reconstruct() - m)) / scale < 1e-10
+            assert np.max(np.abs(reconstruct(eig) - m)) / scale < 1e-10
             gram = eig.eigenvectors.T @ eig.eigenvectors
             assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
             assert np.all(np.diff(eig.eigenvalues) >= 0)
@@ -127,6 +127,61 @@ class TestTridiagEig:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sym_tridiag_eig([1.0, 2.0], [1.0, 1.0])
+
+
+class TestUniformClosedForm:
+    """The closed-form path for tridiag(e, d, e) against LAPACK."""
+
+    @pytest.mark.parametrize("m", [2, 3, 17, 256, 999])
+    @pytest.mark.parametrize("e", [1.0, -2.5, 4.0e6])
+    @pytest.mark.parametrize("d_over_e", [-2.0, 0.0, 0.7])
+    def test_matches_lapack(self, m, e, d_over_e):
+        d = d_over_e * abs(e) - 1.5
+        diag, off = np.full(m, d), np.full(m - 1, e)
+        eig = sym_tridiag_eig(diag, off)
+        values = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+        norm_t = abs(d) + 2.0 * abs(e)
+        assert np.max(np.abs(eig.eigenvalues - values)) <= 1e-14 * norm_t
+        assert np.all(np.diff(eig.eigenvalues) >= 0)
+        v = eig.eigenvectors
+        assert np.max(np.abs(v.T @ v - np.eye(m))) <= 1e-13
+        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        assert np.max(np.abs(reconstruct(eig) - t)) <= 1e-13 * norm_t
+
+    def test_heat_spectrum_to_a_few_ulps(self):
+        n = 4000
+        eig = sym_tridiag_eig(*heat_diagonals(n))
+        k = np.arange(n - 1, 0, -1)
+        exact = -4.0 * n**2 * np.sin(k * np.pi / (2 * n)) ** 2
+        # A few ulps: the sine arguments round differently.
+        np.testing.assert_allclose(eig.eigenvalues, exact, rtol=2e-15, atol=0.0)
+
+    def test_sine_modes(self):
+        m = 9
+        eig = sym_tridiag_eig(np.full(m, 3.0), np.full(m - 1, -1.0))
+        j = np.arange(1, m + 1)
+        for col in range(m):
+            mode = math.sqrt(2.0 / (m + 1)) * np.sin(j * (col + 1) * np.pi / (m + 1))
+            np.testing.assert_allclose(eig.eigenvectors[:, col], mode, atol=1e-15)
+
+    @pytest.mark.parametrize("diag, off", [
+        ([-2.0, -2.0, -2.0], [1.0, 1.5]),
+        ([-2.0, -2.1, -2.0], [1.0, 1.0]),
+        ([-2.0, -2.0, -2.0], [0.0, 0.0]),
+        ([-2.0], []),
+    ])
+    def test_other_input_goes_to_lapack(self, monkeypatch, diag, off):
+        calls = []
+        solver = scipy.linalg.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+        sym_tridiag_eig(diag, off)
+        sym_tridiag_eig(*heat_diagonals(8))
+        assert calls == [len(diag)]
 
 
 class TestMatrixFunction:
@@ -149,7 +204,7 @@ class TestMatrixFunction:
     def test_undefined_at_eigenvalue(self):
         eig = sym_tridiag_eig([0.0, -2.0], [0.0])
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match="eigenvalue"):
-            matrix_function(eig, lambda lam: 1.0 / lam)
+            apply_matrix_function(eig, lambda lam: 1.0 / lam, np.eye(2))
 
     def test_spectral_exp_matches_taylor_series(self):
         rng = np.random.default_rng(11)

@@ -4,8 +4,23 @@ import numpy as np
 import pytest
 
 from issgains.gains import DEFAULT_THETA, GainBundle
-from issgains.simulate import InputSignal, Trajectory, iss_margin, simulate, step_exact, trotter_kato_check
-from issgains.systems import GridSpec, WeightedSpace, build_heat_dirichlet, restrict
+from issgains.simulate import (
+    BLOCK_ROWS,
+    InputSignal,
+    Trajectory,
+    iss_margin,
+    simulate,
+    step_count,
+    step_exact,
+    trotter_kato_check,
+)
+from issgains.systems import (
+    ClosedControlSystem,
+    GridSpec,
+    WeightedSpace,
+    build_heat_dirichlet,
+    restrict,
+)
 
 REFERENCE_BUNDLE = GainBundle(
     alpha=0.5, theta=DEFAULT_THETA, k1=3.1408, k2=0.5626, kappa=0.6359,
@@ -107,6 +122,63 @@ class TestSimulate:
         sig = InputSignal.piecewise(np.zeros((3, 2)), sys.space)
         with pytest.raises(ValueError, match="samples"):
             simulate(sys, np.zeros(3), sig, 1.0, 0.1)
+
+    def test_partial_step_rejected(self):
+        sys = l2_system(4)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate(sys, np.zeros(3), InputSignal.constant((1.0, 0.0), sys.space), 0.1, 0.07)
+
+
+def random_tridiagonal_system(n, seed):
+    """A Hurwitz system whose generator has no constant diagonals."""
+    rng = np.random.default_rng(seed)
+    space = WeightedSpace(GridSpec(n), weight_exponent=1)
+    off = rng.uniform(0.5, 2.0, n - 2)
+    diag = -rng.uniform(4.5, 6.0, n - 1)
+    b = np.zeros((n - 1, 2))
+    b[0, 0] = rng.uniform(1.0, 2.0)
+    b[-1, 1] = rng.uniform(1.0, 2.0)
+    return ClosedControlSystem(space=space, a_diag=diag, a_offdiag=off, b_matrix=b, diffusion=1.0)
+
+
+class TestModalStepping:
+    """simulate against the same number of iterated step_exact calls."""
+
+    STEPS = 700  # more than two back-transform blocks
+
+    @pytest.mark.parametrize("system", [l2_system(60), random_tridiagonal_system(40, seed=8)],
+                             ids=["heat", "random"])
+    def test_matches_iterated_step_exact(self, system):
+        assert self.STEPS > 2 * BLOCK_ROWS
+        h = 0.01
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(system.space.grid.interior_nodes)
+        signal = InputSignal.piecewise(rng.uniform(-1.0, 1.0, (self.STEPS, 2)), system.space)
+        traj = simulate(system, x, signal, self.STEPS * h, h)
+        assert traj.states.shape == (self.STEPS + 1, x.size)
+        np.testing.assert_array_equal(traj.states[0], x)
+        scale = np.max(np.abs(traj.states))
+        worst = 0.0
+        for i in range(self.STEPS):
+            x = step_exact(system, x, signal.sample(i), h)
+            worst = max(worst, np.max(np.abs(traj.states[i + 1] - x)))
+        assert worst <= 1e-13 * scale
+        norms = math.sqrt(system.space.grid.dx) * np.linalg.norm(traj.states, axis=1)
+        np.testing.assert_allclose(traj.norms, norms, rtol=1e-14)
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("t_end, h, steps", [(3.0, 0.05, 60), (3.0, 0.0005, 6000),
+                                                 (0.3, 0.1, 3), (1.0, 1.0, 1)])
+    def test_whole_steps(self, t_end, h, steps):
+        assert step_count(t_end, h) == steps
+
+    @pytest.mark.parametrize("t_end, h", [(0.1, 0.07), (3.0, 0.07), (0.01, 0.1),
+                                          (0.0, 0.1), (1.0, -0.1), (1.0, 1e-320),
+                                          (math.inf, 0.1), (math.nan, 0.1)])
+    def test_rejects(self, t_end, h):
+        with pytest.raises(ValueError):
+            step_count(t_end, h)
 
 
 class TestInputSignal:
