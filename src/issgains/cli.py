@@ -58,22 +58,24 @@ class RunConfig:
             raise ConfigError("n_schedule entries must all be >= 2")
         if list(self.n_schedule) != sorted(set(self.n_schedule)):
             raise ConfigError("n_schedule must be strictly increasing")
-        if not self.a > 0:
-            raise ConfigError(f"a must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ConfigError(f"a must be positive and finite, got {self.a}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not math.pi / 2 < self.theta < math.pi:
             raise ConfigError(f"theta must lie in (pi/2, pi), got {self.theta}")
-        if not 0 < self.lambda_min < self.lambda_max:
-            raise ConfigError("need 0 < lambda_min < lambda_max")
+        if not 0 < self.lambda_min < self.lambda_max < math.inf:
+            raise ConfigError("need 0 < lambda_min < lambda_max < inf, got "
+                              f"{self.lambda_min} and {self.lambda_max}")
         if self.lambda_count < 2:
             raise ConfigError("lambda_count must be >= 2")
         if self.weight_exponent not in (1, 2):
             raise ConfigError(f"weight_exponent must be 1 or 2, got {self.weight_exponent}")
         if self.u_norm not in ("euclidean", "max"):
             raise ConfigError(f"u_norm must be 'euclidean' or 'max', got {self.u_norm!r}")
-        if not self.mu_p > 0 or not self.mu_e > 0:
-            raise ConfigError(f"mu_p and mu_e must be positive, got {self.mu_p} and {self.mu_e}")
+        if not (0 < self.mu_p < math.inf and 0 < self.mu_e < math.inf):
+            raise ConfigError("mu_p and mu_e must be positive and finite, got "
+                              f"{self.mu_p} and {self.mu_e}")
         try:
             sim.step_count(self.t_end, self.h)
         except ValueError as exc:
@@ -142,6 +144,9 @@ def _records(cfg: RunConfig) -> list:
 
 
 def _run_chain(cfg: RunConfig):
+    if len(cfg.n_schedule) < 2:
+        raise ConfigError("the gains are limits over n_schedule, which needs at least "
+                          f"2 resolutions, got {len(cfg.n_schedule)}")
     # omega keeps its last value without a Cauchy gate: omega_n rises toward
     # its limit from below, so the last value is on the safe side.  D is a
     # supremum.  The fractional norm has no such direction, so it must converge.
@@ -314,6 +319,9 @@ def dispatch(command: str, cfg: RunConfig) -> int:
     except LimitError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
+    except ConfigError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

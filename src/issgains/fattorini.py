@@ -10,7 +10,6 @@ are checked empirically on probes, not proven.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .systems import (
     ClosedControlSystem,
@@ -155,6 +154,9 @@ def _resolvent_solve(sys: ClosedControlSystem, lam: float, rhs: np.ndarray) -> n
     ab[0, 1:] = -sys.a_offdiag
     ab[1] = diag
     ab[2, :-1] = -sys.a_offdiag
+    # Imported here, not at module level: a command that never solves skips ~0.3 s of import.
+    import scipy.linalg
+
     try:
         return scipy.linalg.solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:

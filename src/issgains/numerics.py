@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 __all__ = [
     "EigenDecomposition",
@@ -85,6 +83,9 @@ def gamma_fn(x: float) -> float:
 
 
 def _quad(fn, lo, hi):
+    # Imported here, not at module level: a command that never integrates skips ~0.7 s of import.
+    import scipy.integrate
+
     value, err, info = scipy.integrate.quad(fn, lo, hi, epsabs=1e-13, epsrel=1e-12, full_output=True)[:3]
     return value, err, info["neval"]
 
@@ -151,6 +152,9 @@ def sym_tridiag_eig(diag, offdiag) -> EigenDecomposition:
         )
     if _is_uniform(diag, offdiag):
         return _uniform_tridiag_eig(diag.size, float(diag[0]), float(offdiag[0]))
+    # Imported here, not at module level: the closed form skips ~0.3 s of import.
+    import scipy.linalg
+
     try:
         values, vectors = scipy.linalg.eigh_tridiagonal(diag, offdiag)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

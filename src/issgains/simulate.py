@@ -89,13 +89,17 @@ class Trajectory:
 
 def step_count(t_end: float, h: float) -> int:
     """Number of steps h that make up [0, t_end]; t_end must be a whole
-    number of steps, within a relative tolerance of 1e-9."""
+    number of steps, within a relative tolerance of 1e-9, and at most
+    MAX_STEPS of them."""
     if not t_end > 0.0 or not h > 0.0:
         raise ValueError(f"t_end and h must be positive, got {t_end} and {h}")
-    steps = t_end / h
-    if not (math.isfinite(steps) and math.isclose(steps, round(steps), rel_tol=1e-9)):
+    ratio = t_end / h
+    if not (math.isfinite(ratio) and math.isclose(ratio, round(ratio), rel_tol=1e-9)):
         raise ValueError(f"t_end = {t_end} is not a whole number of steps h = {h}")
-    return round(steps)
+    steps = round(ratio)
+    if steps > MAX_STEPS:
+        raise ValueError(f"step budget exceeded: {steps} > {MAX_STEPS}")
+    return steps
 
 
 def _step_factors(sys: ClosedControlSystem, h: float):
@@ -130,8 +134,6 @@ def simulate(sys: ClosedControlSystem, x0, input_signal: InputSignal,
     then maps the rows back to x = V y in blocks of BLOCK_ROWS.
     """
     steps = step_count(t_end, h)
-    if steps > MAX_STEPS:
-        raise ValueError(f"step budget exceeded: {steps} > {MAX_STEPS}")
     if input_signal.kind != "constant" and input_signal.values.shape[0] < steps:
         raise ValueError(
             f"input supplies {input_signal.values.shape[0]} samples for {steps} steps"

@@ -1,8 +1,12 @@
+import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import issgains
 from issgains.cli import ConfigError, RunConfig, dispatch, main, parse_config
 
 
@@ -33,7 +37,11 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("line", ["a = -1", "theta = 1.0", "u_norm = taxicab",
                                       "n_schedule = 4,3", "weight_exponent = 3",
-                                      "mu_e = 0", "mu_p = -1", "h = 0.07"])
+                                      "mu_e = 0", "mu_p = -1", "h = 0.07",
+                                      "a = inf", "lambda_max = inf", "mu_p = inf",
+                                      "mu_e = inf", "mu_e = nan",
+                                      # 10^7 + 1 steps of the default h = 0.05
+                                      "t_end = 500000.05"])
     def test_validation(self, line):
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
@@ -113,6 +121,18 @@ class TestDispatch:
         assert not os.path.exists(tmp_path / "gains.kv")
         assert not os.path.exists(tmp_path / "traj_onesided.csv")
 
+    @pytest.mark.parametrize("command", ["gains", "simulate"])
+    def test_single_resolution_is_config_error(self, tmp_path, capsys, command):
+        code = main([command, "--n_schedule", "64", "--output_dir", str(tmp_path)])
+        assert code == 2
+        assert "n_schedule" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_single_resolution_sweep_and_plot(self, tmp_path, capsys):
+        args = ["--n_schedule", "16", "--lambda_count", "50", "--output_dir", str(tmp_path)]
+        assert main(["sweep"] + args) == 0
+        assert main(["plot"] + args) == 0
+
     def test_plot_requires_sweep(self, tmp_path, capsys):
         assert dispatch("plot", small_cfg(tmp_path)) == 2
 
@@ -148,3 +168,40 @@ class TestMain:
 
     def test_unknown_command_via_main(self, tmp_path, capsys):
         assert main(["nope", "--output_dir", str(tmp_path)]) == 2
+
+
+# Prints the scipy modules loaded after importing the CLI and after each command.
+_FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+from issgains.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+stages = {"import": loaded()}
+small = ["--n_schedule", "8,16", "--lambda_count", "20", "--output_dir", sys.argv[1]]
+for command in ("sweep", "plot", "check"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command] + small)
+    stages[command] = [code, loaded()]
+print(json.dumps(stages))
+"""
+
+
+class TestImportFootprint:
+    def test_scipy_loaded_only_where_called(self, tmp_path):
+        # A fresh interpreter, since this test process has imported scipy already.
+        src = os.path.dirname(os.path.dirname(issgains.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        stages = json.loads(proc.stdout)
+        assert stages["import"] == []
+        assert stages["sweep"] == [0, []]
+        assert stages["plot"] == [0, []]
+        code, modules = stages["check"]
+        assert code == 0
+        assert "scipy.linalg" in modules
+        assert not any(m.startswith(("scipy.integrate", "scipy.optimize")) for m in modules)

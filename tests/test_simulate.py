@@ -6,6 +6,7 @@ import pytest
 from issgains.gains import DEFAULT_THETA, GainBundle
 from issgains.simulate import (
     BLOCK_ROWS,
+    MAX_STEPS,
     InputSignal,
     Trajectory,
     iss_margin,
@@ -169,13 +170,15 @@ class TestModalStepping:
 
 class TestStepCount:
     @pytest.mark.parametrize("t_end, h, steps", [(3.0, 0.05, 60), (3.0, 0.0005, 6000),
-                                                 (0.3, 0.1, 3), (1.0, 1.0, 1)])
+                                                 (0.3, 0.1, 3), (1.0, 1.0, 1),
+                                                 (MAX_STEPS * 0.05, 0.05, MAX_STEPS)])
     def test_whole_steps(self, t_end, h, steps):
         assert step_count(t_end, h) == steps
 
     @pytest.mark.parametrize("t_end, h", [(0.1, 0.07), (3.0, 0.07), (0.01, 0.1),
                                           (0.0, 0.1), (1.0, -0.1), (1.0, 1e-320),
-                                          (math.inf, 0.1), (math.nan, 0.1)])
+                                          (math.inf, 0.1), (math.nan, 0.1),
+                                          ((MAX_STEPS + 1) * 0.05, 0.05)])
     def test_rejects(self, t_end, h):
         with pytest.raises(ValueError):
             step_count(t_end, h)
