@@ -2,8 +2,9 @@
 
 Commands: sweep, gains, simulate, check, plot.  Configuration comes from a
 flat key = value file plus --key value overrides; flags win.  Exit codes:
-0 success, 1 any failing diagnostic verdict, a negative certified margin or
-a sweep limit that did not converge, 2 usage or config error.
+0 success, 1 any failing diagnostic verdict, a negative certified margin, a
+sweep limit that did not converge or a K-constant integral that failed, 2
+usage or config error.
 """
 
 import argparse
@@ -17,6 +18,7 @@ import numpy as np
 from . import fattorini, simulate as sim, svgplot, sweep as sweep_mod
 from .fattorini import PathSpec
 from .gains import DEFAULT_THETA, GrowthBound, SectorBound, assemble_gains
+from .numerics import QuadratureError
 from .sweep import CSV_HEADER, DEFAULT_SCHEDULE
 from .systems import GridSpec, WeightedSpace, build_heat_dirichlet, build_preclosure_heat
 
@@ -316,7 +318,7 @@ def dispatch(command: str, cfg: RunConfig) -> int:
         return 2
     try:
         return handlers[command](cfg)
-    except LimitError as exc:
+    except (LimitError, QuadratureError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except ConfigError as exc:

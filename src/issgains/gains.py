@@ -77,8 +77,9 @@ class GainBundle:
     beta_omega: float
     gamma_slope: float
 
-    def beta(self, s: float, t: float) -> float:
-        return self.beta_m * math.exp(-self.beta_omega * t) * s
+    def beta(self, s: float, t):
+        """beta(s, t); ``t`` may be an array of times."""
+        return self.beta_m * np.exp(-self.beta_omega * t) * s
 
     def gamma(self, s: float) -> float:
         return self.gamma_slope * s

@@ -57,7 +57,7 @@ class InputSignal:
     @classmethod
     def piecewise(cls, values, space: WeightedSpace) -> "InputSignal":
         values = np.asarray(values, dtype=float).reshape(-1, 2)
-        sup = max((space.input_sample_norm(v) for v in values), default=0.0)
+        sup = float(np.max(space.input_sample_norm(values), initial=0.0))
         return cls(kind="piecewise_constant", values=values, sup_norm=sup)
 
     @classmethod
@@ -71,7 +71,7 @@ class InputSignal:
             values[:, j] = rng.integers(-1, 2, size=steps).astype(float)
         if not np.any(values):
             values[0, active[0]] = 1.0
-        sup = max(space.input_sample_norm(v) for v in values)
+        sup = float(np.max(space.input_sample_norm(values)))
         return cls(kind="seeded_random_bang_bang", values=values, sup_norm=sup)
 
     def sample(self, step: int) -> np.ndarray:
@@ -175,11 +175,7 @@ def iss_margin(traj: Trajectory, bundle: GainBundle, x0_norm: float,
     positive means the ISS bound held at every sample."""
     if traj.times.size == 0:
         raise ValueError("empty trajectory")
-    offset = bundle.gamma(input_signal.sup_norm)
-    margins = np.array([
-        bundle.beta(x0_norm, t) + offset - norm
-        for t, norm in zip(traj.times, traj.norms)
-    ])
+    margins = bundle.beta(x0_norm, traj.times) + bundle.gamma(input_signal.sup_norm) - traj.norms
     idx = int(np.argmin(margins))
     return float(margins[idx]), float(traj.times[idx])
 

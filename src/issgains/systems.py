@@ -72,11 +72,15 @@ class WeightedSpace:
         """Multiplier turning the plain l2 norm into the weighted norm."""
         return self.grid.dx ** (self.weight_exponent / 2.0)
 
-    def input_sample_norm(self, u) -> float:
+    def input_sample_norm(self, u):
+        """Norm of one input sample u in U, or of each row of a 2-D array of
+        samples (an array of norms)."""
         u = np.asarray(u, dtype=float)
         if self.input_norm == "euclidean":
-            return float(np.linalg.norm(u))
-        return float(np.max(np.abs(u)))
+            norms = np.linalg.norm(u, axis=-1)
+        else:
+            norms = np.max(np.abs(u), axis=-1)
+        return float(norms) if u.ndim == 1 else norms
 
 
 @dataclass(frozen=True)

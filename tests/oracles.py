@@ -7,6 +7,7 @@ or a decomposition's arrays.
 import math
 
 import numpy as np
+import scipy.integrate
 
 
 def frac_control_norm_gram(sys) -> float:
@@ -35,3 +36,26 @@ def matrix_function(eig, f) -> np.ndarray:
         raise ValueError("matrix function undefined or non-finite at an eigenvalue")
     v = eig.eigenvectors
     return (v * mapped) @ v.T
+
+
+def _quadpack(fn, lo, hi) -> float:
+    # full_output=True returns QUADPACK's diagnostics instead of warning.
+    return scipy.integrate.quad(fn, lo, hi, epsabs=1e-13, epsrel=1e-12, full_output=True)[0]
+
+
+def quadpack_exp_tail(alpha: float, omega: float) -> float:
+    """Integral of s^(-alpha) exp(-omega s) over (0, inf) by QUADPACK, with
+    s = r^(1/(1-alpha)) on (0, 1).  QUADPACK misses the peak for extreme
+    omega (about 1e-8 or 1e8) without reporting it."""
+    q = 1.0 / (1.0 - alpha)
+    return (_quadpack(lambda r: q * np.exp(-omega * r**q), 0.0, 1.0)
+            + _quadpack(lambda s: s**-alpha * np.exp(-omega * s), 1.0, np.inf))
+
+
+def quadpack_cauchy_tail(alpha: float) -> float:
+    """Integral of s^(-alpha) / (1 + s) over (0, inf) by QUADPACK, both
+    halves mapped to (0, 1)."""
+    qh = 1.0 / (1.0 - alpha)
+    qt = 1.0 / alpha
+    return (_quadpack(lambda r: qh / (1.0 + r**qh), 0.0, 1.0)
+            + _quadpack(lambda r: qt / (1.0 + r**qt), 0.0, 1.0))

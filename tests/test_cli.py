@@ -7,7 +7,10 @@ import sys
 import pytest
 
 import issgains
+import issgains.cli as cli
+import issgains.numerics as numerics
 from issgains.cli import ConfigError, RunConfig, dispatch, main, parse_config
+from issgains.gains import assemble_gains
 
 
 class TestParseConfig:
@@ -69,17 +72,17 @@ class TestDispatch:
     def test_sweep_idempotent(self, tmp_path):
         cfg = small_cfg(tmp_path)
         dispatch("sweep", cfg)
-        path = os.path.join(cfg.output_dir, "sweep.csv")
-        first = open(path, "rb").read()
+        path = tmp_path / "out" / "sweep.csv"
+        first = path.read_bytes()
         dispatch("sweep", cfg)
-        assert open(path, "rb").read() == first
+        assert path.read_bytes() == first
 
     def test_gains_outputs(self, tmp_path, capsys):
         cfg = small_cfg(tmp_path)
         assert dispatch("gains", cfg) == 0
         out = capsys.readouterr().out
         assert "gamma_slope" in out
-        kv = open(os.path.join(cfg.output_dir, "gains.kv")).read()
+        kv = (tmp_path / "out" / "gains.kv").read_text()
         slope = float([ln.split("=")[1] for ln in kv.splitlines() if ln.startswith("gamma_slope")][0])
         # Coarse 32-interval chain already lands close to the reference slope.
         assert slope == pytest.approx(0.90, abs=0.01)
@@ -87,7 +90,7 @@ class TestDispatch:
     def test_check_passes_on_heat_family(self, tmp_path, capsys):
         cfg = small_cfg(tmp_path)
         assert dispatch("check", cfg) == 0
-        text = open(os.path.join(cfg.output_dir, "check.txt")).read()
+        text = (tmp_path / "out" / "check.txt").read_text()
         assert "FAIL" not in text
 
     def test_simulate_writes_trajectories(self, tmp_path, capsys):
@@ -122,6 +125,18 @@ class TestDispatch:
         assert not os.path.exists(tmp_path / "traj_onesided.csv")
 
     @pytest.mark.parametrize("command", ["gains", "simulate"])
+    def test_quadrature_failure_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # One step halving cannot reach the 1e-13 agreement of the rule.
+        monkeypatch.setattr(numerics, "QUAD_MAX_LEVEL", 1)
+        code = main([command, "--n_schedule", "16,32", "--lambda_count", "50",
+                     "--output_dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: quad_exp_tail(alpha=0.5, omega=")
+        assert "best estimate" in err
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("command", ["gains", "simulate"])
     def test_single_resolution_is_config_error(self, tmp_path, capsys, command):
         code = main([command, "--n_schedule", "64", "--output_dir", str(tmp_path)])
         assert code == 2
@@ -141,9 +156,34 @@ class TestDispatch:
         dispatch("sweep", cfg)
         assert dispatch("plot", cfg) == 0
         for name in ("fig_omegan.svg", "fig_dn.svg", "fig_fracnorm.svg"):
-            content = open(os.path.join(cfg.output_dir, name)).read()
+            content = (tmp_path / "out" / name).read_text()
             assert content.startswith("<svg")
             assert "polyline" in content
+
+
+class TestExtremeOmega:
+    """K1 and K2 far from omega = 1, where QUADPACK returned wrong K1 values
+    (9.7e-46 at a = 1e7, -5.8e-19 at a = 1e-8) without an error."""
+
+    @pytest.mark.parametrize("a", ["1e7", "1e-8"])
+    def test_k_constants_match_closed_forms(self, tmp_path, capsys, monkeypatch, a):
+        calls = []
+
+        def spy(*args, **kwargs):
+            bundle = assemble_gains(*args, **kwargs)
+            calls.append((args, bundle))
+            return bundle
+
+        monkeypatch.setattr(cli, "assemble_gains", spy)
+        code = main(["gains", "--a", a, "--n_schedule", "250,500,1000",
+                     "--output_dir", str(tmp_path)])
+        assert code == 0
+        [((alpha, theta, gb, sb, _), bundle)] = calls
+        # K1 = omega^alpha for m = 1, and K2 = D pi/sin(pi alpha) / (Gamma(1-alpha) pi |cos theta|).
+        assert bundle.k1 == pytest.approx(bundle.beta_omega**alpha, rel=1e-10)
+        k2 = sb.d / (math.gamma(1.0 - alpha) * abs(math.cos(theta)) * math.sin(math.pi * alpha))
+        assert bundle.k2 == pytest.approx(k2, rel=1e-10)
+        assert f"K1 = {bundle.k1:.10g}\n" in (tmp_path / "gains.kv").read_text()
 
 
 class TestMain:
@@ -180,7 +220,7 @@ def loaded():
 
 stages = {"import": loaded()}
 small = ["--n_schedule", "8,16", "--lambda_count", "20", "--output_dir", sys.argv[1]]
-for command in ("sweep", "plot", "check"):
+for command in ("sweep", "plot", "gains", "simulate", "check"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([command] + small)
     stages[command] = [code, loaded()]
@@ -201,6 +241,8 @@ class TestImportFootprint:
         assert stages["import"] == []
         assert stages["sweep"] == [0, []]
         assert stages["plot"] == [0, []]
+        assert stages["gains"] == [0, []]
+        assert stages["simulate"] == [0, []]
         code, modules = stages["check"]
         assert code == 0
         assert "scipy.linalg" in modules

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import issgains.numerics as numerics
 from issgains.numerics import (
+    QuadratureError,
     apply_matrix_function,
     gamma_fn,
     quad_cauchy_tail,
@@ -12,7 +14,7 @@ from issgains.numerics import (
     sym_tridiag_eig,
     weighted_op_norm,
 )
-from oracles import matrix_function, reconstruct
+from oracles import matrix_function, quadpack_cauchy_tail, quadpack_exp_tail, reconstruct
 
 
 def heat_diagonals(n, a=1.0):
@@ -84,6 +86,80 @@ class TestQuadratures:
     def test_omega_domain(self):
         with pytest.raises(ValueError):
             quad_exp_tail(0.5, 0.0)
+
+
+ALPHA_GRID = np.linspace(0.01, 0.99, 15)
+OMEGA_GRID = (1e-8, 1e-4, 1.0, math.pi**2, 1e4, 1e8)
+
+
+def exp_tail_exact(alpha, omega):
+    return gamma_fn(1.0 - alpha) * omega ** (alpha - 1.0)
+
+
+def cauchy_tail_exact(alpha):
+    # sin(pi alpha) = sin(pi (1 - alpha)); the smaller argument keeps full accuracy.
+    return math.pi / math.sin(math.pi * min(alpha, 1.0 - alpha))
+
+
+class TestDoubleExponential:
+    @pytest.mark.parametrize("omega", OMEGA_GRID)
+    def test_exp_tail_closed_form(self, omega):
+        for alpha in ALPHA_GRID:
+            res = quad_exp_tail(alpha, omega)
+            exact = exp_tail_exact(alpha, omega)
+            assert abs(res.value - exact) <= 1e-12 * exact, (alpha, omega)
+            assert res.evaluations >= 1
+            assert res.abs_error_estimate >= 0.0
+
+    def test_cauchy_tail_closed_form(self):
+        for alpha in ALPHA_GRID:
+            res = quad_cauchy_tail(alpha)
+            exact = cauchy_tail_exact(alpha)
+            assert abs(res.value - exact) <= 1e-12 * exact, alpha
+            assert res.evaluations >= 1
+            assert res.abs_error_estimate >= 0.0
+
+    def test_agrees_with_quadpack_where_quadpack_is_right(self):
+        # "Right" means within QUADPACK's own requested tolerance, 1e-12, of
+        # the closed form; the two routes then agree to the sum of both.
+        compared = 0
+        for omega in OMEGA_GRID:
+            for alpha in ALPHA_GRID:
+                exact = exp_tail_exact(alpha, omega)
+                reference = quadpack_exp_tail(alpha, omega)
+                if abs(reference - exact) <= 1e-12 * exact:
+                    assert quad_exp_tail(alpha, omega).value == pytest.approx(reference, rel=2e-12)
+                    compared += 1
+        for alpha in ALPHA_GRID:
+            reference = quadpack_cauchy_tail(alpha)
+            assert abs(reference - cauchy_tail_exact(alpha)) <= 1e-12 * reference
+            assert quad_cauchy_tail(alpha).value == pytest.approx(reference, rel=2e-12)
+        # QUADPACK is right at omega in {1e-4, 1, pi^2, 1e4} for almost every
+        # alpha of the grid, and wrong at 1e-8 for all of them.
+        assert compared >= 4 * ALPHA_GRID.size
+
+    def test_non_finite_integrand(self):
+        # The node t = 0 of the tanh-sinh rule is x = 1/2.
+        with pytest.raises(QuadratureError, match="probe.*non-finite") as info:
+            numerics._quad("probe", [(numerics._TANH_SINH,
+                                      lambda x: np.where(x == 0.5, np.inf, 1.0))])
+        assert info.value.best_estimate == math.inf
+
+    def test_no_convergence_within_level_cap(self, monkeypatch):
+        monkeypatch.setattr(numerics, "QUAD_MAX_LEVEL", 1)
+        with pytest.raises(QuadratureError, match=r"quad_exp_tail\(alpha=0.5.*best estimate") as info:
+            quad_exp_tail(0.5, 1.0)
+        assert info.value.best_estimate == pytest.approx(math.sqrt(math.pi), rel=1e-2)
+
+    def test_evaluation_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "QUAD_EVAL_BUDGET", 100)
+        with pytest.raises(QuadratureError, match="quad_cauchy_tail.*100 evaluations"):
+            quad_cauchy_tail(0.5)
+
+    def test_subnormal_omega_is_an_error(self):
+        # omega^(alpha - 1) overflows a double.
+        with pytest.raises(QuadratureError, match="non-finite"):
+            quad_exp_tail(0.01, 1e-320)
 
 
 class TestTridiagEig:

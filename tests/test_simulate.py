@@ -202,6 +202,19 @@ class TestInputSignal:
         np.testing.assert_array_equal(s1.values, s2.values)
         assert set(np.unique(s1.values)) <= {-1.0, 0.0, 1.0}
 
+    @pytest.mark.parametrize("norm", ["max", "euclidean"])
+    def test_sup_norm_is_largest_sample_norm(self, norm):
+        space = WeightedSpace(GridSpec(4), input_norm=norm)
+        values = np.random.default_rng(7).uniform(-2.0, 2.0, (300, 2))
+        sig = InputSignal.piecewise(values, space)
+        assert sig.sup_norm == max(space.input_sample_norm(v) for v in values)
+        bang = InputSignal.bang_bang(300, space, seed=11)
+        assert bang.sup_norm == max(space.input_sample_norm(v) for v in bang.values)
+
+    def test_empty_piecewise_has_zero_sup_norm(self):
+        sig = InputSignal.piecewise(np.zeros((0, 2)), WeightedSpace(GridSpec(4)))
+        assert sig.sup_norm == 0.0
+
     def test_bang_bang_one_sided(self):
         space = WeightedSpace(GridSpec(4), weight_exponent=1)
         sig = InputSignal.bang_bang(40, space, seed=3, active=(0,))
@@ -248,6 +261,22 @@ class TestIssMargin:
             margin, _ = iss_margin(traj, REFERENCE_BUNDLE, 0.0, signal)
             worst = min(worst, margin)
         assert worst > 0.0
+
+    def test_margins_follow_the_gain_formula(self):
+        # Every sample, not only the minimum: margins of a decaying state
+        # with x0_norm > 0, against beta and gamma evaluated one time at a time.
+        n = 64
+        sys = l2_system(n)
+        signal = InputSignal.bang_bang(40, sys.space, seed=9)
+        x0 = np.sin(np.pi * sys.space.grid.nodes())
+        traj = simulate(sys, x0, signal, 2.0, 0.05)
+        margin, at = iss_margin(traj, REFERENCE_BUNDLE, 2.0, signal)
+        expected = [2.0 * math.exp(-REFERENCE_BUNDLE.beta_omega * t)
+                    + REFERENCE_BUNDLE.gamma_slope * signal.sup_norm - norm
+                    for t, norm in zip(traj.times, traj.norms)]
+        k = int(np.argmin(expected))
+        assert margin == pytest.approx(expected[k], rel=1e-14, abs=1e-15)
+        assert at == traj.times[k]
 
     def test_empty_trajectory(self):
         traj = Trajectory(times=np.array([]), states=np.empty((0, 3)), norms=np.array([]))

@@ -131,6 +131,18 @@ class TestNorms:
             expected = math.sqrt((1.0 + 0.09) / 2.0)
             assert weighted_state_norm(restrict(f, grid), space) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("norm, expected", [("max", [2.0, 0.0, 4.0]),
+                                                ("euclidean", [math.sqrt(5.0), 0.0, 5.0])])
+    def test_input_sample_norm_by_rows(self, norm, expected):
+        space = WeightedSpace(GridSpec(4), input_norm=norm)
+        samples = np.array([[1.0, -2.0], [0.0, 0.0], [-3.0, 4.0]])
+        norms = space.input_sample_norm(samples)
+        assert norms.shape == (3,)
+        np.testing.assert_allclose(norms, expected, rtol=1e-15)
+        for row, value in zip(samples, norms):
+            scalar = space.input_sample_norm(row)
+            assert isinstance(scalar, float) and scalar == value
+
     def test_norm_consistency_improves_with_n(self):
         f = lambda xi: xi * (1.0 - xi)
         target = math.sqrt(1.0 / 30.0)
