@@ -5,12 +5,15 @@ The closure maps the pre-boundary-closure quintuple to the closed pair
 consistency of the discretized generator and the boundary right-inverse
 conditions on finite probe families.  Strong-operator-topology conditions
 are checked empirically on probes, not proven.
+Every resolvent comes from the system's memoized eigendecomposition, and
+probe functions must accept arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import apply_matrix_function
 from .systems import (
     ClosedControlSystem,
     GridSpec,
@@ -19,6 +22,7 @@ from .systems import (
     build_heat_dirichlet,
     extend,
     function_l2_norm,
+    panels_for,
     restrict,
     weighted_state_norm,
 )
@@ -145,22 +149,9 @@ def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
     )
 
 
-def _resolvent_solve(sys: ClosedControlSystem, lam: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (lambda I - A) x = rhs for the tridiagonal generator."""
-    diag = lam - sys.a_diag
-    if np.min(np.abs(diag)) == 0.0 and sys.a_offdiag.size == 0:
-        raise ValueError(f"shift {lam} is an eigenvalue of the generator")
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = -sys.a_offdiag
-    ab[1] = diag
-    ab[2, :-1] = -sys.a_offdiag
-    # Imported here, not at module level: a command that never solves skips ~0.3 s of import.
-    import scipy.linalg
-
-    try:
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular shift lambda = {lam}") from exc
+def _resolvent(sys: ClosedControlSystem, shift, rhs: np.ndarray) -> np.ndarray:
+    """(shift I - A)^{-1} rhs; for an array of shifts, one column per shift."""
+    return apply_matrix_function(sys.eigendecomposition(), lambda lam: 1.0 / (shift - lam), rhs)
 
 
 def resolvent_gap(n_coarse: int, n_fine: int, path: PathSpec, probe_modes,
@@ -175,16 +166,16 @@ def resolvent_gap(n_coarse: int, n_fine: int, path: PathSpec, probe_modes,
     for n in (n_coarse, n_fine):
         gs = GridSpec(n)
         sys = build_heat_dirichlet(n, a)
+        panels = panels_for(n)
         worst = 0.0
         for k in probe_modes:
-            samples = np.sin(k * np.pi * gs.nodes())
-            for lam in grid:
-                x = _resolvent_solve(sys, lam, samples)
+            solutions = _resolvent(sys, grid, np.sin(k * np.pi * gs.nodes()))
+            for lam, x in zip(grid, solutions.T):
                 approx = extend(x, gs)
                 exact_scale = 1.0 / (lam + a * (k * np.pi) ** 2)
                 gap = function_l2_norm(
                     lambda xi: approx(xi) - exact_scale * np.sin(k * np.pi * xi),
-                    panels=_panels_for(n),
+                    panels=panels,
                 )
                 worst = max(worst, gap)
         values[f"gap_{n}"] = worst
@@ -197,13 +188,6 @@ def resolvent_gap(n_coarse: int, n_fine: int, path: PathSpec, probe_modes,
         verdict=verdict,
         detail=f"sup-over-path resolvent gap on sine probes, refinement ratio {ratio:.3g}",
     )
-
-
-def _panels_for(n: int) -> int:
-    panels = 2048
-    while panels % n:
-        panels += 1
-    return panels
 
 
 def consistency_diagnostic(systems, probes) -> DiagnosticReport:
@@ -228,9 +212,9 @@ def consistency_diagnostic(systems, probes) -> DiagnosticReport:
                 continue
             lifted = extend(av, gs)
             f2_norm = function_l2_norm(f2)
-            strong[f"{name}_{n}"] = function_l2_norm(lifted, panels=_panels_for(n)) / (f_norm + f2_norm)
-            ainv_av = _resolvent_solve(sys, 0.0, -av)  # solves -A x = av
-            weak[f"{name}_{n}"] = weighted_state_norm(ainv_av, p1) / f_norm
+            strong[f"{name}_{n}"] = function_l2_norm(lifted, panels=panels_for(n)) / (f_norm + f2_norm)
+            # Weak reading: the round trip ||A^{-1} A P f|| / ||f||.
+            weak[f"{name}_{n}"] = weighted_state_norm(_resolvent(sys, 0.0, -av), p1) / f_norm
     values = {f"strong.{k}": v for k, v in strong.items()}
     values.update({f"weak.{k}": v for k, v in weak.items()})
     bounded = _bounded(strong) and _bounded(weak)
@@ -277,9 +261,7 @@ def right_inverse_gap(pre_systems) -> DiagnosticReport:
         # (B7) surrogate: A^{-1} applied to the stencil image, which is
         # already (numerically) zero.
         sys = close_system(pre, WeightedSpace(GridSpec(n), weight_exponent=1))
-        weighted = np.column_stack([
-            _resolvent_solve(sys, 0.0, -stencil_image[:, j]) for j in range(2)
-        ])
+        weighted = _resolvent(sys, 0.0, -stencil_image)
         extrap_norm = float(np.max(np.abs(weighted)))
         values[f"interp_gap_{n}"] = interp_gap
         values[f"stencil_image_{n}"] = stencil_norm
@@ -306,7 +288,7 @@ def estimate_mu(samples, n_list, seed: int = 0,
     for n in n_list:
         gs = GridSpec(n)
         p1 = WeightedSpace(gs, weight_exponent=1)
-        panels = _panels_for(n)
+        panels = panels_for(n)
         for f in samples:
             f_norm = function_l2_norm(f)
             if f_norm == 0.0:

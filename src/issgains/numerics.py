@@ -273,14 +273,19 @@ def _uniform_tridiag_eig(m: int, d: float, e: float) -> EigenDecomposition:
 
 
 def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarray:
-    """``V diag(f(lambda)) V^T @ b`` without forming the full matrix."""
+    """``V diag(f(lambda)) V^T @ b`` without forming the full matrix.  For a
+    vector ``b``, ``f`` may return an array per eigenvalue (a family of
+    functions); the result then has one column per member."""
     mapped = np.array([f(lam) for lam in eig.eigenvalues], dtype=float)
     bad = ~np.isfinite(mapped)
     if bad.any():
-        lam = eig.eigenvalues[bad][0]
+        lam = eig.eigenvalues[np.nonzero(bad)[0][0]]
         raise ValueError(f"matrix function undefined or non-finite at eigenvalue {lam}")
     v = eig.eigenvectors
-    return v @ (mapped[:, None] * (v.T @ b))
+    coeffs = v.T @ b
+    if coeffs.ndim == 2:
+        return v @ (mapped[:, None] * coeffs)
+    return v @ (mapped.T * coeffs).T
 
 
 def weighted_op_norm(m: np.ndarray, row_weight: float, col_norm: str = "euclidean") -> float:

@@ -23,6 +23,7 @@ from .systems import (
     build_heat_dirichlet,
     extend,
     function_l2_norm,
+    panels_for,
     restrict,
 )
 
@@ -197,8 +198,7 @@ def trotter_kato_check(a: float, x0_modes, t: float, n_list) -> DiagnosticReport
         x0 = restrict(analytic_heat_state(x0_modes, a, 0.0), grid)
         traj = simulate(sys, x0, InputSignal.constant((0.0, 0.0), sys.space), t_end=t, h=t)
         lifted = extend(traj.states[-1], grid)
-        panels = 4096 if 4096 % n == 0 else 4096 + n - 4096 % n
-        gap = function_l2_norm(lambda xi: lifted(xi) - exact(xi), panels=panels)
+        gap = function_l2_norm(lambda xi: lifted(xi) - exact(xi), panels=panels_for(n, 4096))
         values[f"gap_{n}"] = gap
         gaps.append(gap)
     ratios = [g0 / g1 for g0, g1 in zip(gaps, gaps[1:])]

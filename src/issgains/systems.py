@@ -20,6 +20,7 @@ __all__ = [
     "extend",
     "analytic_heat_state",
     "function_l2_norm",
+    "panels_for",
 ]
 
 
@@ -196,8 +197,8 @@ def weighted_state_norm(x, space: WeightedSpace) -> float:
 
 
 def restrict(f, grid: GridSpec) -> np.ndarray:
-    """Sample a function at the interior nodes."""
-    return np.asarray([f(xi) for xi in grid.nodes()], dtype=float)
+    """Sample a vectorised function at the interior nodes, in one call."""
+    return np.array(np.broadcast_to(f(grid.nodes()), (grid.interior_nodes,)), dtype=float)
 
 
 def extend(x, grid: GridSpec):
@@ -240,23 +241,25 @@ def analytic_heat_state(modes, a: float, t: float):
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
+def panels_for(n: int, minimum: int = 2048) -> int:
+    """Smallest multiple of n that is >= ``minimum``: a ``function_l2_norm``
+    panel count that puts the kinks of an n-interval interpolant on edges."""
+    return -(-minimum // n) * n
+
+
 def function_l2_norm(f, panels: int = 2048) -> float:
     """L2(0,1) norm by composite 4-point Gauss quadrature.
 
-    Choose ``panels`` as a multiple of the grid resolution when ``f``
-    involves piecewise-linear interpolants, so kinks fall on panel edges.
+    ``f`` must accept an array: it is called once, on all 4 x ``panels``
+    nodes, and may return a constant.  Choose ``panels`` with
+    ``panels_for`` when ``f`` involves piecewise-linear interpolants.
     """
     edges = np.linspace(0.0, 1.0, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
+    pts = mid + half * _GAUSS_NODES[:, None]
+    vals = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
     total = 0.0
-    for node, w in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-        pts = mid + half * node
-        try:
-            vals = np.asarray(f(pts), dtype=float)
-        except (TypeError, ValueError):
-            # Scalar-only callables get evaluated pointwise.
-            vals = np.array([f(x) for x in pts], dtype=float)
-        vals = np.broadcast_to(vals, pts.shape)
-        total += w * float(np.sum(vals * vals))
+    for w, row in zip(_GAUSS_WEIGHTS, vals):
+        total += w * float(np.sum(row * row))
     return float(np.sqrt(total * half))

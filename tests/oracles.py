@@ -23,6 +23,12 @@ def frac_control_norm_gram(sys) -> float:
     return sys.space.state_scale * math.sqrt(top)
 
 
+def resolvent_dense(sys, shift: float, rhs) -> np.ndarray:
+    """(shift I - A)^{-1} rhs by a dense LU solve of the assembled matrix."""
+    a = sys.a_matrix
+    return np.linalg.solve(shift * np.eye(a.shape[0]) - a, rhs)
+
+
 def reconstruct(eig) -> np.ndarray:
     """The matrix ``V diag(values) V^T`` of a spectral decomposition."""
     v = eig.eigenvectors

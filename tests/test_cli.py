@@ -43,6 +43,8 @@ class TestParseConfig:
                                       "mu_e = 0", "mu_p = -1", "h = 0.07",
                                       "a = inf", "lambda_max = inf", "mu_p = inf",
                                       "mu_e = inf", "mu_e = nan",
+                                      # the fractional norm overflows, and underflows
+                                      "a = 1e-320", "a = 2.3e-308",
                                       # 10^7 + 1 steps of the default h = 0.05
                                       "t_end = 500000.05"])
     def test_validation(self, line):
@@ -203,6 +205,13 @@ class TestMain:
         assert main(["sweep", "--alpha", "2.0"]) == 2
         assert "alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("a, alpha", [("1e-320", "0.03"), ("2.3e-308", "0.97")])
+    def test_extreme_a_names_a(self, tmp_path, capsys, a, alpha):
+        code = main(["gains", "--a", a, "--alpha", alpha, "--n_schedule", "250,500,1000",
+                     "--output_dir", str(tmp_path)])
+        assert code == 2
+        assert "a must lie in" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -243,7 +252,4 @@ class TestImportFootprint:
         assert stages["plot"] == [0, []]
         assert stages["gains"] == [0, []]
         assert stages["simulate"] == [0, []]
-        code, modules = stages["check"]
-        assert code == 0
-        assert "scipy.linalg" in modules
-        assert not any(m.startswith(("scipy.integrate", "scipy.optimize")) for m in modules)
+        assert stages["check"] == [0, []]

@@ -6,6 +6,7 @@ import pytest
 from issgains.fattorini import (
     DiagnosticReport,
     PathSpec,
+    _resolvent,
     close_system,
     consistency_diagnostic,
     estimate_mu,
@@ -14,12 +15,17 @@ from issgains.fattorini import (
     sector_diagnostic,
 )
 from issgains.systems import (
+    ClosedControlSystem,
     GridSpec,
     PreClosureSystem,
     WeightedSpace,
     build_heat_dirichlet,
     build_preclosure_heat,
+    function_l2_norm,
+    restrict,
+    weighted_state_norm,
 )
+from oracles import resolvent_dense
 
 
 def space_for(n, p=2):
@@ -108,10 +114,50 @@ class TestResolventGap:
 
 
 PROBES = [
-    ("sin_pi", lambda x: math.sin(math.pi * x),
-     lambda x: -math.pi**2 * math.sin(math.pi * x)),
+    ("sin_pi", lambda x: np.sin(np.pi * x), lambda x: -np.pi**2 * np.sin(np.pi * x)),
     ("parabola", lambda x: x * (1 - x), lambda x: -2.0),
 ]
+
+
+def random_nonuniform_system(n, seed):
+    """Strictly diagonally dominant, so Hurwitz; its eigenpairs come from LAPACK."""
+    rng = np.random.default_rng(seed)
+    c = float(n * n)
+    b = np.zeros((n - 1, 2))
+    b[0, 0] = b[-1, 1] = c
+    return ClosedControlSystem(space=space_for(n), a_diag=-c * rng.uniform(3.1, 4.0, n - 1),
+                               a_offdiag=c * rng.uniform(0.5, 1.5, n - 2),
+                               b_matrix=b, diffusion=1.0)
+
+
+class TestResolventRoute:
+    @pytest.mark.parametrize("n, a, k", [(16, 1.0, 1), (32, 1.0, 3), (64, 0.25, 5), (250, 2.0, 1)])
+    def test_sine_probe_closed_form(self, n, a, k):
+        # sin(k pi xi) sampled is an eigenvector of A with eigenvalue -4an^2 sin^2(k pi/2n).
+        shifts = PathSpec().grid()
+        probe = np.sin(k * np.pi * GridSpec(n).nodes())
+        solutions = _resolvent(build_heat_dirichlet(n, a), shifts, probe)
+        mu = 4.0 * a * n**2 * np.sin(k * np.pi / (2 * n)) ** 2
+        np.testing.assert_allclose(solutions, probe[:, None] / (shifts + mu), rtol=1e-13, atol=0)
+
+    def test_nonuniform_system_matches_dense_solve(self):
+        sys = random_nonuniform_system(24, seed=7)
+        rhs = np.random.default_rng(8).standard_normal(23)
+        shifts = np.array([0.0, 1e-4, 3.0, 1e4])
+        solutions = _resolvent(sys, shifts, rhs)
+        for j, shift in enumerate(shifts):
+            np.testing.assert_allclose(solutions[:, j], resolvent_dense(sys, shift, rhs),
+                                       rtol=1e-12, atol=0)
+
+    def test_nonuniform_consistency_round_trip(self):
+        n = 24
+        sys = random_nonuniform_system(n, seed=9)
+        report = consistency_diagnostic([sys], PROBES)
+        p1 = WeightedSpace(sys.space.grid, weight_exponent=1)
+        for name, f, _ in PROBES:
+            av = sys.a_matrix @ restrict(f, sys.space.grid)
+            expected = weighted_state_norm(resolvent_dense(sys, 0.0, -av), p1) / function_l2_norm(f)
+            assert report.values[f"weak.{name}_{n}"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestConsistency:
@@ -142,7 +188,7 @@ class TestConsistency:
 
     def test_rejects_probe_with_boundary_values(self):
         systems = [build_heat_dirichlet(16, 1.0)]
-        bad = [("cos", lambda x: math.cos(math.pi * x), lambda x: -math.pi**2 * math.cos(math.pi * x))]
+        bad = [("cos", lambda x: np.cos(np.pi * x), lambda x: -np.pi**2 * np.cos(np.pi * x))]
         with pytest.raises(ValueError, match="vanish"):
             consistency_diagnostic(systems, bad)
 
@@ -169,7 +215,7 @@ class TestRightInverse:
 
 class TestEstimateMu:
     def test_sine_ratio_near_one(self):
-        mu_p, _ = estimate_mu([lambda x: math.sin(math.pi * x)], [512, 1024])
+        mu_p, _ = estimate_mu([lambda x: np.sin(np.pi * x)], [512, 1024])
         assert mu_p == pytest.approx(1.0, abs=5e-3)
 
     def test_hat_coefficient_extension_norm(self):
@@ -183,7 +229,7 @@ class TestEstimateMu:
         assert norm == pytest.approx(math.sqrt(2.0 * grid.dx / 3.0), rel=1e-6)
 
     def test_bounds_dominate_observations(self):
-        samples = [lambda x: math.sin(math.pi * x), lambda x: x * (1 - x)]
+        samples = [lambda x: np.sin(np.pi * x), lambda x: x * (1 - x)]
         mu_p, mu_e = estimate_mu(samples, [64, 128], seed=2)
         assert mu_p > 0.9
         assert 0.5 < mu_e <= 1.01

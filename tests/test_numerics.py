@@ -14,7 +14,9 @@ from issgains.numerics import (
     sym_tridiag_eig,
     weighted_op_norm,
 )
-from oracles import matrix_function, quadpack_cauchy_tail, quadpack_exp_tail, reconstruct
+from issgains.systems import build_heat_dirichlet
+from oracles import (matrix_function, quadpack_cauchy_tail, quadpack_exp_tail, reconstruct,
+                     resolvent_dense)
 
 
 def heat_diagonals(n, a=1.0):
@@ -307,6 +309,29 @@ class TestMatrixFunction:
         full = matrix_function(eig, lambda lam: (-lam) ** -0.5) @ b
         applied = apply_matrix_function(eig, lambda lam: (-lam) ** -0.5, b)
         np.testing.assert_allclose(applied, full, atol=1e-10)
+        # The matrix path is the grouping V (f(lambda) * (V^T B)), bit for bit.
+        v = eig.eigenvectors
+        mapped = np.array([(-lam) ** -0.5 for lam in eig.eigenvalues])
+        assert np.array_equal(applied, v @ (mapped[:, None] * (v.T @ b)))
+
+    def test_vector_rhs_gives_a_vector(self):
+        sys = build_heat_dirichlet(8, 1.0)
+        eig = sys.eigendecomposition()
+        b = np.random.default_rng(3).standard_normal(7)
+        applied = apply_matrix_function(eig, lambda lam: (-lam) ** -0.5, b)
+        assert applied.shape == (7,)
+        full = matrix_function(eig, lambda lam: (-lam) ** -0.5) @ b
+        np.testing.assert_allclose(applied, full, rtol=1e-12, atol=1e-14)
+
+    def test_function_family_gives_one_column_per_member(self):
+        sys = build_heat_dirichlet(8, 1.0)
+        shifts = np.array([1e-3, 2.0, 5e3])
+        b = np.random.default_rng(4).standard_normal(7)
+        applied = apply_matrix_function(sys.eigendecomposition(),
+                                        lambda lam: 1.0 / (shifts - lam), b)
+        assert applied.shape == (7, 3)
+        for j, shift in enumerate(shifts):
+            np.testing.assert_allclose(applied[:, j], resolvent_dense(sys, shift, b), rtol=1e-12)
 
 
 class TestWeightedOpNorm:

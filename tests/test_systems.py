@@ -11,6 +11,7 @@ from issgains.systems import (
     build_preclosure_heat,
     extend,
     function_l2_norm,
+    panels_for,
     restrict,
     weighted_state_norm,
 )
@@ -113,7 +114,7 @@ class TestNorms:
     def test_sine_samples_approach_l2_norm(self):
         grid = GridSpec(1000)
         space = WeightedSpace(grid, weight_exponent=1)
-        x = restrict(lambda xi: math.sin(math.pi * xi), grid)
+        x = restrict(lambda xi: np.sin(np.pi * xi), grid)
         assert weighted_state_norm(x, space) == pytest.approx(1.0 / math.sqrt(2.0), abs=2e-3)
 
     def test_length_mismatch(self):
@@ -127,7 +128,7 @@ class TestNorms:
         for n in (16, 128, 1024):
             grid = GridSpec(n)
             space = WeightedSpace(grid, weight_exponent=1)
-            f = lambda xi: math.sin(math.pi * xi) + 0.3 * math.sin(2 * math.pi * xi)
+            f = lambda xi: np.sin(np.pi * xi) + 0.3 * np.sin(2 * np.pi * xi)
             expected = math.sqrt((1.0 + 0.09) / 2.0)
             assert weighted_state_norm(restrict(f, grid), space) == pytest.approx(expected, rel=1e-12)
 
@@ -154,9 +155,33 @@ class TestNorms:
         assert all(e1 < e0 for e0, e1 in zip(errors, errors[1:]))
 
 
+class TestQuadratureRule:
+    @pytest.mark.parametrize("panels", [2048, 2050, 2112])
+    def test_l2_norm_equals_per_node_loop(self, panels):
+        # Reference: one evaluation and one sum per Gauss node, in node order.
+        f = lambda xi: xi * (1.0 - xi) + np.interp(xi, [0.0, 0.3, 1.0], [0.0, 1.0, 0.0])
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1] - edges[0])
+        total = 0.0
+        for node, w in zip(nodes, weights):
+            vals = f(mid + half * node)
+            total += w * float(np.sum(vals * vals))
+        assert function_l2_norm(f, panels=panels) == float(np.sqrt(total * half))
+
+    @pytest.mark.parametrize("minimum", [2048, 4096])
+    def test_panels_for_is_next_multiple(self, minimum):
+        for n in [*range(2, 300), 2047, 2048, 2049, 4095, 4096, 4097, 5000]:
+            panels = minimum
+            while panels % n:
+                panels += 1
+            assert panels_for(n, minimum) == panels
+
+
 class TestRestrictExtend:
     def test_restrict_sine(self):
-        x = restrict(lambda xi: math.sin(math.pi * xi), GridSpec(4))
+        x = restrict(lambda xi: np.sin(np.pi * xi), GridSpec(4))
         np.testing.assert_allclose(x, [math.sqrt(0.5), 1.0, math.sqrt(0.5)], rtol=1e-15)
 
     def test_hat_function_values(self):
@@ -174,7 +199,7 @@ class TestRestrictExtend:
         np.testing.assert_array_equal(back, x)
 
     def test_interpolation_error_second_order(self):
-        f = lambda xi: math.sin(math.pi * xi)
+        f = lambda xi: np.sin(np.pi * xi)
         gaps = []
         for n in (16, 32, 64, 128, 256, 512, 1024):
             grid = GridSpec(n)
