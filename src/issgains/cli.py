@@ -225,6 +225,9 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         traj = sim.simulate(system, x0, signal, cfg.t_end, cfg.h)
         margin, at = sim.iss_margin(traj, bundle, x0_norm=0.0, input_signal=signal)
         _traj_csv(_out(cfg, f"traj_{label}.csv"), traj)
+        # Drop this trajectory before the next one is computed, so that only
+        # one (steps + 1) x (n - 1) state array is alive at a time.
+        del traj
         note = ""
         if label == "twosided":
             # Reported as a diagnostic only: the two-sided constant case is

@@ -4,8 +4,10 @@ boundary inputs, ISS margin evaluation and semigroup convergence checks.
 The stepping is an exponential integrator evaluated spectrally, so it is
 exact (up to eigensolver accuracy) for the piecewise-constant input class;
 no time-discretization error enters the ISS verification.  ``simulate``
-steps in modal coordinates, O(n) per step, and maps the whole trajectory
-back to node values in row blocks afterwards.
+steps in modal coordinates y = V^T x, O(n) per step, and keeps the
+trajectory there: the eigenvectors V are orthonormal, so ||x|| = ||y|| and
+the norms need no back-transform.  Node values are formed only on request
+(``Trajectory.node_states``).
 """
 
 import math
@@ -38,8 +40,6 @@ __all__ = [
 ]
 
 MAX_STEPS = 10**7
-# Trajectory rows mapped back from modal to node coordinates per block.
-BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,20 @@ class InputSignal:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Sample times, modal states and state norms of one simulation.
+
+    Row i of ``states`` is y(t_i) = V^T x(t_i) in the eigenvector basis
+    ``basis`` = V, which is the system's memoized eigenvector matrix, not a
+    copy."""
+
     times: np.ndarray
-    states: np.ndarray  # one row per time
+    states: np.ndarray  # modal coordinates, one row per time
     norms: np.ndarray
+    basis: np.ndarray
+
+    def node_states(self) -> np.ndarray:
+        """The trajectory in node values, x(t_i) = V y(t_i), one row per time."""
+        return self.states @ self.basis.T
 
 
 def step_count(t_end: float, h: float) -> int:
@@ -131,8 +142,9 @@ def simulate(sys: ClosedControlSystem, x0, input_signal: InputSignal,
     """Repeated exact steps from 0 to t_end; norms use the L2-consistent
     weight by default regardless of the sweep weighting.
 
-    Steps y <- exp(lambda h) y + phi (V^T B u) in modal coordinates y = V^T x,
-    then maps the rows back to x = V y in blocks of BLOCK_ROWS.
+    Steps y <- exp(lambda h) y + phi (V^T B u) in modal coordinates y = V^T x
+    and returns those rows as ``states``.  norms[0] is taken from x0 itself,
+    the others from the modal rows, since ||V y|| = ||y||.
     """
     steps = step_count(t_end, h)
     if input_signal.kind != "constant" and input_signal.values.shape[0] < steps:
@@ -153,21 +165,16 @@ def simulate(sys: ClosedControlSystem, x0, input_signal: InputSignal,
 
     times = np.arange(steps + 1) * h
     states = np.empty((steps + 1, state.size))
-    states[0] = state
-    y = v.T @ state
+    states[0] = v.T @ state
     for i in range(steps):
         row = states[i + 1]
-        np.multiply(decay, y, out=row)
+        np.multiply(decay, states[i], out=row)
         row += phi * (g @ input_signal.sample(i))
-        y = row
     norms = np.empty(steps + 1)
     norms[0] = np.linalg.norm(state)
-    for start in range(1, steps + 1, BLOCK_ROWS):
-        rows = states[start:start + BLOCK_ROWS]
-        rows[...] = rows @ v.T
-        norms[start:start + BLOCK_ROWS] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms[1:] = np.sqrt(np.einsum("ij,ij->i", states[1:], states[1:]))
     norms *= norm_space.state_scale
-    return Trajectory(times=times, states=states, norms=norms)
+    return Trajectory(times=times, states=states, norms=norms, basis=v)
 
 
 def iss_margin(traj: Trajectory, bundle: GainBundle, x0_norm: float,
@@ -197,7 +204,7 @@ def trotter_kato_check(a: float, x0_modes, t: float, n_list) -> DiagnosticReport
         sys = build_heat_dirichlet(n, a, WeightedSpace(grid, weight_exponent=1))
         x0 = restrict(analytic_heat_state(x0_modes, a, 0.0), grid)
         traj = simulate(sys, x0, InputSignal.constant((0.0, 0.0), sys.space), t_end=t, h=t)
-        lifted = extend(traj.states[-1], grid)
+        lifted = extend(traj.basis @ traj.states[-1], grid)
         gap = function_l2_norm(lambda xi: lifted(xi) - exact(xi), panels=panels_for(n, 4096))
         values[f"gap_{n}"] = gap
         gaps.append(gap)

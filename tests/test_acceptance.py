@@ -181,7 +181,7 @@ def test_criterion_10_simulator_exactness():
         traj = simulate(sys, x0, zero_input, 0.5, 0.01)
         lam = -4.0 * n**2 * math.sin(k * math.pi / (2 * n)) ** 2
         scale = np.linalg.norm(x0)
-        for t, state in zip(traj.times, traj.states):
+        for t, state in zip(traj.times, traj.node_states()):
             exact = math.exp(lam * t) * x0
             worst = max(worst, np.linalg.norm(state - exact) / scale)
 
@@ -191,8 +191,9 @@ def test_criterion_10_simulator_exactness():
     both = simulate(sys, x0, signal, 2.5, 0.05)
     free = simulate(sys, x0, zero_input, 2.5, 0.05)
     forced = simulate(sys, np.zeros(n - 1), signal, 2.5, 0.05)
-    scale = max(1.0, float(np.max(np.abs(both.states))))
-    sup_gap = float(np.max(np.abs(both.states - free.states - forced.states))) / scale
+    both, free, forced = (traj.node_states() for traj in (both, free, forced))
+    scale = max(1.0, float(np.max(np.abs(both))))
+    sup_gap = float(np.max(np.abs(both - free - forced))) / scale
 
     ok = worst <= 1e-10 and sup_gap <= 1e-10
     _report(10, f"eigenvector decay gap {worst:.2e}, superposition gap {sup_gap:.2e}, "

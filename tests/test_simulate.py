@@ -5,7 +5,6 @@ import pytest
 
 from issgains.gains import DEFAULT_THETA, GainBundle
 from issgains.simulate import (
-    BLOCK_ROWS,
     MAX_STEPS,
     InputSignal,
     Trajectory,
@@ -66,7 +65,7 @@ class TestSimulate:
             traj = simulate(sys, x0, InputSignal.constant((0.0, 0.0), sys.space), 0.5, 0.01)
             lam = -4.0 * n**2 * math.sin(k * math.pi / (2 * n)) ** 2
             scale = np.linalg.norm(x0)
-            for t, state in zip(traj.times, traj.states):
+            for t, state in zip(traj.times, traj.node_states()):
                 exact = math.exp(lam * t) * x0
                 assert np.linalg.norm(state - exact) <= 1e-10 * scale
 
@@ -84,7 +83,7 @@ class TestSimulate:
         sys = l2_system(n)
         traj = simulate(sys, np.zeros(n - 1), InputSignal.constant((1.0, 0.0), sys.space), 3.0, 0.1)
         k = np.arange(1, n)
-        np.testing.assert_allclose(traj.states[-1], 1.0 - k / n, atol=1e-10)
+        np.testing.assert_allclose(traj.node_states()[-1], 1.0 - k / n, atol=1e-10)
         assert traj.norms[-1] == pytest.approx(1.0 / math.sqrt(3.0), abs=3e-3)
 
     def test_superposition(self):
@@ -145,27 +144,43 @@ def random_tridiagonal_system(n, seed):
 class TestModalStepping:
     """simulate against the same number of iterated step_exact calls."""
 
-    STEPS = 700  # more than two back-transform blocks
+    STEPS = 700
 
     @pytest.mark.parametrize("system", [l2_system(60), random_tridiagonal_system(40, seed=8)],
                              ids=["heat", "random"])
     def test_matches_iterated_step_exact(self, system):
-        assert self.STEPS > 2 * BLOCK_ROWS
         h = 0.01
         rng = np.random.default_rng(21)
         x = rng.standard_normal(system.space.grid.interior_nodes)
         signal = InputSignal.piecewise(rng.uniform(-1.0, 1.0, (self.STEPS, 2)), system.space)
         traj = simulate(system, x, signal, self.STEPS * h, h)
+        v = system.eigendecomposition().eigenvectors
+        assert traj.basis is v
         assert traj.states.shape == (self.STEPS + 1, x.size)
-        np.testing.assert_array_equal(traj.states[0], x)
-        scale = np.max(np.abs(traj.states))
+        np.testing.assert_array_equal(traj.states[0], v.T @ x)
+        scale = math.sqrt(system.space.grid.dx)
+        modal = traj.states[1:]
+        np.testing.assert_array_equal(traj.norms[1:],
+                                      scale * np.sqrt(np.einsum("ij,ij->i", modal, modal)))
+        nodes = traj.node_states()
         worst = 0.0
         for i in range(self.STEPS):
             x = step_exact(system, x, signal.sample(i), h)
-            worst = max(worst, np.max(np.abs(traj.states[i + 1] - x)))
-        assert worst <= 1e-13 * scale
-        norms = math.sqrt(system.space.grid.dx) * np.linalg.norm(traj.states, axis=1)
+            worst = max(worst, np.max(np.abs(nodes[i + 1] - x)))
+        assert worst <= 1e-13 * np.max(np.abs(nodes))
+        norms = scale * np.linalg.norm(nodes, axis=1)
         np.testing.assert_allclose(traj.norms, norms, rtol=1e-14)
+
+    def test_modal_norms_print_as_node_norms(self):
+        """The 10-digit strings of the trajectory CSV are the same whether
+        the norms come from the modal rows or from the node values."""
+        n, steps, h = 256, 2000, 0.001
+        system = l2_system(n)
+        signal = InputSignal.bang_bang(steps, system.space, seed=20240501, active=(0,))
+        traj = simulate(system, np.zeros(n - 1), signal, steps * h, h)
+        nodes = traj.node_states()
+        node_norms = math.sqrt(system.space.grid.dx) * np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
+        assert [f"{r:.10g}" for r in traj.norms] == [f"{r:.10g}" for r in node_norms]
 
 
 class TestStepCount:
@@ -279,7 +294,8 @@ class TestIssMargin:
         assert at == traj.times[k]
 
     def test_empty_trajectory(self):
-        traj = Trajectory(times=np.array([]), states=np.empty((0, 3)), norms=np.array([]))
+        traj = Trajectory(times=np.array([]), states=np.empty((0, 3)), norms=np.array([]),
+                          basis=np.eye(3))
         with pytest.raises(ValueError):
             iss_margin(traj, REFERENCE_BUNDLE, 0.0,
                        InputSignal.constant((0.0, 0.0), WeightedSpace(GridSpec(4))))
