@@ -11,7 +11,7 @@ import argparse
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,10 +131,7 @@ def parse_config(source: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     cfg = replace(RunConfig(), **overrides)
-    try:
-        cfg.validate()
-    except ConfigError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg.validate()
     return cfg
 
 
@@ -216,14 +213,14 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     steps = sim.step_count(cfg.t_end, cfg.h)
 
     scenarios = {
-        "onesided": sim.InputSignal.constant((1.0, 0.0), space),
-        "twosided": sim.InputSignal.constant((1.0, 1.0), space),
-        "bangbang": sim.InputSignal.bang_bang(steps, space, cfg.seed, active=(0,)),
+        "onesided": np.array([[1.0, 0.0]]),
+        "twosided": np.array([[1.0, 1.0]]),
+        "bangbang": sim.bang_bang(steps, cfg.seed, active=(0,)),
     }
     status = 0
-    for label, signal in scenarios.items():
-        traj = sim.simulate(system, x0, signal, cfg.t_end, cfg.h)
-        margin, at = sim.iss_margin(traj, bundle, x0_norm=0.0, input_signal=signal)
+    for label, u in scenarios.items():
+        traj = sim.simulate(system, x0, u, cfg.t_end, cfg.h)
+        margin, at = sim.iss_margin(traj, bundle, x0_norm=0.0)
         _traj_csv(_out(cfg, f"traj_{label}.csv"), traj)
         # Drop this trajectory before the next one is computed, so that only
         # one (steps + 1) x (n - 1) state array is alive at a time.

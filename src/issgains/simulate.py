@@ -3,10 +3,13 @@ boundary inputs, ISS margin evaluation and semigroup convergence checks.
 
 The stepping is an exponential integrator evaluated spectrally, so it is
 exact (up to eigensolver accuracy) for the piecewise-constant input class;
-no time-discretization error enters the ISS verification.  ``simulate``
-steps in modal coordinates y = V^T x, O(n) per step, and keeps the
-trajectory there: the eigenvectors V are orthonormal, so ||x|| = ||y|| and
-the norms need no back-transform.  Node values are formed only on request
+no time-discretization error enters the ISS verification.  An input is an
+array of samples, one row per step (or one row held for every step);
+``bang_bang`` draws the seeded random ones.  ``simulate`` steps in modal
+coordinates y = V^T x, O(n) per step, and keeps the trajectory there: the
+eigenvectors V are orthonormal, so ||x|| = ||y|| and the norms need no
+back-transform.  Both the state norms and the input sup norm are those of
+the system's ``WeightedSpace``.  Node values are formed only on request
 (``Trajectory.node_states``).
 """
 
@@ -30,7 +33,7 @@ from .systems import (
 )
 
 __all__ = [
-    "InputSignal",
+    "bang_bang",
     "Trajectory",
     "step_count",
     "step_exact",
@@ -42,48 +45,23 @@ __all__ = [
 MAX_STEPS = 10**7
 
 
-@dataclass(frozen=True)
-class InputSignal:
-    """Per-step boundary input samples in U = R^2 with their sup norm."""
-
-    kind: str
-    values: np.ndarray
-    sup_norm: float
-
-    @classmethod
-    def constant(cls, u, space: WeightedSpace) -> "InputSignal":
-        values = np.asarray(u, dtype=float).reshape(1, 2)
-        return cls(kind="constant", values=values, sup_norm=space.input_sample_norm(values[0]))
-
-    @classmethod
-    def piecewise(cls, values, space: WeightedSpace) -> "InputSignal":
-        values = np.asarray(values, dtype=float).reshape(-1, 2)
-        sup = float(np.max(space.input_sample_norm(values), initial=0.0))
-        return cls(kind="piecewise_constant", values=values, sup_norm=sup)
-
-    @classmethod
-    def bang_bang(cls, steps: int, space: WeightedSpace, seed: int,
-                  active: tuple = (0, 1)) -> "InputSignal":
-        """Random samples from {-1, 0, 1} on the active boundary components,
-        zero elsewhere; reproducible from the 64-bit seed."""
-        rng = np.random.default_rng(np.uint64(seed))
-        values = np.zeros((steps, 2))
-        for j in active:
-            values[:, j] = rng.integers(-1, 2, size=steps).astype(float)
-        if not np.any(values):
-            values[0, active[0]] = 1.0
-        sup = float(np.max(space.input_sample_norm(values)))
-        return cls(kind="seeded_random_bang_bang", values=values, sup_norm=sup)
-
-    def sample(self, step: int) -> np.ndarray:
-        if self.kind == "constant":
-            return self.values[0]
-        return self.values[step]
+def bang_bang(steps: int, seed: int, active: tuple = (0, 1)) -> np.ndarray:
+    """Input samples, one row per step, drawn from {-1, 0, 1} on the active
+    boundary components and zero elsewhere; reproducible from the 64-bit
+    seed.  An all-zero draw gets a 1 in its first active entry."""
+    rng = np.random.default_rng(np.uint64(seed))
+    values = np.zeros((steps, 2))
+    for j in active:
+        values[:, j] = rng.integers(-1, 2, size=steps).astype(float)
+    if not np.any(values):
+        values[0, active[0]] = 1.0
+    return values
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sample times, modal states and state norms of one simulation.
+    """Sample times, modal states and state norms of one simulation, and
+    the sup norm of the input samples it applied.
 
     Row i of ``states`` is y(t_i) = V^T x(t_i) in the eigenvector basis
     ``basis`` = V, which is the system's memoized eigenvector matrix, not a
@@ -93,6 +71,7 @@ class Trajectory:
     states: np.ndarray  # modal coordinates, one row per time
     norms: np.ndarray
     basis: np.ndarray
+    input_sup_norm: float
 
     def node_states(self) -> np.ndarray:
         """The trajectory in node values, x(t_i) = V y(t_i), one row per time."""
@@ -137,53 +116,58 @@ def step_exact(sys: ClosedControlSystem, x, u, h: float) -> np.ndarray:
     return v @ (decay * y + phi * forcing)
 
 
-def simulate(sys: ClosedControlSystem, x0, input_signal: InputSignal,
-             t_end: float, h: float, norm_exponent: int = 1) -> Trajectory:
-    """Repeated exact steps from 0 to t_end; norms use the L2-consistent
-    weight by default regardless of the sweep weighting.
+def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Trajectory:
+    """Repeated exact steps from 0 to t_end under the input samples ``u``,
+    an array with one column per input component and either one row, held
+    for every step, or at least one row per step (rows past the last step
+    are ignored).  State and input norms are those of ``sys.space``.
 
     Steps y <- exp(lambda h) y + phi (V^T B u) in modal coordinates y = V^T x
     and returns those rows as ``states``.  norms[0] is taken from x0 itself,
     the others from the modal rows, since ||V y|| = ||y||.
     """
     steps = step_count(t_end, h)
-    if input_signal.kind != "constant" and input_signal.values.shape[0] < steps:
-        raise ValueError(
-            f"input supplies {input_signal.values.shape[0]} samples for {steps} steps"
-        )
-    grid = sys.space.grid
-    if callable(x0):
-        state = restrict(x0, grid)
-    else:
-        state = np.asarray(x0, dtype=float)
-        if state.shape != (grid.interior_nodes,):
-            raise ValueError("initial state length does not match the grid")
-    norm_space = WeightedSpace(grid, weight_exponent=norm_exponent,
-                               input_norm=sys.space.input_norm)
+    k = sys.b_matrix.shape[1]
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2 or u.shape[1] != k:
+        raise ValueError(f"input samples must have shape (rows, {k}), got {u.shape}")
+    if u.shape[0] != 1 and u.shape[0] < steps:
+        raise ValueError(f"input supplies {u.shape[0]} samples for {steps} steps")
+    u = u[:steps]
+    space = sys.space
+    state = np.asarray(x0, dtype=float)
+    if state.shape != (space.grid.interior_nodes,):
+        raise ValueError("initial state length does not match the grid")
     v, decay, phi = _step_factors(sys, h)
     g = v.T @ sys.b_matrix
 
     times = np.arange(steps + 1) * h
     states = np.empty((steps + 1, state.size))
     states[0] = v.T @ state
+    # The forcing phi * (g u_i) of every step, written into the row it is
+    # added to, so no steps x n temporary is formed.  A held row is copied
+    # out to one row per step first, so that it takes the same BLAS route,
+    # and rounds the same, as those rows given in full.
+    np.matmul(np.ascontiguousarray(np.broadcast_to(u, (steps, k))), g.T, out=states[1:])
+    states[1:] *= phi
+    decayed = np.empty(state.size)
     for i in range(steps):
-        row = states[i + 1]
-        np.multiply(decay, states[i], out=row)
-        row += phi * (g @ input_signal.sample(i))
+        np.multiply(decay, states[i], out=decayed)
+        states[i + 1] += decayed
     norms = np.empty(steps + 1)
     norms[0] = np.linalg.norm(state)
     norms[1:] = np.sqrt(np.einsum("ij,ij->i", states[1:], states[1:]))
-    norms *= norm_space.state_scale
-    return Trajectory(times=times, states=states, norms=norms, basis=v)
+    norms *= space.state_scale
+    return Trajectory(times=times, states=states, norms=norms, basis=v,
+                      input_sup_norm=float(np.max(space.input_sample_norm(u))))
 
 
-def iss_margin(traj: Trajectory, bundle: GainBundle, x0_norm: float,
-               input_signal: InputSignal) -> tuple[float, float]:
+def iss_margin(traj: Trajectory, bundle: GainBundle, x0_norm: float) -> tuple[float, float]:
     """Minimum over the trajectory of beta(x0, t) + gamma(||u||_inf) - ||x(t)||;
     positive means the ISS bound held at every sample."""
     if traj.times.size == 0:
         raise ValueError("empty trajectory")
-    margins = bundle.beta(x0_norm, traj.times) + bundle.gamma(input_signal.sup_norm) - traj.norms
+    margins = bundle.beta(x0_norm, traj.times) + bundle.gamma(traj.input_sup_norm) - traj.norms
     idx = int(np.argmin(margins))
     return float(margins[idx]), float(traj.times[idx])
 
@@ -203,8 +187,7 @@ def trotter_kato_check(a: float, x0_modes, t: float, n_list) -> DiagnosticReport
         grid = GridSpec(n)
         sys = build_heat_dirichlet(n, a, WeightedSpace(grid, weight_exponent=1))
         x0 = restrict(analytic_heat_state(x0_modes, a, 0.0), grid)
-        traj = simulate(sys, x0, InputSignal.constant((0.0, 0.0), sys.space), t_end=t, h=t)
-        lifted = extend(traj.basis @ traj.states[-1], grid)
+        lifted = extend(step_exact(sys, x0, (0.0, 0.0), t), grid)
         gap = function_l2_norm(lambda xi: lifted(xi) - exact(xi), panels=panels_for(n, 4096))
         values[f"gap_{n}"] = gap
         gaps.append(gap)

@@ -3,8 +3,6 @@
 Charts are deterministic byte-for-byte for identical input data.
 """
 
-import math
-
 __all__ = ["line_chart"]
 
 WIDTH = 640
@@ -20,15 +18,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _scale(value, lo, hi, out_lo, out_hi, log=False):
-    if log:
-        value, lo, hi = math.log10(value), math.log10(lo), math.log10(hi)
+def _scale(value, lo, hi, out_lo, out_hi):
     if hi == lo:
         return 0.5 * (out_lo + out_hi)
     return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def line_chart(path, series, xlabel: str, ylabel: str, logx: bool = False) -> None:
+def line_chart(path, series, xlabel: str, ylabel: str) -> None:
     """Write a polyline chart.
 
     ``series`` maps label -> (xs, ys); all series share the axes.
@@ -57,10 +53,7 @@ def line_chart(path, series, xlabel: str, ylabel: str, logx: bool = False) -> No
     # Three ticks per axis: ends and middle.
     for frac in (0.0, 0.5, 1.0):
         px = px_lo + frac * (px_hi - px_lo)
-        if logx:
-            xv = 10 ** (math.log10(x_lo) + frac * (math.log10(x_hi) - math.log10(x_lo)))
-        else:
-            xv = x_lo + frac * (x_hi - x_lo)
+        xv = x_lo + frac * (x_hi - x_lo)
         parts.append(f'<line x1="{px:.1f}" y1="{py_lo}" x2="{px:.1f}" y2="{py_lo + 5}" stroke="black"/>')
         parts.append(
             f'<text x="{px:.1f}" y="{py_lo + 20}" font-size="12" text-anchor="middle">{_fmt(xv)}</text>'
@@ -82,7 +75,7 @@ def line_chart(path, series, xlabel: str, ylabel: str, logx: bool = False) -> No
     for idx, (label, (xs, ys)) in enumerate(series.items()):
         color = COLORS[idx % len(COLORS)]
         points = " ".join(
-            f"{_scale(x, x_lo, x_hi, px_lo, px_hi, logx):.2f},"
+            f"{_scale(x, x_lo, x_hi, px_lo, px_hi):.2f},"
             f"{_scale(y, y_lo, y_hi, py_lo, py_hi):.2f}"
             for x, y in zip(xs, ys)
         )

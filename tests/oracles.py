@@ -44,6 +44,25 @@ def matrix_function(eig, f) -> np.ndarray:
     return (v * mapped) @ v.T
 
 
+def simulate_stepwise(sys, x0, u, h: float, steps: int) -> np.ndarray:
+    """Modal states y_0 .. y_steps of exact steps taken one at a time:
+    exp(lambda h) y, then + phi (V^T B u_i), the forcing formed anew in each
+    step.  ``u`` has one row per step, or one row held for every step."""
+    eig = sys.eigendecomposition()
+    lam, v = eig.eigenvalues, eig.eigenvectors
+    decay = np.exp(lam * h)
+    phi = (decay - 1.0) / lam
+    g = v.T @ sys.b_matrix
+    u = np.asarray(u, dtype=float)
+    states = np.empty((steps + 1, lam.size))
+    states[0] = v.T @ np.asarray(x0, dtype=float)
+    for i in range(steps):
+        row = states[i + 1]
+        np.multiply(decay, states[i], out=row)
+        row += phi * (g @ u[i if len(u) > 1 else 0])
+    return states
+
+
 def _quadpack(fn, lo, hi) -> float:
     # full_output=True returns QUADPACK's diagnostics instead of warning.
     return scipy.integrate.quad(fn, lo, hi, epsabs=1e-13, epsrel=1e-12, full_output=True)[0]

@@ -24,7 +24,7 @@ from issgains.gains import (
     sector_bound,
 )
 from issgains.numerics import gamma_fn, quad_cauchy_tail, quad_exp_tail
-from issgains.simulate import InputSignal, iss_margin, simulate, trotter_kato_check
+from issgains.simulate import bang_bang, iss_margin, simulate, trotter_kato_check
 from issgains.sweep import CSV_HEADER, aggregate, emit_csv, run_sweep
 from issgains.systems import (
     GridSpec,
@@ -143,22 +143,20 @@ def test_criterion_09_empirical_iss_margins():
     sys = build_heat_dirichlet(n, 1.0, space)
     x0 = np.zeros(n - 1)
 
-    one_sided = InputSignal.constant((1.0, 0.0), space)
-    traj = simulate(sys, x0, one_sided, 3.0, 0.05)
-    margin_const, _ = iss_margin(traj, REFERENCE_BUNDLE, 0.0, one_sided)
+    traj = simulate(sys, x0, np.array([[1.0, 0.0]]), 3.0, 0.05)
+    margin_const, _ = iss_margin(traj, REFERENCE_BUNDLE, 0.0)
 
-    two_sided = InputSignal.constant((1.0, 1.0), space)
-    traj2 = simulate(sys, x0, two_sided, 3.0, 0.05)
-    margin_two, _ = iss_margin(traj2, REFERENCE_BUNDLE, 0.0, two_sided)
+    traj2 = simulate(sys, x0, np.array([[1.0, 1.0]]), 3.0, 0.05)
+    margin_two, _ = iss_margin(traj2, REFERENCE_BUNDLE, 0.0)
 
     n_bb = 100
     space_bb = WeightedSpace(GridSpec(n_bb), weight_exponent=1, input_norm="max")
     sys_bb = build_heat_dirichlet(n_bb, 1.0, space_bb)
     worst = math.inf
     for seed in range(50):
-        signal = InputSignal.bang_bang(60, space_bb, seed=seed, active=(seed % 2,))
-        bb = simulate(sys_bb, np.zeros(n_bb - 1), signal, 3.0, 0.05)
-        margin, _ = iss_margin(bb, REFERENCE_BUNDLE, 0.0, signal)
+        u = bang_bang(60, seed=seed, active=(seed % 2,))
+        bb = simulate(sys_bb, np.zeros(n_bb - 1), u, 3.0, 0.05)
+        margin, _ = iss_margin(bb, REFERENCE_BUNDLE, 0.0)
         worst = min(worst, margin)
 
     ok = (worst > 0.0
@@ -173,7 +171,7 @@ def test_criterion_10_simulator_exactness():
     space = WeightedSpace(GridSpec(n), weight_exponent=1, input_norm="max")
     sys = build_heat_dirichlet(n, 1.0, space)
     grid = sys.space.grid
-    zero_input = InputSignal.constant((0.0, 0.0), space)
+    zero_input = np.zeros((1, 2))
 
     worst = 0.0
     for k in (1, 2, 5):
@@ -187,10 +185,10 @@ def test_criterion_10_simulator_exactness():
 
     rng = np.random.default_rng(7)
     x0 = rng.standard_normal(n - 1)
-    signal = InputSignal.bang_bang(50, space, seed=42)
-    both = simulate(sys, x0, signal, 2.5, 0.05)
+    u = bang_bang(50, seed=42)
+    both = simulate(sys, x0, u, 2.5, 0.05)
     free = simulate(sys, x0, zero_input, 2.5, 0.05)
-    forced = simulate(sys, np.zeros(n - 1), signal, 2.5, 0.05)
+    forced = simulate(sys, np.zeros(n - 1), u, 2.5, 0.05)
     both, free, forced = (traj.node_states() for traj in (both, free, forced))
     scale = max(1.0, float(np.max(np.abs(both))))
     sup_gap = float(np.max(np.abs(both - free - forced))) / scale

@@ -6,8 +6,8 @@ import pytest
 from issgains.gains import DEFAULT_THETA, GainBundle
 from issgains.simulate import (
     MAX_STEPS,
-    InputSignal,
     Trajectory,
+    bang_bang,
     iss_margin,
     simulate,
     step_count,
@@ -19,8 +19,8 @@ from issgains.systems import (
     GridSpec,
     WeightedSpace,
     build_heat_dirichlet,
-    restrict,
 )
+from oracles import simulate_stepwise
 
 REFERENCE_BUNDLE = GainBundle(
     alpha=0.5, theta=DEFAULT_THETA, k1=3.1408, k2=0.5626, kappa=0.6359,
@@ -29,9 +29,21 @@ REFERENCE_BUNDLE = GainBundle(
 )
 
 
+ZERO = np.zeros((1, 2))
+ONE_SIDED = np.array([[1.0, 0.0]])
+TWO_SIDED = np.array([[1.0, 1.0]])
+
+
 def l2_system(n, a=1.0, u_norm="max"):
     space = WeightedSpace(GridSpec(n), weight_exponent=1, input_norm=u_norm)
     return build_heat_dirichlet(n, a, space)
+
+
+def input_sup_norm(u, u_norm):
+    """input_sup_norm of a run that applies each row of u for one step."""
+    u = np.asarray(u, dtype=float)
+    sys = l2_system(4, u_norm=u_norm)
+    return simulate(sys, np.zeros(3), u, 0.1 * len(u), 0.1).input_sup_norm
 
 
 class TestStepExact:
@@ -62,7 +74,7 @@ class TestSimulate:
         grid = sys.space.grid
         for k in (1, 3):
             x0 = np.sin(k * np.pi * grid.nodes())
-            traj = simulate(sys, x0, InputSignal.constant((0.0, 0.0), sys.space), 0.5, 0.01)
+            traj = simulate(sys, x0, ZERO, 0.5, 0.01)
             lam = -4.0 * n**2 * math.sin(k * math.pi / (2 * n)) ** 2
             scale = np.linalg.norm(x0)
             for t, state in zip(traj.times, traj.node_states()):
@@ -73,7 +85,7 @@ class TestSimulate:
         n = 1000
         sys = l2_system(n)
         x0 = np.sin(np.pi * sys.space.grid.nodes())
-        traj = simulate(sys, x0, InputSignal.constant((0.0, 0.0), sys.space), 0.2, 0.01)
+        traj = simulate(sys, x0, ZERO, 0.2, 0.01)
         omega_n = 4.0 * n**2 * math.sin(math.pi / (2 * n)) ** 2
         for t, norm in zip(traj.times, traj.norms):
             assert norm == pytest.approx(math.exp(-omega_n * t) * traj.norms[0], rel=1e-9)
@@ -81,7 +93,7 @@ class TestSimulate:
     def test_one_sided_steady_state(self):
         n = 200
         sys = l2_system(n)
-        traj = simulate(sys, np.zeros(n - 1), InputSignal.constant((1.0, 0.0), sys.space), 3.0, 0.1)
+        traj = simulate(sys, np.zeros(n - 1), ONE_SIDED, 3.0, 0.1)
         k = np.arange(1, n)
         np.testing.assert_allclose(traj.node_states()[-1], 1.0 - k / n, atol=1e-10)
         assert traj.norms[-1] == pytest.approx(1.0 / math.sqrt(3.0), abs=3e-3)
@@ -91,23 +103,22 @@ class TestSimulate:
         sys = l2_system(n)
         rng = np.random.default_rng(12)
         x0 = rng.standard_normal(n - 1)
-        signal = InputSignal.bang_bang(50, sys.space, seed=99)
-        both = simulate(sys, x0, signal, 2.5, 0.05)
-        free = simulate(sys, x0, InputSignal.constant((0.0, 0.0), sys.space), 2.5, 0.05)
-        forced = simulate(sys, np.zeros(n - 1), signal, 2.5, 0.05)
+        u = bang_bang(50, seed=99)
+        both = simulate(sys, x0, u, 2.5, 0.05)
+        free = simulate(sys, x0, ZERO, 2.5, 0.05)
+        forced = simulate(sys, np.zeros(n - 1), u, 2.5, 0.05)
         scale = max(1.0, np.max(np.abs(both.states)))
         assert np.max(np.abs(both.states - free.states - forced.states)) <= 1e-10 * scale
 
     def test_zero_everything(self):
         sys = l2_system(16)
-        traj = simulate(sys, np.zeros(15), InputSignal.constant((0.0, 0.0), sys.space), 1.0, 0.1)
+        traj = simulate(sys, np.zeros(15), ZERO, 1.0, 0.1)
         assert np.all(traj.states == 0.0)
         assert np.all(traj.norms == 0.0)
 
     def test_norms_recomputable(self):
         sys = l2_system(32)
-        signal = InputSignal.bang_bang(20, sys.space, seed=5)
-        traj = simulate(sys, np.zeros(31), signal, 1.0, 0.05)
+        traj = simulate(sys, np.zeros(31), bang_bang(20, seed=5), 1.0, 0.05)
         dx = sys.space.grid.dx
         for state, norm in zip(traj.states, traj.norms):
             assert norm == pytest.approx(math.sqrt(dx) * np.linalg.norm(state), abs=1e-12)
@@ -115,18 +126,72 @@ class TestSimulate:
     def test_step_budget(self):
         sys = l2_system(4)
         with pytest.raises(ValueError, match="budget"):
-            simulate(sys, np.zeros(3), InputSignal.constant((0.0, 0.0), sys.space), 1e5, 1e-3)
+            simulate(sys, np.zeros(3), ZERO, 1e5, 1e-3)
 
     def test_insufficient_samples(self):
         sys = l2_system(4)
-        sig = InputSignal.piecewise(np.zeros((3, 2)), sys.space)
         with pytest.raises(ValueError, match="samples"):
-            simulate(sys, np.zeros(3), sig, 1.0, 0.1)
+            simulate(sys, np.zeros(3), np.zeros((3, 2)), 1.0, 0.1)
+
+    def test_empty_input_rejected(self):
+        sys = l2_system(4)
+        for steps in (1, 10):
+            with pytest.raises(ValueError, match="input supplies 0 samples"):
+                simulate(sys, np.zeros(3), np.zeros((0, 2)), 0.1 * steps, 0.1)
+
+    @pytest.mark.parametrize("shape", [(2,), (10,), (10, 1), (10, 3), (1, 3), (10, 2, 1)])
+    def test_input_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            simulate(l2_system(4), np.zeros(3), np.zeros(shape), 1.0, 0.1)
+
+    def test_norms_follow_system_space(self):
+        # A weight-2 system measures states by dx * ||x||, not by the
+        # Riemann weight sqrt(dx) * ||x||.
+        n = 32
+        sys = build_heat_dirichlet(n, 1.0, WeightedSpace(GridSpec(n), weight_exponent=2))
+        x0 = np.sin(np.pi * sys.space.grid.nodes())
+        traj = simulate(sys, x0, bang_bang(20, seed=5), 1.0, 0.05)
+        dx = sys.space.grid.dx
+        for state, norm in zip(traj.node_states(), traj.norms):
+            assert norm == pytest.approx(dx * np.linalg.norm(state), rel=1e-12, abs=1e-15)
+
+    def test_held_row_equals_repeated_rows(self):
+        n, steps, h = 1000, 40, 0.01
+        sys = l2_system(n)
+        rng = np.random.default_rng(3)
+        x0 = rng.standard_normal(n - 1)
+        row = rng.uniform(-1.0, 1.0, (1, 2))
+        held = simulate(sys, x0, row, steps * h, h)
+        repeated = simulate(sys, x0, np.repeat(row, steps, axis=0), steps * h, h)
+        np.testing.assert_array_equal(held.states, repeated.states)
+        np.testing.assert_array_equal(held.norms, repeated.norms)
+        assert held.input_sup_norm == repeated.input_sup_norm
+
+    def test_rows_past_last_step_ignored(self):
+        sys = l2_system(8)
+        u = np.zeros((15, 2))
+        u[:10, 0] = 0.5
+        u[10:] = 7.0
+        traj = simulate(sys, np.zeros(7), u, 1.0, 0.1)
+        assert traj.input_sup_norm == 0.5
+        np.testing.assert_array_equal(traj.states,
+                                      simulate(sys, np.zeros(7), u[:10], 1.0, 0.1).states)
+
+    @pytest.mark.parametrize("u", [ONE_SIDED, TWO_SIDED, bang_bang(60, 20240501, active=(0,))],
+                             ids=["onesided", "twosided", "bangbang"])
+    def test_matches_stepwise_oracle(self, u):
+        """The three scenarios of the simulate command, bit for bit against
+        the one-step-at-a-time loop."""
+        n, h = 64, 0.05
+        sys = l2_system(n)
+        traj = simulate(sys, np.zeros(n - 1), u, 3.0, h)
+        np.testing.assert_array_equal(traj.states,
+                                      simulate_stepwise(sys, np.zeros(n - 1), u, h, 60))
 
     def test_partial_step_rejected(self):
         sys = l2_system(4)
         with pytest.raises(ValueError, match="whole number of steps"):
-            simulate(sys, np.zeros(3), InputSignal.constant((1.0, 0.0), sys.space), 0.1, 0.07)
+            simulate(sys, np.zeros(3), ONE_SIDED, 0.1, 0.07)
 
 
 def random_tridiagonal_system(n, seed):
@@ -152,8 +217,8 @@ class TestModalStepping:
         h = 0.01
         rng = np.random.default_rng(21)
         x = rng.standard_normal(system.space.grid.interior_nodes)
-        signal = InputSignal.piecewise(rng.uniform(-1.0, 1.0, (self.STEPS, 2)), system.space)
-        traj = simulate(system, x, signal, self.STEPS * h, h)
+        u = rng.uniform(-1.0, 1.0, (self.STEPS, 2))
+        traj = simulate(system, x, u, self.STEPS * h, h)
         v = system.eigendecomposition().eigenvectors
         assert traj.basis is v
         assert traj.states.shape == (self.STEPS + 1, x.size)
@@ -165,7 +230,7 @@ class TestModalStepping:
         nodes = traj.node_states()
         worst = 0.0
         for i in range(self.STEPS):
-            x = step_exact(system, x, signal.sample(i), h)
+            x = step_exact(system, x, u[i], h)
             worst = max(worst, np.max(np.abs(nodes[i + 1] - x)))
         assert worst <= 1e-13 * np.max(np.abs(nodes))
         norms = scale * np.linalg.norm(nodes, axis=1)
@@ -176,8 +241,8 @@ class TestModalStepping:
         the norms come from the modal rows or from the node values."""
         n, steps, h = 256, 2000, 0.001
         system = l2_system(n)
-        signal = InputSignal.bang_bang(steps, system.space, seed=20240501, active=(0,))
-        traj = simulate(system, np.zeros(n - 1), signal, steps * h, h)
+        u = bang_bang(steps, seed=20240501, active=(0,))
+        traj = simulate(system, np.zeros(n - 1), u, steps * h, h)
         nodes = traj.node_states()
         node_norms = math.sqrt(system.space.grid.dx) * np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
         assert [f"{r:.10g}" for r in traj.norms] == [f"{r:.10g}" for r in node_norms]
@@ -201,49 +266,37 @@ class TestStepCount:
 
 class TestInputSignal:
     def test_sup_norm_max(self):
-        space = WeightedSpace(GridSpec(4), input_norm="max")
-        sig = InputSignal.piecewise([(0.5, -1.0), (0.25, 0.0)], space)
-        assert sig.sup_norm == 1.0
+        assert input_sup_norm([(0.5, -1.0), (0.25, 0.0)], "max") == 1.0
 
     def test_sup_norm_euclidean(self):
-        space = WeightedSpace(GridSpec(4), input_norm="euclidean")
-        sig = InputSignal.piecewise([(1.0, 1.0)], space)
-        assert sig.sup_norm == pytest.approx(math.sqrt(2.0))
+        assert input_sup_norm([(1.0, 1.0)], "euclidean") == pytest.approx(math.sqrt(2.0))
 
     def test_bang_bang_reproducible(self):
-        space = WeightedSpace(GridSpec(4), weight_exponent=1)
-        s1 = InputSignal.bang_bang(40, space, seed=123)
-        s2 = InputSignal.bang_bang(40, space, seed=123)
-        np.testing.assert_array_equal(s1.values, s2.values)
-        assert set(np.unique(s1.values)) <= {-1.0, 0.0, 1.0}
+        u1 = bang_bang(40, seed=123)
+        u2 = bang_bang(40, seed=123)
+        np.testing.assert_array_equal(u1, u2)
+        assert set(np.unique(u1)) <= {-1.0, 0.0, 1.0}
 
     @pytest.mark.parametrize("norm", ["max", "euclidean"])
     def test_sup_norm_is_largest_sample_norm(self, norm):
         space = WeightedSpace(GridSpec(4), input_norm=norm)
         values = np.random.default_rng(7).uniform(-2.0, 2.0, (300, 2))
-        sig = InputSignal.piecewise(values, space)
-        assert sig.sup_norm == max(space.input_sample_norm(v) for v in values)
-        bang = InputSignal.bang_bang(300, space, seed=11)
-        assert bang.sup_norm == max(space.input_sample_norm(v) for v in bang.values)
-
-    def test_empty_piecewise_has_zero_sup_norm(self):
-        sig = InputSignal.piecewise(np.zeros((0, 2)), WeightedSpace(GridSpec(4)))
-        assert sig.sup_norm == 0.0
+        assert input_sup_norm(values, norm) == max(space.input_sample_norm(v) for v in values)
+        bang = bang_bang(300, seed=11)
+        assert input_sup_norm(bang, norm) == max(space.input_sample_norm(v) for v in bang)
 
     def test_bang_bang_one_sided(self):
-        space = WeightedSpace(GridSpec(4), weight_exponent=1)
-        sig = InputSignal.bang_bang(40, space, seed=3, active=(0,))
-        assert np.all(sig.values[:, 1] == 0.0)
-        assert sig.sup_norm == 1.0
+        u = bang_bang(40, seed=3, active=(0,))
+        assert np.all(u[:, 1] == 0.0)
+        assert input_sup_norm(u, "max") == 1.0
 
 
 class TestIssMargin:
     def test_one_sided_constant_matches_steady_state(self):
         n = 1000
         sys = l2_system(n)
-        signal = InputSignal.constant((1.0, 0.0), sys.space)
-        traj = simulate(sys, np.zeros(n - 1), signal, 3.0, 0.05)
-        margin, at = iss_margin(traj, REFERENCE_BUNDLE, 0.0, signal)
+        traj = simulate(sys, np.zeros(n - 1), ONE_SIDED, 3.0, 0.05)
+        margin, at = iss_margin(traj, REFERENCE_BUNDLE, 0.0)
         assert margin == pytest.approx(0.8989 - 1.0 / math.sqrt(3.0), abs=2e-3)
         assert at == pytest.approx(3.0)
 
@@ -251,9 +304,8 @@ class TestIssMargin:
         n = 200
         sys = l2_system(n)
         x0 = np.sin(np.pi * sys.space.grid.nodes())
-        signal = InputSignal.constant((0.0, 0.0), sys.space)
-        traj = simulate(sys, x0, signal, 1.0, 0.02)
-        margin, _ = iss_margin(traj, REFERENCE_BUNDLE, traj.norms[0], signal)
+        traj = simulate(sys, x0, ZERO, 1.0, 0.02)
+        margin, _ = iss_margin(traj, REFERENCE_BUNDLE, traj.norms[0])
         assert margin >= 0.0
 
     def test_two_sided_constant_violates_l2_reading(self):
@@ -261,9 +313,8 @@ class TestIssMargin:
         # the max-norm gain offset 0.8989.
         n = 500
         sys = l2_system(n)
-        signal = InputSignal.constant((1.0, 1.0), sys.space)
-        traj = simulate(sys, np.zeros(n - 1), signal, 3.0, 0.05)
-        margin, _ = iss_margin(traj, REFERENCE_BUNDLE, 0.0, signal)
+        traj = simulate(sys, np.zeros(n - 1), TWO_SIDED, 3.0, 0.05)
+        margin, _ = iss_margin(traj, REFERENCE_BUNDLE, 0.0)
         assert margin == pytest.approx(0.8989 - 1.0, abs=3e-3)
 
     def test_bang_bang_suite_positive_margin(self):
@@ -271,9 +322,9 @@ class TestIssMargin:
         sys = l2_system(n)
         worst = math.inf
         for seed in range(50):
-            signal = InputSignal.bang_bang(60, sys.space, seed=seed, active=(seed % 2,))
-            traj = simulate(sys, np.zeros(n - 1), signal, 3.0, 0.05)
-            margin, _ = iss_margin(traj, REFERENCE_BUNDLE, 0.0, signal)
+            u = bang_bang(60, seed=seed, active=(seed % 2,))
+            traj = simulate(sys, np.zeros(n - 1), u, 3.0, 0.05)
+            margin, _ = iss_margin(traj, REFERENCE_BUNDLE, 0.0)
             worst = min(worst, margin)
         assert worst > 0.0
 
@@ -282,12 +333,11 @@ class TestIssMargin:
         # with x0_norm > 0, against beta and gamma evaluated one time at a time.
         n = 64
         sys = l2_system(n)
-        signal = InputSignal.bang_bang(40, sys.space, seed=9)
         x0 = np.sin(np.pi * sys.space.grid.nodes())
-        traj = simulate(sys, x0, signal, 2.0, 0.05)
-        margin, at = iss_margin(traj, REFERENCE_BUNDLE, 2.0, signal)
+        traj = simulate(sys, x0, bang_bang(40, seed=9), 2.0, 0.05)
+        margin, at = iss_margin(traj, REFERENCE_BUNDLE, 2.0)
         expected = [2.0 * math.exp(-REFERENCE_BUNDLE.beta_omega * t)
-                    + REFERENCE_BUNDLE.gamma_slope * signal.sup_norm - norm
+                    + REFERENCE_BUNDLE.gamma_slope * traj.input_sup_norm - norm
                     for t, norm in zip(traj.times, traj.norms)]
         k = int(np.argmin(expected))
         assert margin == pytest.approx(expected[k], rel=1e-14, abs=1e-15)
@@ -295,10 +345,9 @@ class TestIssMargin:
 
     def test_empty_trajectory(self):
         traj = Trajectory(times=np.array([]), states=np.empty((0, 3)), norms=np.array([]),
-                          basis=np.eye(3))
+                          basis=np.eye(3), input_sup_norm=0.0)
         with pytest.raises(ValueError):
-            iss_margin(traj, REFERENCE_BUNDLE, 0.0,
-                       InputSignal.constant((0.0, 0.0), WeightedSpace(GridSpec(4))))
+            iss_margin(traj, REFERENCE_BUNDLE, 0.0)
 
 
 class TestTrotterKato:
