@@ -11,7 +11,7 @@ import argparse
 import math
 import os
 import sys as _sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .systems import GridSpec, WeightedSpace, build_heat_dirichlet, build_preclo
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "dispatch", "main"]
 
-COMMANDS = ("sweep", "gains", "simulate", "check", "plot")
 # Cauchy tolerance of the sweep limits: the change over the last refinement.
 LIMIT_TOL = 1e-3
 # a only rescales time, so each constant is a power of a; outside this range
@@ -92,28 +91,23 @@ class RunConfig:
         return PathSpec(self.lambda_min, self.lambda_max, self.lambda_count)
 
 
-_PARSERS = {
-    "n_schedule": lambda s: tuple(int(tok) for tok in s.split(",") if tok.strip()),
-    "a": float,
-    "alpha": float,
-    "theta": float,
-    "lambda_min": float,
-    "lambda_max": float,
-    "lambda_count": int,
-    "weight_exponent": int,
-    "u_norm": str,
-    "mu_p": float,
-    "mu_e": float,
-    "t_end": float,
-    "h": float,
-    "seed": int,
-    "output_dir": str,
-}
+def _parse_schedule(value: str) -> tuple:
+    return tuple(int(tok) for tok in value.split(",") if tok.strip())
+
+
+# One parser per RunConfig field, in field order: the config keys and flags.
+_PARSERS = {f.name: _parse_schedule if f.type is tuple else f.type for f in fields(RunConfig)}
 
 
 def parse_config(source: str) -> RunConfig:
-    """Parse flat ``key = value`` lines with # comments; unknown keys and
-    malformed lines raise with the offending line number."""
+    """Parse flat ``key = value`` lines with # comments into a validated
+    config; unknown keys and malformed lines raise with the offending line
+    number."""
+    return _validated(_file_overrides(source))
+
+
+def _file_overrides(source: str) -> dict:
+    """The parsed ``key = value`` pairs of a config file, not yet validated."""
     overrides = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -130,6 +124,10 @@ def parse_config(source: str) -> RunConfig:
             overrides[key] = _PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+    return overrides
+
+
+def _validated(overrides: dict) -> RunConfig:
     cfg = replace(RunConfig(), **overrides)
     cfg.validate()
     return cfg
@@ -306,20 +304,22 @@ def _cmd_plot(cfg: RunConfig) -> int:
     return 0
 
 
+COMMANDS = {
+    "sweep": _cmd_sweep,
+    "gains": _cmd_gains,
+    "simulate": _cmd_simulate,
+    "check": _cmd_check,
+    "plot": _cmd_plot,
+}
+
+
 def dispatch(command: str, cfg: RunConfig) -> int:
-    handlers = {
-        "sweep": _cmd_sweep,
-        "gains": _cmd_gains,
-        "simulate": _cmd_simulate,
-        "check": _cmd_check,
-        "plot": _cmd_plot,
-    }
-    if command not in handlers:
+    if command not in COMMANDS:
         print(f"error: unknown command {command!r}; choose from {', '.join(COMMANDS)}",
               file=_sys.stderr)
         return 2
     try:
-        return handlers[command](cfg)
+        return COMMANDS[command](cfg)
     except (LimitError, QuadratureError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
@@ -342,12 +342,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        overrides = {}
         if args.config:
             with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-        else:
-            cfg = RunConfig()
-        overrides = {}
+                overrides = _file_overrides(fh.read())
+        # Flags win over the file; the merged result is validated once.
         for name, parse in _PARSERS.items():
             raw = getattr(args, f"opt_{name}")
             if raw is not None:
@@ -355,9 +354,7 @@ def main(argv=None) -> int:
                     overrides[name] = parse(raw)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for --{name}: {exc}") from exc
-        if overrides:
-            cfg = replace(cfg, **overrides)
-            cfg.validate()
+        cfg = _validated(overrides)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 """Numerical kernels: special functions, improper-integral quadrature,
-tridiagonal eigendecompositions (closed form for uniform matrices, LAPACK
-otherwise), spectral matrix functions and weighted operator norms.
+tridiagonal eigendecompositions (closed form for uniform matrices, numpy's
+dense ``eigh`` otherwise), spectral matrix functions and weighted operator
+norms.
 
 The quadrature is a double-exponential rule in numpy alone (tanh-sinh on
 (0, 1), exp-sinh on (1, inf)); it needs no scipy, so computing the K
@@ -209,8 +210,9 @@ def _check_alpha(alpha: float) -> None:
 def sym_tridiag_eig(diag, offdiag) -> EigenDecomposition:
     """Spectral decomposition of a real symmetric tridiagonal matrix.
 
-    A uniform matrix tridiag(e, d, e) (constant diagonal, constant nonzero
-    off-diagonal) takes the closed form; every other input goes to LAPACK.
+    A uniform matrix tridiag(e, d, e) (constant diagonal, constant
+    off-diagonal, zero or absent included) takes the closed form; every other
+    input goes to numpy's ``eigh`` on the assembled dense matrix.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -220,24 +222,16 @@ def sym_tridiag_eig(diag, offdiag) -> EigenDecomposition:
         raise ValueError(
             f"offdiag length {offdiag.shape[0]} must be diag length {diag.shape[0]} minus one"
         )
-    if _is_uniform(diag, offdiag):
-        return _uniform_tridiag_eig(diag.size, float(diag[0]), float(offdiag[0]))
-    # Imported here, not at module level: the closed form skips ~0.3 s of import.
-    import scipy.linalg
-
+    d = float(diag[0])
+    e = float(offdiag[0]) if offdiag.size else 0.0
+    if math.isfinite(abs(d) + 4.0 * abs(e)) and np.all(diag == d) and np.all(offdiag == e):
+        return _uniform_tridiag_eig(diag.size, d, e)
     try:
-        values, vectors = scipy.linalg.eigh_tridiagonal(diag, offdiag)
+        # eigh reads only the lower triangle.
+        values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(offdiag, -1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenSolverError(f"tridiagonal eigensolver failed: {exc}") from exc
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
-
-
-def _is_uniform(diag: np.ndarray, offdiag: np.ndarray) -> bool:
-    if offdiag.size == 0:
-        return False
-    d, e = diag[0], offdiag[0]
-    return (e != 0.0 and math.isfinite(abs(d) + 4.0 * abs(e))
-            and bool(np.all(diag == d)) and bool(np.all(offdiag == e)))
 
 
 def _uniform_tridiag_eig(m: int, d: float, e: float) -> EigenDecomposition:
@@ -247,7 +241,8 @@ def _uniform_tridiag_eig(m: int, d: float, e: float) -> EigenDecomposition:
     sqrt(2/(m+1)) sin(j k pi/(m+1)), j = 1..m (the DST-I basis).  In
     ascending order column c holds k = m - c when e > 0 and k = c + 1 when
     e < 0; either way its eigenvalue is (d + 2|e|) - 4|e| sin^2((m-c) pi/(2(m+1))),
-    which keeps the few-ulp accuracy of the sine.
+    which keeps the few-ulp accuracy of the sine.  For e = 0 every eigenvalue
+    is exactly d and the sine basis is still an orthonormal eigenbasis.
     """
     period = 2 * (m + 1)
     c = np.arange(m)

@@ -201,6 +201,16 @@ class TestMain:
         # a = 1 from the flag must win over a = 2 in the file.
         assert omega < 10.0
 
+    def test_flag_overrides_invalid_file_value(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text(SMALL + "alpha = 1.5\n")
+        args = ["gains", "--config", str(cfg_file), "--output_dir", str(tmp_path / "o")]
+        # The file is validated only after the flags are merged over it.
+        assert main(args + ["--alpha", "0.5"]) == 0
+        assert "alpha            0.5\n" in capsys.readouterr().out
+        assert main(args) == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+
     def test_bad_flag_value(self, capsys):
         assert main(["sweep", "--alpha", "2.0"]) == 2
         assert "alpha" in capsys.readouterr().err
@@ -219,37 +229,74 @@ class TestMain:
         assert main(["nope", "--output_dir", str(tmp_path)]) == 2
 
 
-# Prints the scipy modules loaded after importing the CLI and after each command.
+# Runs every command in a fresh interpreter and prints, per command, its exit
+# code, the scipy modules loaded so far and the number of np.linalg.eigh calls
+# so far.  Arguments: output dir, n_schedule, and "refuse" to make every scipy
+# import fail.
 _FOOTPRINT_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, importlib.abc, io, json, sys
+import numpy as np
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} refused")
+        return None
+
+out_dir, schedule, mode = sys.argv[1:4]
+if mode == "refuse":
+    sys.meta_path.insert(0, RefuseScipy())
+eigh_calls = []
+eigh = np.linalg.eigh
+
+def counting_eigh(*args, **kwargs):
+    eigh_calls.append(1)
+    return eigh(*args, **kwargs)
+
+np.linalg.eigh = counting_eigh
 from issgains.cli import main
 
 def loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 stages = {"import": loaded()}
-small = ["--n_schedule", "8,16", "--lambda_count", "20", "--output_dir", sys.argv[1]]
+small = ["--n_schedule", schedule, "--lambda_count", "20", "--output_dir", out_dir]
 for command in ("sweep", "plot", "gains", "simulate", "check"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([command] + small)
-    stages[command] = [code, loaded()]
+    stages[command] = [code, loaded(), len(eigh_calls)]
+try:
+    import scipy
+    stages["scipy_importable"] = True
+except ImportError:
+    stages["scipy_importable"] = False
 print(json.dumps(stages))
 """
 
 
+def _footprint(out_dir, schedule, mode):
+    # A fresh interpreter, since this test process has imported scipy already.
+    src = os.path.dirname(os.path.dirname(issgains.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(out_dir), schedule, mode],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestImportFootprint:
     def test_scipy_loaded_only_where_called(self, tmp_path):
-        # A fresh interpreter, since this test process has imported scipy already.
-        src = os.path.dirname(os.path.dirname(issgains.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        stages = json.loads(proc.stdout)
+        stages = _footprint(tmp_path / "out", "8,16", "allow")
         assert stages["import"] == []
-        assert stages["sweep"] == [0, []]
-        assert stages["plot"] == [0, []]
-        assert stages["gains"] == [0, []]
-        assert stages["simulate"] == [0, []]
-        assert stages["check"] == [0, []]
+        for command in ("sweep", "plot", "gains", "simulate", "check"):
+            assert stages[command][:2] == [0, []], command
+
+    @pytest.mark.parametrize("schedule", ["8,16", "2,4"])
+    def test_numpy_is_enough(self, tmp_path, schedule):
+        # n = 2 gives a 1 x 1 generator; like every heat size it takes the
+        # closed form, so no command calls the general eigensolver.
+        stages = _footprint(tmp_path / "out", schedule, "refuse")
+        assert stages["scipy_importable"] is False
+        for command in ("sweep", "plot", "gains", "simulate", "check"):
+            assert stages[command] == [0, [], 0], command

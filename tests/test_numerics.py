@@ -250,16 +250,26 @@ class TestUniformClosedForm:
     ])
     def test_other_input_goes_to_lapack(self, monkeypatch, diag, off):
         calls = []
-        solver = scipy.linalg.eigh_tridiagonal
+        solver = np.linalg.eigh
 
         def counting(*args, **kwargs):
-            calls.append(args[0].size)
+            calls.append(args[0].shape)
             return solver(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
-        sym_tridiag_eig(diag, off)
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        eig = sym_tridiag_eig(diag, off)
         sym_tridiag_eig(*heat_diagonals(8))
-        assert calls == [len(diag)]
+        # Uniform input (one diagonal value, at most one off-diagonal value)
+        # takes the closed form: the 1 x 1 matrix, and a zero off-diagonal
+        # too, since d I has every eigenvalue exactly d and the sine basis is
+        # an orthonormal eigenbasis of it.  Other input makes one eigh call.
+        uniform = len(set(diag)) == 1 and len(set(off)) <= 1
+        assert calls == ([] if uniform else [(len(diag), len(diag))])
+        t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        norm_t = np.max(np.sum(np.abs(t), axis=1))
+        np.testing.assert_allclose(eig.eigenvalues, np.linalg.eigvalsh(t), rtol=0,
+                                   atol=1e-14 * norm_t)
+        assert np.max(np.abs(reconstruct(eig) - t)) <= 1e-14 * norm_t
 
 
 class TestMatrixFunction:
