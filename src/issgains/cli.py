@@ -107,8 +107,10 @@ def parse_config(source: str) -> RunConfig:
 
 
 def _file_overrides(source: str) -> dict:
-    """The parsed ``key = value`` pairs of a config file, not yet validated."""
+    """The parsed ``key = value`` pairs of a config file, not yet validated;
+    a key may be set only once."""
     overrides = {}
+    first_line = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,6 +122,10 @@ def _file_overrides(source: str) -> dict:
         value = value.strip()
         if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         try:
             overrides[key] = _PARSERS[key](value)
         except ValueError as exc:
@@ -134,7 +140,6 @@ def _validated(overrides: dict) -> RunConfig:
 
 
 def _out(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, name)
 
 
@@ -316,6 +321,13 @@ COMMANDS = {
 def dispatch(command: str, cfg: RunConfig) -> int:
     if command not in COMMANDS:
         print(f"error: unknown command {command!r}; choose from {', '.join(COMMANDS)}",
+              file=_sys.stderr)
+        return 2
+    # Before any work, so that an unusable directory costs no sweep.
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use output_dir {cfg.output_dir!r}: {exc.strerror or exc}",
               file=_sys.stderr)
         return 2
     try:

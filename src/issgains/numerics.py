@@ -1,7 +1,7 @@
 """Numerical kernels: special functions, improper-integral quadrature,
-tridiagonal eigendecompositions (closed form for uniform matrices, numpy's
-dense ``eigh`` otherwise), spectral matrix functions and weighted operator
-norms.
+tridiagonal eigendecompositions (closed form for uniform matrices, with the
+sine eigenvectors applied by FFT and never formed; numpy's dense ``eigh``
+otherwise), spectral matrix functions and weighted operator norms.
 
 The quadrature is a double-exponential rule in numpy alone (tanh-sinh on
 (0, 1), exp-sinh on (1, inf)); it needs no scipy, so computing the K
@@ -19,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "EigenDecomposition",
+    "SineBasis",
     "QuadratureResult",
     "QuadratureError",
     "EigenSolverError",
@@ -37,9 +38,6 @@ QUAD_EVAL_BUDGET = 10**6
 # halvings that ends the refinement, and the number of halvings allowed.
 QUAD_RTOL = 1e-13
 QUAD_MAX_LEVEL = 8
-# Rows of the closed-form eigenvector matrix filled per block; bounds the
-# index temporary at EIG_BLOCK_ROWS x m integers.
-EIG_BLOCK_ROWS = 256
 
 
 class QuadratureError(RuntimeError):
@@ -71,16 +69,81 @@ class QuadratureResult:
             raise ValueError("evaluation count must be >= 1")
 
 
+class SineBasis:
+    """The orthonormal DST-I eigenvectors of a uniform m x m tridiagonal,
+    applied by FFT and never formed.
+
+    Column c is the sine mode k = order[c] + 1, with entries
+    sqrt(2/(m+1)) sin(j k pi/(m+1)), j = 1..m.  The basis supports the
+    products ``v @ x`` and ``v.T @ x`` for x with m rows (one or two
+    dimensions) and ``x @ v`` for x with m columns.  Each costs one real FFT
+    of length 2(m+1) per column of x, O(m log m), and the basis itself holds
+    only the m-entry mode order.
+    """
+
+    # Makes ndarray @ basis defer to __rmatmul__; numpy would otherwise try
+    # to convert the basis to an array.
+    __array_ufunc__ = None
+
+    def __init__(self, order: np.ndarray, transposed: bool = False):
+        self.order = order
+        self.transposed = transposed
+
+    @property
+    def shape(self) -> tuple:
+        return (self.order.size, self.order.size)
+
+    @property
+    def nbytes(self) -> int:
+        return self.order.nbytes
+
+    @property
+    def T(self) -> "SineBasis":
+        return SineBasis(self.order, not self.transposed)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        m = self.order.size
+        if x.ndim not in (1, 2) or x.shape[0] != m:
+            raise ValueError(f"cannot apply a {m} x {m} sine basis to shape {x.shape}")
+        scale = math.sqrt(2.0 / (m + 1))
+        if self.transposed:
+            # V^T x = P^T S x: the sine transform, read in mode order.
+            return scale * _dst1(x)[self.order]
+        # V x = S P x: the coefficients placed at their modes, then transformed.
+        placed = np.empty_like(x)
+        placed[self.order] = x
+        return scale * _dst1(placed)
+
+    def __rmatmul__(self, x):
+        # x W = (W^T x^T)^T.
+        return (self.T @ np.asarray(x, dtype=float).T).T
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """sum_k x_k sin(j k pi/(m+1)), j = 1..m, along axis 0 (unnormalised
+    DST-I): minus half the imaginary part of the FFT of the odd extension
+    (0, x, 0, -reversed x) of length 2(m+1)."""
+    m = x.shape[0]
+    odd = np.zeros((2 * (m + 1),) + x.shape[1:])
+    odd[1:m + 1] = x
+    odd[m + 2:] = -x[::-1]
+    return -0.5 * np.fft.rfft(odd, axis=0)[1:m + 1].imag
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Full real spectral decomposition ``V diag(values) V^T``.
 
-    ``eigenvalues`` are ascending, ``eigenvectors`` holds orthonormal
-    columns (unweighted inner product).
+    ``eigenvalues`` are ascending.  ``eigenvectors`` holds orthonormal
+    columns (unweighted inner product): a ``SineBasis`` for a uniform
+    tridiagonal, which is applied by FFT and never stored as a matrix, and a
+    dense array otherwise.  Both support ``V @ x``, ``V.T @ x`` and
+    ``x @ V``.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: "np.ndarray | SineBasis"
 
 
 def gamma_fn(x: float) -> float:
@@ -244,27 +307,10 @@ def _uniform_tridiag_eig(m: int, d: float, e: float) -> EigenDecomposition:
     which keeps the few-ulp accuracy of the sine.  For e = 0 every eigenvalue
     is exactly d and the sine basis is still an orthonormal eigenbasis.
     """
-    period = 2 * (m + 1)
     c = np.arange(m)
-    values = (d + 2.0 * abs(e)) - 4.0 * abs(e) * np.sin((m - c) * (np.pi / period)) ** 2
-    # Scaled sin(r pi/(m+1)) for r = 0..period-1; the argument is reduced to
-    # [0, pi/2] by sin(pi - x) = sin(x), and the second half is the negated first.
-    r = np.arange(m + 1)
-    half = np.sin(np.minimum(r, m + 1 - r) * (np.pi / (m + 1)))
-    table = math.sqrt(2.0 / (m + 1)) * np.concatenate([half, -half])
-    k = c + 1 if e < 0.0 else m - c
-    vectors = np.empty((m, m))
-    # j k <= m^2; 32-bit indices halve the cost of the index arithmetic.
-    itype = np.int32 if m * m < 2**31 else np.int64
-    k = k.astype(itype)
-    index = np.empty((min(EIG_BLOCK_ROWS, m), m), dtype=itype)
-    for start in range(0, m, EIG_BLOCK_ROWS):
-        stop = min(start + EIG_BLOCK_ROWS, m)
-        idx = index[:stop - start]
-        np.multiply.outer(np.arange(start + 1, stop + 1, dtype=itype), k, out=idx)
-        np.remainder(idx, period, out=idx)
-        np.take(table, idx, out=vectors[start:stop], mode="clip")
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+    values = (d + 2.0 * abs(e)) - 4.0 * abs(e) * np.sin((m - c) * (np.pi / (2 * (m + 1)))) ** 2
+    order = c if e < 0.0 else m - 1 - c
+    return EigenDecomposition(eigenvalues=values, eigenvectors=SineBasis(order))
 
 
 def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .fattorini import DiagnosticReport
 from .gains import GainBundle
+from .numerics import SineBasis
 from .systems import (
     ClosedControlSystem,
     GridSpec,
@@ -64,13 +65,14 @@ class Trajectory:
     the sup norm of the input samples it applied.
 
     Row i of ``states`` is y(t_i) = V^T x(t_i) in the eigenvector basis
-    ``basis`` = V, which is the system's memoized eigenvector matrix, not a
-    copy."""
+    ``basis`` = V, which is the system's memoized ``eigenvectors``, not a
+    copy: for the uniform heat generator a ``SineBasis``, applied by FFT and
+    never stored as a matrix."""
 
     times: np.ndarray
     states: np.ndarray  # modal coordinates, one row per time
     norms: np.ndarray
-    basis: np.ndarray
+    basis: "np.ndarray | SineBasis"
     input_sup_norm: float
 
     def node_states(self) -> np.ndarray:

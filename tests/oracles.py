@@ -1,7 +1,7 @@
 """Independent reference routes that the tests compare the library against.
 
 They share no code with ``issgains`` beyond reading a system's matrices
-or a decomposition's arrays.
+or a decomposition's arrays, and applying a decomposition's eigenvectors.
 """
 
 import math
@@ -29,9 +29,48 @@ def resolvent_dense(sys, shift: float, rhs) -> np.ndarray:
     return np.linalg.solve(shift * np.eye(a.shape[0]) - a, rhs)
 
 
+# Rows of the dense sine basis filled per block; bounds the index temporary
+# at EIG_BLOCK_ROWS x m integers.
+EIG_BLOCK_ROWS = 256
+
+
+def sine_basis_table(m: int, modes) -> np.ndarray:
+    """The dense m x m matrix whose column c is the orthonormal sine mode
+    k = modes[c], sqrt(2/(m+1)) sin(j k pi/(m+1)) for j = 1..m.
+
+    Entries are looked up in a table of sin(r pi/(m+1)), r = 0..2m+1, whose
+    argument is reduced to [0, pi/2] by sin(pi - x) = sin(x), the second
+    half being the negated first; so no sine is taken of an argument above
+    pi/2, as sin(j k pi/(m+1)) itself would for j k up to m^2.
+    """
+    period = 2 * (m + 1)
+    r = np.arange(m + 1)
+    half = np.sin(np.minimum(r, m + 1 - r) * (np.pi / (m + 1)))
+    table = math.sqrt(2.0 / (m + 1)) * np.concatenate([half, -half])
+    # j k <= m^2; 32-bit indices halve the cost of the index arithmetic.
+    itype = np.int32 if m * m < 2**31 else np.int64
+    k = np.asarray(modes).astype(itype)
+    vectors = np.empty((m, m))
+    index = np.empty((min(EIG_BLOCK_ROWS, m), m), dtype=itype)
+    for start in range(0, m, EIG_BLOCK_ROWS):
+        stop = min(start + EIG_BLOCK_ROWS, m)
+        idx = index[:stop - start]
+        np.multiply.outer(np.arange(start + 1, stop + 1, dtype=itype), k, out=idx)
+        np.remainder(idx, period, out=idx)
+        np.take(table, idx, out=vectors[start:stop], mode="clip")
+    return vectors
+
+
+def eigenvector_matrix(eig) -> np.ndarray:
+    """A decomposition's eigenvectors as a dense matrix: a dense ``eigh``
+    result as it is, a matrix-free basis applied to the identity."""
+    v = eig.eigenvectors
+    return v if isinstance(v, np.ndarray) else v @ np.eye(v.shape[0])
+
+
 def reconstruct(eig) -> np.ndarray:
     """The matrix ``V diag(values) V^T`` of a spectral decomposition."""
-    v = eig.eigenvectors
+    v = eigenvector_matrix(eig)
     return (v * eig.eigenvalues) @ v.T
 
 
@@ -40,7 +79,7 @@ def matrix_function(eig, f) -> np.ndarray:
     mapped = np.array([f(lam) for lam in eig.eigenvalues], dtype=float)
     if not np.all(np.isfinite(mapped)):
         raise ValueError("matrix function undefined or non-finite at an eigenvalue")
-    v = eig.eigenvectors
+    v = eigenvector_matrix(eig)
     return (v * mapped) @ v.T
 
 

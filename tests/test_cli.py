@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -29,6 +30,13 @@ class TestParseConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="line 1.*unknown key"):
             parse_config("beta = 3\n")
+
+    def test_duplicate_key(self, tmp_path, capsys):
+        cfg_file = tmp_path / "dup.cfg"
+        cfg_file.write_text("alpha = 0.3\n# later\nalpha = 0.6\n")
+        assert main(["gains", "--config", str(cfg_file), "--output_dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3: duplicate key 'alpha' (first set on line 1)\n"
 
     def test_range_error_names_alpha(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -227,6 +235,34 @@ class TestMain:
 
     def test_unknown_command_via_main(self, tmp_path, capsys):
         assert main(["nope", "--output_dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command, output_dir", [("sweep", ""), ("gains", "afile")])
+    def test_unusable_output_dir_exits_before_work(self, tmp_path, capsys, monkeypatch,
+                                                   command, output_dir):
+        (tmp_path / "afile").write_text("")
+        monkeypatch.chdir(tmp_path)
+        entered = []
+        monkeypatch.setattr(cli.sweep_mod, "run_sweep", lambda *a, **k: entered.append(1))
+        assert main([command, "--n_schedule", "8,16", "--output_dir", output_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot use output_dir {output_dir!r}: ")
+        assert err.count("\n") == 1
+        assert entered == []
+
+
+class TestMemory:
+    """No command holds an n x n matrix: one such matrix at n = 4000 is 128 MB."""
+
+    @pytest.mark.parametrize("command", ["gains", "simulate"])
+    def test_peak_traced_memory(self, tmp_path, capsys, command):
+        tracemalloc.start()
+        try:
+            code = main([command, "--n_schedule", "2000,4000", "--output_dir", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
 
 
 # Runs every command in a fresh interpreter and prints, per command, its exit

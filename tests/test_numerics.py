@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import issgains.numerics as numerics
 from issgains.numerics import (
@@ -15,8 +17,8 @@ from issgains.numerics import (
     weighted_op_norm,
 )
 from issgains.systems import build_heat_dirichlet
-from oracles import (matrix_function, quadpack_cauchy_tail, quadpack_exp_tail, reconstruct,
-                     resolvent_dense)
+from oracles import (eigenvector_matrix, matrix_function, quadpack_cauchy_tail,
+                     quadpack_exp_tail, reconstruct, resolvent_dense, sine_basis_table)
 
 
 def heat_diagonals(n, a=1.0):
@@ -168,7 +170,7 @@ class TestTridiagEig:
     def test_scalar(self):
         eig = sym_tridiag_eig([-8.0], [])
         assert eig.eigenvalues == pytest.approx([-8.0])
-        assert abs(eig.eigenvectors[0, 0]) == pytest.approx(1.0)
+        assert abs(eigenvector_matrix(eig)[0, 0]) == pytest.approx(1.0)
 
     def test_two_by_two(self):
         eig = sym_tridiag_eig([-18.0, -18.0], [9.0])
@@ -221,7 +223,7 @@ class TestUniformClosedForm:
         norm_t = abs(d) + 2.0 * abs(e)
         assert np.max(np.abs(eig.eigenvalues - values)) <= 1e-14 * norm_t
         assert np.all(np.diff(eig.eigenvalues) >= 0)
-        v = eig.eigenvectors
+        v = eigenvector_matrix(eig)
         assert np.max(np.abs(v.T @ v - np.eye(m))) <= 1e-13
         t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         assert np.max(np.abs(reconstruct(eig) - t)) <= 1e-13 * norm_t
@@ -237,10 +239,11 @@ class TestUniformClosedForm:
     def test_sine_modes(self):
         m = 9
         eig = sym_tridiag_eig(np.full(m, 3.0), np.full(m - 1, -1.0))
-        j = np.arange(1, m + 1)
-        for col in range(m):
-            mode = math.sqrt(2.0 / (m + 1)) * np.sin(j * (col + 1) * np.pi / (m + 1))
-            np.testing.assert_allclose(eig.eigenvectors[:, col], mode, atol=1e-15)
+        # Column c is mode k = c + 1 for e < 0.  The reference reduces the
+        # sine argument: sin(j k pi/(m+1)) taken directly reaches 8.1 pi and
+        # is itself 1.2e-15 off at column 8.
+        modes = sine_basis_table(m, np.arange(1, m + 1))
+        np.testing.assert_allclose(eigenvector_matrix(eig), modes, atol=1e-15)
 
     @pytest.mark.parametrize("diag, off", [
         ([-2.0, -2.0, -2.0], [1.0, 1.5]),
@@ -270,6 +273,73 @@ class TestUniformClosedForm:
         np.testing.assert_allclose(eig.eigenvalues, np.linalg.eigvalsh(t), rtol=0,
                                    atol=1e-14 * norm_t)
         assert np.max(np.abs(reconstruct(eig) - t)) <= 1e-14 * norm_t
+
+
+def uniform_basis(m, e):
+    """The eigenvector basis of tridiag(e, -2|e|, e) and its dense sine
+    table: column c is mode m - c for e > 0 and mode c + 1 for e < 0."""
+    eig = sym_tridiag_eig(np.full(m, -2.0 * abs(e)), np.full(m - 1, e))
+    modes = np.arange(m, 0, -1) if e > 0 else np.arange(1, m + 1)
+    return eig.eigenvectors, sine_basis_table(m, modes)
+
+
+class TestSineBasis:
+    """The matrix-free sine eigenvectors against the dense table."""
+
+    PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+    @staticmethod
+    def _draw(m, cols, seed):
+        x = np.random.default_rng(seed).standard_normal((m, cols) if cols else m)
+        return x, 1e-14 * np.linalg.norm(x)
+
+    @PROPERTY
+    @given(m=st.integers(1, 600), e=st.sampled_from([1.0, -2.5, 4.0e6, -1e-3]),
+           cols=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_products_match_dense(self, m, e, cols, seed):
+        v, dense = uniform_basis(m, e)
+        x, tol = self._draw(m, cols, seed)
+        assert np.max(np.abs(v @ x - dense @ x)) <= tol
+        assert np.max(np.abs(v.T @ x - dense.T @ x)) <= tol
+        assert np.max(np.abs(x.T @ v.T - x.T @ dense.T)) <= tol
+        assert np.max(np.abs(x.T @ v - x.T @ dense)) <= tol
+
+    @PROPERTY
+    @given(m=st.integers(1, 600), e=st.sampled_from([1.0, -1.0]),
+           cols=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip(self, m, e, cols, seed):
+        v, _ = uniform_basis(m, e)
+        x, tol = self._draw(m, cols, seed)
+        back = v @ (v.T @ x)
+        assert back.shape == x.shape
+        assert np.max(np.abs(back - x)) <= tol
+
+    @pytest.mark.parametrize("m", [1, 10, 1000, 10**6])
+    def test_nbytes_linear_in_m(self, m):
+        v = sym_tridiag_eig(np.full(m, -2.0), np.full(m - 1, 1.0)).eigenvectors
+        assert v.shape == (m, m)
+        assert 0 < v.nbytes <= 8 * m
+
+    @pytest.mark.parametrize("e", [1.0, -1.0])
+    def test_products_never_densify(self, monkeypatch, e):
+        calls = []
+
+        def spy(self, *args, **kwargs):
+            calls.append(1)
+            return self @ np.eye(self.shape[0])
+
+        monkeypatch.setattr(numerics.SineBasis, "__array__", spy, raising=False)
+        v, dense = uniform_basis(50, e)
+        x = np.random.default_rng(5).standard_normal((50, 3))
+        for product in (x.T @ v, x.T @ v.T, v @ x, v.T @ x[:, 0]):
+            assert isinstance(product, np.ndarray)
+        assert calls == []
+
+    def test_shape_mismatch(self):
+        v, _ = uniform_basis(5, 1.0)
+        for bad in (np.ones(4), np.ones((4, 2)), np.ones((5, 2, 2))):
+            with pytest.raises(ValueError, match="5 x 5 sine basis"):
+                v @ bad
 
 
 class TestMatrixFunction:
