@@ -201,10 +201,10 @@ def _cmd_gains(cfg: RunConfig) -> int:
 
 
 def _traj_csv(path: str, traj) -> None:
+    rows = "".join(f"{t:.10g},{norm:.10g}\n"
+                   for t, norm in zip(traj.times.tolist(), traj.norms.tolist()))
     with open(path, "w") as fh:
-        fh.write("t,norm\n")
-        for t, norm in zip(traj.times, traj.norms):
-            fh.write(f"{t:.10g},{norm:.10g}\n")
+        fh.write("t,norm\n" + rows)
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
@@ -225,9 +225,6 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         traj = sim.simulate(system, x0, u, cfg.t_end, cfg.h)
         margin, at = sim.iss_margin(traj, bundle, x0_norm=0.0)
         _traj_csv(_out(cfg, f"traj_{label}.csv"), traj)
-        # Drop this trajectory before the next one is computed, so that only
-        # one (steps + 1) x (n - 1) state array is alive at a time.
-        del traj
         note = ""
         if label == "twosided":
             # Reported as a diagnostic only: the two-sided constant case is

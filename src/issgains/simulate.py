@@ -6,11 +6,12 @@ exact (up to eigensolver accuracy) for the piecewise-constant input class;
 no time-discretization error enters the ISS verification.  An input is an
 array of samples, one row per step (or one row held for every step);
 ``bang_bang`` draws the seeded random ones.  ``simulate`` steps in modal
-coordinates y = V^T x, O(n) per step, and keeps the trajectory there: the
-eigenvectors V are orthonormal, so ||x|| = ||y|| and the norms need no
-back-transform.  Both the state norms and the input sup norm are those of
-the system's ``WeightedSpace``.  Node values are formed only on request
-(``Trajectory.node_states``).
+coordinates y = V^T x, O(n) per step, one block of steps at a time in a
+buffer of at most BLOCK_BYTES: the eigenvectors V are orthonormal, so
+||x|| = ||y||, and each block's norms are taken from its modal rows before
+the next block overwrites them.  Only the final modal state is kept, so
+the states take O(n) memory at any step count.  Both the state norms and the
+input sup norm are those of the system's ``WeightedSpace``.
 """
 
 import math
@@ -20,7 +21,6 @@ import numpy as np
 
 from .fattorini import DiagnosticReport
 from .gains import GainBundle
-from .numerics import SineBasis
 from .systems import (
     ClosedControlSystem,
     GridSpec,
@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 MAX_STEPS = 10**7
+# Byte budget of simulate's block buffer, which holds the modal rows of one
+# block of steps: the forcing, then the states, then their norms.  Larger
+# blocks leave cache and run slower.
+BLOCK_BYTES = 2**20
 
 
 def bang_bang(steps: int, seed: int, active: tuple = (0, 1)) -> np.ndarray:
@@ -61,23 +65,18 @@ def bang_bang(steps: int, seed: int, active: tuple = (0, 1)) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sample times, modal states and state norms of one simulation, and
-    the sup norm of the input samples it applied.
+    """Sample times and state norms of one simulation, its final state,
+    and the sup norm of the input samples it applied.
 
-    Row i of ``states`` is y(t_i) = V^T x(t_i) in the eigenvector basis
-    ``basis`` = V, which is the system's memoized ``eigenvectors``, not a
-    copy: for the uniform heat generator a ``SineBasis``, applied by FFT and
-    never stored as a matrix."""
+    ``states`` holds one row, the final modal state y(t_end) = V^T x(t_end)
+    in the system's eigenvector basis V; earlier states are not kept.  It
+    stays a 2-D array of shape (1, n - 1) because perfbench/traced_cli.py
+    reads ``states.shape[1]`` as the number of unknowns."""
 
     times: np.ndarray
-    states: np.ndarray  # modal coordinates, one row per time
+    states: np.ndarray  # the final modal state, shape (1, n - 1)
     norms: np.ndarray
-    basis: "np.ndarray | SineBasis"
     input_sup_norm: float
-
-    def node_states(self) -> np.ndarray:
-        """The trajectory in node values, x(t_i) = V y(t_i), one row per time."""
-        return self.states @ self.basis.T
 
 
 def step_count(t_end: float, h: float) -> int:
@@ -124,9 +123,10 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     for every step, or at least one row per step (rows past the last step
     are ignored).  State and input norms are those of ``sys.space``.
 
-    Steps y <- exp(lambda h) y + phi (V^T B u) in modal coordinates y = V^T x
-    and returns those rows as ``states``.  norms[0] is taken from x0 itself,
-    the others from the modal rows, since ||V y|| = ||y||.
+    Steps y <- exp(lambda h) y + phi (V^T B u) in modal coordinates y = V^T x,
+    in blocks of rows of at most BLOCK_BYTES, and keeps only the final row
+    as ``states``.  norms[0] is taken from x0 itself, the others from the
+    modal rows, since ||V y|| = ||y||.
     """
     steps = step_count(t_end, h)
     k = sys.b_matrix.shape[1]
@@ -143,24 +143,32 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     v, decay, phi = _step_factors(sys, h)
     g = v.T @ sys.b_matrix
 
-    times = np.arange(steps + 1) * h
-    states = np.empty((steps + 1, state.size))
-    states[0] = v.T @ state
-    # The forcing phi * (g u_i) of every step, written into the row it is
-    # added to, so no steps x n temporary is formed.  A held row is copied
-    # out to one row per step first, so that it takes the same BLAS route,
-    # and rounds the same, as those rows given in full.
-    np.matmul(np.ascontiguousarray(np.broadcast_to(u, (steps, k))), g.T, out=states[1:])
-    states[1:] *= phi
-    decayed = np.empty(state.size)
-    for i in range(steps):
-        np.multiply(decay, states[i], out=decayed)
-        states[i + 1] += decayed
+    y = v.T @ state
     norms = np.empty(steps + 1)
     norms[0] = np.linalg.norm(state)
-    norms[1:] = np.sqrt(np.einsum("ij,ij->i", states[1:], states[1:]))
+    block = np.empty((max(1, min(steps, BLOCK_BYTES // y.nbytes)), y.size))
+    decayed = np.empty(y.size)
+    for start in range(0, steps, block.shape[0]):
+        stop = min(start + block.shape[0], steps)
+        rows = block[:stop - start]
+        # The decay of the last state, taken before the forcing overwrites
+        # the buffer row it may sit in.
+        np.multiply(decay, y, out=decayed)
+        # The forcing phi * (g u_i) of each step, written into the row it is
+        # added to.  A held row is copied out to one row per step of the
+        # block, so that it takes the same BLAS route, and rounds the same,
+        # as rows given in full.
+        samples = u[start:stop] if u.shape[0] > 1 else np.broadcast_to(u, (stop - start, k))
+        np.matmul(np.ascontiguousarray(samples), g.T, out=rows)
+        rows *= phi
+        rows[0] += decayed
+        for prev, row in zip(rows, rows[1:]):
+            np.multiply(decay, prev, out=decayed)
+            row += decayed
+        norms[start + 1:stop + 1] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        y = rows[-1]
     norms *= space.state_scale
-    return Trajectory(times=times, states=states, norms=norms, basis=v,
+    return Trajectory(times=np.arange(steps + 1) * h, states=y[np.newaxis].copy(), norms=norms,
                       input_sup_norm=float(np.max(space.input_sample_norm(u))))
 
 

@@ -251,18 +251,34 @@ class TestMain:
 
 
 class TestMemory:
-    """No command holds an n x n matrix: one such matrix at n = 4000 is 128 MB."""
+    """No command holds an n x n matrix (one at n = 4000 is 128 MB), and
+    simulate holds no state array with a row per step."""
 
-    @pytest.mark.parametrize("command", ["gains", "simulate"])
-    def test_peak_traced_memory(self, tmp_path, capsys, command):
+    @staticmethod
+    def traced_peak(argv):
+        """Exit code and tracemalloc peak of one in-process CLI run."""
         tracemalloc.start()
         try:
-            code = main([command, "--n_schedule", "2000,4000", "--output_dir", str(tmp_path)])
+            code = main(argv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return code, peak
+
+    @pytest.mark.parametrize("command", ["gains", "simulate"])
+    def test_peak_traced_memory(self, tmp_path, capsys, command):
+        code, peak = self.traced_peak([command, "--n_schedule", "2000,4000",
+                                       "--output_dir", str(tmp_path)])
         assert code == 0
         assert peak < 16 * 2**20
+
+    def test_long_horizon_simulate(self, tmp_path, capsys):
+        # 6000 steps at n = 1000: a (steps + 1) x (n - 1) state array alone
+        # would be 48 MB.
+        code, peak = self.traced_peak(["simulate", "--n_schedule", "250,1000", "--h", "0.0005",
+                                       "--output_dir", str(tmp_path)])
+        assert code == 0
+        assert peak < 8 * 2**20
 
 
 # Runs every command in a fresh interpreter and prints, per command, its exit

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import issgains.simulate
 from issgains.gains import DEFAULT_THETA, GainBundle
 from issgains.simulate import (
     MAX_STEPS,
@@ -37,6 +39,28 @@ TWO_SIDED = np.array([[1.0, 1.0]])
 def l2_system(n, a=1.0, u_norm="max"):
     space = WeightedSpace(GridSpec(n), weight_exponent=1, input_norm=u_norm)
     return build_heat_dirichlet(n, a, space)
+
+
+def prefix_states(sys, x0, u, h, steps):
+    """Modal states y_0 .. y_steps of a run, as simulate computes them: row 0
+    is V^T x0, row i the final state of simulate over the first i steps."""
+    v = sys.eigendecomposition().eigenvectors
+    first = (v.T @ np.asarray(x0, dtype=float))[np.newaxis]
+    return np.concatenate([first] + [simulate(sys, x0, u[:i], i * h, h).states
+                                     for i in range(1, steps + 1)])
+
+
+def node_values(sys, modal):
+    """Modal rows y_i as node values x_i = V y_i, one row each."""
+    return modal @ sys.eigendecomposition().eigenvectors.T
+
+
+def stepwise_norms(sys, x0, modal):
+    """The norms simulate reports for the modal rows of a run from x0."""
+    norms = np.empty(len(modal))
+    norms[0] = np.linalg.norm(x0)
+    norms[1:] = np.sqrt(np.einsum("ij,ij->i", modal[1:], modal[1:]))
+    return norms * sys.space.state_scale
 
 
 def input_sup_norm(u, u_norm):
@@ -75,9 +99,10 @@ class TestSimulate:
         for k in (1, 3):
             x0 = np.sin(k * np.pi * grid.nodes())
             traj = simulate(sys, x0, ZERO, 0.5, 0.01)
+            nodes = node_values(sys, prefix_states(sys, x0, ZERO, 0.01, 50))
             lam = -4.0 * n**2 * math.sin(k * math.pi / (2 * n)) ** 2
             scale = np.linalg.norm(x0)
-            for t, state in zip(traj.times, traj.node_states()):
+            for t, state in zip(traj.times, nodes, strict=True):
                 exact = math.exp(lam * t) * x0
                 assert np.linalg.norm(state - exact) <= 1e-10 * scale
 
@@ -95,7 +120,7 @@ class TestSimulate:
         sys = l2_system(n)
         traj = simulate(sys, np.zeros(n - 1), ONE_SIDED, 3.0, 0.1)
         k = np.arange(1, n)
-        np.testing.assert_allclose(traj.node_states()[-1], 1.0 - k / n, atol=1e-10)
+        np.testing.assert_allclose(node_values(sys, traj.states)[0], 1.0 - k / n, atol=1e-10)
         assert traj.norms[-1] == pytest.approx(1.0 / math.sqrt(3.0), abs=3e-3)
 
     def test_superposition(self):
@@ -104,23 +129,26 @@ class TestSimulate:
         rng = np.random.default_rng(12)
         x0 = rng.standard_normal(n - 1)
         u = bang_bang(50, seed=99)
-        both = simulate(sys, x0, u, 2.5, 0.05)
-        free = simulate(sys, x0, ZERO, 2.5, 0.05)
-        forced = simulate(sys, np.zeros(n - 1), u, 2.5, 0.05)
-        scale = max(1.0, np.max(np.abs(both.states)))
-        assert np.max(np.abs(both.states - free.states - forced.states)) <= 1e-10 * scale
+        both = prefix_states(sys, x0, u, 0.05, 50)
+        free = prefix_states(sys, x0, ZERO, 0.05, 50)
+        forced = prefix_states(sys, np.zeros(n - 1), u, 0.05, 50)
+        scale = max(1.0, np.max(np.abs(both)))
+        assert np.max(np.abs(both - free - forced)) <= 1e-10 * scale
 
     def test_zero_everything(self):
         sys = l2_system(16)
         traj = simulate(sys, np.zeros(15), ZERO, 1.0, 0.1)
+        assert np.all(prefix_states(sys, np.zeros(15), ZERO, 0.1, 10) == 0.0)
         assert np.all(traj.states == 0.0)
         assert np.all(traj.norms == 0.0)
 
     def test_norms_recomputable(self):
         sys = l2_system(32)
-        traj = simulate(sys, np.zeros(31), bang_bang(20, seed=5), 1.0, 0.05)
+        u = bang_bang(20, seed=5)
+        traj = simulate(sys, np.zeros(31), u, 1.0, 0.05)
         dx = sys.space.grid.dx
-        for state, norm in zip(traj.states, traj.norms):
+        for state, norm in zip(prefix_states(sys, np.zeros(31), u, 0.05, 20), traj.norms,
+                               strict=True):
             assert norm == pytest.approx(math.sqrt(dx) * np.linalg.norm(state), abs=1e-12)
 
     def test_step_budget(self):
@@ -150,9 +178,11 @@ class TestSimulate:
         n = 32
         sys = build_heat_dirichlet(n, 1.0, WeightedSpace(GridSpec(n), weight_exponent=2))
         x0 = np.sin(np.pi * sys.space.grid.nodes())
-        traj = simulate(sys, x0, bang_bang(20, seed=5), 1.0, 0.05)
+        u = bang_bang(20, seed=5)
+        traj = simulate(sys, x0, u, 1.0, 0.05)
+        nodes = node_values(sys, prefix_states(sys, x0, u, 0.05, 20))
         dx = sys.space.grid.dx
-        for state, norm in zip(traj.node_states(), traj.norms):
+        for state, norm in zip(nodes, traj.norms, strict=True):
             assert norm == pytest.approx(dx * np.linalg.norm(state), rel=1e-12, abs=1e-15)
 
     def test_held_row_equals_repeated_rows(self):
@@ -161,8 +191,11 @@ class TestSimulate:
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal(n - 1)
         row = rng.uniform(-1.0, 1.0, (1, 2))
+        rows = np.repeat(row, steps, axis=0)
         held = simulate(sys, x0, row, steps * h, h)
-        repeated = simulate(sys, x0, np.repeat(row, steps, axis=0), steps * h, h)
+        repeated = simulate(sys, x0, rows, steps * h, h)
+        np.testing.assert_array_equal(prefix_states(sys, x0, row, h, steps),
+                                      prefix_states(sys, x0, rows, h, steps))
         np.testing.assert_array_equal(held.states, repeated.states)
         np.testing.assert_array_equal(held.norms, repeated.norms)
         assert held.input_sup_norm == repeated.input_sup_norm
@@ -173,9 +206,12 @@ class TestSimulate:
         u[:10, 0] = 0.5
         u[10:] = 7.0
         traj = simulate(sys, np.zeros(7), u, 1.0, 0.1)
+        exact = simulate(sys, np.zeros(7), u[:10], 1.0, 0.1)
         assert traj.input_sup_norm == 0.5
-        np.testing.assert_array_equal(traj.states,
-                                      simulate(sys, np.zeros(7), u[:10], 1.0, 0.1).states)
+        np.testing.assert_array_equal(traj.states, exact.states)
+        np.testing.assert_array_equal(traj.norms, exact.norms)
+        np.testing.assert_array_equal(prefix_states(sys, np.zeros(7), u, 0.1, 10),
+                                      prefix_states(sys, np.zeros(7), u[:10], 0.1, 10))
 
     @pytest.mark.parametrize("u", [ONE_SIDED, TWO_SIDED, bang_bang(60, 20240501, active=(0,))],
                              ids=["onesided", "twosided", "bangbang"])
@@ -185,13 +221,55 @@ class TestSimulate:
         n, h = 64, 0.05
         sys = l2_system(n)
         traj = simulate(sys, np.zeros(n - 1), u, 3.0, h)
-        np.testing.assert_array_equal(traj.states,
-                                      simulate_stepwise(sys, np.zeros(n - 1), u, h, 60))
+        oracle = simulate_stepwise(sys, np.zeros(n - 1), u, h, 60)
+        np.testing.assert_array_equal(prefix_states(sys, np.zeros(n - 1), u, h, 60), oracle)
+        np.testing.assert_array_equal(traj.states, oracle[-1:])
+        np.testing.assert_array_equal(traj.norms, stepwise_norms(sys, np.zeros(n - 1), oracle))
 
     def test_partial_step_rejected(self):
         sys = l2_system(4)
         with pytest.raises(ValueError, match="whole number of steps"):
             simulate(sys, np.zeros(3), ONE_SIDED, 0.1, 0.07)
+
+
+class TestBlocks:
+    """simulate with its block buffer shrunk to a few rows, bit for bit
+    against the one-step-at-a-time loop.
+
+    The inputs take values in {-1, 0, 1}, as every scenario of the simulate
+    command does, so that each product u_j g_j is exact.  Otherwise the
+    block's matrix product and the oracle's matrix-vector product round
+    differently, at the parent design's single full-length product too."""
+
+    @pytest.mark.parametrize("block_rows, steps", [(3, 10), (1, 7), (0, 6), (16, 5), (4, 1)],
+                             ids=["ragged", "one-row", "budget-below-one-row", "steps-below-block",
+                                  "one-step"])
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "full"])
+    def test_matches_stepwise_oracle(self, monkeypatch, block_rows, steps, held):
+        n, h = 32, 0.05
+        sys = l2_system(n)
+        monkeypatch.setattr(issgains.simulate, "BLOCK_BYTES", 8 * (n - 1) * block_rows)
+        rng = np.random.default_rng(steps)
+        x0 = rng.standard_normal(n - 1)
+        u = np.array([[1.0, -1.0]]) if held else bang_bang(steps, seed=steps)
+        traj = simulate(sys, x0, u, steps * h, h)
+        oracle = simulate_stepwise(sys, x0, u, h, steps)
+        np.testing.assert_array_equal(traj.states, oracle[-1:])
+        np.testing.assert_array_equal(traj.norms, stepwise_norms(sys, x0, oracle))
+
+    def test_buffer_holds_at_most_steps_rows(self, monkeypatch):
+        # A 1 GiB budget would allocate 1 GiB if the buffer were not capped
+        # at the step count.
+        n, steps = 1000, 5
+        sys = l2_system(n)
+        monkeypatch.setattr(issgains.simulate, "BLOCK_BYTES", 2**30)
+        tracemalloc.start()
+        try:
+            simulate(sys, np.zeros(n - 1), ONE_SIDED, steps * 0.01, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def random_tridiagonal_system(n, seed):
@@ -219,15 +297,16 @@ class TestModalStepping:
         x = rng.standard_normal(system.space.grid.interior_nodes)
         u = rng.uniform(-1.0, 1.0, (self.STEPS, 2))
         traj = simulate(system, x, u, self.STEPS * h, h)
-        v = system.eigendecomposition().eigenvectors
-        assert traj.basis is v
-        assert traj.states.shape == (self.STEPS + 1, x.size)
-        np.testing.assert_array_equal(traj.states[0], v.T @ x)
+        states = prefix_states(system, x, u, h, self.STEPS)
+        assert traj.states.shape == (1, x.size)
+        np.testing.assert_array_equal(traj.states, states[-1:])
         scale = math.sqrt(system.space.grid.dx)
-        modal = traj.states[1:]
-        np.testing.assert_array_equal(traj.norms[1:],
-                                      scale * np.sqrt(np.einsum("ij,ij->i", modal, modal)))
-        nodes = traj.node_states()
+        # Bit for bit only on the run's own final row: with these inexact
+        # products a prefix run's matrix product can round its last row
+        # differently from the same row of a longer product.
+        np.testing.assert_array_equal(traj.norms[-1:], scale * np.sqrt(
+            np.einsum("ij,ij->i", traj.states, traj.states)))
+        nodes = node_values(system, states)
         worst = 0.0
         for i in range(self.STEPS):
             x = step_exact(system, x, u[i], h)
@@ -243,7 +322,11 @@ class TestModalStepping:
         system = l2_system(n)
         u = bang_bang(steps, seed=20240501, active=(0,))
         traj = simulate(system, np.zeros(n - 1), u, steps * h, h)
-        nodes = traj.node_states()
+        # The rows of simulate itself, as the stepwise oracle and simulate
+        # agree bit for bit (test_matches_stepwise_oracle).
+        modal = simulate_stepwise(system, np.zeros(n - 1), u, h, steps)
+        np.testing.assert_array_equal(traj.norms, stepwise_norms(system, np.zeros(n - 1), modal))
+        nodes = node_values(system, modal)
         node_norms = math.sqrt(system.space.grid.dx) * np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
         assert [f"{r:.10g}" for r in traj.norms] == [f"{r:.10g}" for r in node_norms]
 
@@ -345,7 +428,7 @@ class TestIssMargin:
 
     def test_empty_trajectory(self):
         traj = Trajectory(times=np.array([]), states=np.empty((0, 3)), norms=np.array([]),
-                          basis=np.eye(3), input_sup_norm=0.0)
+                          input_sup_norm=0.0)
         with pytest.raises(ValueError):
             iss_margin(traj, REFERENCE_BUNDLE, 0.0)
 
