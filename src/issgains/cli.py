@@ -29,6 +29,8 @@ LIMIT_TOL = 1e-3
 # a only rescales time, so each constant is a power of a; outside this range
 # the fractional norm can underflow to 0 (a = 2.3e-308) or overflow (1e-320).
 A_RANGE = (1e-100, 1e100)
+# Rows of a trajectory CSV formatted per write.
+CSV_BLOCK_ROWS = 2**16
 
 
 class ConfigError(ValueError):
@@ -201,10 +203,14 @@ def _cmd_gains(cfg: RunConfig) -> int:
 
 
 def _traj_csv(path: str, traj) -> None:
-    rows = "".join(f"{t:.10g},{norm:.10g}\n"
-                   for t, norm in zip(traj.times.tolist(), traj.norms.tolist()))
+    # One write per CSV_BLOCK_ROWS rows, so that the formatted text never
+    # grows with the step count.
     with open(path, "w") as fh:
-        fh.write("t,norm\n" + rows)
+        fh.write("t,norm\n")
+        for start in range(0, traj.times.size, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            fh.write("".join(f"{t:.10g},{norm:.10g}\n" for t, norm in
+                             zip(traj.times[block].tolist(), traj.norms[block].tolist())))
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:

@@ -144,6 +144,10 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     g = v.T @ sys.b_matrix
 
     y = v.T @ state
+    # A held row is a zero-stride view here and is copied out one block at a
+    # time below, so that it takes the same BLAS route, and rounds the same,
+    # as rows given in full.
+    samples = np.broadcast_to(u, (steps, k))
     norms = np.empty(steps + 1)
     norms[0] = np.linalg.norm(state)
     block = np.empty((max(1, min(steps, BLOCK_BYTES // y.nbytes)), y.size))
@@ -155,11 +159,8 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
         # the buffer row it may sit in.
         np.multiply(decay, y, out=decayed)
         # The forcing phi * (g u_i) of each step, written into the row it is
-        # added to.  A held row is copied out to one row per step of the
-        # block, so that it takes the same BLAS route, and rounds the same,
-        # as rows given in full.
-        samples = u[start:stop] if u.shape[0] > 1 else np.broadcast_to(u, (stop - start, k))
-        np.matmul(np.ascontiguousarray(samples), g.T, out=rows)
+        # added to.
+        np.matmul(np.ascontiguousarray(samples[start:stop]), g.T, out=rows)
         rows *= phi
         rows[0] += decayed
         for prev, row in zip(rows, rows[1:]):

@@ -2,12 +2,16 @@
 
 They share no code with ``issgains`` beyond reading a system's matrices
 or a decomposition's arrays, and applying a decomposition's eigenvectors.
+The one exception, ``prefix_states``, is no reference route: it reads the
+states of a run back from ``simulate`` itself, which keeps only the last.
 """
 
 import math
 
 import numpy as np
 import scipy.integrate
+
+from issgains.simulate import simulate
 
 
 def frac_control_norm_gram(sys) -> float:
@@ -100,6 +104,15 @@ def simulate_stepwise(sys, x0, u, h: float, steps: int) -> np.ndarray:
         np.multiply(decay, states[i], out=row)
         row += phi * (g @ u[i if len(u) > 1 else 0])
     return states
+
+
+def prefix_states(sys, x0, u, h: float, steps: int) -> np.ndarray:
+    """Modal states y_0 .. y_steps of a run, as simulate computes them: row 0
+    is V^T x0, row i the final state of simulate over the first i steps."""
+    v = sys.eigendecomposition().eigenvectors
+    first = (v.T @ np.asarray(x0, dtype=float))[np.newaxis]
+    return np.concatenate([first] + [simulate(sys, x0, u[:i], i * h, h).states
+                                     for i in range(1, steps + 1)])
 
 
 def _quadpack(fn, lo, hi) -> float:

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import issgains
@@ -112,6 +114,15 @@ class TestDispatch:
                 assert fh.readline().strip() == "t,norm"
         out = capsys.readouterr().out
         assert "diagnostic only" in out
+
+    def test_trajectory_csv_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
+        times = [0.1 * i for i in range(10)]
+        norms = [math.exp(-t) / 3.0 for t in times]
+        traj = SimpleNamespace(times=np.array(times), norms=np.array(norms))
+        cli._traj_csv(tmp_path / "traj.csv", traj)
+        expected = "t,norm\n" + "".join(f"{t:.10g},{r:.10g}\n" for t, r in zip(times, norms))
+        assert (tmp_path / "traj.csv").read_text() == expected
 
     def test_simulate_fails_on_negative_margin(self, tmp_path, capsys):
         # Halving mu_e halves the gain slope, so the one-sided and the
@@ -279,6 +290,17 @@ class TestMemory:
                                        "--output_dir", str(tmp_path)])
         assert code == 0
         assert peak < 8 * 2**20
+
+    def test_trajectory_csv_written_in_blocks(self, tmp_path, capsys, monkeypatch):
+        # 30000 steps at n = 4, where the rows outweigh the state: formatting
+        # each whole CSV before one write peaks at 6.0 MB, blocks of 1024
+        # rows at 3.8 MB.
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1024)
+        code, peak = self.traced_peak(["simulate", "--n_schedule", "2,4", "--h", "1e-4",
+                                       "--output_dir", str(tmp_path)])
+        assert code == 0
+        assert peak < 5 * 2**20
+        assert len((tmp_path / "traj_bangbang.csv").read_text().splitlines()) == 30002
 
 
 # Runs every command in a fresh interpreter and prints, per command, its exit
