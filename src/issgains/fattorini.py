@@ -111,8 +111,7 @@ def close_system(pre: PreClosureSystem, space: WeightedSpace) -> ClosedControlSy
     b = (pre.ainit - a @ pre.restrict_r) @ pre.bop_rinv
     diag = np.diag(a).copy()
     off = np.diag(a, 1).copy()
-    return ClosedControlSystem(space=space, a_diag=diag, a_offdiag=off,
-                               b_matrix=b, diffusion=pre.diffusion)
+    return ClosedControlSystem(space=space, a_diag=diag, a_offdiag=off, b_matrix=b)
 
 
 def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
@@ -151,7 +150,8 @@ def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
 
 def _resolvent(sys: ClosedControlSystem, shift, rhs: np.ndarray) -> np.ndarray:
     """(shift I - A)^{-1} rhs; for an array of shifts, one column per shift."""
-    return apply_matrix_function(sys.eigendecomposition(), lambda lam: 1.0 / (shift - lam), rhs)
+    return apply_matrix_function(sys.eigendecomposition(),
+                                 lambda lam: 1.0 / np.subtract.outer(shift, lam).T, rhs)
 
 
 def resolvent_gap(n_coarse: int, n_fine: int, path: PathSpec, probe_modes,

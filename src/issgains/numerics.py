@@ -1,7 +1,7 @@
 """Numerical kernels: special functions, improper-integral quadrature,
-tridiagonal eigendecompositions (closed form for uniform matrices, with the
-sine eigenvectors applied by FFT and never formed; numpy's dense ``eigh``
-otherwise), spectral matrix functions and weighted operator norms.
+the closed-form eigendecomposition of a uniform tridiagonal (its sine
+eigenvectors applied by FFT and never formed), spectral matrix functions
+and weighted operator norms.
 
 The quadrature is a double-exponential rule in numpy alone (tanh-sinh on
 (0, 1), exp-sinh on (1, inf)); it needs no scipy, so computing the K
@@ -22,7 +22,6 @@ __all__ = [
     "SineBasis",
     "QuadratureResult",
     "QuadratureError",
-    "EigenSolverError",
     "gamma_fn",
     "quad_exp_tail",
     "quad_cauchy_tail",
@@ -52,10 +51,6 @@ class QuadratureError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-class EigenSolverError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     value: float
@@ -76,14 +71,9 @@ class SineBasis:
     Column c is the sine mode k = order[c] + 1, with entries
     sqrt(2/(m+1)) sin(j k pi/(m+1)), j = 1..m.  The basis supports the
     products ``v @ x`` and ``v.T @ x`` for x with m rows (one or two
-    dimensions) and ``x @ v`` for x with m columns.  Each costs one real FFT
-    of length 2(m+1) per column of x, O(m log m), and the basis itself holds
-    only the m-entry mode order.
+    dimensions).  Each costs one real FFT of length 2(m+1) per column of x,
+    O(m log m), and the basis itself holds only the m-entry mode order.
     """
-
-    # Makes ndarray @ basis defer to __rmatmul__; numpy would otherwise try
-    # to convert the basis to an array.
-    __array_ufunc__ = None
 
     def __init__(self, order: np.ndarray, transposed: bool = False):
         self.order = order
@@ -115,10 +105,6 @@ class SineBasis:
         placed[self.order] = x
         return scale * _dst1(placed)
 
-    def __rmatmul__(self, x):
-        # x W = (W^T x^T)^T.
-        return (self.T @ np.asarray(x, dtype=float).T).T
-
 
 def _dst1(x: np.ndarray) -> np.ndarray:
     """sum_k x_k sin(j k pi/(m+1)), j = 1..m, along axis 0 (unnormalised
@@ -135,15 +121,13 @@ def _dst1(x: np.ndarray) -> np.ndarray:
 class EigenDecomposition:
     """Full real spectral decomposition ``V diag(values) V^T``.
 
-    ``eigenvalues`` are ascending.  ``eigenvectors`` holds orthonormal
-    columns (unweighted inner product): a ``SineBasis`` for a uniform
-    tridiagonal, which is applied by FFT and never stored as a matrix, and a
-    dense array otherwise.  Both support ``V @ x``, ``V.T @ x`` and
-    ``x @ V``.
+    ``eigenvalues`` are ascending.  ``eigenvectors`` is the ``SineBasis``
+    of orthonormal columns (unweighted inner product), applied by FFT as
+    ``V @ x`` and ``V.T @ x`` and never stored as a matrix.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: "np.ndarray | SineBasis"
+    eigenvectors: SineBasis
 
 
 def gamma_fn(x: float) -> float:
@@ -271,11 +255,10 @@ def _check_alpha(alpha: float) -> None:
 
 
 def sym_tridiag_eig(diag, offdiag) -> EigenDecomposition:
-    """Spectral decomposition of a real symmetric tridiagonal matrix.
-
-    A uniform matrix tridiag(e, d, e) (constant diagonal, constant
-    off-diagonal, zero or absent included) takes the closed form; every other
-    input goes to numpy's ``eigh`` on the assembled dense matrix.
+    """Spectral decomposition of a uniform symmetric tridiagonal matrix
+    tridiag(e, d, e): constant diagonal and constant off-diagonal, zero or
+    absent included.  It takes the closed form; other input, or entries
+    for which d + 4|e| is not finite, raise ``ValueError``.
     """
     diag = np.asarray(diag, dtype=float)
     offdiag = np.asarray(offdiag, dtype=float)
@@ -287,14 +270,11 @@ def sym_tridiag_eig(diag, offdiag) -> EigenDecomposition:
         )
     d = float(diag[0])
     e = float(offdiag[0]) if offdiag.size else 0.0
-    if math.isfinite(abs(d) + 4.0 * abs(e)) and np.all(diag == d) and np.all(offdiag == e):
-        return _uniform_tridiag_eig(diag.size, d, e)
-    try:
-        # eigh reads only the lower triangle.
-        values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(offdiag, -1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenSolverError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+    if not math.isfinite(abs(d) + 4.0 * abs(e)):
+        raise ValueError(f"tridiagonal entries d = {d}, e = {e} are too large or not finite")
+    if not (np.all(diag == d) and np.all(offdiag == e)):
+        raise ValueError("the tridiagonal is not uniform: its diagonals are not constant")
+    return _uniform_tridiag_eig(diag.size, d, e)
 
 
 def _uniform_tridiag_eig(m: int, d: float, e: float) -> EigenDecomposition:
@@ -314,10 +294,13 @@ def _uniform_tridiag_eig(m: int, d: float, e: float) -> EigenDecomposition:
 
 
 def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarray:
-    """``V diag(f(lambda)) V^T @ b`` without forming the full matrix.  For a
-    vector ``b``, ``f`` may return an array per eigenvalue (a family of
-    functions); the result then has one column per member."""
-    mapped = np.array([f(lam) for lam in eig.eigenvalues], dtype=float)
+    """``V diag(f(lambda)) V^T @ b`` without forming the full matrix.
+
+    ``f`` is called once, on the whole eigenvalue array, and maps it
+    elementwise.  For a vector ``b`` it may return one row per eigenvalue (a
+    family of functions, by broadcasting); the result then has one column
+    per member."""
+    mapped = np.asarray(f(eig.eigenvalues), dtype=float)
     bad = ~np.isfinite(mapped)
     if bad.any():
         lam = eig.eigenvalues[np.nonzero(bad)[0][0]]

@@ -127,6 +127,13 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     in blocks of rows of at most BLOCK_BYTES, and keeps only the final row
     as ``states``.  norms[0] is taken from x0 itself, the others from the
     modal rows, since ||V y|| = ||y||.
+
+    The forcing of a block is one matrix product over its rows, which BLAS
+    rounds according to the row count.  For samples whose products u_j g_j
+    are inexact (entries outside {-1, 0, 1}, say) the last bits of the
+    states and norms therefore depend on the block row count, and so on n
+    and the step count.  The CLI scenarios draw from {-1, 0, 1}, whose
+    products are exact, so their results do not.
     """
     steps = step_count(t_end, h)
     k = sys.b_matrix.shape[1]

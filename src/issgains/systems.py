@@ -95,19 +95,11 @@ class ClosedControlSystem:
     a_diag: np.ndarray
     a_offdiag: np.ndarray
     b_matrix: np.ndarray
-    diffusion: float
     _eig_cache: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.space.grid.n
-
-    @property
-    def a_matrix(self) -> np.ndarray:
-        m = np.diag(self.a_diag)
-        if self.a_offdiag.size:
-            m += np.diag(self.a_offdiag, 1) + np.diag(self.a_offdiag, -1)
-        return m
 
     def eigendecomposition(self) -> EigenDecomposition:
         # Memoized; the matrices are immutable after construction.
@@ -131,7 +123,6 @@ class PreClosureSystem:
     bop: np.ndarray        # 2 x (n+1)
     restrict_r: np.ndarray  # (n-1) x (n+1)
     bop_rinv: np.ndarray   # (n+1) x 2
-    diffusion: float
 
     @property
     def n(self) -> int:
@@ -158,7 +149,7 @@ def build_heat_dirichlet(n: int, a: float, space: WeightedSpace | None = None) -
     b = np.zeros((n - 1, 2))
     b[0, 0] = c
     b[n - 2, 1] = c
-    return ClosedControlSystem(space=space, a_diag=diag, a_offdiag=off, b_matrix=b, diffusion=a)
+    return ClosedControlSystem(space=space, a_diag=diag, a_offdiag=off, b_matrix=b)
 
 
 def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
@@ -183,8 +174,7 @@ def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
     # sampled at all nodes, so that the trace of each column is a unit vector.
     k = np.arange(n + 1, dtype=float)
     bop_rinv = np.column_stack([(n - k) / n, k / n])
-    return PreClosureSystem(ainit=ainit, bop=bop, restrict_r=restrict_r,
-                            bop_rinv=bop_rinv, diffusion=a)
+    return PreClosureSystem(ainit=ainit, bop=bop, restrict_r=restrict_r, bop_rinv=bop_rinv)
 
 
 def weighted_state_norm(x, space: WeightedSpace) -> float:

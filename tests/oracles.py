@@ -2,8 +2,11 @@
 
 They share no code with ``issgains`` beyond reading a system's matrices
 or a decomposition's arrays, and applying a decomposition's eigenvectors.
-The one exception, ``prefix_states``, is no reference route: it reads the
-states of a run back from ``simulate`` itself, which keeps only the last.
+Two helpers are no reference routes: ``prefix_states`` reads the states of
+a run back from ``simulate`` itself, which keeps only the last, and
+``with_dense_eig`` seeds a non-uniform system's memoized decomposition,
+which the library's closed form cannot supply, so that library routes can
+run on it.
 """
 
 import math
@@ -11,14 +14,42 @@ import math
 import numpy as np
 import scipy.integrate
 
+from issgains.numerics import EigenDecomposition
 from issgains.simulate import simulate
+
+
+def a_matrix(sys) -> np.ndarray:
+    """The dense generator A of a closed system, assembled from its diagonals."""
+    m = np.diag(sys.a_diag)
+    if sys.a_offdiag.size:
+        m += np.diag(sys.a_offdiag, 1) + np.diag(sys.a_offdiag, -1)
+    return m
+
+
+def dense_tridiag_eig(diag, offdiag) -> EigenDecomposition:
+    """Eigendecomposition of any symmetric tridiagonal by numpy's dense
+    ``eigh`` on the assembled matrix: ascending eigenvalues and a dense
+    matrix of orthonormal eigenvector columns."""
+    diag = np.asarray(diag, dtype=float)
+    offdiag = np.asarray(offdiag, dtype=float)
+    # eigh reads only the lower triangle.
+    values, vectors = np.linalg.eigh(np.diag(diag) + np.diag(offdiag, -1))
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+
+
+def with_dense_eig(sys):
+    """``sys`` with ``dense_tridiag_eig`` seeded into its memoized
+    decomposition, so that every library route on it, which would otherwise
+    take the uniform closed form, reads the dense eigenpairs instead."""
+    sys._eig_cache.append(dense_tridiag_eig(sys.a_diag, sys.a_offdiag))
+    return sys
 
 
 def frac_control_norm_gram(sys) -> float:
     """Fractional control norm for alpha = 1/2: the squared image norm is the
     quadratic form <Bu, (-A)^{-1} Bu>, evaluated by a dense solve."""
     b = sys.b_matrix
-    gram = b.T @ np.linalg.solve(-sys.a_matrix, b)
+    gram = b.T @ np.linalg.solve(-a_matrix(sys), b)
     if sys.space.input_norm == "euclidean":
         top = float(np.max(np.linalg.eigvalsh(0.5 * (gram + gram.T))))
     else:
@@ -29,7 +60,7 @@ def frac_control_norm_gram(sys) -> float:
 
 def resolvent_dense(sys, shift: float, rhs) -> np.ndarray:
     """(shift I - A)^{-1} rhs by a dense LU solve of the assembled matrix."""
-    a = sys.a_matrix
+    a = a_matrix(sys)
     return np.linalg.solve(shift * np.eye(a.shape[0]) - a, rhs)
 
 
@@ -79,7 +110,9 @@ def reconstruct(eig) -> np.ndarray:
 
 
 def matrix_function(eig, f) -> np.ndarray:
-    """The dense matrix ``V diag(f(lambda)) V^T`` for a scalar map ``f``."""
+    """The dense matrix ``V diag(f(lambda)) V^T`` for a scalar map ``f``,
+    called once per eigenvalue: a second route beside the library's single
+    call of ``f`` on the whole eigenvalue array."""
     mapped = np.array([f(lam) for lam in eig.eigenvalues], dtype=float)
     if not np.all(np.isfinite(mapped)):
         raise ValueError("matrix function undefined or non-finite at an eigenvalue")

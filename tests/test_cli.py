@@ -369,7 +369,7 @@ class TestImportFootprint:
     @pytest.mark.parametrize("schedule", ["8,16", "2,4"])
     def test_numpy_is_enough(self, tmp_path, schedule):
         # n = 2 gives a 1 x 1 generator; like every heat size it takes the
-        # closed form, so no command calls the general eigensolver.
+        # closed form, so no command calls numpy's dense eigh.
         stages = _footprint(tmp_path / "out", schedule, "refuse")
         assert stages["scipy_importable"] is False
         for command in ("sweep", "plot", "gains", "simulate", "check"):

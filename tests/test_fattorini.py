@@ -25,7 +25,7 @@ from issgains.systems import (
     restrict,
     weighted_state_norm,
 )
-from oracles import resolvent_dense
+from oracles import a_matrix, resolvent_dense, with_dense_eig
 
 
 def space_for(n, p=2):
@@ -46,7 +46,7 @@ class TestCloseSystem:
     def test_matches_direct_builder_exactly(self, n, a):
         direct = build_heat_dirichlet(n, a)
         closed = close_system(build_preclosure_heat(n, a), direct.space)
-        assert np.array_equal(closed.a_matrix, direct.a_matrix)
+        assert np.array_equal(a_matrix(closed), a_matrix(direct))
         assert np.array_equal(closed.b_matrix, direct.b_matrix)
 
     def test_diffusion_linearity(self):
@@ -60,14 +60,14 @@ class TestCloseSystem:
         rng = np.random.default_rng(0)
         v = np.zeros(13)
         v[1:12] = rng.standard_normal(11)
-        np.testing.assert_allclose(pre.ainit @ v, closed.a_matrix @ (pre.restrict_r @ v),
+        np.testing.assert_allclose(pre.ainit @ v, a_matrix(closed) @ (pre.restrict_r @ v),
                                    rtol=1e-12, atol=1e-12)
 
     def test_invalid_right_inverse(self):
         pre = build_preclosure_heat(4, 1.0)
         bad = PreClosureSystem(ainit=pre.ainit, bop=pre.bop,
                                restrict_r=pre.restrict_r,
-                               bop_rinv=pre.bop_rinv + 0.1, diffusion=pre.diffusion)
+                               bop_rinv=pre.bop_rinv + 0.1)
         with pytest.raises(ValueError, match="right inverse"):
             close_system(bad, space_for(4))
 
@@ -120,14 +120,15 @@ PROBES = [
 
 
 def random_nonuniform_system(n, seed):
-    """Strictly diagonally dominant, so Hurwitz; its eigenpairs come from LAPACK."""
+    """Strictly diagonally dominant, so Hurwitz; its eigenpairs come from the
+    dense oracle, since the library has the uniform closed form only."""
     rng = np.random.default_rng(seed)
     c = float(n * n)
     b = np.zeros((n - 1, 2))
     b[0, 0] = b[-1, 1] = c
-    return ClosedControlSystem(space=space_for(n), a_diag=-c * rng.uniform(3.1, 4.0, n - 1),
-                               a_offdiag=c * rng.uniform(0.5, 1.5, n - 2),
-                               b_matrix=b, diffusion=1.0)
+    return with_dense_eig(ClosedControlSystem(
+        space=space_for(n), a_diag=-c * rng.uniform(3.1, 4.0, n - 1),
+        a_offdiag=c * rng.uniform(0.5, 1.5, n - 2), b_matrix=b))
 
 
 class TestResolventRoute:
@@ -155,7 +156,7 @@ class TestResolventRoute:
         report = consistency_diagnostic([sys], PROBES)
         p1 = WeightedSpace(sys.space.grid, weight_exponent=1)
         for name, f, _ in PROBES:
-            av = sys.a_matrix @ restrict(f, sys.space.grid)
+            av = a_matrix(sys) @ restrict(f, sys.space.grid)
             expected = weighted_state_norm(resolvent_dense(sys, 0.0, -av), p1) / function_l2_norm(f)
             assert report.values[f"weak.{name}_{n}"] == pytest.approx(expected, rel=1e-12)
 
@@ -206,8 +207,7 @@ class TestRightInverse:
         rinv = pre.bop_rinv.copy()
         rinv[5, 0] += 0.1  # interior perturbation keeps the trace intact
         bad = PreClosureSystem(ainit=pre.ainit, bop=pre.bop,
-                               restrict_r=pre.restrict_r, bop_rinv=rinv,
-                               diffusion=pre.diffusion)
+                               restrict_r=pre.restrict_r, bop_rinv=rinv)
         report = right_inverse_gap([bad])
         assert report.verdict == "warn"
         assert report.values["interp_gap_10"] > 0.0

