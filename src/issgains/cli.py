@@ -2,9 +2,10 @@
 
 Commands: sweep, gains, simulate, check, plot.  Configuration comes from a
 flat key = value file plus --key value overrides; flags win.  Exit codes:
-0 success, 1 any failing diagnostic verdict, a negative certified margin, a
-sweep limit that did not converge or a K-constant integral that failed, 2
-usage or config error.
+0 success; 1 a failing diagnostic verdict, a negative certified margin, no
+certified gain (a sweep limit that did not converge, or a gain constant
+that is not finite and positive, as when mu_p mu_e overflows or
+underflows) or a K-constant integral that failed; 2 usage or config error.
 """
 
 import argparse
@@ -17,15 +18,13 @@ import numpy as np
 
 from . import fattorini, simulate as sim, svgplot, sweep as sweep_mod
 from .fattorini import PathSpec
-from .gains import DEFAULT_THETA, GrowthBound, SectorBound, assemble_gains
+from .gains import DEFAULT_THETA, LimitError, assemble_gains
 from .numerics import QuadratureError
 from .sweep import CSV_HEADER, DEFAULT_SCHEDULE
 from .systems import GridSpec, WeightedSpace, build_heat_dirichlet, build_preclosure_heat
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "dispatch", "main"]
 
-# Cauchy tolerance of the sweep limits: the change over the last refinement.
-LIMIT_TOL = 1e-3
 # a only rescales time, so each constant is a power of a; outside this range
 # the fractional norm can underflow to 0 (a = 2.3e-308) or overflow (1e-320).
 A_RANGE = (1e-100, 1e100)
@@ -35,10 +34,6 @@ CSV_BLOCK_ROWS = 2**16
 
 class ConfigError(ValueError):
     pass
-
-
-class LimitError(RuntimeError):
-    """A sweep limit failed its Cauchy check, so no certified gain exists."""
 
 
 @dataclass(frozen=True)
@@ -154,19 +149,7 @@ def _run_chain(cfg: RunConfig):
     if len(cfg.n_schedule) < 2:
         raise ConfigError("the gains are limits over n_schedule, which needs at least "
                           f"2 resolutions, got {len(cfg.n_schedule)}")
-    # omega keeps its last value without a Cauchy gate: omega_n rises toward
-    # its limit from below, so the last value is on the safe side.  D is a
-    # supremum.  The fractional norm has no such direction, so it must converge.
-    omega_hat, d_hat, frac_limit = sweep_mod.aggregate(_records(cfg), tol_omega=LIMIT_TOL,
-                                                       tol_frac=LIMIT_TOL, mu_p=cfg.mu_p,
-                                                       mu_e=cfg.mu_e)
-    if not frac_limit.converged:
-        raise LimitError(f"frac_norm_limit did not converge: last_delta = "
-                         f"{frac_limit.last_delta:.6g} > {LIMIT_TOL:g}")
-    gb = GrowthBound(m=1.0, omega=omega_hat.value)
-    sb = SectorBound(d=d_hat.value)
-    return assemble_gains(cfg.alpha, cfg.theta, gb, sb, frac_limit.value,
-                          mu_e=cfg.mu_e, mu_p=cfg.mu_p)
+    return assemble_gains(_records(cfg), cfg.alpha, cfg.theta, mu_p=cfg.mu_p, mu_e=cfg.mu_e)
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:

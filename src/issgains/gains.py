@@ -1,9 +1,10 @@
-"""Spectral constants of the discretized semigroups and assembly of the
-ISS gain functions.
+"""Spectral constants of the discretized semigroups and the certification
+step that turns a resolution sweep into the ISS gain functions.
 
-The chain is: growth bound (M, omega) and resolvent constant D per system,
-the control-operator norm in the negative fractional power space, the
-quadrature constants K1 and K2, kappa, and finally the gain pair
+Per resolution n: the decay rate omega_n, the resolvent constant D_n and
+the control-operator norm in the negative fractional power space.  From the
+sweep records, ``assemble_gains`` takes the limit of each, the quadrature
+constants K1 and K2, kappa, and finally the gain pair
 beta(s, t) = M exp(-omega t) s and gamma(s) = slope * s.
 """
 
@@ -13,15 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fattorini import PathSpec, DiagnosticReport
-from .numerics import apply_matrix_function, gamma_fn, quad_cauchy_tail, quad_exp_tail, weighted_op_norm
+from .numerics import apply_matrix_function, quad_cauchy_tail, quad_exp_tail, weighted_op_norm
 from .systems import ClosedControlSystem
 
 __all__ = [
-    "GrowthBound",
-    "SectorBound",
     "GainBundle",
     "StabilityError",
+    "LimitError",
     "DEFAULT_THETA",
+    "LIMIT_TOL",
     "growth_bound",
     "sector_bound",
     "frac_control_norm",
@@ -33,35 +34,18 @@ __all__ = [
 # Infimum of |cos(theta)|^-1 over the admissible interval for self-adjoint
 # negative-definite generators (analyticity angle pi/2).
 DEFAULT_THETA = math.pi * (1.0 - 1e-9)
+# Cauchy tolerance of the fractional-norm limit: the change over the last
+# refinement.
+LIMIT_TOL = 1e-3
 
 
 class StabilityError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GrowthBound:
-    """Semigroup type (m, omega): ||S(t)|| <= m exp(-omega t)."""
-
-    m: float
-    omega: float
-
-    def __post_init__(self):
-        if self.m < 1.0:
-            raise ValueError(f"transient constant must be >= 1, got {self.m}")
-
-
-@dataclass(frozen=True)
-class SectorBound:
-    """Resolvent constant d with ||R(lambda, -A)|| <= d / (|lambda| + 1)
-    on the scanned path; sector angle 0 for self-adjoint negative-definite
-    generators."""
-
-    d: float
-
-    def __post_init__(self):
-        if not self.d > 0.0:
-            raise ValueError(f"resolvent constant must be positive, got {self.d}")
+class LimitError(RuntimeError):
+    """No certified gain exists: a sweep limit failed its Cauchy check, or a
+    certified constant is not finite and positive."""
 
 
 @dataclass(frozen=True)
@@ -93,17 +77,16 @@ def _hurwitz_neg_spectrum(sys: ClosedControlSystem) -> np.ndarray:
     return mu
 
 
-def growth_bound(sys: ClosedControlSystem) -> GrowthBound:
-    """Type of exp(At): the generator is symmetric, so m = 1 and omega is
-    the spectral abscissa magnitude."""
-    mu = _hurwitz_neg_spectrum(sys)
-    return GrowthBound(m=1.0, omega=float(mu[0]))
+def growth_bound(sys: ClosedControlSystem) -> float:
+    """Decay rate omega of exp(At), the spectral abscissa magnitude; the
+    generator is symmetric, so ||exp(At)|| = exp(-omega t) with M = 1."""
+    return float(_hurwitz_neg_spectrum(sys)[0])
 
 
-def sector_bound(sys: ClosedControlSystem, path: PathSpec) -> SectorBound:
+def sector_bound(sys: ClosedControlSystem, path: PathSpec) -> float:
     """Resolvent constant sup (lambda+1) ||R(lambda, A)|| over the real path,
     with mu_min = omega for the symmetric generator."""
-    return SectorBound(d=path.resolvent_constant(growth_bound(sys).omega))
+    return path.resolvent_constant(growth_bound(sys))
 
 
 def frac_control_norm(sys: ClosedControlSystem, alpha: float) -> float:
@@ -116,28 +99,53 @@ def frac_control_norm(sys: ClosedControlSystem, alpha: float) -> float:
     return weighted_op_norm(w, sys.space.state_scale, sys.space.input_norm)
 
 
-def k_constants(alpha: float, theta: float, gb: GrowthBound, sb: SectorBound) -> tuple[float, float, float]:
-    """Quadrature constants K1, K2 and kappa = K1/omega + K2 omega^-alpha Gamma(alpha)."""
+def k_constants(alpha: float, theta: float, omega: float, d: float) -> tuple[float, float, float]:
+    """Quadrature constants K1, K2 and kappa = K1/omega + K2 omega^-alpha Gamma(alpha)
+    for the growth bound exp(-omega t) (M = 1) and the resolvent constant d."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if not math.pi / 2 < theta < math.pi:
         raise ValueError(f"theta must lie in (pi/2, pi), got {theta}")
     cos_theta = abs(math.cos(theta))
-    if cos_theta == 0.0:
-        raise ZeroDivisionError("cos(theta) vanishes")
-    g1ma = gamma_fn(1.0 - alpha)
-    k1 = gb.omega * gb.m / g1ma * quad_exp_tail(alpha, gb.omega).value
-    k2 = sb.d / (g1ma * math.pi * cos_theta) * quad_cauchy_tail(alpha).value
-    kappa = k1 / gb.omega + k2 * gb.omega ** (-alpha) * gamma_fn(alpha)
+    g1ma = math.gamma(1.0 - alpha)
+    k1 = omega / g1ma * quad_exp_tail(alpha, omega).value
+    k2 = d / (g1ma * math.pi * cos_theta) * quad_cauchy_tail(alpha).value
+    kappa = k1 / omega + k2 * omega ** (-alpha) * math.gamma(alpha)
     return k1, k2, kappa
 
 
-def assemble_gains(alpha: float, theta: float, gb: GrowthBound, sb: SectorBound,
-                   frac_norm_limit: float, mu_e: float = 1.0, mu_p: float = 1.0) -> GainBundle:
-    if not frac_norm_limit > 0.0:
-        raise ValueError("fractional control norm limit must be positive")
-    k1, k2, kappa = k_constants(alpha, theta, gb, sb)
-    return GainBundle(
+def assemble_gains(records, alpha: float, theta: float,
+                   mu_p: float = 1.0, mu_e: float = 1.0) -> GainBundle:
+    """Certified gains from a resolution sweep (records with ``omega_n``,
+    ``d_n`` and ``frac_norm_n``, in increasing n).  Each limit over n is
+    taken by a rule that keeps it on the safe side:
+
+    - omega is the last omega_n: omega_n rises toward its limit, so the
+      last value underestimates the decay rate;
+    - D is mu_p mu_e max D_n: a supremum over the resolutions, scaled by
+      the bounds mu_p and mu_e of the projection and extension operators;
+    - the fractional norm is the last value, which has no known direction,
+      so its change over the last refinement must not exceed LIMIT_TOL;
+    - M = 1, since the generator is symmetric and its semigroup contracts
+      at rate omega; beta_M = mu_p mu_e M.
+
+    Raises LimitError when the fractional norm fails its Cauchy check, or
+    when any of K1, K2, kappa, frac_norm_limit, beta_M, beta_omega and
+    gamma_slope is not finite and positive (an overflowing or underflowing
+    mu_p mu_e, say): no certified gain exists then.
+    """
+    records = list(records)
+    if len(records) < 2:
+        raise ValueError("need at least 2 records: the limits are taken over the resolutions")
+    omega = records[-1].omega_n
+    d = mu_p * mu_e * max(r.d_n for r in records)
+    frac_norm_limit = records[-1].frac_norm_n
+    frac_delta = abs(frac_norm_limit - records[-2].frac_norm_n)
+    if not frac_delta <= LIMIT_TOL:
+        raise LimitError(f"frac_norm_limit did not converge: last_delta = "
+                         f"{frac_delta:.6g} > {LIMIT_TOL:g}")
+    k1, k2, kappa = k_constants(alpha, theta, omega, d)
+    bundle = GainBundle(
         alpha=alpha,
         theta=theta,
         k1=k1,
@@ -145,10 +153,17 @@ def assemble_gains(alpha: float, theta: float, gb: GrowthBound, sb: SectorBound,
         kappa=kappa,
         frac_norm_limit=frac_norm_limit,
         mu_e=mu_e,
-        beta_m=mu_p * mu_e * gb.m,
-        beta_omega=gb.omega,
+        beta_m=mu_p * mu_e,
+        beta_omega=omega,
         gamma_slope=mu_e * kappa * frac_norm_limit,
     )
+    for name, value in (("K1", k1), ("K2", k2), ("kappa", kappa),
+                        ("frac_norm_limit", frac_norm_limit), ("beta_M", bundle.beta_m),
+                        ("beta_omega", omega), ("gamma_slope", bundle.gamma_slope)):
+        if not 0.0 < value < math.inf:
+            raise LimitError(f"{name} = {value:.6g} is not finite and positive, "
+                             "so no certified gain exists")
+    return bundle
 
 
 def lemma_frac_semigroup_check(sys: ClosedControlSystem, bundle: GainBundle, t_grid) -> DiagnosticReport:

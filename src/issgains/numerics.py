@@ -1,7 +1,7 @@
-"""Numerical kernels: special functions, improper-integral quadrature,
-the closed-form eigendecomposition of a uniform tridiagonal (its sine
-eigenvectors applied by FFT and never formed), spectral matrix functions
-and weighted operator norms.
+"""Numerical kernels: improper-integral quadrature, the closed-form
+eigendecomposition of a uniform tridiagonal (its sine eigenvectors applied
+by FFT and never formed), spectral matrix functions and weighted operator
+norms.
 
 The quadrature is a double-exponential rule in numpy alone (tanh-sinh on
 (0, 1), exp-sinh on (1, inf)); it needs no scipy, so computing the K
@@ -22,7 +22,6 @@ __all__ = [
     "SineBasis",
     "QuadratureResult",
     "QuadratureError",
-    "gamma_fn",
     "quad_exp_tail",
     "quad_cauchy_tail",
     "sym_tridiag_eig",
@@ -30,7 +29,6 @@ __all__ = [
     "weighted_op_norm",
 ]
 
-GAMMA_OVERFLOW_LIMIT = 170.0
 MAX_CORNER_COLUMNS = 20
 QUAD_EVAL_BUDGET = 10**6
 # Double-exponential quadrature: relative agreement of two successive step
@@ -128,15 +126,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: SineBasis
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on (0, 170]; relative error below 1e-12."""
-    if not x > 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    if x > GAMMA_OVERFLOW_LIMIT:
-        raise ValueError(f"gamma_fn overflow guard: x = {x} > {GAMMA_OVERFLOW_LIMIT}")
-    return math.gamma(x)
 
 
 def _tanh_sinh(t):

@@ -1,5 +1,5 @@
-"""Resolution sweep: per-n spectral constants, Cauchy/supremum aggregation
-and the CSV table of the convergence study."""
+"""Resolution sweep: per-n spectral constants and the CSV table of the
+convergence study.  The limits over n are taken in ``gains.assemble_gains``."""
 
 import os
 from dataclasses import dataclass
@@ -12,11 +12,9 @@ from .systems import GridSpec, WeightedSpace, build_heat_dirichlet
 
 __all__ = [
     "SweepRecord",
-    "LimitEstimate",
     "CSV_HEADER",
     "DEFAULT_SCHEDULE",
     "run_sweep",
-    "aggregate",
     "emit_csv",
 ]
 
@@ -37,14 +35,6 @@ class SweepRecord:
                 raise ValueError(f"non-finite sweep record at n = {self.n}")
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
-    value: float
-    last_delta: float
-    converged: bool
-    rule: str
-
-
 def run_sweep(n_schedule, a: float, alpha: float, path: PathSpec,
               weight_exponent: int = 2, input_norm: str = "max") -> list:
     """One record per resolution: decay rate, resolvent constant and the
@@ -58,30 +48,9 @@ def run_sweep(n_schedule, a: float, alpha: float, path: PathSpec,
     for n in schedule:
         space = WeightedSpace(GridSpec(n), weight_exponent=weight_exponent, input_norm=input_norm)
         sys = build_heat_dirichlet(n, a, space)
-        gb = growth_bound(sys)
-        sb = sector_bound(sys, path)
-        frac = frac_control_norm(sys, alpha)
-        records.append(SweepRecord(n=n, omega_n=gb.omega, d_n=sb.d, frac_norm_n=frac))
+        records.append(SweepRecord(n=n, omega_n=growth_bound(sys), d_n=sector_bound(sys, path),
+                                   frac_norm_n=frac_control_norm(sys, alpha)))
     return records
-
-
-def aggregate(records, tol_omega: float, tol_frac: float,
-              mu_p: float = 1.0, mu_e: float = 1.0):
-    """Limits for the sweep: terminal values with a Cauchy check for omega
-    and the fractional norm, mu-scaled supremum for the resolvent constant."""
-    records = list(records)
-    if len(records) < 2:
-        raise ValueError("need at least 2 records to aggregate")
-    omega_delta = abs(records[-1].omega_n - records[-2].omega_n)
-    frac_delta = abs(records[-1].frac_norm_n - records[-2].frac_norm_n)
-    omega_hat = LimitEstimate(value=records[-1].omega_n, last_delta=omega_delta,
-                              converged=omega_delta <= tol_omega, rule="last_value")
-    d_sup = max(r.d_n for r in records)
-    d_hat = LimitEstimate(value=mu_p * mu_e * d_sup, last_delta=0.0,
-                          converged=True, rule="supremum")
-    frac_limit = LimitEstimate(value=records[-1].frac_norm_n, last_delta=frac_delta,
-                               converged=frac_delta <= tol_frac, rule="last_value")
-    return omega_hat, d_hat, frac_limit
 
 
 def _fmt(value: float) -> str:

@@ -14,18 +14,14 @@ from issgains.fattorini import PathSpec, close_system
 from issgains.gains import (
     DEFAULT_THETA,
     GainBundle,
-    GrowthBound,
-    SectorBound,
     assemble_gains,
     frac_control_norm,
-    growth_bound,
     k_constants,
     lemma_frac_semigroup_check,
-    sector_bound,
 )
-from issgains.numerics import gamma_fn, quad_cauchy_tail, quad_exp_tail
+from issgains.numerics import quad_cauchy_tail, quad_exp_tail
 from issgains.simulate import bang_bang, iss_margin, simulate, trotter_kato_check
-from issgains.sweep import CSV_HEADER, aggregate, emit_csv, run_sweep
+from issgains.sweep import CSV_HEADER, emit_csv, run_sweep
 from issgains.systems import (
     GridSpec,
     WeightedSpace,
@@ -78,11 +74,8 @@ def test_criterion_03_fractional_control_norm(records):
 
 
 def test_criterion_04_gain_constants(records):
-    gb = GrowthBound(m=1.0, omega=9.8647)
-    sb = SectorBound(d=0.9991)
-    k1, k2, kappa = k_constants(0.5, DEFAULT_THETA, gb, sb)
-    _, _, frac_limit = aggregate(records, tol_omega=1e-3, tol_frac=1e-3)
-    bundle = assemble_gains(0.5, DEFAULT_THETA, gb, sb, frac_limit.value)
+    k1, k2, kappa = k_constants(0.5, DEFAULT_THETA, 9.8647, 0.9991)
+    bundle = assemble_gains(records, 0.5, DEFAULT_THETA)
     ok = (abs(k1 - 3.1408) <= 1e-3
           and 0.5620 <= k2 <= 0.5645
           and 0.6350 <= kappa <= 0.6370
@@ -97,7 +90,7 @@ def test_criterion_05_quadrature_closed_forms():
     for _ in range(20):
         alpha = rng.uniform(0.05, 0.95)
         omega = rng.uniform(0.1, 50.0)
-        exp_exact = gamma_fn(1.0 - alpha) * omega ** (alpha - 1.0)
+        exp_exact = math.gamma(1.0 - alpha) * omega ** (alpha - 1.0)
         cauchy_exact = math.pi / math.sin(math.pi * alpha)
         worst = max(worst,
                     abs(quad_exp_tail(alpha, omega).value - exp_exact) / exp_exact,
@@ -123,8 +116,9 @@ def test_criterion_07_fractional_semigroup_bound():
     ok = True
     for n in (100, 1000):
         sys = build_heat_dirichlet(n, 1.0)
-        bundle = assemble_gains(0.5, DEFAULT_THETA, growth_bound(sys),
-                                sector_bound(sys, PathSpec()), 1.0)
+        # A sweep that ends at sys, so that omega is the decay rate of sys.
+        bundle = assemble_gains(run_sweep([n // 2, n], 1.0, 0.5, PathSpec()), 0.5,
+                                DEFAULT_THETA)
         ok = ok and lemma_frac_semigroup_check(sys, bundle, times).verdict == "pass"
     _report(7, "fractional semigroup bound holds on 200 log times, n in {100, 1000}", ok)
 

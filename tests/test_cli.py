@@ -146,6 +146,21 @@ class TestDispatch:
         assert not os.path.exists(tmp_path / "traj_onesided.csv")
 
     @pytest.mark.parametrize("command", ["gains", "simulate"])
+    @pytest.mark.parametrize("mu, value", [("1e200", "inf"), ("1e-200", "0")])
+    def test_no_certified_gain_from_extreme_mu(self, tmp_path, capsys, command, mu, value):
+        # mu_p mu_e overflows to inf or underflows to 0, and D, K2 and beta_M
+        # with it; neither bound certifies anything.
+        code = main([command, "--n_schedule", "16,32,64", "--mu_p", mu, "--mu_e", mu,
+                     "--output_dir", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: K2 = {value} is not finite and positive, "
+                                "so no certified gain exists\n")
+        assert captured.out == ""
+        assert not [name for name in os.listdir(tmp_path)
+                    if name == "gains.kv" or name.startswith("traj_")]
+
+    @pytest.mark.parametrize("command", ["gains", "simulate"])
     def test_quadrature_failure_exits_1(self, tmp_path, capsys, monkeypatch, command):
         # One step halving cannot reach the 1e-13 agreement of the rule.
         monkeypatch.setattr(numerics, "QUAD_MAX_LEVEL", 1)
@@ -199,12 +214,36 @@ class TestExtremeOmega:
         code = main(["gains", "--a", a, "--n_schedule", "250,500,1000",
                      "--output_dir", str(tmp_path)])
         assert code == 0
-        [((alpha, theta, gb, sb, _), bundle)] = calls
-        # K1 = omega^alpha for m = 1, and K2 = D pi/sin(pi alpha) / (Gamma(1-alpha) pi |cos theta|).
+        [((records, alpha, theta), bundle)] = calls
+        # K1 = omega^alpha for M = 1, and K2 = D pi/sin(pi alpha) / (Gamma(1-alpha) pi |cos theta|).
         assert bundle.k1 == pytest.approx(bundle.beta_omega**alpha, rel=1e-10)
-        k2 = sb.d / (math.gamma(1.0 - alpha) * abs(math.cos(theta)) * math.sin(math.pi * alpha))
+        d = max(r.d_n for r in records)
+        k2 = d / (math.gamma(1.0 - alpha) * abs(math.cos(theta)) * math.sin(math.pi * alpha))
         assert bundle.k2 == pytest.approx(k2, rel=1e-10)
         assert f"K1 = {bundle.k1:.10g}\n" in (tmp_path / "gains.kv").read_text()
+
+
+class TestReferenceGains:
+    # The reference gains output of the default config.  Fixing the sector
+    # constant D to hold over the whole ray moves K2, kappa and gamma_slope
+    # on purpose; the other lines stay.
+    REFERENCE_KV = ("alpha = 0.5\n"
+                    "theta = 3.14159265\n"
+                    "K1 = 3.141592573\n"
+                    "K2 = 0.5636896704\n"
+                    "kappa = 0.6363377429\n"
+                    "frac_norm_limit = 1.414213562\n"
+                    "beta_M = 1\n"
+                    "beta_omega = 9.869603894\n"
+                    "gamma_slope = 0.8999174663\n")
+
+    def test_default_config(self, tmp_path, capsys):
+        assert main(["gains", "--output_dir", str(tmp_path)]) == 0
+        assert (tmp_path / "gains.kv").read_text() == self.REFERENCE_KV
+        text = (tmp_path / "gains.txt").read_text()
+        assert [line.split() for line in text.splitlines()] == \
+            [line.split(" = ") for line in self.REFERENCE_KV.splitlines()]
+        assert capsys.readouterr().out == text
 
 
 class TestMain:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from issgains.fattorini import PathSpec
 from issgains.gains import (
     DEFAULT_THETA,
+    LIMIT_TOL,
     GainBundle,
-    GrowthBound,
-    SectorBound,
+    LimitError,
     StabilityError,
     assemble_gains,
     frac_control_norm,
@@ -17,31 +19,32 @@ from issgains.gains import (
     lemma_frac_semigroup_check,
     sector_bound,
 )
-from issgains.numerics import gamma_fn
+from issgains.sweep import SweepRecord, run_sweep
 from issgains.systems import GridSpec, WeightedSpace, build_heat_dirichlet
 from oracles import frac_control_norm_gram
 
-REFERENCE_GB = GrowthBound(m=1.0, omega=9.8647)
-REFERENCE_SB = SectorBound(d=0.9991)
+REFERENCE_OMEGA = 9.8647
+REFERENCE_D = 0.9991
+# Two resolutions that have reached the reference limits.
+REFERENCE_RECORDS = [SweepRecord(n=n, omega_n=REFERENCE_OMEGA, d_n=REFERENCE_D,
+                                 frac_norm_n=math.sqrt(2.0)) for n in (2000, 4000)]
 
 
 class TestGrowthBound:
     def test_n3(self):
-        gb = growth_bound(build_heat_dirichlet(3, 1.0))
-        assert gb.m == 1.0
-        assert gb.omega == pytest.approx(9.0, rel=1e-12)
+        assert growth_bound(build_heat_dirichlet(3, 1.0)) == pytest.approx(9.0, rel=1e-12)
 
     def test_large_n_approaches_pi_squared(self):
-        gb = growth_bound(build_heat_dirichlet(4000, 1.0))
-        assert gb.omega == pytest.approx(math.pi**2, abs=1e-3)
+        omega = growth_bound(build_heat_dirichlet(4000, 1.0))
+        assert omega == pytest.approx(math.pi**2, abs=1e-3)
 
     def test_diffusion_scaling(self):
-        omega1 = growth_bound(build_heat_dirichlet(20, 1.0)).omega
-        omega2 = growth_bound(build_heat_dirichlet(20, 2.0)).omega
+        omega1 = growth_bound(build_heat_dirichlet(20, 1.0))
+        omega2 = growth_bound(build_heat_dirichlet(20, 2.0))
         assert omega2 == pytest.approx(2.0 * omega1, rel=1e-12)
 
     def test_omega_monotone_toward_limit(self):
-        omegas = [growth_bound(build_heat_dirichlet(n, 1.0)).omega
+        omegas = [growth_bound(build_heat_dirichlet(n, 1.0))
                   for n in (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)]
         assert all(a < b for a, b in zip(omegas, omegas[1:]))
         assert omegas[-1] < math.pi**2
@@ -49,12 +52,12 @@ class TestGrowthBound:
 
 class TestSectorBound:
     def test_large_n_reference(self):
-        sb = sector_bound(build_heat_dirichlet(4000, 1.0), PathSpec())
-        assert sb.d == pytest.approx(0.9991, abs=1e-4)
+        d = sector_bound(build_heat_dirichlet(4000, 1.0), PathSpec())
+        assert d == pytest.approx(0.9991, abs=1e-4)
 
     def test_n3_endpoint(self):
-        sb = sector_bound(build_heat_dirichlet(3, 1.0), PathSpec())
-        assert sb.d == pytest.approx(10001.0 / 10009.0, rel=1e-12)
+        d = sector_bound(build_heat_dirichlet(3, 1.0), PathSpec())
+        assert d == pytest.approx(10001.0 / 10009.0, rel=1e-12)
 
     def test_unit_spectral_gap_gives_one(self):
         # Synthetic check on the scan formula itself at mu_min = 1.
@@ -92,7 +95,7 @@ class TestFracControlNorm:
 
 class TestKConstants:
     def test_reference_configuration(self):
-        k1, k2, kappa = k_constants(0.5, DEFAULT_THETA, REFERENCE_GB, REFERENCE_SB)
+        k1, k2, kappa = k_constants(0.5, DEFAULT_THETA, REFERENCE_OMEGA, REFERENCE_D)
         assert k1 == pytest.approx(3.1408, abs=1e-3)
         assert k1 == pytest.approx(math.sqrt(9.8647), rel=1e-8)
         # Closed form D / sqrt(pi); the rounded reference 0.5626 is ~0.2% lower.
@@ -104,29 +107,34 @@ class TestKConstants:
         rng = np.random.default_rng(9)
         for _ in range(10):
             alpha = rng.uniform(0.1, 0.9)
-            gb = GrowthBound(m=rng.uniform(1.0, 3.0), omega=rng.uniform(0.5, 50.0))
-            sb = SectorBound(d=rng.uniform(0.5, 2.0))
+            omega = rng.uniform(0.5, 50.0)
+            d = rng.uniform(0.5, 2.0)
             theta = rng.uniform(math.pi / 2 + 0.2, math.pi - 0.01)
-            k1, k2, _ = k_constants(alpha, theta, gb, sb)
-            assert k1 == pytest.approx(gb.m * gb.omega**alpha, rel=1e-8)
-            expected_k2 = sb.d / (gamma_fn(1.0 - alpha) * abs(math.cos(theta)) * math.sin(math.pi * alpha))
+            k1, k2, _ = k_constants(alpha, theta, omega, d)
+            assert k1 == pytest.approx(omega**alpha, rel=1e-8)
+            expected_k2 = d / (math.gamma(1.0 - alpha) * abs(math.cos(theta)) * math.sin(math.pi * alpha))
             assert k2 == pytest.approx(expected_k2, rel=1e-8)
 
     def test_kappa_formula(self):
         alpha = 0.3
-        gb = GrowthBound(m=1.0, omega=4.0)
-        sb = SectorBound(d=1.0)
-        k1, k2, kappa = k_constants(alpha, DEFAULT_THETA, gb, sb)
-        assert kappa == pytest.approx(k1 / 4.0 + k2 * 4.0**-alpha * gamma_fn(alpha), rel=1e-12)
+        k1, k2, kappa = k_constants(alpha, DEFAULT_THETA, 4.0, 1.0)
+        assert kappa == pytest.approx(k1 / 4.0 + k2 * 4.0**-alpha * math.gamma(alpha), rel=1e-12)
 
     def test_theta_domain(self):
         with pytest.raises(ValueError):
-            k_constants(0.5, math.pi / 2, REFERENCE_GB, REFERENCE_SB)
+            k_constants(0.5, math.pi / 2, REFERENCE_OMEGA, REFERENCE_D)
+
+    def test_theta_next_to_half_pi(self):
+        # The nearest admissible theta still has |cos theta| = 1.6e-16 > 0.
+        theta = math.nextafter(math.pi / 2, math.pi)
+        _, k2, _ = k_constants(0.5, theta, REFERENCE_OMEGA, REFERENCE_D)
+        assert k2 == pytest.approx(REFERENCE_D / (math.sqrt(math.pi) * abs(math.cos(theta))),
+                                   rel=1e-8)
 
 
 class TestAssembleGains:
     def test_reference_chain_gamma_slope(self):
-        bundle = assemble_gains(0.5, DEFAULT_THETA, REFERENCE_GB, REFERENCE_SB, math.sqrt(2.0))
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, DEFAULT_THETA)
         assert 0.896 <= bundle.gamma_slope <= 0.903
 
     def test_reported_slope_with_reference_kappa(self):
@@ -137,9 +145,8 @@ class TestAssembleGains:
         assert math.sqrt(2.0 / 3.0) == pytest.approx(0.8165, abs=1e-4)
 
     def test_bundle_invariants_recompute(self):
-        bundle = assemble_gains(0.5, DEFAULT_THETA, REFERENCE_GB, REFERENCE_SB, math.sqrt(2.0),
-                                mu_e=1.0, mu_p=1.0)
-        k1, k2, kappa = k_constants(bundle.alpha, bundle.theta, REFERENCE_GB, REFERENCE_SB)
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, DEFAULT_THETA, mu_p=1.0, mu_e=1.0)
+        k1, k2, kappa = k_constants(bundle.alpha, bundle.theta, REFERENCE_OMEGA, REFERENCE_D)
         assert bundle.k1 == pytest.approx(k1, abs=1e-12)
         assert bundle.k2 == pytest.approx(k2, abs=1e-12)
         assert bundle.kappa == pytest.approx(kappa, abs=1e-12)
@@ -147,18 +154,70 @@ class TestAssembleGains:
                                                    abs=1e-12)
 
     def test_gain_shape(self):
-        bundle = assemble_gains(0.5, DEFAULT_THETA, REFERENCE_GB, REFERENCE_SB, math.sqrt(2.0))
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, DEFAULT_THETA)
         assert bundle.gamma(0.0) == 0.0
         assert bundle.gamma(2.0) > bundle.gamma(1.0) > 0.0
         assert bundle.beta(1.0, 1.0) < bundle.beta(1.0, 0.5)
         assert bundle.beta(2.0, 0.5) > bundle.beta(1.0, 0.5)
 
 
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(omegas=st.lists(st.floats(0.1, 100.0), min_size=2, max_size=6, unique=True),
+           d_values=st.lists(st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=False),
+                             min_size=6, max_size=6),
+           norms=st.lists(st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False),
+                          min_size=5, max_size=5),
+           previous_norm=st.floats(0.01, 9.99),
+           last_step=st.floats(-2 * LIMIT_TOL, 2 * LIMIT_TOL),
+           alpha=st.floats(0.05, 0.95),
+           theta=st.floats(math.pi / 2 + 0.1, DEFAULT_THETA),
+           mu_p=st.floats(0.5, 2.0), mu_e=st.floats(0.5, 2.0))
+    def test_limit_rules(self, omegas, d_values, norms, previous_norm, last_step,
+                         alpha, theta, mu_p, mu_e):
+        # Synthetic sweeps: omega_n rises, and the last step of the fractional
+        # norm straddles LIMIT_TOL.
+        omegas = sorted(omegas)
+        count = len(omegas)
+        norm_values = norms[:count - 2] + [previous_norm, previous_norm + last_step]
+        records = [SweepRecord(n=2**(k + 4), omega_n=omega, d_n=d, frac_norm_n=norm)
+                   for k, (omega, d, norm) in enumerate(zip(omegas, d_values, norm_values))]
+        if abs(norm_values[-1] - norm_values[-2]) > LIMIT_TOL:
+            with pytest.raises(LimitError, match="frac_norm_limit did not converge"):
+                assemble_gains(records, alpha, theta, mu_p=mu_p, mu_e=mu_e)
+            return
+        bundle = assemble_gains(records, alpha, theta, mu_p=mu_p, mu_e=mu_e)
+        k1, k2, kappa = k_constants(alpha, theta, omegas[-1],
+                                    mu_p * mu_e * max(d_values[:count]))
+        assert bundle.beta_omega == omegas[-1]
+        assert bundle.beta_m == mu_p * mu_e
+        assert (bundle.k1, bundle.k2, bundle.kappa) == (k1, k2, kappa)
+        assert bundle.frac_norm_limit == norm_values[-1]
+        assert bundle.gamma_slope == mu_e * kappa * norm_values[-1]
+
+    @pytest.mark.parametrize("norm, mu_p, mu_e, message", [
+        # mu_p mu_e is inf or 0, and so are D, K2 and beta_M.
+        (math.sqrt(2.0), 1e200, 1e200, "K2 = inf"),
+        (math.sqrt(2.0), 1e-200, 1e-200, "K2 = 0"),
+        (0.0, 1.0, 1.0, "frac_norm_limit = 0"),
+        # beta_M = 1, but mu_e kappa norm underflows.
+        (1e-30, 1e300, 1e-300, "gamma_slope = 0"),
+    ])
+    def test_uncertified_constant_is_named(self, norm, mu_p, mu_e, message):
+        records = [SweepRecord(n=r.n, omega_n=r.omega_n, d_n=r.d_n, frac_norm_n=norm)
+                   for r in REFERENCE_RECORDS]
+        with pytest.raises(LimitError, match=f"^{message} is not finite and positive"):
+            assemble_gains(records, 0.5, DEFAULT_THETA, mu_p=mu_p, mu_e=mu_e)
+
+    def test_single_record_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 records"):
+            assemble_gains(REFERENCE_RECORDS[:1], 0.5, DEFAULT_THETA)
+
+
 class TestLemmaCheck:
     def make_bundle(self, sys):
-        gb = growth_bound(sys)
-        sb = sector_bound(sys, PathSpec())
-        return assemble_gains(0.5, DEFAULT_THETA, gb, sb, 1.0)
+        # A sweep that ends at sys, so that omega is the decay rate of sys.
+        return assemble_gains(run_sweep([sys.n // 2, sys.n], 1.0, 0.5, PathSpec()), 0.5,
+                              DEFAULT_THETA)
 
     @pytest.mark.parametrize("n", [100, 1000])
     def test_bound_holds_on_log_grid(self, n):
@@ -178,7 +237,7 @@ class TestLemmaCheck:
         # max over mu of mu^alpha exp(-mu t) = (alpha/(e t))^alpha stays below K2 t^-alpha.
         t = 1e-4
         envelope = (0.5 / (math.e * t)) ** 0.5
-        _, k2, _ = k_constants(0.5, DEFAULT_THETA, REFERENCE_GB, REFERENCE_SB)
+        _, k2, _ = k_constants(0.5, DEFAULT_THETA, REFERENCE_OMEGA, REFERENCE_D)
         assert envelope <= k2 * t**-0.5
 
     def test_zero_time_rejected(self):

@@ -10,7 +10,6 @@ import issgains.numerics as numerics
 from issgains.numerics import (
     QuadratureError,
     apply_matrix_function,
-    gamma_fn,
     quad_cauchy_tail,
     quad_exp_tail,
     sym_tridiag_eig,
@@ -27,27 +26,6 @@ def heat_diagonals(n, a=1.0):
     return np.full(n - 1, -2.0 * c), np.full(n - 2, c)
 
 
-class TestGamma:
-    def test_known_values(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    def test_reflection_oracle_at_0p3(self):
-        # Gamma(0.3) * Gamma(0.7) = pi / sin(0.3 pi)
-        lhs = gamma_fn(0.3) * gamma_fn(0.7)
-        assert lhs == pytest.approx(math.pi / math.sin(0.3 * math.pi), abs=1e-10)
-
-    @pytest.mark.parametrize("x", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-    def test_reflection_identity(self, x):
-        value = gamma_fn(x) * gamma_fn(1.0 - x) * math.sin(math.pi * x) / math.pi
-        assert value == pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, 171.0])
-    def test_domain_errors(self, x):
-        with pytest.raises(ValueError):
-            gamma_fn(x)
-
-
 class TestQuadratures:
     def test_exp_tail_gamma_half(self):
         res = quad_exp_tail(0.5, 1.0)
@@ -61,7 +39,7 @@ class TestQuadratures:
         assert res.value == pytest.approx(0.56433, abs=5e-6)
 
     def test_exp_tail_quarter(self):
-        expected = gamma_fn(0.75) * 2.0 ** (-0.75)
+        expected = math.gamma(0.75) * 2.0 ** (-0.75)
         assert quad_exp_tail(0.25, 2.0).value == pytest.approx(expected, rel=1e-10)
 
     def test_cauchy_tail_half(self):
@@ -76,7 +54,7 @@ class TestQuadratures:
         for _ in range(20):
             alpha = rng.uniform(0.05, 0.95)
             omega = rng.uniform(0.1, 100.0)
-            exp_exact = gamma_fn(1.0 - alpha) * omega ** (alpha - 1.0)
+            exp_exact = math.gamma(1.0 - alpha) * omega ** (alpha - 1.0)
             assert quad_exp_tail(alpha, omega).value == pytest.approx(exp_exact, rel=1e-8)
             cauchy_exact = math.pi / math.sin(math.pi * alpha)
             assert quad_cauchy_tail(alpha).value == pytest.approx(cauchy_exact, rel=1e-8)
@@ -98,7 +76,7 @@ OMEGA_GRID = (1e-8, 1e-4, 1.0, math.pi**2, 1e4, 1e8)
 
 
 def exp_tail_exact(alpha, omega):
-    return gamma_fn(1.0 - alpha) * omega ** (alpha - 1.0)
+    return math.gamma(1.0 - alpha) * omega ** (alpha - 1.0)
 
 
 def cauchy_tail_exact(alpha):

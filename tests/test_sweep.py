@@ -6,7 +6,7 @@ import pytest
 
 from issgains import systems
 from issgains.fattorini import PathSpec
-from issgains.sweep import CSV_HEADER, LimitEstimate, SweepRecord, aggregate, emit_csv, run_sweep
+from issgains.sweep import CSV_HEADER, SweepRecord, emit_csv, run_sweep
 
 PATH = PathSpec()
 
@@ -50,34 +50,6 @@ class TestRunSweep:
     def test_bad_schedules(self, schedule):
         with pytest.raises(ValueError):
             run_sweep(schedule, 1.0, 0.5, PATH)
-
-
-class TestAggregate:
-    def records(self, ns):
-        return run_sweep(ns, 1.0, 0.5, PATH)
-
-    def test_omega_cauchy_convergence(self):
-        omega_hat, _, _ = aggregate(self.records([2000, 4000]), tol_omega=1e-4, tol_frac=1e-3)
-        assert omega_hat.rule == "last_value"
-        assert omega_hat.converged
-        # Taylor expansion of the discrete rate: delta ~ pi^4/12 (1/2000^2 - 1/4000^2)
-        assert omega_hat.last_delta == pytest.approx(math.pi**4 / 12 * (1 / 2000**2 - 1 / 4000**2),
-                                                     rel=1e-2)
-
-    def test_d_hat_is_supremum(self):
-        records = self.records([100, 200, 400])
-        _, d_hat, _ = aggregate(records, tol_omega=1e-3, tol_frac=1e-3)
-        assert d_hat.rule == "supremum"
-        assert all(d_hat.value >= r.d_n for r in records)
-
-    def test_mu_scaling(self):
-        records = self.records([100, 200])
-        _, d_hat, _ = aggregate(records, tol_omega=1, tol_frac=1, mu_p=1.1, mu_e=1.2)
-        assert d_hat.value == pytest.approx(1.32 * max(r.d_n for r in records), rel=1e-12)
-
-    def test_single_record_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate(self.records([100]), tol_omega=1e-3, tol_frac=1e-3)
 
 
 class TestEmitCsv:
