@@ -6,6 +6,7 @@ import pytest
 
 from issgains import systems
 from issgains.fattorini import PathSpec
+from issgains.gains import DEFAULT_THETA, LIMIT_TOL, assemble_gains, k_constants
 from issgains.sweep import CSV_HEADER, SweepRecord, emit_csv, run_sweep
 
 PATH = PathSpec()
@@ -50,6 +51,43 @@ class TestRunSweep:
     def test_bad_schedules(self, schedule):
         with pytest.raises(ValueError):
             run_sweep(schedule, 1.0, 0.5, PATH)
+
+
+class TestAggregate:
+    """The limits over n that assemble_gains takes from a real sweep."""
+
+    def records(self, ns):
+        return run_sweep(ns, 1.0, 0.5, PATH)
+
+    def test_omega_cauchy_convergence(self):
+        records = self.records([2000, 4000])
+        bundle = assemble_gains(records, 0.5, DEFAULT_THETA)
+        assert bundle.beta_omega == records[-1].omega_n
+        last_delta = records[-1].omega_n - records[-2].omega_n
+        assert 0.0 < last_delta <= 1e-4
+        # Taylor expansion of the discrete rate: delta ~ pi^4/12 (1/2000^2 - 1/4000^2)
+        assert last_delta == pytest.approx(math.pi**4 / 12 * (1 / 2000**2 - 1 / 4000**2),
+                                           rel=1e-2)
+        assert abs(records[-1].frac_norm_n - records[-2].frac_norm_n) <= LIMIT_TOL
+
+    def test_d_hat_is_supremum(self):
+        records = self.records([100, 200, 400])
+        bundle = assemble_gains(records, 0.5, DEFAULT_THETA)
+        omega = records[-1].omega_n
+        # K2 grows with D, so the supremum gives the largest K2 of any record.
+        k2_sup = k_constants(0.5, DEFAULT_THETA, omega, max(r.d_n for r in records))[1]
+        assert bundle.k2 == k2_sup
+        assert all(bundle.k2 >= k_constants(0.5, DEFAULT_THETA, omega, r.d_n)[1]
+                   for r in records)
+
+    def test_mu_scaling(self):
+        records = self.records([100, 200])
+        plain = assemble_gains(records, 0.5, DEFAULT_THETA)
+        scaled = assemble_gains(records, 0.5, DEFAULT_THETA, mu_p=1.1, mu_e=1.2)
+        # K2 is linear in D, so D = mu_p mu_e max D_n scales it by 1.32.
+        assert scaled.k2 == pytest.approx(1.32 * plain.k2, rel=1e-12)
+        assert scaled.k1 == plain.k1
+        assert scaled.beta_m == pytest.approx(1.32, rel=1e-12)
 
 
 class TestEmitCsv:
