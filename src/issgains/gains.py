@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import LimitError
 from .fattorini import PathSpec, DiagnosticReport
 from .numerics import apply_matrix_function, quad_cauchy_tail, quad_exp_tail, weighted_op_norm
 from .systems import ClosedControlSystem
@@ -20,8 +21,6 @@ from .systems import ClosedControlSystem
 __all__ = [
     "GainBundle",
     "StabilityError",
-    "LimitError",
-    "DEFAULT_THETA",
     "LIMIT_TOL",
     "growth_bound",
     "sector_bound",
@@ -31,9 +30,6 @@ __all__ = [
     "lemma_frac_semigroup_check",
 ]
 
-# Infimum of |cos(theta)|^-1 over the admissible interval for self-adjoint
-# negative-definite generators (analyticity angle pi/2).
-DEFAULT_THETA = math.pi * (1.0 - 1e-9)
 # Cauchy tolerance of the fractional-norm limit: the change over the last
 # refinement.
 LIMIT_TOL = 1e-3
@@ -41,11 +37,6 @@ LIMIT_TOL = 1e-3
 
 class StabilityError(RuntimeError):
     pass
-
-
-class LimitError(RuntimeError):
-    """No certified gain exists: a sweep limit failed its Cauchy check, or a
-    certified constant is not finite and positive."""
 
 
 @dataclass(frozen=True)

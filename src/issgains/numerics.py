@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import QuadratureError
+
 __all__ = [
     "EigenDecomposition",
     "SineBasis",
     "QuadratureResult",
-    "QuadratureError",
     "quad_exp_tail",
     "quad_cauchy_tail",
     "sym_tridiag_eig",
@@ -35,18 +36,6 @@ QUAD_EVAL_BUDGET = 10**6
 # halvings that ends the refinement, and the number of halvings allowed.
 QUAD_RTOL = 1e-13
 QUAD_MAX_LEVEL = 8
-
-
-class QuadratureError(RuntimeError):
-    """Raised when an integral does not converge within QUAD_MAX_LEVEL step
-    halvings or QUAD_EVAL_BUDGET evaluations, or when its sum is not finite.
-
-    Carries the best available estimate in ``best_estimate``.
-    """
-
-    def __init__(self, message, best_estimate):
-        super().__init__(message)
-        self.best_estimate = best_estimate
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ the states take O(n) memory at any step count.  Both the state norms and the
 input sup norm are those of the system's ``WeightedSpace``.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import step_count
 from .fattorini import DiagnosticReport
 from .gains import GainBundle
 from .systems import (
@@ -36,14 +36,12 @@ from .systems import (
 __all__ = [
     "bang_bang",
     "Trajectory",
-    "step_count",
     "step_exact",
     "simulate",
     "iss_margin",
     "trotter_kato_check",
 ]
 
-MAX_STEPS = 10**7
 # Byte budget of simulate's block buffer, which holds the modal rows of one
 # block of steps: the forcing, then the states, then their norms.  Larger
 # blocks leave cache and run slower.
@@ -77,21 +75,6 @@ class Trajectory:
     states: np.ndarray  # the final modal state, shape (1, n - 1)
     norms: np.ndarray
     input_sup_norm: float
-
-
-def step_count(t_end: float, h: float) -> int:
-    """Number of steps h that make up [0, t_end]; t_end must be a whole
-    number of steps, within a relative tolerance of 1e-9, and at most
-    MAX_STEPS of them."""
-    if not t_end > 0.0 or not h > 0.0:
-        raise ValueError(f"t_end and h must be positive, got {t_end} and {h}")
-    ratio = t_end / h
-    if not (math.isfinite(ratio) and math.isclose(ratio, round(ratio), rel_tol=1e-9)):
-        raise ValueError(f"t_end = {t_end} is not a whole number of steps h = {h}")
-    steps = round(ratio)
-    if steps > MAX_STEPS:
-        raise ValueError(f"step budget exceeded: {steps} > {MAX_STEPS}")
-    return steps
 
 
 def _step_factors(sys: ClosedControlSystem, h: float):

@@ -6,20 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CSV_HEADER
 from .fattorini import PathSpec
 from .gains import frac_control_norm, growth_bound, sector_bound
 from .systems import GridSpec, WeightedSpace, build_heat_dirichlet
 
 __all__ = [
     "SweepRecord",
-    "CSV_HEADER",
-    "DEFAULT_SCHEDULE",
     "run_sweep",
     "emit_csv",
 ]
-
-CSV_HEADER = "n,omegan,Dn,AnalphaBnnorm"
-DEFAULT_SCHEDULE = (250, 500, 1000, 2000, 4000)
 
 
 @dataclass(frozen=True)

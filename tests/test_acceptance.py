@@ -10,9 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from issgains.config import CSV_HEADER, DEFAULT_THETA
 from issgains.fattorini import PathSpec, close_system
 from issgains.gains import (
-    DEFAULT_THETA,
     GainBundle,
     assemble_gains,
     frac_control_norm,
@@ -21,7 +21,7 @@ from issgains.gains import (
 )
 from issgains.numerics import quad_cauchy_tail, quad_exp_tail
 from issgains.simulate import bang_bang, iss_margin, simulate, trotter_kato_check
-from issgains.sweep import CSV_HEADER, emit_csv, run_sweep
+from issgains.sweep import emit_csv, run_sweep
 from issgains.systems import (
     GridSpec,
     WeightedSpace,

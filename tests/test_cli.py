@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,9 @@ import pytest
 
 import issgains
 import issgains.cli as cli
+import issgains.gains as gains
 import issgains.numerics as numerics
+import issgains.sweep as sweep
 from issgains.cli import ConfigError, RunConfig, dispatch, main, parse_config
 from issgains.gains import assemble_gains
 
@@ -197,6 +200,68 @@ class TestDispatch:
             assert "polyline" in content
 
 
+SWEEP_CSV = "n,omegan,Dn,AnalphaBnnorm\n16,9.83,0.99,1.41\n32,9.86,0.99,1.41\n"
+
+
+class TestPlotInput:
+    """Every malformed CSV given to plot exits 2 with one error line naming
+    the file, and no figure of it is written."""
+
+    @staticmethod
+    def plot_error(tmp_path, capsys, files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(["plot", "--output_dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_header_only_sweep(self, tmp_path, capsys):
+        err = self.plot_error(tmp_path, capsys, {"sweep.csv": "n,omegan,Dn,AnalphaBnnorm\n"})
+        assert err == f"error: {tmp_path / 'sweep.csv'}: no data rows\n"
+
+    def test_non_numeric_token(self, tmp_path, capsys):
+        err = self.plot_error(tmp_path, capsys,
+                              {"sweep.csv": SWEEP_CSV.replace("0.99,1.41\n32", "0.99,abc\n32")})
+        assert err == (f"error: {tmp_path / 'sweep.csv'}: line 2: "
+                       "could not convert string to float: 'abc'\n")
+
+    def test_trajectory_without_norm_column(self, tmp_path, capsys):
+        err = self.plot_error(tmp_path, capsys, {"sweep.csv": SWEEP_CSV,
+                                                 "traj_x.csv": "t,state\n0,0\n0.1,0.5\n"})
+        assert err == (f"error: {tmp_path / 'traj_x.csv'}: expected the header 't,norm', "
+                       "got 't,state'\n")
+        assert not (tmp_path / "fig_traj_x.svg").exists()
+
+    def test_wrong_sweep_columns(self, tmp_path, capsys):
+        err = self.plot_error(tmp_path, capsys, {"sweep.csv": "n,omegan\n16,9.83\n"})
+        assert err == (f"error: {tmp_path / 'sweep.csv'}: expected the header "
+                       "'n,omegan,Dn,AnalphaBnnorm', got 'n,omegan'\n")
+
+    @pytest.mark.parametrize("row", ["0.1", "0.1,0.5,0.7", "0.1,0.5,"])
+    def test_field_count(self, tmp_path, capsys, row):
+        err = self.plot_error(tmp_path, capsys, {"sweep.csv": SWEEP_CSV,
+                                                 "traj_x.csv": f"t,norm\n0,0\n\n{row}\n"})
+        fields = row.count(",") + 1
+        assert err == f"error: {tmp_path / 'traj_x.csv'}: line 4: expected 2 fields, got {fields}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, capsys, value):
+        err = self.plot_error(tmp_path, capsys,
+                              {"sweep.csv": SWEEP_CSV, "traj_x.csv": f"t,norm\n0,{value}\n"})
+        assert err == f"error: {tmp_path / 'traj_x.csv'}: line 2: a value is not finite\n"
+
+    def test_unreadable_trajectory(self, tmp_path, capsys):
+        (tmp_path / "traj_x.csv").mkdir()
+        err = self.plot_error(tmp_path, capsys, {"sweep.csv": SWEEP_CSV})
+        assert err == f"error: {tmp_path / 'traj_x.csv'}: Is a directory\n"
+
+    def test_undecodable_bytes(self, tmp_path, capsys):
+        (tmp_path / "traj_x.csv").write_bytes(b"t,norm\n0,\xff\n")
+        err = self.plot_error(tmp_path, capsys, {"sweep.csv": SWEEP_CSV})
+        assert err.startswith(f"error: {tmp_path / 'traj_x.csv'}: line 2: could not convert")
+
+
 class TestExtremeOmega:
     """K1 and K2 far from omega = 1, where QUADPACK returned wrong K1 values
     (9.7e-46 at a = 1e7, -5.8e-19 at a = 1e-8) without an error."""
@@ -210,7 +275,8 @@ class TestExtremeOmega:
             calls.append((args, bundle))
             return bundle
 
-        monkeypatch.setattr(cli, "assemble_gains", spy)
+        # _run_chain imports assemble_gains from gains at call time.
+        monkeypatch.setattr(gains, "assemble_gains", spy)
         code = main(["gains", "--a", a, "--n_schedule", "250,500,1000",
                      "--output_dir", str(tmp_path)])
         assert code == 0
@@ -280,6 +346,18 @@ class TestMain:
         assert code == 2
         assert "a must lie in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "gains", "simulate"])
+    @pytest.mark.parametrize("flags, ratio", [(["--h", "inf"], "3.0 / inf"),
+                                              (["--t_end", "5e-324", "--h", "10"], "5e-324 / 10.0")])
+    def test_zero_steps_is_config_error(self, tmp_path, capsys, command, flags, ratio):
+        # t_end / h underflows to 0, which leaves bang_bang no step to draw.
+        code = main([command, "--n_schedule", "8,16", "--output_dir", str(tmp_path)] + flags)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: t_end / h = {ratio} underflows to 0 steps; need at least 1\n"
+        assert captured.out == ""
+        assert not os.listdir(tmp_path)
+
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -292,7 +370,8 @@ class TestMain:
         (tmp_path / "afile").write_text("")
         monkeypatch.chdir(tmp_path)
         entered = []
-        monkeypatch.setattr(cli.sweep_mod, "run_sweep", lambda *a, **k: entered.append(1))
+        # The commands import run_sweep from sweep at call time.
+        monkeypatch.setattr(sweep, "run_sweep", lambda *a, **k: entered.append(1))
         assert main([command, "--n_schedule", "8,16", "--output_dir", output_dir]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot use output_dir {output_dir!r}: ")
@@ -344,8 +423,8 @@ class TestMemory:
 
 # Runs every command in a fresh interpreter and prints, per command, its exit
 # code, the scipy modules loaded so far and the number of np.linalg.eigh calls
-# so far.  Arguments: output dir, n_schedule, and "refuse" to make every scipy
-# import fail.
+# so far, and under "issgains" the issgains modules loaded so far.  Arguments:
+# output dir, n_schedule, and "refuse" to make every scipy import fail.
 _FOOTPRINT_SCRIPT = """
 import contextlib, importlib.abc, io, json, sys
 import numpy as np
@@ -369,15 +448,16 @@ def counting_eigh(*args, **kwargs):
 np.linalg.eigh = counting_eigh
 from issgains.cli import main
 
-def loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(package="scipy"):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
-stages = {"import": loaded()}
+stages = {"import": loaded(), "issgains": {"import": loaded("issgains")}}
 small = ["--n_schedule", schedule, "--lambda_count", "20", "--output_dir", out_dir]
-for command in ("sweep", "plot", "gains", "simulate", "check"):
+for command in ("sweep", "gains", "plot", "simulate", "check"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([command] + small)
     stages[command] = [code, loaded(), len(eigh_calls)]
+    stages["issgains"][command] = loaded("issgains")
 try:
     import scipy
     stages["scipy_importable"] = True
@@ -387,12 +467,47 @@ print(json.dumps(stages))
 """
 
 
-def _footprint(out_dir, schedule, mode):
-    # A fresh interpreter, since this test process has imported scipy already.
+# Refuses every numpy import, then imports the CLI and runs --help, a config
+# error and plot over the CSVs in the output dir given as its argument;
+# prints what each returned and whether numpy was loaded or importable.
+_NUMPY_FREE_SCRIPT = """
+import contextlib, importlib.abc, io, json, sys
+
+class RefuseNumpy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError(f"import of {name} refused")
+        return None
+
+sys.meta_path.insert(0, RefuseNumpy())
+out_dir = sys.argv[1]
+from issgains.cli import main
+
+result = {"import": sorted(m for m in sys.modules if m.startswith("issgains"))}
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    result["help"] = [main(["--help"]), out.getvalue().startswith("usage: issgains")]
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    result["gains_nan"] = [main(["gains", "--a", "nan", "--output_dir", out_dir]),
+                           err.getvalue()]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    result["plot"] = [main(["plot", "--output_dir", out_dir]), out.getvalue()]
+result["numpy_loaded"] = any(m == "numpy" or m.startswith("numpy.") for m in sys.modules)
+try:
+    import numpy
+    result["numpy_importable"] = True
+except ImportError:
+    result["numpy_importable"] = False
+print(json.dumps(result))
+"""
+
+
+def _fresh(script, *argv):
+    # A fresh interpreter, since this test process has imported numpy and
+    # scipy already.
     src = os.path.dirname(os.path.dirname(issgains.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_SCRIPT, str(out_dir), schedule, mode],
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -400,7 +515,7 @@ def _footprint(out_dir, schedule, mode):
 
 class TestImportFootprint:
     def test_scipy_loaded_only_where_called(self, tmp_path):
-        stages = _footprint(tmp_path / "out", "8,16", "allow")
+        stages = _fresh(_FOOTPRINT_SCRIPT, tmp_path / "out", "8,16", "allow")
         assert stages["import"] == []
         for command in ("sweep", "plot", "gains", "simulate", "check"):
             assert stages[command][:2] == [0, []], command
@@ -409,7 +524,37 @@ class TestImportFootprint:
     def test_numpy_is_enough(self, tmp_path, schedule):
         # n = 2 gives a 1 x 1 generator; like every heat size it takes the
         # closed form, so no command calls numpy's dense eigh.
-        stages = _footprint(tmp_path / "out", schedule, "refuse")
+        stages = _fresh(_FOOTPRINT_SCRIPT, tmp_path / "out", schedule, "refuse")
         assert stages["scipy_importable"] is False
         for command in ("sweep", "plot", "gains", "simulate", "check"):
             assert stages[command] == [0, [], 0], command
+
+    def test_layers_loaded_only_where_called(self, tmp_path):
+        loaded = _fresh(_FOOTPRINT_SCRIPT, tmp_path / "out", "8,16", "allow")["issgains"]
+        assert loaded["import"] == ["issgains", "issgains.cli", "issgains.config"]
+        for command in ("sweep", "gains"):
+            assert "issgains.simulate" not in loaded[command], command
+            assert "issgains.svgplot" not in loaded[command], command
+        assert "issgains.svgplot" in loaded["plot"]
+
+    def test_front_end_and_plot_without_numpy(self, tmp_path, capsys):
+        normal, bare = tmp_path / "normal", tmp_path / "bare"
+        small = ["--n_schedule", "8,16", "--lambda_count", "20", "--t_end", "1.0", "--h", "0.1"]
+        for command in ("sweep", "simulate"):
+            assert main([command, *small, "--output_dir", str(normal)]) == 0
+        shutil.copytree(normal, bare)
+        assert main(["plot", "--output_dir", str(normal)]) == 0
+        plotted = capsys.readouterr().out.splitlines()[-1] + "\n"
+
+        result = _fresh(_NUMPY_FREE_SCRIPT, bare)
+        assert result["import"] == ["issgains", "issgains.cli", "issgains.config"]
+        assert result["help"] == [0, True]
+        assert result["gains_nan"] == [2, "error: a must lie in [1e-100, 1e+100], got nan\n"]
+        assert result["plot"] == [0, plotted]
+        assert result["numpy_loaded"] is False
+        assert result["numpy_importable"] is False
+        svgs = sorted(path.name for path in normal.glob("*.svg"))
+        assert len(svgs) == 6
+        assert sorted(path.name for path in bare.glob("*.svg")) == svgs
+        for name in svgs:
+            assert (bare / name).read_bytes() == (normal / name).read_bytes(), name

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from issgains.config import DEFAULT_THETA, LimitError
 from issgains.fattorini import PathSpec
 from issgains.gains import (
-    DEFAULT_THETA,
     LIMIT_TOL,
     GainBundle,
-    LimitError,
     StabilityError,
     assemble_gains,
     frac_control_norm,

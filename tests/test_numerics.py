@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import issgains.numerics as numerics
+from issgains.config import QuadratureError
 from issgains.numerics import (
-    QuadratureError,
     apply_matrix_function,
     quad_cauchy_tail,
     quad_exp_tail,

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 import issgains.simulate
-from issgains.gains import DEFAULT_THETA, GainBundle
+from issgains.config import DEFAULT_THETA, MAX_STEPS, step_count
+from issgains.gains import GainBundle
 from issgains.simulate import (
-    MAX_STEPS,
     Trajectory,
     bang_bang,
     iss_margin,
     simulate,
-    step_count,
     step_exact,
     trotter_kato_check,
 )
@@ -336,7 +335,9 @@ class TestStepCount:
     @pytest.mark.parametrize("t_end, h", [(0.1, 0.07), (3.0, 0.07), (0.01, 0.1),
                                           (0.0, 0.1), (1.0, -0.1), (1.0, 1e-320),
                                           (math.inf, 0.1), (math.nan, 0.1),
-                                          ((MAX_STEPS + 1) * 0.05, 0.05)])
+                                          ((MAX_STEPS + 1) * 0.05, 0.05),
+                                          # t_end / h underflows to 0 steps
+                                          (1.0, math.inf), (5e-324, 10.0)])
     def test_rejects(self, t_end, h):
         with pytest.raises(ValueError):
             step_count(t_end, h)

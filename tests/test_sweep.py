@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from issgains import systems
+from issgains.config import CSV_HEADER, DEFAULT_THETA
 from issgains.fattorini import PathSpec
-from issgains.gains import DEFAULT_THETA, LIMIT_TOL, assemble_gains, k_constants
-from issgains.sweep import CSV_HEADER, SweepRecord, emit_csv, run_sweep
+from issgains.gains import LIMIT_TOL, assemble_gains, k_constants
+from issgains.sweep import SweepRecord, emit_csv, run_sweep
 
 PATH = PathSpec()
 
