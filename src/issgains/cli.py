@@ -6,7 +6,8 @@ flat key = value file plus --key value overrides; flags win.  Exit codes:
 certified gain (a sweep limit that did not converge, or a gain constant
 that is not finite and positive, as when mu_p mu_e overflows or
 underflows) or a K-constant integral that failed; 2 usage or config error,
-or a missing, unreadable or malformed CSV given to plot.
+a missing, unreadable or malformed CSV given to plot, or an artifact that
+cannot be written (the artifacts written before it stay on disk).
 
 Import rule: at module level this module imports the standard library and
 ``issgains.config`` alone, so that ``plot``, ``--help`` and every exit-2
@@ -14,9 +15,17 @@ config error run without numpy.  Each command imports the layers it runs
 inside its own body, at call time: ``sweep`` and ``gains`` load neither
 ``simulate`` nor ``svgplot``, ``plot`` loads ``svgplot`` only, and only
 ``check`` loads ``fattorini``, numpy.polynomial or numpy.random.
+
+Exit rule: importing this module registers ``gc.freeze`` to run at
+interpreter exit, so every process that runs the front end skips the
+shutdown collections over the objects it leaves alive.  In return, an
+object left in a reference cycle is not finalized at exit: every artifact
+is written through a handle closed explicitly (``with open(...)``).
 """
 
 import argparse
+import atexit
+import gc
 import math
 import os
 import sys as _sys
@@ -35,6 +44,16 @@ from .config import (
 )
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "dispatch", "main"]
+
+# CPython's finalization runs full collections over every tracked object even
+# when gc is disabled; after ``import numpy`` that is about 20k objects and
+# 30-40 ms per process, more than main() takes at the default config.  The
+# freeze, run at exit, moves them all into the permanent generation, which
+# those collections skip.  os._exit would skip them too, but also the other
+# atexit handlers and the flush of stdio; gc.disable() at exit saves little.
+# The cost: an object in a reference cycle at exit is never finalized, so
+# every artifact must be written through an explicitly closed handle.
+atexit.register(gc.freeze)
 
 # Rows of a trajectory CSV formatted per write.
 CSV_BLOCK_ROWS = 2**16
@@ -276,6 +295,12 @@ def dispatch(command: str, cfg: RunConfig) -> int:
         return 1
     except ConfigError as exc:
         print(f"error: {exc}", file=_sys.stderr)
+        return 2
+    except OSError as exc:
+        # An artifact that cannot be written, such as one that exists as a
+        # directory.
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=_sys.stderr)
         return 2
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -262,6 +264,32 @@ class TestPlotInput:
         assert err.startswith(f"error: {tmp_path / 'traj_x.csv'}: line 2: could not convert")
 
 
+class TestUnwritableArtifact:
+    """An artifact that cannot be written exits 2 with one error line naming
+    it; the artifacts written before it stay on disk."""
+
+    @pytest.mark.parametrize("command, name", [
+        ("sweep", "sweep.csv"), ("gains", "gains.txt"), ("simulate", "traj_onesided.csv"),
+        ("check", "check.txt"), ("plot", "fig_omegan.svg")])
+    def test_artifact_is_a_directory(self, tmp_path, capsys, command, name):
+        cfg = small_cfg(tmp_path)
+        if command == "plot":
+            assert dispatch("sweep", cfg) == 0
+        (tmp_path / "out" / name).mkdir(parents=True)
+        capsys.readouterr()
+        assert dispatch(command, cfg) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'out' / name}: Is a directory\n"
+
+    def test_earlier_artifacts_stay(self, tmp_path, capsys):
+        cfg = small_cfg(tmp_path)
+        (tmp_path / "out" / "gains.kv").mkdir(parents=True)
+        assert dispatch("gains", cfg) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {tmp_path / 'out' / 'gains.kv'}: Is a directory\n"
+        assert captured.out == ""
+        assert (tmp_path / "out" / "gains.txt").read_text().startswith("alpha")
+
+
 class TestExtremeOmega:
     """K1 and K2 far from omega = 1, where QUADPACK returned wrong K1 values
     (9.7e-46 at a = 1e7, -5.8e-19 at a = 1e-8) without an error."""
@@ -506,14 +534,18 @@ print(json.dumps(result))
 """
 
 
-def _fresh(script, *argv):
+def _run_fresh(script, *argv):
     # A fresh interpreter, since this test process has imported numpy and
     # scipy already.
     src = os.path.dirname(os.path.dirname(issgains.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def _fresh(script, *argv):
+    proc = _run_fresh(script, *argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -573,3 +605,64 @@ class TestImportFootprint:
         assert sorted(path.name for path in bare.glob("*.svg")) == svgs
         for name in svgs:
             assert (bare / name).read_bytes() == (normal / name).read_bytes(), name
+
+
+# Registers a hook before importing the CLI; atexit runs hooks last in, first
+# out, so the hook runs after every exit handler the import registered.  It
+# prints the freeze count at start-up (not 0 on CPython 3.12) and at exit.
+_FREEZE_AT_EXIT_SCRIPT = """
+import atexit, gc, json
+start = gc.get_freeze_count()
+atexit.register(lambda: print(json.dumps([start, gc.get_freeze_count()])))
+import issgains.cli
+"""
+
+# The console script's entry, as the benchmark runs it.
+_CLI_SCRIPT = "import sys\nfrom issgains.cli import main\nsys.exit(main())"
+
+TINY = ["--n_schedule", "8,16", "--lambda_count", "20", "--t_end", "1.0", "--h", "0.1"]
+
+
+class TestExitPath:
+    """Every process that imports the front end freezes its heap at exit, so
+    CPython's shutdown collections skip it; nothing is lost by that."""
+
+    def test_heap_frozen_at_exit(self):
+        start, at_exit = _fresh(_FREEZE_AT_EXIT_SCRIPT)
+        assert at_exit > start
+
+    def test_processes_complete_their_output(self, tmp_path, capsys):
+        process_dir, inline_dir = tmp_path / "process", tmp_path / "inline"
+        for command in ("sweep", "gains", "simulate"):
+            proc = _run_fresh(_CLI_SCRIPT, command, *TINY, "--output_dir", process_dir)
+            assert proc.returncode == 0, proc.stderr
+            assert main([command, *TINY, "--output_dir", str(inline_dir)]) == 0
+            inline = capsys.readouterr().out
+            assert proc.stdout == inline.replace(str(inline_dir), str(process_dir)), command
+        assert proc.stdout.splitlines()[-1].startswith("bangbang:")
+        names = sorted(os.listdir(inline_dir))
+        assert names == sorted(os.listdir(process_dir))
+        assert len(names) == 6
+        for name in names:
+            assert (process_dir / name).read_bytes() == (inline_dir / name).read_bytes(), name
+
+
+class TestNoHandleLeft:
+    """The heap freeze at exit leaves a handle in a reference cycle
+    unfinalized, so no command may leave one for the collector to close."""
+
+    @pytest.mark.parametrize("command", ["sweep", "gains", "simulate", "check", "plot"])
+    def test_no_resource_warning(self, tmp_path, capsys, monkeypatch, command):
+        unraisable = []
+        # A ResourceWarning raised in a finalizer cannot propagate; it reaches
+        # sys.unraisablehook instead.
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        args = [*TINY, "--output_dir", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            if command == "plot":
+                assert main(["sweep", *args]) == 0
+                assert main(["simulate", *args]) == 0
+            assert main([command, *args]) == 0
+            gc.collect()
+        assert [str(u.exc_value) for u in unraisable] == []
