@@ -171,15 +171,15 @@ def _cmd_check(cfg: RunConfig) -> int:
     import numpy as np
 
     from . import fattorini
-    from .systems import build_heat_dirichlet, build_preclosure_heat
+    from .systems import build_heat_dirichlet
 
     small = [n for n in cfg.n_schedule if n <= 256] or list(cfg.n_schedule[:2])
     if len(small) < 2:
         small = [small[0], 2 * small[0]]
     path = _path(cfg)
     systems = [build_heat_dirichlet(n, cfg.a) for n in small]
-    pre_systems = [build_preclosure_heat(n, cfg.a) for n in small if n <= 64] or [
-        build_preclosure_heat(16, cfg.a)
+    pre_systems = [fattorini.build_preclosure_heat(n, cfg.a) for n in small if n <= 64] or [
+        fattorini.build_preclosure_heat(16, cfg.a)
     ]
     probes = [
         ("sin_pi", lambda x: np.sin(np.pi * x), lambda x: -np.pi**2 * np.sin(np.pi * x)),

@@ -4,12 +4,14 @@ standard library alone.
 The CLI front end needs these names before it knows its command, so they
 live here and not in the numeric layers: ``import issgains.cli`` then loads
 no numpy, and ``plot``, ``--help`` and every config error run without it.
+``RunConfig`` is a ``collections.namedtuple``, whose class is built without
+loading ``typing`` or ``inspect``.
 The numeric layers import the names they share with the front end from
 this module; nothing here imports another issgains module.
 """
 
 import math
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
 
 __all__ = [
     "RunConfig",
@@ -79,23 +81,37 @@ def step_count(t_end: float, h: float) -> int:
     return steps
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    n_schedule: tuple = DEFAULT_SCHEDULE
-    a: float = 1.0
-    alpha: float = 0.5
-    theta: float = DEFAULT_THETA
-    lambda_min: float = 1e-4
-    lambda_max: float = 1e4
-    lambda_count: int = 400
-    weight_exponent: int = 2
-    u_norm: str = "max"
-    mu_p: float = 1.0
-    mu_e: float = 1.0
-    t_end: float = 3.0
-    h: float = 0.05
-    seed: int = 20240501
-    output_dir: str = "out"
+def _parse_schedule(value: str) -> tuple:
+    return tuple(int(tok) for tok in value.split(",") if tok.strip())
+
+
+# Each RunConfig field in field order, with its parser and default: the
+# config keys and flags.
+_FIELDS = (
+    ("n_schedule", _parse_schedule, DEFAULT_SCHEDULE),
+    ("a", float, 1.0),
+    ("alpha", float, 0.5),
+    ("theta", float, DEFAULT_THETA),
+    ("lambda_min", float, 1e-4),
+    ("lambda_max", float, 1e4),
+    ("lambda_count", int, 400),
+    ("weight_exponent", int, 2),
+    ("u_norm", str, "max"),
+    ("mu_p", float, 1.0),
+    ("mu_e", float, 1.0),
+    ("t_end", float, 3.0),
+    ("h", float, 0.05),
+    ("seed", int, 20240501),
+    ("output_dir", str, "out"),
+)
+PARSERS = {name: parse for name, parse, _ in _FIELDS}
+
+
+class RunConfig(namedtuple("RunConfig", list(PARSERS),
+                           defaults=[default for _, _, default in _FIELDS])):
+    """One run's settings, immutable; ``validate`` checks their ranges."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         if not self.n_schedule or any(n < 2 for n in self.n_schedule):
@@ -126,14 +142,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-
-
-def _parse_schedule(value: str) -> tuple:
-    return tuple(int(tok) for tok in value.split(",") if tok.strip())
-
-
-# One parser per RunConfig field, in field order: the config keys and flags.
-PARSERS = {f.name: _parse_schedule if f.type is tuple else f.type for f in fields(RunConfig)}
 
 
 def parse_config(source: str) -> RunConfig:
@@ -171,6 +179,6 @@ def file_overrides(source: str) -> dict:
 
 
 def validated(overrides: dict) -> RunConfig:
-    cfg = replace(RunConfig(), **overrides)
+    cfg = RunConfig(**overrides)
     cfg.validate()
     return cfg

@@ -1,7 +1,8 @@
 """Discrete Fattorini closure and the computable assumption diagnostics.
 
-The closure maps the pre-boundary-closure quintuple to the closed pair
-(A, B); the diagnostics check uniform sectoriality, resolvent convergence,
+The closure maps the pre-boundary-closure quintuple (``PreClosureSystem``,
+built by ``build_preclosure_heat``) to the closed pair (A, B); the
+diagnostics check uniform sectoriality, resolvent convergence,
 consistency of the discretized generator and the boundary right-inverse
 conditions on finite probe families, the fractional semigroup bound behind
 K1 and K2, and the convergence of the simulated semigroup to the analytic
@@ -13,7 +14,7 @@ module.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .simulate import step_exact
 from .systems import (
     ClosedControlSystem,
     GridSpec,
-    PreClosureSystem,
     WeightedSpace,
     build_heat_dirichlet,
     extend,
@@ -32,6 +32,8 @@ from .systems import (
 
 __all__ = [
     "DiagnosticReport",
+    "PreClosureSystem",
+    "build_preclosure_heat",
     "weighted_state_norm",
     "restrict",
     "analytic_heat_state",
@@ -47,18 +49,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiagnosticReport:
+class _DiagnosticReport(NamedTuple):
     name: str
     values: dict
     verdict: str
     detail: str
 
-    def __post_init__(self):
+
+class DiagnosticReport(_DiagnosticReport):
+    """One diagnostic's values, its verdict (pass, warn or fail) and a line
+    of detail."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.verdict not in ("pass", "warn", "fail"):
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.verdict == "pass" and not self.values:
             raise ValueError("a pass verdict requires nonempty values")
+        return self
 
     def as_text(self) -> str:
         lines = [f"[{self.verdict.upper()}] {self.name}", f"  {self.detail}"]
@@ -71,6 +81,22 @@ class DiagnosticReport:
         for key, value in self.values.items():
             lines.append(f"{self.name}.{key} = {value:.10g}")
         return "\n".join(lines)
+
+
+class PreClosureSystem(NamedTuple):
+    """The quintuple describing the discretization before boundary closure:
+    stencil with boundary columns, discrete boundary trace, interior
+    projection (also the descriptor) and the right inverse of the trace.
+    """
+
+    ainit: np.ndarray      # (n-1) x (n+1)
+    bop: np.ndarray        # 2 x (n+1)
+    restrict_r: np.ndarray  # (n-1) x (n+1)
+    bop_rinv: np.ndarray   # (n+1) x 2
+
+    @property
+    def n(self) -> int:
+        return self.ainit.shape[1] - 1
 
 
 def weighted_state_norm(x, space: WeightedSpace) -> float:
@@ -111,6 +137,31 @@ def panels_for(n: int, minimum: int = 2048) -> int:
     """Smallest multiple of n that is >= ``minimum``: a ``function_l2_norm``
     panel count that puts the kinks of an n-interval interpolant on edges."""
     return -(-minimum // n) * n
+
+
+def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
+    """Heat discretization retaining the boundary nodes (pre-closure form)."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if not a > 0.0:
+        raise ValueError(f"diffusion must be positive, got {a}")
+    c = a * n * n
+    ainit = np.zeros((n - 1, n + 1))
+    for i in range(n - 1):
+        ainit[i, i] = c
+        ainit[i, i + 1] = -2.0 * c
+        ainit[i, i + 2] = c
+    bop = np.zeros((2, n + 1))
+    bop[0, 0] = 1.0
+    bop[1, n] = 1.0
+    restrict_r = np.zeros((n - 1, n + 1))
+    for i in range(n - 1):
+        restrict_r[i, i + 1] = 1.0
+    # Right inverse of the trace: the linear profiles 1 - xi and xi
+    # sampled at all nodes, so that the trace of each column is a unit vector.
+    k = np.arange(n + 1, dtype=float)
+    bop_rinv = np.column_stack([(n - k) / n, k / n])
+    return PreClosureSystem(ainit=ainit, bop=bop, restrict_r=restrict_r, bop_rinv=bop_rinv)
 
 
 def close_system(pre: PreClosureSystem, space: WeightedSpace) -> ClosedControlSystem:

@@ -10,7 +10,7 @@ beta(s, t) = M exp(-omega t) s and gamma(s) = slope * s.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,21 +39,26 @@ class StabilityError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    """Log-spaced grid on the positive real ray used to scan resolvent
-    bounds.  The scan applies to the resolvent of the (Hurwitz) generator,
-    i.e. stays left of the spectrum of its negative."""
-
+class _PathSpec(NamedTuple):
     lambda_min: float = 1e-4
     lambda_max: float = 1e4
     count: int = 400
 
-    def __post_init__(self):
+
+class PathSpec(_PathSpec):
+    """Log-spaced grid on the positive real ray used to scan resolvent
+    bounds.  The scan applies to the resolvent of the (Hurwitz) generator,
+    i.e. stays left of the spectrum of its negative."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.lambda_min < self.lambda_max:
             raise ValueError("need 0 < lambda_min < lambda_max")
         if self.count < 2:
             raise ValueError("need at least 2 path points")
+        return self
 
     def grid(self) -> np.ndarray:
         return np.geomspace(self.lambda_min, self.lambda_max, self.count)
@@ -66,8 +71,7 @@ class PathSpec:
         return float(np.max((grid + 1.0) / (grid + mu_min)))
 
 
-@dataclass(frozen=True)
-class GainBundle:
+class GainBundle(NamedTuple):
     alpha: float
     theta: float
     k1: float

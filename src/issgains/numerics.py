@@ -13,7 +13,7 @@ between threads.
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,17 +38,25 @@ QUAD_RTOL = 1e-13
 QUAD_MAX_LEVEL = 8
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class _QuadratureResult(NamedTuple):
     value: float
     abs_error_estimate: float
     evaluations: int
 
-    def __post_init__(self):
+
+class QuadratureResult(_QuadratureResult):
+    """An integral's value, its absolute error estimate and the number of
+    integrand evaluations it took."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.abs_error_estimate < 0:
             raise ValueError("negative error estimate")
         if self.evaluations < 1:
             raise ValueError("evaluation count must be >= 1")
+        return self
 
 
 class SineBasis:
@@ -104,8 +112,7 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     return -0.5 * np.fft.rfft(odd, axis=0)[1:m + 1].imag
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
+class EigenDecomposition(NamedTuple):
     """Full real spectral decomposition ``V diag(values) V^T``.
 
     ``eigenvalues`` are ascending.  ``eigenvectors`` is the ``SineBasis``

@@ -15,7 +15,7 @@ input sup norm are those of the system's ``WeightedSpace``.
 """
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def bang_bang(steps: int, seed: int, active: tuple = (0, 1)) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sample times and state norms of one simulation, its final state,
     and the sup norm of the input samples it applied.
 

@@ -2,7 +2,7 @@
 convergence study.  The limits over n are taken in ``gains.assemble_gains``."""
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,17 +17,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class _SweepRecord(NamedTuple):
     n: int
     omega_n: float
     d_n: float
     frac_norm_n: float
 
-    def __post_init__(self):
+
+class SweepRecord(_SweepRecord):
+    """The decay rate, resolvent constant and fractional control norm at
+    one resolution n, all finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for value in (self.omega_n, self.d_n, self.frac_norm_n):
             if not np.isfinite(value):
                 raise ValueError(f"non-finite sweep record at n = {self.n}")
+        return self
 
 
 def run_sweep(n_schedule, a: float, alpha: float, path: PathSpec,

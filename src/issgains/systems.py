@@ -6,7 +6,7 @@ the helpers in ``fattorini``; they are kept here because perfbench's traced
 run times them as ``systems.extend`` and ``systems.function_l2_norm``.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,24 +16,27 @@ __all__ = [
     "GridSpec",
     "WeightedSpace",
     "ClosedControlSystem",
-    "PreClosureSystem",
     "build_heat_dirichlet",
-    "build_preclosure_heat",
     "extend",
     "function_l2_norm",
 ]
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _GridSpec(NamedTuple):
+    n: int
+
+
+class GridSpec(_GridSpec):
     """Uniform grid on [0, 1] with n intervals and n-1 interior nodes; other
     domain lengths are rescaled via the diffusion coefficient."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 intervals, got n = {self.n}")
+        return self
 
     @property
     def dx(self) -> float:
@@ -48,8 +51,13 @@ class GridSpec:
         return np.arange(1, self.n) * self.dx
 
 
-@dataclass(frozen=True)
-class WeightedSpace:
+class _WeightedSpace(NamedTuple):
+    grid: GridSpec
+    weight_exponent: int = 2
+    input_norm: str = "max"
+
+
+class WeightedSpace(_WeightedSpace):
     """State space R^{n-1} with norm (dx)^(p/2) * l2 and a choice of norm
     on the input space U = R^2.
 
@@ -58,15 +66,15 @@ class WeightedSpace:
     the L2 limit.
     """
 
-    grid: GridSpec
-    weight_exponent: int = 2
-    input_norm: str = "max"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.weight_exponent not in (1, 2):
             raise ValueError(f"weight exponent must be 1 or 2, got {self.weight_exponent}")
         if self.input_norm not in ("euclidean", "max"):
             raise ValueError(f"input norm must be 'euclidean' or 'max', got {self.input_norm!r}")
+        return self
 
     @property
     def state_scale(self) -> float:
@@ -84,18 +92,27 @@ class WeightedSpace:
         return float(norms) if u.ndim == 1 else norms
 
 
-@dataclass(frozen=True)
-class ClosedControlSystem:
-    """State-space pair (A, B) of the boundary-closed system.
-
-    A is symmetric tridiagonal, stored by its diagonals; B is (n-1) x 2.
-    """
-
+class _ClosedControlSystem(NamedTuple):
     space: WeightedSpace
     a_diag: np.ndarray
     a_offdiag: np.ndarray
     b_matrix: np.ndarray
-    _eig_cache: list = field(default_factory=list, repr=False, compare=False)
+    eig_memo: list
+
+
+class ClosedControlSystem(_ClosedControlSystem):
+    """State-space pair (A, B) of the boundary-closed system.
+
+    A is symmetric tridiagonal, stored by its diagonals; B is (n-1) x 2.
+    ``eig_memo`` holds the eigendecomposition once it is computed; each
+    system built without one gets its own empty list.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, space, a_diag, a_offdiag, b_matrix, eig_memo=None):
+        return super().__new__(cls, space, a_diag, a_offdiag, b_matrix,
+                               [] if eig_memo is None else eig_memo)
 
     @property
     def n(self) -> int:
@@ -103,30 +120,13 @@ class ClosedControlSystem:
 
     def eigendecomposition(self) -> EigenDecomposition:
         # Memoized; the matrices are immutable after construction.
-        if not self._eig_cache:
-            self._eig_cache.append(sym_tridiag_eig(self.a_diag, self.a_offdiag))
-        return self._eig_cache[0]
+        if not self.eig_memo:
+            self.eig_memo.append(sym_tridiag_eig(self.a_diag, self.a_offdiag))
+        return self.eig_memo[0]
 
     def neg_spectrum(self) -> np.ndarray:
         """Spectrum of -A, ascending, from the memoized decomposition."""
         return -self.eigendecomposition().eigenvalues[::-1]
-
-
-@dataclass(frozen=True)
-class PreClosureSystem:
-    """The quintuple describing the discretization before boundary closure:
-    stencil with boundary columns, discrete boundary trace, interior
-    projection (also the descriptor) and the right inverse of the trace.
-    """
-
-    ainit: np.ndarray      # (n-1) x (n+1)
-    bop: np.ndarray        # 2 x (n+1)
-    restrict_r: np.ndarray  # (n-1) x (n+1)
-    bop_rinv: np.ndarray   # (n+1) x 2
-
-    @property
-    def n(self) -> int:
-        return self.ainit.shape[1] - 1
 
 
 def build_heat_dirichlet(n: int, a: float, space: WeightedSpace | None = None) -> ClosedControlSystem:
@@ -150,31 +150,6 @@ def build_heat_dirichlet(n: int, a: float, space: WeightedSpace | None = None) -
     b[0, 0] = c
     b[n - 2, 1] = c
     return ClosedControlSystem(space=space, a_diag=diag, a_offdiag=off, b_matrix=b)
-
-
-def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
-    """Heat discretization retaining the boundary nodes (pre-closure form)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not a > 0.0:
-        raise ValueError(f"diffusion must be positive, got {a}")
-    c = a * n * n
-    ainit = np.zeros((n - 1, n + 1))
-    for i in range(n - 1):
-        ainit[i, i] = c
-        ainit[i, i + 1] = -2.0 * c
-        ainit[i, i + 2] = c
-    bop = np.zeros((2, n + 1))
-    bop[0, 0] = 1.0
-    bop[1, n] = 1.0
-    restrict_r = np.zeros((n - 1, n + 1))
-    for i in range(n - 1):
-        restrict_r[i, i + 1] = 1.0
-    # Right inverse of the trace: the linear profiles 1 - xi and xi
-    # sampled at all nodes, so that the trace of each column is a unit vector.
-    k = np.arange(n + 1, dtype=float)
-    bop_rinv = np.column_stack([(n - k) / n, k / n])
-    return PreClosureSystem(ainit=ainit, bop=bop, restrict_r=restrict_r, bop_rinv=bop_rinv)
 
 
 def extend(x, grid: GridSpec):

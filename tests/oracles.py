@@ -41,7 +41,7 @@ def with_dense_eig(sys):
     """``sys`` with ``dense_tridiag_eig`` seeded into its memoized
     decomposition, so that every library route on it, which would otherwise
     take the uniform closed form, reads the dense eigenpairs instead."""
-    sys._eig_cache.append(dense_tridiag_eig(sys.a_diag, sys.a_offdiag))
+    sys.eig_memo.append(dense_tridiag_eig(sys.a_diag, sys.a_offdiag))
     return sys
 
 

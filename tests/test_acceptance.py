@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 from issgains.config import CSV_HEADER, DEFAULT_THETA
-from issgains.fattorini import close_system, lemma_frac_semigroup_check, trotter_kato_check
+from issgains.fattorini import (
+    build_preclosure_heat,
+    close_system,
+    lemma_frac_semigroup_check,
+    trotter_kato_check,
+)
 from issgains.gains import GainBundle, PathSpec, assemble_gains, frac_control_norm, k_constants
 from issgains.numerics import quad_cauchy_tail, quad_exp_tail
 from issgains.simulate import bang_bang, iss_margin, simulate
 from issgains.sweep import emit_csv, run_sweep
-from issgains.systems import (
-    GridSpec,
-    WeightedSpace,
-    build_heat_dirichlet,
-    build_preclosure_heat,
-)
+from issgains.systems import GridSpec, WeightedSpace, build_heat_dirichlet
 from oracles import a_matrix, frac_control_norm_gram, prefix_states
 
 SCHEDULE = (250, 500, 1000, 2000, 4000)

@@ -72,7 +72,7 @@ SMALL = "n_schedule = 16,32\nlambda_count = 50\nt_end = 1.0\nh = 0.1\n"
 
 def small_cfg(tmp_path, extra=""):
     cfg = parse_config(SMALL + extra)
-    return cfg.__class__(**{**cfg.__dict__, "output_dir": str(tmp_path / "out")})
+    return cfg._replace(output_dir=str(tmp_path / "out"))
 
 
 class TestDispatch:
@@ -331,6 +331,21 @@ class TestReferenceGains:
                     "beta_omega = 9.869603894\n"
                     "gamma_slope = 0.8999174663\n")
 
+    # The default config's sweep table: the paper's convergence study, whose
+    # Dn column is the scan over the path window.
+    REFERENCE_SWEEP_CSV = (b"n,omegan,Dn,AnalphaBnnorm\n"
+                           b"250,9.869474523,0.9991139271,1.414213562\n"
+                           b"500,9.869571931,0.9991139173,1.414213562\n"
+                           b"1000,9.869596284,0.9991139149,1.414213562\n"
+                           b"2000,9.869602372,0.9991139143,1.414213562\n"
+                           b"4000,9.869603894,0.9991139141,1.414213562\n")
+
+    def test_default_sweep_csv(self, tmp_path, capsys):
+        assert main(["sweep", "--output_dir", str(tmp_path)]) == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == self.REFERENCE_SWEEP_CSV
+        assert capsys.readouterr().out == \
+            f"wrote {tmp_path / 'sweep.csv'} (234 bytes, 5 resolutions)\n"
+
     def test_default_config(self, tmp_path, capsys):
         assert main(["gains", "--output_dir", str(tmp_path)]) == 0
         assert (tmp_path / "gains.kv").read_text() == self.REFERENCE_KV
@@ -452,8 +467,9 @@ class TestMemory:
 # Runs every command in a fresh interpreter and prints, per command, its exit
 # code, the scipy modules loaded so far and the number of np.linalg.eigh calls
 # so far, under "issgains" the issgains modules loaded so far, and under
-# "check_only" which of CHECK_ONLY are loaded so far.  Arguments: output dir,
-# n_schedule, and "refuse" to make every scipy import fail.
+# "check_only" which of CHECK_ONLY are loaded so far, and under "never"
+# which of NEVER_LOADED.  Arguments: output dir, n_schedule, and "refuse" to
+# make every scipy import fail.
 _FOOTPRINT_SCRIPT = """
 import contextlib, importlib.abc, io, json, sys
 import numpy as np
@@ -467,6 +483,7 @@ class RefuseScipy(importlib.abc.MetaPathFinder):
 # Less any that importing numpy loads by itself, which no command can avoid.
 CHECK_ONLY = [m for m in ("issgains.fattorini", "numpy.polynomial", "numpy.random", "_hashlib")
               if m not in sys.modules]
+NEVER_LOADED = [m for m in ("dataclasses",) if m not in sys.modules]
 out_dir, schedule, mode = sys.argv[1:4]
 if mode == "refuse":
     sys.meta_path.insert(0, RefuseScipy())
@@ -483,7 +500,8 @@ from issgains.cli import main
 def loaded(package="scipy"):
     return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
-stages = {"import": loaded(), "issgains": {"import": loaded("issgains")}, "check_only": {}}
+stages = {"import": loaded(), "issgains": {"import": loaded("issgains")}, "check_only": {},
+          "never": {}}
 small = ["--n_schedule", schedule, "--lambda_count", "20", "--output_dir", out_dir]
 for command in ("sweep", "gains", "plot", "simulate", "check"):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -491,6 +509,7 @@ for command in ("sweep", "gains", "plot", "simulate", "check"):
     stages[command] = [code, loaded(), len(eigh_calls)]
     stages["issgains"][command] = loaded("issgains")
     stages["check_only"][command] = [m for m in CHECK_ONLY if m in sys.modules]
+    stages["never"][command] = [m for m in NEVER_LOADED if m in sys.modules]
 try:
     import scipy
     stages["scipy_importable"] = True
@@ -530,6 +549,31 @@ try:
     result["numpy_importable"] = True
 except ImportError:
     result["numpy_importable"] = False
+print(json.dumps(result))
+"""
+
+
+# Imports the CLI, then runs --help, a config error and plot over the CSVs
+# in the output dir given as its argument; after each, prints which of
+# dataclasses and inspect have been loaded, less any loaded at start-up.
+# It imports nothing else that loads inspect (importlib.abc does on 3.12).
+_STDLIB_FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+PROBED = [m for m in ("dataclasses", "inspect") if m not in sys.modules]
+out_dir = sys.argv[1]
+
+def loaded():
+    return [m for m in PROBED if m in sys.modules]
+
+from issgains.cli import main
+
+result = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    result["help"] = [main(["--help"]), loaded()]
+with contextlib.redirect_stderr(io.StringIO()):
+    result["config_error"] = [main(["gains", "--a", "nan", "--output_dir", out_dir]), loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    result["plot"] = [main(["plot", "--output_dir", out_dir]), loaded()]
 print(json.dumps(result))
 """
 
@@ -583,6 +627,18 @@ class TestImportFootprint:
         for command in ("sweep", "gains", "plot", "simulate"):
             assert loaded[command] == [], command
         assert "issgains.fattorini" in loaded["check"]
+
+    def test_no_command_loads_dataclasses(self, tmp_path):
+        loaded = _fresh(_FOOTPRINT_SCRIPT, tmp_path / "out", "8,16", "allow")["never"]
+        for command in ("sweep", "gains", "plot", "simulate", "check"):
+            assert loaded[command] == [], command
+
+    def test_front_end_and_plot_load_neither_dataclasses_nor_inspect(self, tmp_path):
+        for command in ("sweep", "simulate"):
+            assert main([command, *TINY, "--output_dir", str(tmp_path)]) == 0
+        result = _fresh(_STDLIB_FOOTPRINT_SCRIPT, tmp_path)
+        assert result == {"import": [], "help": [0, []], "config_error": [2, []],
+                          "plot": [0, []]}
 
     def test_front_end_and_plot_without_numpy(self, tmp_path, capsys):
         normal, bare = tmp_path / "normal", tmp_path / "bare"

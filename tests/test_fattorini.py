@@ -5,7 +5,9 @@ import pytest
 
 from issgains.fattorini import (
     DiagnosticReport,
+    PreClosureSystem,
     _resolvent,
+    build_preclosure_heat,
     close_system,
     consistency_diagnostic,
     estimate_mu,
@@ -19,10 +21,8 @@ from issgains.gains import PathSpec
 from issgains.systems import (
     ClosedControlSystem,
     GridSpec,
-    PreClosureSystem,
     WeightedSpace,
     build_heat_dirichlet,
-    build_preclosure_heat,
     function_l2_norm,
 )
 from oracles import a_matrix, resolvent_dense, with_dense_eig

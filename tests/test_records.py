@@ -1,0 +1,154 @@
+"""The record types are immutable named tuples: each keeps its field names
+and order, its defaults, keyword construction and its validation messages."""
+
+import math
+
+import numpy as np
+import pytest
+
+from issgains import config
+from issgains.config import ConfigError, RunConfig
+from issgains.fattorini import DiagnosticReport, PreClosureSystem
+from issgains.gains import GainBundle, PathSpec
+from issgains.numerics import EigenDecomposition, QuadratureResult, sym_tridiag_eig
+from issgains.simulate import Trajectory
+from issgains.sweep import SweepRecord
+from issgains.systems import ClosedControlSystem, GridSpec, WeightedSpace, build_heat_dirichlet
+
+GRID = GridSpec(n=4)
+SPACE = WeightedSpace(grid=GRID)
+ARRAY = np.zeros(3)
+
+# Each type with its fields in order, the defaults among them, and values
+# for the fields that have none.
+RECORDS = [
+    (RunConfig,
+     ("n_schedule", "a", "alpha", "theta", "lambda_min", "lambda_max", "lambda_count",
+      "weight_exponent", "u_norm", "mu_p", "mu_e", "t_end", "h", "seed", "output_dir"),
+     {"n_schedule": (250, 500, 1000, 2000, 4000), "a": 1.0, "alpha": 0.5,
+      "theta": math.pi * (1.0 - 1e-9), "lambda_min": 1e-4, "lambda_max": 1e4,
+      "lambda_count": 400, "weight_exponent": 2, "u_norm": "max", "mu_p": 1.0, "mu_e": 1.0,
+      "t_end": 3.0, "h": 0.05, "seed": 20240501, "output_dir": "out"},
+     {}),
+    (PathSpec, ("lambda_min", "lambda_max", "count"),
+     {"lambda_min": 1e-4, "lambda_max": 1e4, "count": 400}, {}),
+    (GainBundle,
+     ("alpha", "theta", "k1", "k2", "kappa", "frac_norm_limit", "mu_e", "beta_m",
+      "beta_omega", "gamma_slope"),
+     {},
+     {"alpha": 0.5, "theta": 3.0, "k1": 1.0, "k2": 1.0, "kappa": 1.0, "frac_norm_limit": 1.0,
+      "mu_e": 1.0, "beta_m": 1.0, "beta_omega": 1.0, "gamma_slope": 1.0}),
+    (SweepRecord, ("n", "omega_n", "d_n", "frac_norm_n"), {},
+     {"n": 4, "omega_n": 9.0, "d_n": 1.0, "frac_norm_n": 1.4}),
+    (GridSpec, ("n",), {}, {"n": 4}),
+    (WeightedSpace, ("grid", "weight_exponent", "input_norm"),
+     {"weight_exponent": 2, "input_norm": "max"}, {"grid": GRID}),
+    (ClosedControlSystem, ("space", "a_diag", "a_offdiag", "b_matrix", "eig_memo"),
+     {"eig_memo": []},
+     {"space": SPACE, "a_diag": ARRAY, "a_offdiag": ARRAY[:2], "b_matrix": np.zeros((3, 2))}),
+    (PreClosureSystem, ("ainit", "bop", "restrict_r", "bop_rinv"), {},
+     {"ainit": ARRAY, "bop": ARRAY, "restrict_r": ARRAY, "bop_rinv": ARRAY}),
+    (QuadratureResult, ("value", "abs_error_estimate", "evaluations"), {},
+     {"value": 1.0, "abs_error_estimate": 0.0, "evaluations": 1}),
+    (EigenDecomposition, ("eigenvalues", "eigenvectors"), {},
+     {"eigenvalues": ARRAY, "eigenvectors": ARRAY}),
+    (Trajectory, ("times", "states", "norms", "input_sup_norm"), {},
+     {"times": ARRAY, "states": ARRAY, "norms": ARRAY, "input_sup_norm": 0.0}),
+    (DiagnosticReport, ("name", "values", "verdict", "detail"), {},
+     {"name": "probe", "values": {"x": 1.0}, "verdict": "pass", "detail": "ok"}),
+]
+IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields, defaults, required", RECORDS, ids=IDS)
+class TestRecordContract:
+    def test_fields_and_defaults(self, cls, fields, defaults, required):
+        assert cls._fields == fields
+        record = cls(**required)
+        assert type(record) is cls
+        assert repr(record).startswith(cls.__name__ + "(")
+        for name, value in required.items():
+            assert getattr(record, name) is value, name
+        for name, value in defaults.items():
+            assert getattr(record, name) == value, name
+
+    def test_immutable(self, cls, fields, defaults, required):
+        record = cls(**required)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+    def test_unknown_field(self, cls, fields, defaults, required):
+        with pytest.raises(TypeError):
+            cls(**required, extra=None)
+
+
+# Each validated type with arguments it refuses and the message it gives.
+INVALID = [
+    (GridSpec, {"n": 1}, "grid needs at least 2 intervals, got n = 1"),
+    (WeightedSpace, {"grid": GRID, "weight_exponent": 3},
+     "weight exponent must be 1 or 2, got 3"),
+    (WeightedSpace, {"grid": GRID, "input_norm": "l1"},
+     "input norm must be 'euclidean' or 'max', got 'l1'"),
+    (PathSpec, {"lambda_min": 0.0}, "need 0 < lambda_min < lambda_max"),
+    (PathSpec, {"lambda_min": 2.0, "lambda_max": 1.0}, "need 0 < lambda_min < lambda_max"),
+    (PathSpec, {"count": 1}, "need at least 2 path points"),
+    (SweepRecord, {"n": 4, "omega_n": math.nan, "d_n": 1.0, "frac_norm_n": 1.0},
+     "non-finite sweep record at n = 4"),
+    (SweepRecord, {"n": 4, "omega_n": 9.0, "d_n": math.inf, "frac_norm_n": 1.0},
+     "non-finite sweep record at n = 4"),
+    (SweepRecord, {"n": 8, "omega_n": 9.0, "d_n": 1.0, "frac_norm_n": -math.inf},
+     "non-finite sweep record at n = 8"),
+    (QuadratureResult, {"value": 1.0, "abs_error_estimate": -1e-3, "evaluations": 5},
+     "negative error estimate"),
+    (QuadratureResult, {"value": 1.0, "abs_error_estimate": 0.0, "evaluations": 0},
+     "evaluation count must be >= 1"),
+    (DiagnosticReport, {"name": "probe", "values": {"x": 1.0}, "verdict": "ok", "detail": ""},
+     "unknown verdict 'ok'"),
+    (DiagnosticReport, {"name": "probe", "values": {}, "verdict": "pass", "detail": ""},
+     "a pass verdict requires nonempty values"),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, message", INVALID,
+                         ids=[f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(INVALID)])
+def test_validation_message(cls, kwargs, message):
+    with pytest.raises(ValueError) as excinfo:
+        cls(**kwargs)
+    assert str(excinfo.value) == message
+
+
+def test_run_config_validates_on_request():
+    cfg = RunConfig(lambda_count=1)
+    with pytest.raises(ConfigError, match="^lambda_count must be >= 2$"):
+        cfg.validate()
+
+
+def test_parsers_follow_the_fields():
+    # The config keys and flags, in field order, with the parser of each.
+    parse_schedule = config.PARSERS["n_schedule"]
+    assert list(config.PARSERS.items()) == [
+        ("n_schedule", parse_schedule), ("a", float), ("alpha", float), ("theta", float),
+        ("lambda_min", float), ("lambda_max", float), ("lambda_count", int),
+        ("weight_exponent", int), ("u_norm", str), ("mu_p", float), ("mu_e", float),
+        ("t_end", float), ("h", float), ("seed", int), ("output_dir", str),
+    ]
+    assert parse_schedule("250, 500,1000,") == (250, 500, 1000)
+
+
+class TestEigenMemo:
+    def test_each_system_has_its_own_memo(self):
+        first, second = build_heat_dirichlet(4, 1.0), build_heat_dirichlet(4, 1.0)
+        assert first.eig_memo == [] and second.eig_memo == []
+        assert first.eig_memo is not second.eig_memo
+        eig = first.eigendecomposition()
+        assert first.eigendecomposition() is eig
+        assert second.eig_memo == []
+
+    def test_seeded_memo_is_used(self):
+        system = build_heat_dirichlet(4, 1.0)
+        seeded = sym_tridiag_eig(system.a_diag, system.a_offdiag)
+        reseeded = ClosedControlSystem(*system[:4], eig_memo=[seeded])
+        assert reseeded.eigendecomposition() is seeded

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from issgains import systems
-from issgains.fattorini import analytic_heat_state, panels_for, restrict, weighted_state_norm
-from issgains.systems import (
-    GridSpec,
-    WeightedSpace,
-    build_heat_dirichlet,
+from issgains.fattorini import (
+    analytic_heat_state,
     build_preclosure_heat,
-    extend,
-    function_l2_norm,
+    panels_for,
+    restrict,
+    weighted_state_norm,
 )
+from issgains.systems import GridSpec, WeightedSpace, build_heat_dirichlet, extend, function_l2_norm
 from oracles import a_matrix
 
 
