@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 # Cauchy tolerance of the fractional-norm limit: the change over the last
-# refinement.
+# refinement, relative to the last value.
 LIMIT_TOL = 1e-3
 
 
@@ -147,7 +147,11 @@ def assemble_gains(records, alpha: float, theta: float,
     - D is mu_p mu_e max D_n: a supremum over the resolutions, scaled by
       the bounds mu_p and mu_e of the projection and extension operators;
     - the fractional norm is the last value, which has no known direction,
-      so its change over the last refinement must not exceed LIMIT_TOL;
+      so its change over the last refinement must not exceed LIMIT_TOL
+      times its magnitude.  The norm scales as a^alpha with the diffusion
+      coefficient a, which only rescales time, so a relative test gives
+      every a the verdict of a = 1; an absolute one would pass any sequence
+      whose values stay below LIMIT_TOL, diverging ones included;
     - M = 1, since the generator is symmetric and its semigroup contracts
       at rate omega; beta_M = mu_p mu_e M.
 
@@ -163,9 +167,9 @@ def assemble_gains(records, alpha: float, theta: float,
     d = mu_p * mu_e * max(r.d_n for r in records)
     frac_norm_limit = records[-1].frac_norm_n
     frac_delta = abs(frac_norm_limit - records[-2].frac_norm_n)
-    if not frac_delta <= LIMIT_TOL:
+    if not frac_delta <= LIMIT_TOL * abs(frac_norm_limit):
         raise LimitError(f"frac_norm_limit did not converge: last_delta = "
-                         f"{frac_delta:.6g} > {LIMIT_TOL:g}")
+                         f"{frac_delta:.6g} > {LIMIT_TOL:g} * |{frac_norm_limit:.6g}|")
     k1, k2, kappa = k_constants(alpha, theta, omega, d)
     bundle = GainBundle(
         alpha=alpha,

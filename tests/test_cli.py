@@ -150,6 +150,24 @@ class TestDispatch:
         assert not os.path.exists(tmp_path / "gains.kv")
         assert not os.path.exists(tmp_path / "traj_onesided.csv")
 
+    def test_small_diverging_frac_norm_fails(self, tmp_path, capsys):
+        # At a = 1e-8 the alpha = 3/4 norms are a^(3/4) times those at a = 1:
+        # all below 1e-3, and still doubling with every fourfold refinement.
+        code = main(["gains", "--alpha", "0.75", "--a", "1e-8", "--output_dir", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: frac_norm_limit did not converge: last_delta = ")
+        assert not os.path.exists(tmp_path / "gains.kv")
+
+    def test_large_converged_frac_norm_passes(self, tmp_path, capsys):
+        # At a = 1e100 the norm is sqrt(2a) = 1.4e50, and its last change
+        # (about 2e34) is a relative change of about 1.5e-16.
+        code = main(["gains", "--a", "1e100", "--n_schedule", "250,500,1000",
+                     "--output_dir", str(tmp_path)])
+        assert code == 0
+        assert "frac_norm_limit  1.414213562e+50\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["gains", "simulate"])
     @pytest.mark.parametrize("mu, value", [("1e200", "inf"), ("1e-200", "0")])
     def test_no_certified_gain_from_extreme_mu(self, tmp_path, capsys, command, mu, value):
@@ -422,6 +440,86 @@ class TestMain:
         assert entered == []
 
 
+class TestArgv:
+    """The front end's own argument grammar: issgains <command> [--config
+    FILE] [--KEY VALUE | --KEY=VALUE ...]."""
+
+    @staticmethod
+    def parsed(monkeypatch, argv):
+        """The command and config that main hands to dispatch."""
+        calls = []
+        monkeypatch.setattr(cli, "dispatch", lambda command, cfg: calls.append((command, cfg)) or 0)
+        assert main(argv) == 0
+        [call] = calls
+        return call
+
+    def test_key_equals_value(self, monkeypatch):
+        command, cfg = self.parsed(monkeypatch, ["gains", "--alpha=0.3", "--n_schedule=8,16"])
+        assert (command, cfg.alpha, cfg.n_schedule) == ("gains", 0.3, (8, 16))
+
+    def test_unique_prefix(self, monkeypatch):
+        _, cfg = self.parsed(monkeypatch, ["gains", "--n_sched", "8,16", "--weight=1"])
+        assert (cfg.n_schedule, cfg.weight_exponent) == ((8, 16), 1)
+
+    def test_exact_key_wins_over_prefix(self, monkeypatch):
+        # a is also a prefix of alpha, and h of help.
+        _, cfg = self.parsed(monkeypatch, ["gains", "--a", "2.0", "--h", "0.1"])
+        assert (cfg.a, cfg.alpha, cfg.h) == (2.0, 0.5, 0.1)
+
+    def test_last_occurrence_wins(self, monkeypatch, tmp_path):
+        first, second = tmp_path / "first.cfg", tmp_path / "second.cfg"
+        first.write_text("a = 2.0\n")
+        second.write_text("a = 3.0\n")
+        _, cfg = self.parsed(monkeypatch, ["gains", "--alpha", "0.3", "--config", str(first),
+                                           "--alpha=0.4", "--conf", str(second)])
+        assert (cfg.alpha, cfg.a) == (0.4, 3.0)
+
+    @pytest.mark.parametrize("argv", [["--alpha", "0.3", "gains"],
+                                      ["--alpha", "0.3", "gains", "--a", "2.0"],
+                                      ["--alpha", "0.3", "--", "gains"]])
+    def test_command_after_options(self, monkeypatch, argv):
+        command, cfg = self.parsed(monkeypatch, argv)
+        assert (command, cfg.alpha) == ("gains", 0.3)
+
+    def test_value_starting_with_dash(self, monkeypatch):
+        _, cfg = self.parsed(monkeypatch, ["sweep", "--output_dir", "-x"])
+        assert cfg.output_dir == "-x"
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--hel"], ["sweep", "--help"],
+                                      ["--alpha", "2.0", "-h"]])
+    def test_help(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "dispatch", None)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: issgains <command> ")
+        assert captured.err == ""
+        options = {line.split()[0]: line.split()[1] for line in captured.out.splitlines()
+                   if line.startswith("  --") and line.split()[0] != "--config"}
+        assert list(options) == [f"--{name}" for name in cli.PARSERS]
+        assert options["--n_schedule"] == "(250,500,1000,2000,4000)"
+        assert options["--alpha"] == "(0.5)"
+        assert options["--output_dir"] == "(out)"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gains", "--mu", "1"], "ambiguous option --mu: could be --mu_p, --mu_e"),
+        (["gains", "--alpha"], "--alpha needs a value"),
+        (["gains", "--beta", "1"], "unknown option --beta"),
+        (["gains", "--beta=1"], "unknown option --beta"),
+        (["gains", "-x"], "unknown option -x"),
+        (["gains", "--help=1"], "--help takes no value"),
+        (["gains", "--alpha", "0.3", "sweep"],
+         "unexpected argument 'sweep': the command is already 'gains'"),
+        (["--alpha", "0.3"], "no command given; choose from sweep, gains, simulate, check, plot"),
+        ([], "no command given; choose from sweep, gains, simulate, check, plot"),
+    ])
+    def test_parse_error(self, monkeypatch, capsys, argv, message):
+        monkeypatch.setattr(cli, "dispatch", None)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestMemory:
     """No command holds an n x n matrix (one at n = 4000 is 128 MB), and
     simulate holds no state array with a row per step."""
@@ -452,11 +550,21 @@ class TestMemory:
         assert code == 0
         assert peak < 8 * 2**20
 
-    def test_trajectory_csv_written_in_blocks(self, tmp_path, capsys, monkeypatch):
+    def test_long_horizon_simulate_buffers(self, tmp_path, capsys):
+        # With the layers loaded beforehand, the peak is the run's own: 0.9 MB
+        # with a 256 KiB stepping buffer and 1024-row CSV blocks, 1.9 MB with
+        # a 1 MiB buffer and each CSV formatted whole.
+        import issgains.simulate  # noqa: F401
+
+        code, peak = self.traced_peak(["simulate", "--n_schedule", "250,1000", "--h", "0.0005",
+                                       "--output_dir", str(tmp_path)])
+        assert code == 0
+        assert peak < 1.25 * 2**20
+
+    def test_trajectory_csv_written_in_blocks(self, tmp_path, capsys):
         # 30000 steps at n = 4, where the rows outweigh the state: formatting
-        # each whole CSV before one write peaks at 6.0 MB, blocks of 1024
-        # rows at 3.8 MB.
-        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 1024)
+        # each whole CSV before one write peaks at 6.0 MB, the default blocks
+        # of 1024 rows at 3.8 MB.
         code, peak = self.traced_peak(["simulate", "--n_schedule", "2,4", "--h", "1e-4",
                                        "--output_dir", str(tmp_path)])
         assert code == 0
@@ -467,9 +575,10 @@ class TestMemory:
 # Runs every command in a fresh interpreter and prints, per command, its exit
 # code, the scipy modules loaded so far and the number of np.linalg.eigh calls
 # so far, under "issgains" the issgains modules loaded so far, and under
-# "check_only" which of CHECK_ONLY are loaded so far, and under "never"
-# which of NEVER_LOADED.  Arguments: output dir, n_schedule, and "refuse" to
-# make every scipy import fail.
+# "check_only" which of CHECK_ONLY are loaded so far, under "never" which of
+# NEVER_LOADED, and under "parser" which of argparse and the modules it pulls
+# in.  Arguments: output dir, n_schedule, and "refuse" to make every scipy
+# import fail.
 _FOOTPRINT_SCRIPT = """
 import contextlib, importlib.abc, io, json, sys
 import numpy as np
@@ -484,6 +593,7 @@ class RefuseScipy(importlib.abc.MetaPathFinder):
 CHECK_ONLY = [m for m in ("issgains.fattorini", "numpy.polynomial", "numpy.random", "_hashlib")
               if m not in sys.modules]
 NEVER_LOADED = [m for m in ("dataclasses",) if m not in sys.modules]
+PARSER = [m for m in ("argparse", "gettext", "locale") if m not in sys.modules]
 out_dir, schedule, mode = sys.argv[1:4]
 if mode == "refuse":
     sys.meta_path.insert(0, RefuseScipy())
@@ -501,7 +611,7 @@ def loaded(package="scipy"):
     return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
 
 stages = {"import": loaded(), "issgains": {"import": loaded("issgains")}, "check_only": {},
-          "never": {}}
+          "never": {}, "parser": {"import": [m for m in PARSER if m in sys.modules]}}
 small = ["--n_schedule", schedule, "--lambda_count", "20", "--output_dir", out_dir]
 for command in ("sweep", "gains", "plot", "simulate", "check"):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -510,6 +620,7 @@ for command in ("sweep", "gains", "plot", "simulate", "check"):
     stages["issgains"][command] = loaded("issgains")
     stages["check_only"][command] = [m for m in CHECK_ONLY if m in sys.modules]
     stages["never"][command] = [m for m in NEVER_LOADED if m in sys.modules]
+    stages["parser"][command] = [m for m in PARSER if m in sys.modules]
 try:
     import scipy
     stages["scipy_importable"] = True
@@ -554,12 +665,13 @@ print(json.dumps(result))
 
 
 # Imports the CLI, then runs --help, a config error and plot over the CSVs
-# in the output dir given as its argument; after each, prints which of
-# dataclasses and inspect have been loaded, less any loaded at start-up.
-# It imports nothing else that loads inspect (importlib.abc does on 3.12).
+# in the output dir given as its first argument; after each, prints which of
+# the modules named by the other arguments have been loaded, less any loaded
+# at start-up.  It imports nothing else that loads inspect (importlib.abc
+# does on 3.12).
 _STDLIB_FOOTPRINT_SCRIPT = """
 import contextlib, io, json, sys
-PROBED = [m for m in ("dataclasses", "inspect") if m not in sys.modules]
+PROBED = [m for m in sys.argv[2:] if m not in sys.modules]
 out_dir = sys.argv[1]
 
 def loaded():
@@ -636,7 +748,18 @@ class TestImportFootprint:
     def test_front_end_and_plot_load_neither_dataclasses_nor_inspect(self, tmp_path):
         for command in ("sweep", "simulate"):
             assert main([command, *TINY, "--output_dir", str(tmp_path)]) == 0
-        result = _fresh(_STDLIB_FOOTPRINT_SCRIPT, tmp_path)
+        result = _fresh(_STDLIB_FOOTPRINT_SCRIPT, tmp_path, "dataclasses", "inspect")
+        assert result == {"import": [], "help": [0, []], "config_error": [2, []],
+                          "plot": [0, []]}
+
+    def test_no_process_loads_argparse(self, tmp_path):
+        # The front end parses its arguments itself.  Nor does numpy load
+        # these three, so no command needs them.
+        parser = ["argparse", "gettext", "locale"]
+        loaded = _fresh(_FOOTPRINT_SCRIPT, tmp_path / "out", "8,16", "allow")["parser"]
+        assert loaded == dict.fromkeys(["import", "sweep", "gains", "plot", "simulate", "check"],
+                                       [])
+        result = _fresh(_STDLIB_FOOTPRINT_SCRIPT, tmp_path / "out", *parser)
         assert result == {"import": [], "help": [0, []], "config_error": [2, []],
                           "plot": [0, []]}
 

@@ -174,13 +174,13 @@ class TestAssembleGains:
     def test_limit_rules(self, omegas, d_values, norms, previous_norm, last_step,
                          alpha, theta, mu_p, mu_e):
         # Synthetic sweeps: omega_n rises, and the last step of the fractional
-        # norm straddles LIMIT_TOL.
+        # norm straddles LIMIT_TOL times the last value.
         omegas = sorted(omegas)
         count = len(omegas)
         norm_values = norms[:count - 2] + [previous_norm, previous_norm + last_step]
         records = [SweepRecord(n=2**(k + 4), omega_n=omega, d_n=d, frac_norm_n=norm)
                    for k, (omega, d, norm) in enumerate(zip(omegas, d_values, norm_values))]
-        if abs(norm_values[-1] - norm_values[-2]) > LIMIT_TOL:
+        if abs(norm_values[-1] - norm_values[-2]) > LIMIT_TOL * abs(norm_values[-1]):
             with pytest.raises(LimitError, match="frac_norm_limit did not converge"):
                 assemble_gains(records, alpha, theta, mu_p=mu_p, mu_e=mu_e)
             return
@@ -210,6 +210,26 @@ class TestAssembleGains:
     def test_single_record_rejected(self):
         with pytest.raises(ValueError, match="at least 2 records"):
             assemble_gains(REFERENCE_RECORDS[:1], 0.5, DEFAULT_THETA)
+
+    @staticmethod
+    def verdict(a, alpha):
+        """The certified fractional norm of a 16, 32 sweep at p = 2, or None
+        if the limit fails its Cauchy test."""
+        records = run_sweep((16, 32), a, alpha, PathSpec(count=20))
+        try:
+            return assemble_gains(records, alpha, DEFAULT_THETA).frac_norm_limit
+        except LimitError:
+            return None
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(a=st.floats(-8.0, 8.0).map(lambda exponent: 10.0**exponent))
+    def test_verdict_is_scale_free(self, a):
+        # a only rescales time, and the norm scales as a^alpha.  At alpha = 1/2
+        # it is sqrt(2a) at every n, so every a passes; at alpha = 3/4 it
+        # grows like n^(1/4), so every a fails, a = 1e-8 too, whose values
+        # all lie below LIMIT_TOL.
+        assert self.verdict(a, 0.5) == pytest.approx(math.sqrt(2.0 * a), rel=1e-12)
+        assert self.verdict(a, 0.75) is None
 
 
 class TestLemmaCheck:
