@@ -394,7 +394,7 @@ def main(argv=None) -> int:
             return 0
         command, raw = parsed
         overrides = {}
-        if raw.get("config"):
+        if "config" in raw:
             with open(raw["config"]) as fh:
                 overrides = file_overrides(fh.read())
         # Flags win over the file; the merged result is validated once.

@@ -51,8 +51,7 @@ class LimitError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Raised when an integral does not converge within
-    ``numerics.QUAD_MAX_LEVEL`` step halvings or ``numerics.QUAD_EVAL_BUDGET``
-    evaluations, or when its sum is not finite.
+    ``numerics.QUAD_MAX_LEVEL`` step halvings, or when its sum is not finite.
 
     Carries the best available estimate in ``best_estimate``.
     """
@@ -82,7 +81,15 @@ def step_count(t_end: float, h: float) -> int:
 
 
 def _parse_schedule(value: str) -> tuple:
-    return tuple(int(tok) for tok in value.split(",") if tok.strip())
+    """The comma-separated resolutions, each an int with optional whitespace
+    around it; an empty schedule or entry raises ValueError."""
+    if not value.strip():
+        raise ValueError("the schedule is empty")
+    tokens = value.split(",")
+    for i, tok in enumerate(tokens, start=1):
+        if not tok.strip():
+            raise ValueError(f"entry {i} of {len(tokens)} in {value!r} is empty")
+    return tuple(map(int, tokens))
 
 
 # Each RunConfig field in field order, with its parser and default: the

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gains import GainBundle, PathSpec, _hurwitz_neg_spectrum
+from .gains import GainBundle, PathSpec, sector_bound
 from .numerics import apply_matrix_function
 from .simulate import step_exact
 from .systems import (
@@ -192,17 +192,7 @@ def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
     systems = list(systems)
     if len(systems) < 2:
         raise ValueError("need at least 2 systems for a uniformity check")
-    values = {}
-    for sys in systems:
-        mu_min = float(sys.neg_spectrum()[0])
-        if mu_min <= 0.0:
-            return DiagnosticReport(
-                name="sector",
-                values={f"D_{sys.n}": float("nan")},
-                verdict="fail",
-                detail=f"system n = {sys.n} is not Hurwitz (min eigenvalue of -A is {mu_min})",
-            )
-        values[f"D_{sys.n}"] = path.resolvent_constant(mu_min)
+    values = {f"D_{sys.n}": sector_bound(sys, path) for sys in systems}
     d_list = list(values.values())
     top_half = d_list[len(d_list) // 2 :]
     spread = (max(top_half) - min(top_half)) / max(top_half)
@@ -379,7 +369,7 @@ def lemma_frac_semigroup_check(sys: ClosedControlSystem, bundle: GainBundle, t_g
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
         raise ValueError("time grid must be strictly positive (the bound is singular at 0)")
-    mu = _hurwitz_neg_spectrum(sys)
+    mu = -sys.eigendecomposition().eigenvalues
     alpha = bundle.alpha
     omega = bundle.beta_omega
     worst_excess = -math.inf

@@ -11,7 +11,6 @@ Everything here is pure and deterministic; results may be shared freely
 between threads.
 """
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -30,8 +29,6 @@ __all__ = [
     "weighted_op_norm",
 ]
 
-MAX_CORNER_COLUMNS = 20
-QUAD_EVAL_BUDGET = 10**6
 # Double-exponential quadrature: relative agreement of two successive step
 # halvings that ends the refinement, and the number of halvings allowed.
 QUAD_RTOL = 1e-13
@@ -168,18 +165,17 @@ def _quad(name: str, parts, scale: float = 1.0) -> QuadratureResult:
     Each part is ``(rule, fn)`` with ``rule`` one of _TANH_SINH (over (0, 1))
     or _EXP_SINH (over (1, inf)) and ``fn`` a vectorised integrand.  The
     trapezoid step on the t axis halves each level, reusing every earlier
-    node, until two successive estimates agree to QUAD_RTOL relative.
+    node, until two successive estimates agree to QUAD_RTOL relative.  The
+    QUAD_MAX_LEVEL + 1 levels take 3123 nodes of a _TANH_SINH part and 3477
+    of an _EXP_SINH part, so neither K-constant integral can take more than
+    6600 evaluations.
     """
     total = 0.0
     evals = 0
-    estimate = value = change = math.nan
+    estimate = math.nan
     for level in range(QUAD_MAX_LEVEL + 1):
         for (rule, window), fn in parts:
             t = _level_abscissae(level, window)
-            if evals + t.size > QUAD_EVAL_BUDGET:
-                raise QuadratureError(
-                    f"{name} exceeded {QUAD_EVAL_BUDGET} evaluations; "
-                    f"best estimate {scale * estimate:.17g}", best_estimate=scale * estimate)
             x, w = rule(t)
             total += float(np.sum(fn(x) * w))
             evals += t.size
@@ -301,9 +297,10 @@ def weighted_op_norm(m: np.ndarray, row_weight: float, col_norm: str = "euclidea
     """Operator norm of ``u -> row_weight * m @ u`` from (R^cols, col_norm)
     into the euclidean space.
 
-    For ``col_norm='max'`` the supremum over the unit infinity-ball is
-    attained at its corners (the map is convex), which are enumerated
-    exactly; this is capped at 20 columns.
+    ``col_norm='max'`` takes the two inputs of a boundary-controlled system:
+    m must have two columns c0 and c1.  The supremum over the unit
+    infinity-ball is attained at its corners (the map is convex), which sign
+    symmetry reduces to (1, 1) and (1, -1): max(||c0 + c1||, ||c0 - c1||).
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if not row_weight > 0.0:
@@ -311,15 +308,8 @@ def weighted_op_norm(m: np.ndarray, row_weight: float, col_norm: str = "euclidea
     if col_norm == "euclidean":
         return row_weight * float(np.linalg.norm(m, 2))
     if col_norm == "max":
-        cols = m.shape[1]
-        if cols > MAX_CORNER_COLUMNS:
-            raise ValueError(
-                f"max-norm operator norm supports at most {MAX_CORNER_COLUMNS} columns, got {cols}"
-            )
-        # Sign symmetry: fix the first coordinate to +1.
-        best = 0.0
-        for signs in itertools.product((1.0, -1.0), repeat=cols - 1):
-            u = np.array((1.0,) + signs)
-            best = max(best, float(np.linalg.norm(m @ u)))
-        return row_weight * best
+        if m.shape[1] != 2:
+            raise ValueError(f"the max-norm operator norm takes 2 columns, got {m.shape[1]}")
+        c0, c1 = m.T
+        return row_weight * max(float(np.linalg.norm(c0 + c1)), float(np.linalg.norm(c0 - c1)))
     raise ValueError(f"unknown column norm {col_norm!r}")

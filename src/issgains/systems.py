@@ -124,10 +124,6 @@ class ClosedControlSystem(_ClosedControlSystem):
             self.eig_memo.append(sym_tridiag_eig(self.a_diag, self.a_offdiag))
         return self.eig_memo[0]
 
-    def neg_spectrum(self) -> np.ndarray:
-        """Spectrum of -A, ascending, from the memoized decomposition."""
-        return -self.eigendecomposition().eigenvalues[::-1]
-
 
 def build_heat_dirichlet(n: int, a: float, space: WeightedSpace | None = None) -> ClosedControlSystem:
     """Finite-difference heat system on [0,1] with Dirichlet boundary inputs.

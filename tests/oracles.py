@@ -9,6 +9,7 @@ which the library's closed form cannot supply, so that library routes can
 run on it.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -56,6 +57,24 @@ def frac_control_norm_gram(sys) -> float:
         # Sign symmetry: the corners (1, 1) and (1, -1) cover the max-norm ball.
         top = max(float(u @ gram @ u) for u in (np.array([1.0, 1.0]), np.array([1.0, -1.0])))
     return sys.space.state_scale * math.sqrt(top)
+
+
+def resolvent_constant_scan(path, mu_min: float) -> float:
+    """sup of (lambda + 1) / (lambda + mu_min) over the window, as the
+    maximum over a log-spaced grid of the path's ``count`` points."""
+    grid = np.geomspace(path.lambda_min, path.lambda_max, path.count)
+    return float(np.max((grid + 1.0) / (grid + mu_min)))
+
+
+def max_norm_corners(m) -> float:
+    """Operator norm of u -> m @ u from (R^cols, max norm) into the euclidean
+    space, for any column count: the largest image of a corner of the unit
+    infinity-ball, the first coordinate fixed to +1 by sign symmetry."""
+    m = np.asarray(m, dtype=float)
+    best = 0.0
+    for signs in itertools.product((1.0, -1.0), repeat=m.shape[1] - 1):
+        best = max(best, float(np.linalg.norm(m @ np.array((1.0,) + signs))))
+    return best
 
 
 def resolvent_dense(sys, shift: float, rhs) -> np.ndarray:

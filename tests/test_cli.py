@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -19,6 +20,16 @@ import issgains.numerics as numerics
 import issgains.sweep as sweep
 from issgains.cli import ConfigError, RunConfig, dispatch, main, parse_config
 from issgains.gains import assemble_gains
+
+
+# n_schedule values with an empty entry, or none, and the error that names it.
+EMPTY_SCHEDULES = [
+    ("250,,500", "entry 2 of 3 in '250,,500' is empty"),
+    ("250,500,", "entry 3 of 3 in '250,500,' is empty"),
+    (",", "entry 1 of 2 in ',' is empty"),
+    ("250, ,500", "entry 2 of 3 in '250, ,500' is empty"),
+    ("", "the schedule is empty"),
+]
 
 
 class TestParseConfig:
@@ -52,6 +63,15 @@ class TestParseConfig:
     def test_malformed_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("a = 1.0\nnot a pair\n")
+
+    def test_schedule_whitespace(self):
+        assert parse_config("n_schedule =  250 , 500 \n").n_schedule == (250, 500)
+
+    @pytest.mark.parametrize("value, message", EMPTY_SCHEDULES)
+    def test_empty_schedule_entry(self, value, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"n_schedule = {value}\n")
+        assert str(info.value) == f"line 1: bad value for n_schedule: {message}"
 
     @pytest.mark.parametrize("line", ["a = -1", "theta = 1.0", "u_norm = taxicab",
                                       "n_schedule = 4,3", "weight_exponent = 3",
@@ -364,6 +384,11 @@ class TestReferenceGains:
         assert capsys.readouterr().out == \
             f"wrote {tmp_path / 'sweep.csv'} (234 bytes, 5 resolutions)\n"
 
+    def test_lambda_count_leaves_sweep_csv(self, tmp_path, capsys):
+        # D_n is taken at the ends of the window, which the grid size leaves.
+        assert main(["sweep", "--lambda_count", "2", "--output_dir", str(tmp_path)]) == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == self.REFERENCE_SWEEP_CSV
+
     def test_default_config(self, tmp_path, capsys):
         assert main(["gains", "--output_dir", str(tmp_path)]) == 0
         assert (tmp_path / "gains.kv").read_text() == self.REFERENCE_KV
@@ -371,6 +396,35 @@ class TestReferenceGains:
         assert [line.split() for line in text.splitlines()] == \
             [line.split(" = ") for line in self.REFERENCE_KV.splitlines()]
         assert capsys.readouterr().out == text
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestReferenceArtifacts:
+    """simulate's and check's output at the default config: the stdout of
+    simulate and the SHA-256 of every file the two commands write."""
+
+    SIMULATE_OUT = ("onesided: min margin +0.322675 at t = 3\n"
+                    "twosided: min margin -0.099958 at t = 3 (diagnostic only)\n"
+                    "bangbang: min margin +0.374081 at t = 2.4\n")
+    TRAJ_SHA256 = {
+        "onesided": "3469c9aafc3503651a438b3a53e40c13fdb2b0b058690ec1a34544101622e45e",
+        "twosided": "1a3e42006b643855ea3c49d6a707a9430197ab691058dee32a5007cb571565d5",
+        "bangbang": "224c7af64fa333f340dce265af0d0b18746da19a9e4d28053e769b4c9e882a5d",
+    }
+    CHECK_SHA256 = "a5a3f905228d8faebdaeaec0d0a1752acc1d78377a3c2e9dcca23547f986abdc"
+
+    def test_default_simulate(self, tmp_path, capsys):
+        assert main(["simulate", "--output_dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == self.SIMULATE_OUT
+        assert {label: sha256(tmp_path / f"traj_{label}.csv")
+                for label in self.TRAJ_SHA256} == self.TRAJ_SHA256
+
+    def test_default_check(self, tmp_path, capsys):
+        assert main(["check", "--output_dir", str(tmp_path)]) == 0
+        assert sha256(tmp_path / "check.txt") == self.CHECK_SHA256
 
 
 class TestMain:
@@ -421,6 +475,24 @@ class TestMain:
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
+
+    @pytest.mark.parametrize("argv", [["--config="], ["--config", ""]])
+    def test_empty_config_path_is_opened(self, monkeypatch, capsys, argv):
+        # An empty path names no file: it fails like any other, not as no --config.
+        monkeypatch.setattr(cli, "dispatch", None)
+        assert main(["gains", *argv, "--n_schedule", "16,32"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "No such file or directory: ''" in captured.err
+
+    @pytest.mark.parametrize("value, message", EMPTY_SCHEDULES)
+    def test_empty_schedule_entry_flag(self, monkeypatch, capsys, value, message):
+        monkeypatch.setattr(cli, "dispatch", None)
+        assert main(["sweep", "--n_schedule", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad value for --n_schedule: {message}\n"
 
     def test_unknown_command_via_main(self, tmp_path, capsys):
         assert main(["nope", "--output_dir", str(tmp_path)]) == 2
@@ -480,6 +552,10 @@ class TestArgv:
     def test_command_after_options(self, monkeypatch, argv):
         command, cfg = self.parsed(monkeypatch, argv)
         assert (command, cfg.alpha) == ("gains", 0.3)
+
+    def test_schedule_whitespace(self, monkeypatch):
+        _, cfg = self.parsed(monkeypatch, ["gains", "--n_schedule", " 8 ,16 "])
+        assert cfg.n_schedule == (8, 16)
 
     def test_value_starting_with_dash(self, monkeypatch):
         _, cfg = self.parsed(monkeypatch, ["sweep", "--output_dir", "-x"])

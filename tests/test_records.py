@@ -135,7 +135,9 @@ def test_parsers_follow_the_fields():
         ("weight_exponent", int), ("u_norm", str), ("mu_p", float), ("mu_e", float),
         ("t_end", float), ("h", float), ("seed", int), ("output_dir", str),
     ]
-    assert parse_schedule("250, 500,1000,") == (250, 500, 1000)
+    assert parse_schedule("250, 500,1000") == (250, 500, 1000)
+    with pytest.raises(ValueError, match="^entry 4 of 4 in '250, 500,1000,' is empty$"):
+        parse_schedule("250, 500,1000,")
 
 
 class TestEigenMemo:
