@@ -152,16 +152,20 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     x0 = np.zeros(n - 1)
     steps = step_count(cfg.t_end, cfg.h)
 
-    scenarios = {
-        "onesided": np.array([[1.0, 0.0]]),
-        "twosided": np.array([[1.0, 1.0]]),
-        "bangbang": bang_bang(steps, cfg.seed, active=(0,)),
-    }
+    # Each input is made when its scenario runs, and each trajectory is
+    # dropped before the next is simulated, so that only one scenario's
+    # step-length arrays are alive at a time.
+    scenarios = (
+        ("onesided", lambda: np.array([[1.0, 0.0]])),
+        ("twosided", lambda: np.array([[1.0, 1.0]])),
+        ("bangbang", lambda: bang_bang(steps, cfg.seed, active=(0,))),
+    )
     status = 0
-    for label, u in scenarios.items():
-        traj = simulate(system, x0, u, cfg.t_end, cfg.h)
+    for label, make_input in scenarios:
+        traj = simulate(system, x0, make_input(), cfg.t_end, cfg.h)
         margin, at = iss_margin(traj, bundle, x0_norm=0.0)
         _traj_csv(_out(cfg, f"traj_{label}.csv"), traj)
+        del traj
         note = ""
         if label == "twosided":
             # Reported as a diagnostic only: the two-sided constant case is

@@ -81,14 +81,19 @@ def step_count(t_end: float, h: float) -> int:
 
 
 def _parse_schedule(value: str) -> tuple:
-    """The comma-separated resolutions, each an int with optional whitespace
-    around it; an empty schedule or entry raises ValueError."""
+    """The comma-separated resolutions, each plain decimal digits 0-9 with
+    optional whitespace around them; an empty schedule raises ValueError,
+    and so does an entry that is empty or holds anything else (a sign, an
+    underscore, a non-ASCII digit), naming the entry."""
     if not value.strip():
         raise ValueError("the schedule is empty")
-    tokens = value.split(",")
+    tokens = [tok.strip() for tok in value.split(",")]
     for i, tok in enumerate(tokens, start=1):
-        if not tok.strip():
-            raise ValueError(f"entry {i} of {len(tokens)} in {value!r} is empty")
+        where = f"entry {i} of {len(tokens)} in {value!r}"
+        if not tok:
+            raise ValueError(f"{where} is empty")
+        if not (tok.isascii() and tok.isdigit()):
+            raise ValueError(f"{where} is {tok!r}, not plain decimal digits")
     return tuple(map(int, tokens))
 
 

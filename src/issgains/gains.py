@@ -80,8 +80,15 @@ class GainBundle(NamedTuple):
     gamma_slope: float
 
     def beta(self, s: float, t):
-        """beta(s, t); ``t`` may be an array of times."""
-        return self.beta_m * np.exp(-self.beta_omega * t) * s
+        """beta(s, t); ``t`` may be an array of times, whose values are then
+        computed in one new array of its shape."""
+        if np.ndim(t) == 0:
+            return self.beta_m * np.exp(-self.beta_omega * t) * s
+        values = np.multiply(-self.beta_omega, t)
+        np.exp(values, out=values)
+        values *= self.beta_m
+        values *= s
+        return values
 
     def gamma(self, s: float) -> float:
         return self.gamma_slope * s

@@ -12,6 +12,13 @@ buffer of at most BLOCK_BYTES: the eigenvectors V are orthonormal, so
 the next block overwrites them.  Only the final modal state is kept, so
 the states take O(n) memory at any step count.  Both the state norms and the
 input sup norm are those of the system's ``WeightedSpace``.
+
+What grows with the step count is the input samples (16 B a step for a full
+two-column input, none for a held row), the trajectory's times and norms
+(8 B each) and the one margins array of ``iss_margin`` (8 B): 40 B a step
+in all for a full input, 24 B for a held row.  No other array of the step
+count's length is made: the input sup norm is taken one block at a time,
+and the times and margins are computed in place.
 """
 
 import random
@@ -32,7 +39,8 @@ __all__ = [
 ]
 
 # Byte budget of simulate's block buffer, which holds the modal rows of one
-# block of steps: the forcing, then the states, then their norms.  Stepping
+# block of steps: the forcing, then the states, then their norms.  It also
+# sizes the blocks of input rows over which the input sup norm is taken.  Stepping
 # the three CLI scenarios at n = 1000, h = 5e-4 took (in-process, median of
 # 7 runs, 2-vCPU x86-64 host) 120 ms at 64 KiB, 103 ms at 128 KiB, 94 ms at
 # 256 KiB, 87 ms at 512 KiB, 89 ms at 1 MiB and 92 ms at 2 MiB, with the same
@@ -113,7 +121,11 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     Steps y <- exp(lambda h) y + phi (V^T B u) in modal coordinates y = V^T x,
     in blocks of rows of at most BLOCK_BYTES, and keeps only the final row
     as ``states``.  norms[0] is taken from x0 itself, the others from the
-    modal rows, since ||V y|| = ||y||.
+    modal rows, since ||V y|| = ||y||.  The input sup norm is the max of
+    the sample norms of each block of BLOCK_BYTES of input rows, which
+    equals the max over all rows bit for bit.  Besides the input, only
+    ``times`` and ``norms`` (8 B a step each) grow with the step count; the
+    buffers are bounded by BLOCK_BYTES.
 
     The forcing of a block is one matrix product over its rows, which BLAS
     rounds according to the row count.  For samples whose products u_j g_j
@@ -131,6 +143,12 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
         raise ValueError(f"input supplies {u.shape[0]} samples for {steps} steps")
     u = u[:steps]
     space = sys.space
+    # The input sup norm, BLOCK_BYTES of rows at a time, so that no |u| copy
+    # or norm array of the step count's length is made.  A max is exact, so
+    # this is the max over all rows bit for bit, a NaN included.
+    norm_rows = max(1, BLOCK_BYTES // (8 * k))
+    sup = np.max([np.max(space.input_sample_norm(u[i:i + norm_rows]))
+                  for i in range(0, u.shape[0], norm_rows)])
     state = np.asarray(x0, dtype=float)
     if state.shape != (space.grid.interior_nodes,):
         raise ValueError("initial state length does not match the grid")
@@ -170,15 +188,20 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
         norms[start + 1:stop + 1] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         y = rows[-1]
     norms *= space.state_scale
-    return Trajectory(times=np.arange(steps + 1) * h, states=y[np.newaxis].copy(), norms=norms,
-                      input_sup_norm=float(np.max(space.input_sample_norm(u))))
+    times = np.arange(steps + 1, dtype=float)
+    times *= h
+    return Trajectory(times=times, states=y[np.newaxis].copy(), norms=norms,
+                      input_sup_norm=float(sup))
 
 
 def iss_margin(traj: Trajectory, bundle: GainBundle, x0_norm: float) -> tuple[float, float]:
     """Minimum over the trajectory of beta(x0, t) + gamma(||u||_inf) - ||x(t)||;
-    positive means the ISS bound held at every sample."""
+    positive means the ISS bound held at every sample.  The margins are
+    computed in one array (8 B a step), in the order (beta + gamma) - norm."""
     if traj.times.size == 0:
         raise ValueError("empty trajectory")
-    margins = bundle.beta(x0_norm, traj.times) + bundle.gamma(traj.input_sup_norm) - traj.norms
+    margins = bundle.beta(x0_norm, traj.times)
+    margins += bundle.gamma(traj.input_sup_norm)
+    margins -= traj.norms
     idx = int(np.argmin(margins))
     return float(margins[idx]), float(traj.times[idx])

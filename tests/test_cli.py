@@ -31,6 +31,19 @@ EMPTY_SCHEDULES = [
     ("", "the schedule is empty"),
 ]
 
+# n_schedule values with an entry that is not plain decimal digits, and the
+# error that names it.  int() alone would take the first four.
+NON_DIGIT_SCHEDULES = [
+    ("1_6,3_2", "entry 1 of 2 in '1_6,3_2' is '1_6', not plain decimal digits"),
+    ("+250,500", "entry 1 of 2 in '+250,500' is '+250', not plain decimal digits"),
+    ("8, -16", "entry 2 of 2 in '8, -16' is '-16', not plain decimal digits"),
+    ("8,\u0661\u0666", "entry 2 of 2 in '8,\u0661\u0666' is '\u0661\u0666', "
+     "not plain decimal digits"),
+    ("8,16.0", "entry 2 of 2 in '8,16.0' is '16.0', not plain decimal digits"),
+    ("8,1e3", "entry 2 of 2 in '8,1e3' is '1e3', not plain decimal digits"),
+    ("8 16,32", "entry 1 of 2 in '8 16,32' is '8 16', not plain decimal digits"),
+]
+
 
 class TestParseConfig:
     def test_empty_source_gives_defaults(self):
@@ -72,6 +85,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(f"n_schedule = {value}\n")
         assert str(info.value) == f"line 1: bad value for n_schedule: {message}"
+
+    @pytest.mark.parametrize("value, message", NON_DIGIT_SCHEDULES)
+    def test_non_digit_schedule_entry(self, value, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"n_schedule = {value}\n")
+        assert str(info.value) == f"line 1: bad value for n_schedule: {message}"
+
+    def test_schedule_leading_zeros(self):
+        assert parse_config("n_schedule = 08,016\n").n_schedule == (8, 16)
 
     @pytest.mark.parametrize("line", ["a = -1", "theta = 1.0", "u_norm = taxicab",
                                       "n_schedule = 4,3", "weight_exponent = 3",
@@ -557,6 +579,14 @@ class TestArgv:
         _, cfg = self.parsed(monkeypatch, ["gains", "--n_schedule", " 8 ,16 "])
         assert cfg.n_schedule == (8, 16)
 
+    @pytest.mark.parametrize("value, message", NON_DIGIT_SCHEDULES)
+    def test_non_digit_schedule_entry(self, monkeypatch, capsys, value, message):
+        monkeypatch.setattr(cli, "dispatch", None)
+        assert main(["gains", f"--n_schedule={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad value for --n_schedule: {message}\n"
+
     def test_value_starting_with_dash(self, monkeypatch):
         _, cfg = self.parsed(monkeypatch, ["sweep", "--output_dir", "-x"])
         assert cfg.output_dir == "-x"
@@ -636,6 +666,25 @@ class TestMemory:
                                        "--output_dir", str(tmp_path)])
         assert code == 0
         assert peak < 1.25 * 2**20
+
+    def test_long_step_simulate(self, tmp_path, capsys):
+        # 5e4 steps at n = 4, where the step-length arrays outweigh the rest:
+        # the bang-bang input (16 B a step) with its trajectory's times and
+        # norms (16 B), then the times, norms and margins (24 B) once the
+        # input is freed, so 32 B a step and the stepping buffer at the peak:
+        # 1.90 MiB.  Drawing the input before the held scenarios run, or
+        # keeping a trajectory alive through the next scenario, would add
+        # 8-16 B a step; with a full |u| copy and the temporaries of beta on
+        # top as well, the peak would be 3.81 MiB.
+        import issgains.simulate  # noqa: F401
+        import issgains.sweep  # noqa: F401
+
+        steps = 50_000
+        code, peak = self.traced_peak(["simulate", "--n_schedule", "2,4", "--h", "1e-5",
+                                       "--t_end", "0.5", "--output_dir", str(tmp_path)])
+        assert code == 0
+        assert peak < 32 * steps + issgains.simulate.BLOCK_BYTES + 2**18
+        assert capsys.readouterr().out.splitlines()[-1].startswith("bangbang: ")
 
     def test_trajectory_csv_written_in_blocks(self, tmp_path, capsys):
         # 30000 steps at n = 4, where the rows outweigh the state: formatting

@@ -178,6 +178,21 @@ class TestAssembleGains:
         assert bundle.beta(1.0, 1.0) < bundle.beta(1.0, 0.5)
         assert bundle.beta(2.0, 0.5) > bundle.beta(1.0, 0.5)
 
+    @pytest.mark.parametrize("t", [0.7, np.float64(0.7), np.array(0.7),
+                                   np.linspace(0.0, 3.0, 61), np.arange(12).reshape(3, 4),
+                                   np.array([0.0, 1e-300, 0.05, 700.0])],
+                             ids=["float", "float64", "0-d", "times", "int-2-d", "extremes"])
+    @pytest.mark.parametrize("s", [0.0, 1.3])
+    def test_beta_matches_one_expression(self, t, s):
+        # beta_M exp(-omega t) s as one expression, bit for bit, with a numpy
+        # scalar for a scalar t and an array of t's shape for an array.
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, DEFAULT_THETA, mu_p=1.1, mu_e=1.2)
+        expected = bundle.beta_m * np.exp(-bundle.beta_omega * t) * s
+        got = bundle.beta(s, t)
+        assert type(got) is type(expected)
+        assert np.shape(got) == np.shape(t)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(omegas=st.lists(st.floats(0.1, 100.0), min_size=2, max_size=6, unique=True),

@@ -263,6 +263,80 @@ class TestBlocks:
         assert peak < 2**20
 
 
+class TestStepLengthArrays:
+    """What grows with the step count in simulate and iss_margin: the
+    outputs (times and norms), one margins array and nothing else.  The
+    input sup norm is taken one block at a time; the margins and times are
+    computed in place."""
+
+    @pytest.mark.parametrize("u_norm", ["max", "euclidean"])
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "full"])
+    def test_input_sup_norm_by_block(self, monkeypatch, u_norm, held):
+        # Blocks of 3 two-column input rows over 10 steps: 3, 3, 3 and a
+        # ragged 1.
+        n, h, steps = 8, 0.05, 10
+        sys = l2_system(n, u_norm=u_norm)
+        monkeypatch.setattr(issgains.simulate, "BLOCK_BYTES", 16 * 3)
+        rng = np.random.default_rng(steps)
+        # Full inputs get two more rows than steps, larger than any applied.
+        u = rng.uniform(-2.0, 2.0, (1 if held else steps + 2, 2))
+        if not held:
+            u[steps:] = 5.0
+        traj = simulate(sys, np.zeros(n - 1), u, steps * h, h)
+        assert traj.input_sup_norm == float(np.max(sys.space.input_sample_norm(u[:steps])))
+
+    @pytest.mark.parametrize("row", [1, 4, 9])
+    def test_input_sup_norm_keeps_a_nan(self, monkeypatch, row):
+        n, h, steps = 8, 0.05, 10
+        sys = l2_system(n)
+        monkeypatch.setattr(issgains.simulate, "BLOCK_BYTES", 16 * 3)
+        u = bang_bang(steps, seed=3)
+        u[row, 1] = np.nan
+        assert math.isnan(simulate(sys, np.zeros(n - 1), u, steps * h, h).input_sup_norm)
+
+    def test_times_are_step_multiples(self):
+        steps, h = 7, 0.3
+        traj = simulate(l2_system(8), np.zeros(7), ONE_SIDED, steps * h, h)
+        assert traj.times.dtype == np.float64
+        assert traj.times.tobytes() == (np.arange(steps + 1) * h).tobytes()
+
+    @pytest.mark.parametrize("x0_norm", [0.0, 2.0])
+    def test_margin_matches_one_expression(self, x0_norm):
+        n = 64
+        sys = l2_system(n)
+        x0 = np.sin(np.pi * sys.space.grid.nodes())
+        traj = simulate(sys, x0, bang_bang(40, seed=9), 2.0, 0.05)
+        b = REFERENCE_BUNDLE
+        margins = (b.beta_m * np.exp(-b.beta_omega * traj.times) * x0_norm
+                   + b.gamma(traj.input_sup_norm) - traj.norms)
+        k = int(np.argmin(margins))
+        assert iss_margin(traj, b, x0_norm) == (float(margins[k]), float(traj.times[k]))
+
+    @pytest.mark.parametrize("held, u_norm", [(False, "max"), (True, "euclidean")],
+                             ids=["full-max", "held-euclidean"])
+    def test_peak_memory(self, held, u_norm):
+        # 2e5 steps at n = 4, where the step-length arrays outweigh the state.
+        # The peak is the outputs (3.05 MiB) and the margins (1.53 MiB).  A
+        # full |u| copy, a per-row norm array, an int64 times array and the
+        # temporaries of beta would raise it to 7.88 MiB (full, max) and
+        # 6.10 MiB (held).
+        n, h, steps = 4, 1e-5, 200_000
+        sys = l2_system(n, u_norm=u_norm)
+        u = np.array([[1.0, -1.0]]) if held else bang_bang(steps, seed=5)
+        sys.eigendecomposition()  # memoized before tracing
+        tracemalloc.start()
+        try:
+            traj = simulate(sys, np.zeros(n - 1), u, steps * h, h)
+            iss_margin(traj, REFERENCE_BUNDLE, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = traj.times.nbytes + traj.norms.nbytes
+        margins = traj.norms.nbytes
+        slack = 2**18
+        assert peak < outputs + margins + issgains.simulate.BLOCK_BYTES + slack
+
+
 class TestLiveModes:
     """simulate steps only the modes whose exp(lambda h) is nonzero, and
     leaves the others at their forcing; bit for bit against the stepwise
