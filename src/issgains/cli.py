@@ -154,15 +154,19 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
     # Each input is made when its scenario runs, and each trajectory is
     # dropped before the next is simulated, so that only one scenario's
-    # step-length arrays are alive at a time.
+    # step-length arrays are alive at a time.  The bang-bang input drives
+    # the left end only; it stores that one column and drives the system
+    # whose B keeps only that column.
+    left = [0]
     scenarios = (
-        ("onesided", lambda: np.array([[1.0, 0.0]])),
-        ("twosided", lambda: np.array([[1.0, 1.0]])),
-        ("bangbang", lambda: bang_bang(steps, cfg.seed, active=(0,))),
+        ("onesided", system, lambda: np.array([[1.0, 0.0]])),
+        ("twosided", system, lambda: np.array([[1.0, 1.0]])),
+        ("bangbang", system._replace(b_matrix=system.b_matrix[:, left]),
+         lambda: bang_bang(steps, cfg.seed, active=left)),
     )
     status = 0
-    for label, make_input in scenarios:
-        traj = simulate(system, x0, make_input(), cfg.t_end, cfg.h)
+    for label, driven, make_input in scenarios:
+        traj = simulate(driven, x0, make_input(), cfg.t_end, cfg.h)
         margin, at = iss_margin(traj, bundle, x0_norm=0.0)
         _traj_csv(_out(cfg, f"traj_{label}.csv"), traj)
         del traj
@@ -184,6 +188,9 @@ def _cmd_check(cfg: RunConfig) -> int:
     from . import fattorini
     from .systems import build_heat_dirichlet
 
+    # Only check builds the lambda_count grid, so only check validates it.
+    if cfg.lambda_count < 2:
+        raise ConfigError("lambda_count must be >= 2")
     small = [n for n in cfg.n_schedule if n <= 256] or list(cfg.n_schedule[:2])
     if len(small) < 2:
         small = [small[0], 2 * small[0]]

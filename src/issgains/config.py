@@ -139,8 +139,6 @@ class RunConfig(namedtuple("RunConfig", list(PARSERS),
         if not 0 < self.lambda_min < self.lambda_max < math.inf:
             raise ConfigError("need 0 < lambda_min < lambda_max < inf, got "
                               f"{self.lambda_min} and {self.lambda_max}")
-        if self.lambda_count < 2:
-            raise ConfigError("lambda_count must be >= 2")
         if self.weight_exponent not in (1, 2):
             raise ConfigError(f"weight_exponent must be 1 or 2, got {self.weight_exponent}")
         if self.u_norm not in ("euclidean", "max"):

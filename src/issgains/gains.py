@@ -43,7 +43,8 @@ class _PathSpec(NamedTuple):
 class PathSpec(_PathSpec):
     """Window [lambda_min, lambda_max] of the positive real ray over which
     resolvent bounds are taken, and a log-spaced grid of ``count`` points on
-    it for the check diagnostics' resolvent scans."""
+    it for the check diagnostics' resolvent scans.  Only ``grid`` reads
+    ``count``, so only ``grid`` checks it."""
 
     __slots__ = ()
 
@@ -51,11 +52,11 @@ class PathSpec(_PathSpec):
         self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.lambda_min < self.lambda_max:
             raise ValueError("need 0 < lambda_min < lambda_max")
-        if self.count < 2:
-            raise ValueError("need at least 2 path points")
         return self
 
     def grid(self) -> np.ndarray:
+        if self.count < 2:
+            raise ValueError("need at least 2 path points")
         return np.geomspace(self.lambda_min, self.lambda_max, self.count)
 
     def resolvent_constant(self, mu_min: float) -> float:

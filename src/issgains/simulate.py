@@ -5,20 +5,33 @@ The stepping is an exponential integrator evaluated spectrally, so it is
 exact (up to eigensolver accuracy) for the piecewise-constant input class;
 no time-discretization error enters the ISS verification.  An input is an
 array of samples, one row per step (or one row held for every step);
-``bang_bang`` draws the seeded random ones.  ``simulate`` steps in modal
-coordinates y = V^T x, O(n) per step, one block of steps at a time in a
-buffer of at most BLOCK_BYTES: the eigenvectors V are orthonormal, so
-||x|| = ||y||, and each block's norms are taken from its modal rows before
-the next block overwrites them.  Only the final modal state is kept, so
-the states take O(n) memory at any step count.  Both the state norms and the
+``bang_bang`` draws the seeded random ones, one column per boundary end it
+drives.  ``simulate`` works in modal coordinates y = V^T x: the
+eigenvectors V are orthonormal, so ||x|| = ||y||.
+
+- A held row is evaluated in closed form at each sample time,
+  y(t) = exp(lambda t) y0 + expm1(lambda t) (g u) / lambda, over the modes
+  still moving at that time: O(moving modes) per block of samples, with no
+  per-step loop, and a rounding error that does not grow with the step
+  count.
+- A full input takes the recurrence y <- exp(lambda h) y + phi (g u_i),
+  O(n) per step, one Python iteration per step.
+
+Both work one block of samples at a time, in at most BLOCK_BYTES of
+temporaries, and take each block's norms from its modal rows before the
+next block overwrites them.  Only the final modal state is kept, so the
+states take O(n) memory at any step count.  Both the state norms and the
 input sup norm are those of the system's ``WeightedSpace``.
 
-What grows with the step count is the input samples (16 B a step for a full
-two-column input, none for a held row), the trajectory's times and norms
+What grows with the step count is the input samples (8 B a step per
+column of a full input, so 8 B for the simulate command's one-column
+bang-bang input, none for a held row), the trajectory's times and norms
 (8 B each) and the one margins array of ``iss_margin`` (8 B): 40 B a step
-in all for a full input, 24 B for a held row.  No other array of the step
-count's length is made: the input sup norm is taken one block at a time,
-and the times and margins are computed in place.
+in all for a full two-column input, 32 B for a one-column one, 24 B for a
+held row.  No other array of the step count's length is made: the input
+sup norm is taken one block at a time, a full input's times are made after
+its stepping buffer is freed, and the times and margins are computed in
+place.
 """
 
 import random
@@ -38,21 +51,32 @@ __all__ = [
     "iss_margin",
 ]
 
-# Byte budget of simulate's block buffer, which holds the modal rows of one
-# block of steps: the forcing, then the states, then their norms.  It also
-# sizes the blocks of input rows over which the input sup norm is taken.  Stepping
-# the three CLI scenarios at n = 1000, h = 5e-4 took (in-process, median of
-# 7 runs, 2-vCPU x86-64 host) 120 ms at 64 KiB, 103 ms at 128 KiB, 94 ms at
-# 256 KiB, 87 ms at 512 KiB, 89 ms at 1 MiB and 92 ms at 2 MiB, with the same
-# norms at every size; 256 KiB keeps most of that speed for a quarter of
-# the 1 MiB buffer's resident memory.
+# Byte budget of simulate's temporaries: for a full input, the modal rows of
+# one block of steps (the forcing, then the states, then their norms) and,
+# for two or more input columns, a scratch block of the forcing's terms; for
+# a held row, lambda t and the closed form of one block of samples, and
+# exp(lambda t) y0 beside them.  It also sizes the blocks of input rows over
+# which the input sup norm is taken.  No result depends on it.  When all
+# three CLI scenarios took the recurrence, stepping them at n = 1000,
+# h = 5e-4 took (in-process, median of 7 runs, 2-vCPU x86-64 host) 120 ms
+# at 64 KiB, 103 ms at 128 KiB, 94 ms at 256 KiB, 87 ms at 512 KiB, 89 ms
+# at 1 MiB and 92 ms at 2 MiB; 256 KiB keeps most of that speed for a
+# quarter of the 1 MiB buffer's resident memory.
 BLOCK_BYTES = 2**18
+
+# exp(x) is exactly 0 below about -745.13 and expm1(x) exactly -1 below
+# about -37.4, so a mode whose lambda t is below -SETTLED has reached its
+# steady value under a held input to the last bit.
+SETTLED = 746.0
 
 
 def bang_bang(steps: int, seed: int, active: tuple = (0, 1)) -> np.ndarray:
-    """Input samples, one row per step, drawn uniformly from {-1, 0, 1} on
-    the active boundary components and zero elsewhere; reproducible from
-    the 64-bit seed.  An all-zero draw gets a 1 in its first active entry.
+    """Input samples, one row per step and one column per active boundary
+    component, in the order of ``active``, drawn uniformly from {-1, 0, 1};
+    reproducible from the 64-bit seed.  An all-zero draw gets a 1 in its
+    first entry.  The other components are zero and not stored, so such an
+    input drives the system whose B keeps only the active columns,
+    ``sys._replace(b_matrix=sys.b_matrix[:, list(active)])``.
 
     The draws are the bytes of ``random.Random(seed)``, taken column by
     column, with 255 rejected so that b % 3 is uniform (255 = 3 * 85), and
@@ -61,9 +85,8 @@ def bang_bang(steps: int, seed: int, active: tuple = (0, 1)) -> np.ndarray:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     rng = random.Random(seed)
-    values = np.zeros((steps, 2))
-    for j in active:
-        column = values[:, j]
+    values = np.empty((steps, len(active)))
+    for column in values.T:
         filled = 0
         while filled < steps:
             draws = np.frombuffer(rng.randbytes(steps - filled), dtype=np.uint8)
@@ -72,7 +95,7 @@ def bang_bang(steps: int, seed: int, active: tuple = (0, 1)) -> np.ndarray:
             filled += draws.size
         column -= 1.0
     if not np.any(values):
-        values[0, active[0]] = 1.0
+        values[0, 0] = 1.0
     return values
 
 
@@ -113,26 +136,28 @@ def step_exact(sys: ClosedControlSystem, x, u, h: float) -> np.ndarray:
 
 
 def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Trajectory:
-    """Repeated exact steps from 0 to t_end under the input samples ``u``,
-    an array with one column per input component and either one row, held
-    for every step, or at least one row per step (rows past the last step
-    are ignored).  State and input norms are those of ``sys.space``.
+    """Exact steps from 0 to t_end under the input samples ``u``, an array
+    with one column per input component and either one row, held for every
+    step, or at least one row per step (rows past the last step are
+    ignored).  State and input norms are those of ``sys.space``.
 
-    Steps y <- exp(lambda h) y + phi (V^T B u) in modal coordinates y = V^T x,
-    in blocks of rows of at most BLOCK_BYTES, and keeps only the final row
-    as ``states``.  norms[0] is taken from x0 itself, the others from the
-    modal rows, since ||V y|| = ||y||.  The input sup norm is the max of
-    the sample norms of each block of BLOCK_BYTES of input rows, which
-    equals the max over all rows bit for bit.  Besides the input, only
-    ``times`` and ``norms`` (8 B a step each) grow with the step count; the
-    buffers are bounded by BLOCK_BYTES.
+    The state is kept in modal coordinates y = V^T x, and only its final
+    row is returned as ``states``.  norms[0] is taken from x0 itself, the
+    others from the modal rows, since ||V y|| = ||y||.  A held row (an input
+    of one row) is evaluated in closed form at each sample time
+    (``_held``): O(moving modes) per block of samples, no per-step loop, and
+    each entry within a fixed number of ulps of the exact solution at any
+    step count.  A full input takes the recurrence (``_stepped``): O(n) and
+    one Python iteration per step, with a rounding error that grows with the
+    step count.  Either way the forcing is formed elementwise, column by
+    column, so no BLAS matrix product is made, and every result, for any
+    real input, is the same bit for bit whatever block sizes BLOCK_BYTES
+    sets.
 
-    The forcing of a block is one matrix product over its rows, which BLAS
-    rounds according to the row count.  For samples whose products u_j g_j
-    are inexact (entries outside {-1, 0, 1}, say) the last bits of the
-    states and norms therefore depend on the block row count, and so on n
-    and the step count.  The CLI scenarios draw from {-1, 0, 1}, whose
-    products are exact, so their results do not.
+    The input sup norm is the max of the sample norms of each block of
+    BLOCK_BYTES of input rows, which equals the max over all rows bit for
+    bit.  Besides the input, only ``times`` and ``norms`` (8 B a step each)
+    grow with the step count; the temporaries are bounded by BLOCK_BYTES.
     """
     steps = step_count(t_end, h)
     k = sys.b_matrix.shape[1]
@@ -141,6 +166,7 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
         raise ValueError(f"input samples must have shape (rows, {k}), got {u.shape}")
     if u.shape[0] != 1 and u.shape[0] < steps:
         raise ValueError(f"input supplies {u.shape[0]} samples for {steps} steps")
+    held = u.shape[0] == 1
     u = u[:steps]
     space = sys.space
     # The input sup norm, BLOCK_BYTES of rows at a time, so that no |u| copy
@@ -152,46 +178,139 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     state = np.asarray(x0, dtype=float)
     if state.shape != (space.grid.interior_nodes,):
         raise ValueError("initial state length does not match the grid")
-    v, decay, phi = _step_factors(sys, h)
-    g = v.T @ sys.b_matrix
+    eig = sys.eigendecomposition()
+    g = eig.eigenvectors.T @ sys.b_matrix
+    y = eig.eigenvectors.T @ state
+    norms = np.empty(steps + 1)
+    norms[0] = np.linalg.norm(state)
+    if held:
+        times = np.arange(steps + 1, dtype=float)
+        times *= h
+        y = _held(eig.eigenvalues, g, u[0], y, times, norms)
+    else:
+        _, decay, phi = _step_factors(sys, h)
+        y = _stepped(decay, phi, g, u, y, norms)
+        # Made once the stepping buffer is freed, so that the input, the
+        # buffer, the norms and the times are never alive at once.
+        times = np.arange(steps + 1, dtype=float)
+        times *= h
+    norms *= space.state_scale
+    return Trajectory(times=times, states=y[np.newaxis], norms=norms,
+                      input_sup_norm=float(sup))
+
+
+def _forcing(g, samples, out) -> None:
+    """out = samples @ g.T, formed elementwise: u_j * g_j for each input
+    column j, summed in column order.  Each row depends on its own sample
+    alone, so a row rounds the same in a block of any size.  Two or more
+    columns take a scratch array of the shape of ``out``."""
+    np.multiply(samples[:, :1], g[:, 0], out=out)
+    if g.shape[1] > 1:
+        scratch = np.empty_like(out)
+    for j in range(1, g.shape[1]):
+        np.multiply(samples[:, j:j + 1], g[:, j], out=scratch)
+        out += scratch
+
+
+def _stepped(decay, phi, g, u, y, norms) -> np.ndarray:
+    """Steps y <- exp(lambda h) y + phi (g u_i) for the rows of ``u``, in
+    blocks of rows held in a buffer of at most BLOCK_BYTES, and writes the
+    norms of the states into norms[1:].  Returns the final modal state."""
+    steps, k = u.shape
+    # Two or more input columns take a scratch block beside the forcing.
+    rows_max = max(1, min(steps, BLOCK_BYTES // ((1 if k == 1 else 2) * y.nbytes)))
+    block = np.empty((rows_max, y.size))
     # lambda ascends, so the modes whose exp(lambda h) underflows to 0 come
     # first.  Their decay term 0 * prev is +-0, so each of their entries is
     # its forcing alone and only the live modes are stepped.  Adding the
     # zero could change at most the sign of a zero entry, which no norm sees.
     live = int(np.searchsorted(decay, 0.0, side="right"))
     decay = decay[live:]
-
-    y = v.T @ state
-    # A held row is a zero-stride view here and is copied out one block at a
-    # time below, so that it takes the same BLAS route, and rounds the same,
-    # as rows given in full.
-    samples = np.broadcast_to(u, (steps, k))
-    norms = np.empty(steps + 1)
-    norms[0] = np.linalg.norm(state)
-    block = np.empty((max(1, min(steps, BLOCK_BYTES // y.nbytes)), y.size))
     decayed = np.empty(decay.size)
-    for start in range(0, steps, block.shape[0]):
-        stop = min(start + block.shape[0], steps)
+    for start in range(0, steps, rows_max):
+        stop = min(start + rows_max, steps)
         rows = block[:stop - start]
         # The decay of the last state, taken before the forcing overwrites
         # the buffer row it may sit in.
         np.multiply(decay, y[live:], out=decayed)
         # The forcing phi * (g u_i) of each step, written into the row it is
         # added to.
-        np.matmul(np.ascontiguousarray(samples[start:stop]), g.T, out=rows)
+        _forcing(g, u[start:stop], rows)
         rows *= phi
         live_rows = rows[:, live:]
         live_rows[0] += decayed
         for prev, row in zip(live_rows, live_rows[1:]):
             np.multiply(decay, prev, out=decayed)
             row += decayed
-        norms[start + 1:stop + 1] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        sq = norms[start + 1:stop + 1]
+        np.einsum("ij,ij->i", rows, rows, out=sq)
+        np.sqrt(sq, out=sq)
         y = rows[-1]
-    norms *= space.state_scale
-    times = np.arange(steps + 1, dtype=float)
-    times *= h
-    return Trajectory(times=times, states=y[np.newaxis].copy(), norms=norms,
-                      input_sup_norm=float(sup))
+    # A copy, so that the buffer is freed on return.
+    return y.copy()
+
+
+def _held(lam, g, row, y0, times, norms) -> np.ndarray:
+    """The exact solution under one input row held from t = 0, at each
+    sample time t_i = times[i]:
+
+        y(t_i) = exp(lambda t_i) y0 + expm1(lambda t_i) q,  q = (g u) / lambda,
+
+    whose norms it writes into norms[1:].  Returns the final modal state.
+
+    A mode is settled at t_i once t_i > SETTLED / -lambda: then
+    lambda t_i < -745.2 however it rounds, exp gives exactly 0 and expm1
+    exactly -1, and the entry is exactly -q.  lambda ascends, so the settled
+    modes are a prefix of the modes, and their squares enter the norm
+    through one prefix sum of q^2 in lambda order.  The samples are taken
+    in runs over which the settled prefix is the same, at most BLOCK_BYTES
+    of temporaries at a time (never less than one row of the moving modes),
+    so each sample costs O(moving modes) and its arithmetic depends on
+    nothing but its own time: no result depends on the block sizes.  Each
+    entry is within a fixed number of ulps of |y0| + |g||u| / |lambda| of
+    the exact value at any step count; tests/test_simulate.py derives the
+    bound."""
+    m = lam.size
+    w = np.empty(m)
+    _forcing(g, row[np.newaxis], w[np.newaxis])
+    q = w / lam
+    settled_sq = np.empty(m + 1)
+    settled_sq[0] = 0.0
+    np.cumsum(q * q, out=settled_sq[1:])
+    # Mode k is settled at every sample time above settle_at[k]; ascending.
+    settle_at = SETTLED / -lam
+    steps = times.size - 1
+    first = int(np.searchsorted(settle_at, times[1]))
+    # Two arrays: lambda t, then the closed form, and exp(lambda t) y0.
+    size = max(m - first, min(steps * (m - first), BLOCK_BYTES // 16))
+    buf = np.empty((2, size))
+    final = -q
+    i = 1
+    while i <= steps:
+        s = int(np.searchsorted(settle_at, times[i]))
+        moving = m - s
+        if moving == 0:
+            norms[i:] = np.sqrt(settled_sq[m])
+            break
+        # The run ends where mode s settles, or where the buffer is full.
+        end = int(np.searchsorted(times, settle_at[s], side="right"))
+        stop = min(end, steps + 1, i + size // moving)
+        arg = buf[0, :(stop - i) * moving].reshape(stop - i, moving)
+        np.multiply.outer(times[i:stop], lam[s:], out=arg)
+        e = buf[1, :arg.size].reshape(arg.shape)
+        np.exp(arg, out=e)
+        e *= y0[s:]
+        np.expm1(arg, out=arg)
+        arg *= q[s:]
+        arg += e
+        sq = norms[i:stop]
+        np.einsum("ij,ij->i", arg, arg, out=sq)
+        sq += settled_sq[s]
+        np.sqrt(sq, out=sq)
+        if stop == steps + 1:
+            final[s:] = arg[-1]
+        i = stop
+    return final
 
 
 def iss_margin(traj: Trajectory, bundle: GainBundle, x0_norm: float) -> tuple[float, float]:

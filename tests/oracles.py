@@ -9,6 +9,7 @@ which the library's closed form cannot supply, so that library routes can
 run on it.
 """
 
+import decimal
 import itertools
 import math
 
@@ -142,7 +143,8 @@ def matrix_function(eig, f) -> np.ndarray:
 def simulate_stepwise(sys, x0, u, h: float, steps: int) -> np.ndarray:
     """Modal states y_0 .. y_steps of exact steps taken one at a time:
     exp(lambda h) y, then + phi (V^T B u_i), the forcing formed anew in each
-    step.  ``u`` has one row per step, or one row held for every step."""
+    step as the sum of u_ij (V^T B)_j over the input columns j in order.
+    ``u`` has one row per step, or one row held for every step."""
     eig = sys.eigendecomposition()
     lam, v = eig.eigenvalues, eig.eigenvectors
     decay = np.exp(lam * h)
@@ -154,17 +156,64 @@ def simulate_stepwise(sys, x0, u, h: float, steps: int) -> np.ndarray:
     for i in range(steps):
         row = states[i + 1]
         np.multiply(decay, states[i], out=row)
-        row += phi * (g @ u[i if len(u) > 1 else 0])
+        sample = u[i if len(u) > 1 else 0]
+        row += phi * sum(g[:, j] * sample[j] for j in range(g.shape[1]))
     return states
 
 
 def prefix_states(sys, x0, u, h: float, steps: int) -> np.ndarray:
     """Modal states y_0 .. y_steps of a run, as simulate computes them: row 0
-    is V^T x0, row i the final state of simulate over the first i steps."""
+    is V^T x0, row i the final state of simulate over the first i steps.
+    Each prefix run gets one input row past its last step where ``u`` has
+    it, which simulate ignores, so that a prefix of a full input is a full
+    input too, stepped like the whole run, and not a held row."""
     v = sys.eigendecomposition().eigenvectors
     first = (v.T @ np.asarray(x0, dtype=float))[np.newaxis]
-    return np.concatenate([first] + [simulate(sys, x0, u[:i], i * h, h).states
+    return np.concatenate([first] + [simulate(sys, x0, u[:i + 1], i * h, h).states
                                      for i in range(1, steps + 1)])
+
+
+# Digits of the decimal reference trajectories, far beyond the 17 of a
+# double, so that their own rounding is negligible beside one ulp.
+DECIMAL_DIGITS = 40
+
+
+def held_exact(sys, x0, row, h: float, samples) -> list:
+    """Modal states y(i h), for each sample index i of ``samples``, of the
+    exact solution under the input row ``row`` held from t = 0,
+
+        y(t) = exp(lambda t) y0 + (exp(lambda t) - 1) (g . u) / lambda,
+
+    in DECIMAL_DIGITS-digit decimal arithmetic, with the doubles lambda,
+    y0 = V^T x0, g = V^T B, u and h taken as exact and t = i h formed
+    exactly.  A list of rows of Decimals."""
+    eig = sys.eigendecomposition()
+    v = eig.eigenvectors
+    y0 = v.T @ np.asarray(x0, dtype=float)
+    g = v.T @ sys.b_matrix
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        D = decimal.Decimal
+        lam = [D(x) for x in eig.eigenvalues.tolist()]
+        start = [D(x) for x in y0.tolist()]
+        force = [sum(D(gj) * D(uj) for gj, uj in zip(gk, row)) for gk in g.tolist()]
+        rows = []
+        for i in samples:
+            t = D(i) * D(h)
+            state = []
+            for lk, y, f in zip(lam, start, force):
+                e = (lk * t).exp()
+                state.append(e * y + (e - 1) * f / lk)
+            rows.append(state)
+        return rows
+
+
+def exact_norm(sys, state) -> decimal.Decimal:
+    """sys.space.state_scale * ||state|| of a row of Decimals, in
+    DECIMAL_DIGITS-digit arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        return decimal.Decimal(sys.space.state_scale) * sum(y * y for y in state).sqrt()
 
 
 def _quadpack(fn, lo, hi) -> float:

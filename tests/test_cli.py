@@ -495,6 +495,22 @@ class TestMain:
         assert captured.out == ""
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("command", ["sweep", "gains", "simulate"])
+    def test_lambda_count_unread_outside_check(self, tmp_path, capsys, command):
+        # Only check builds the lambda_count grid.
+        assert main([command, "--lambda_count", "1", "--n_schedule", "16,32",
+                     "--t_end", "1.0", "--h", "0.1", "--output_dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_lambda_count_checked_by_check(self, tmp_path, capsys):
+        code = main(["check", "--lambda_count", "1", "--n_schedule", "16,32",
+                     "--output_dir", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: lambda_count must be >= 2\n"
+        assert captured.out == ""
+        assert not (tmp_path / "check.txt").exists()
+
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -669,13 +685,15 @@ class TestMemory:
 
     def test_long_step_simulate(self, tmp_path, capsys):
         # 5e4 steps at n = 4, where the step-length arrays outweigh the rest:
-        # the bang-bang input (16 B a step) with its trajectory's times and
-        # norms (16 B), then the times, norms and margins (24 B) once the
-        # input is freed, so 32 B a step and the stepping buffer at the peak:
-        # 1.90 MiB.  Drawing the input before the held scenarios run, or
-        # keeping a trajectory alive through the next scenario, would add
-        # 8-16 B a step; with a full |u| copy and the temporaries of beta on
-        # top as well, the peak would be 3.81 MiB.
+        # the one-column bang-bang input (8 B a step) with its trajectory's
+        # times and norms (16 B), then the times, norms and margins (24 B)
+        # once the input is freed, so 24 B a step at the peak: 1.27 MiB.
+        # Storing an all-zero second input column would add 8 B a step, and
+        # making the times while the stepping buffer is alive would add the
+        # buffer; drawing the input before the held scenarios run, or keeping
+        # a trajectory alive through the next scenario, would add 8-16 B a
+        # step; with a full |u| copy and the temporaries of beta on top as
+        # well, the peak would be 3.81 MiB.
         import issgains.simulate  # noqa: F401
         import issgains.sweep  # noqa: F401
 
@@ -683,7 +701,7 @@ class TestMemory:
         code, peak = self.traced_peak(["simulate", "--n_schedule", "2,4", "--h", "1e-5",
                                        "--t_end", "0.5", "--output_dir", str(tmp_path)])
         assert code == 0
-        assert peak < 32 * steps + issgains.simulate.BLOCK_BYTES + 2**18
+        assert peak < 24 * steps + issgains.simulate.BLOCK_BYTES + 2**18
         assert capsys.readouterr().out.splitlines()[-1].startswith("bangbang: ")
 
     def test_trajectory_csv_written_in_blocks(self, tmp_path, capsys):

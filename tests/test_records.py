@@ -94,7 +94,7 @@ INVALID = [
      "input norm must be 'euclidean' or 'max', got 'l1'"),
     (PathSpec, {"lambda_min": 0.0}, "need 0 < lambda_min < lambda_max"),
     (PathSpec, {"lambda_min": 2.0, "lambda_max": 1.0}, "need 0 < lambda_min < lambda_max"),
-    (PathSpec, {"count": 1}, "need at least 2 path points"),
+    (PathSpec, {"lambda_max": math.nan}, "need 0 < lambda_min < lambda_max"),
     (SweepRecord, {"n": 4, "omega_n": math.nan, "d_n": 1.0, "frac_norm_n": 1.0},
      "non-finite sweep record at n = 4"),
     (SweepRecord, {"n": 4, "omega_n": 9.0, "d_n": math.inf, "frac_norm_n": 1.0},
@@ -121,9 +121,17 @@ def test_validation_message(cls, kwargs, message):
 
 
 def test_run_config_validates_on_request():
-    cfg = RunConfig(lambda_count=1)
-    with pytest.raises(ConfigError, match="^lambda_count must be >= 2$"):
+    cfg = RunConfig(weight_exponent=3)
+    with pytest.raises(ConfigError, match="^weight_exponent must be 1 or 2, got 3$"):
         cfg.validate()
+
+
+def test_path_grid_needs_two_points():
+    # Only the grid reads count: a one-point path still gives its window.
+    path = PathSpec(count=1)
+    assert path.resolvent_constant(2.0) == PathSpec().resolvent_constant(2.0)
+    with pytest.raises(ValueError, match="^need at least 2 path points$"):
+        path.grid()
 
 
 def test_parsers_follow_the_fields():

@@ -1,9 +1,13 @@
+import contextlib
+import decimal
 import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import issgains.simulate
 from issgains.config import DEFAULT_THETA, MAX_STEPS, step_count
@@ -22,7 +26,8 @@ from issgains.systems import (
     WeightedSpace,
     build_heat_dirichlet,
 )
-from oracles import prefix_states, simulate_stepwise, with_dense_eig
+from oracles import (DECIMAL_DIGITS, exact_norm, held_exact, prefix_states, simulate_stepwise,
+                     with_dense_eig)
 
 REFERENCE_BUNDLE = GainBundle(
     alpha=0.5, theta=DEFAULT_THETA, k1=3.1408, k2=0.5626, kappa=0.6359,
@@ -41,6 +46,101 @@ def l2_system(n, a=1.0, u_norm="max"):
     return build_heat_dirichlet(n, a, space)
 
 
+def one_sided(sys, column=0):
+    """``sys`` driven at one end only: B keeps that one column, as the
+    one-column bang_bang input of that end needs."""
+    return sys._replace(b_matrix=sys.b_matrix[:, [column]])
+
+
+@contextlib.contextmanager
+def block_bytes(value):
+    """simulate's BLOCK_BYTES set to ``value`` inside the block."""
+    old = issgains.simulate.BLOCK_BYTES
+    issgains.simulate.BLOCK_BYTES = value
+    try:
+        yield
+    finally:
+        issgains.simulate.BLOCK_BYTES = old
+
+
+# Rounding bounds of a held-input trajectory against the exact one, per
+# modal entry.  U = 2^-53 is the unit roundoff; numpy's exp and expm1 are
+# allowed LIB_ULPS ulps (2U relative each), and were within 0.7 ulp at
+# 12 000 points in [-745, 0].  Every bound is first order in U.
+U = 2.0**-53
+LIB_ULPS = 4
+
+
+def held_magnitudes(sys, x0, row):
+    """Per mode Y = |y0| and Q = sum_j |g_j u_j| / |lambda| for the held
+    row ``row`` from x0, the sizes that the entries' errors scale with."""
+    eig = sys.eigendecomposition()
+    v = eig.eigenvectors
+    g = np.abs(v.T @ sys.b_matrix)
+    q = sum(g[:, j] * abs(uj) for j, uj in enumerate(row)) / np.abs(eig.eigenvalues)
+    return np.abs(v.T @ np.asarray(x0, dtype=float)), q
+
+
+def closed_form_bound(sys, x0, row, h):
+    """The map from a sample i to the per-mode bound on the closed form's
+    error there, fl(fl(expm1(x) q) + fl(exp(x) y0)) at x = fl(lambda fl(i h)),
+    q = fl(fl(g . u) / lambda), against y* = exp(x*) y0 + expm1(x*) P at
+    x* = lambda i h, P = (g . u) / lambda, for k input columns:
+    - |q - P| <= (k + 1) U Q: k products and k - 1 sums, then the division;
+    - |x - x*| <= 2U |x*|, which moves expm1 by at most
+      2U |x*| exp(x*) <= 2U E, E = 1 - exp(x*), and exp by at most
+      min(2U |x*| exp(x*), 0.74U), since |x| exp(x) <= 1/e;
+    - with the library's 2 LIB_ULPS U, expm1(x) q is then within
+      (2 LIB_ULPS + k + 4) U E Q, product included, and exp(x) y0 within
+      ((2 LIB_ULPS + 1) exp(x*) + min(2 |x*| exp(x*), 0.74)) U Y;
+    - the sum adds U (E Q + exp(x*) Y).
+    A settled entry is -q, within (k + 1) U Q plus exp(x*) (Q + Y) <
+    2^-1074 (Q + Y), which a double error does not resolve."""
+    lam = sys.eigendecomposition().eigenvalues
+    y, q = held_magnitudes(sys, x0, row)
+    k = len(row)
+
+    def bound(i):
+        x = lam * (i * h)
+        e = np.exp(x)
+        return U * ((2 * LIB_ULPS + k + 5) * -np.expm1(x) * q
+                    + ((2 * LIB_ULPS + 2) * e + np.minimum(2 * np.abs(x) * e, 0.74)) * y)
+    return bound
+
+
+def recurrence_bound(sys, x0, row, h):
+    """The map from a sample i to the per-mode bound on the error of i
+    steps of the recurrence y <- fl(fl(d y) + f) under the held row, with
+    d = fl(exp(fl(lambda h))) within (2 LIB_ULPS + |lambda h|) U D of
+    D = exp(lambda h), and f = fl(fl(g . u) phi), phi = fl(fl(d - 1) / lambda):
+    each step adds at most (d - D) y, f - F and two roundings, in all
+    (4 LIB_ULPS + k + 6) U (Q + Y) (|lambda h| D <= 1/e, |y| <= Q + Y), and
+    the error carried from the step before decays by D <= 1."""
+    y, q = held_magnitudes(sys, x0, row)
+    k = len(row)
+    return lambda i: i * (4 * LIB_ULPS + k + 6) * U * (q + y)
+
+
+def assert_near_exact(sys, exact, states, norms, bound):
+    """For each sample i >= 1, every entry of the modal state states[i]
+    within bound(i) of the exact row exact[i] (rows of Decimals), and
+    norms[i] within what follows for the weighted norm: the entries' error
+    in the 2-norm, plus (m + 6) / 2 U of relative rounding for the m
+    squares, their sum in any order, the square root and the scaling."""
+    m = states.shape[1]
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        for i in range(1, len(exact)):
+            err = np.array([float(decimal.Decimal(y) - e)
+                            for y, e in zip(states[i].tolist(), exact[i])])
+            b = bound(i)
+            assert np.all(np.abs(err) <= b), (i, np.max(np.abs(err) - b))
+            state_part = sys.space.state_scale * float(np.linalg.norm(b))
+            target = exact_norm(sys, exact[i])
+            norm_err = abs(float(decimal.Decimal(norms[i]) - target))
+            assert norm_err <= state_part + (m + 6) / 2 * U * (float(target) + state_part), i
+
+
 def node_values(sys, modal):
     """Modal rows y_i as node values x_i = V y_i, one row each."""
     return (sys.eigendecomposition().eigenvectors @ modal.T).T
@@ -55,9 +155,11 @@ def stepwise_norms(sys, x0, modal):
 
 
 def input_sup_norm(u, u_norm):
-    """input_sup_norm of a run that applies each row of u for one step."""
+    """input_sup_norm of a run that applies each row of u for one step, on
+    the system that u's columns drive."""
     u = np.asarray(u, dtype=float)
     sys = l2_system(4, u_norm=u_norm)
+    sys = sys._replace(b_matrix=sys.b_matrix[:, :u.shape[1]])
     return simulate(sys, np.zeros(3), u, 0.1 * len(u), 0.1).input_sup_norm
 
 
@@ -176,8 +278,13 @@ class TestSimulate:
         for state, norm in zip(nodes, traj.norms, strict=True):
             assert norm == pytest.approx(dx * np.linalg.norm(state), rel=1e-12, abs=1e-15)
 
-    def test_held_row_equals_repeated_rows(self):
-        n, steps, h = 1000, 40, 0.01
+    def test_held_row_and_repeated_rows_near_exact(self):
+        """One row held, which takes the closed form, and the same row
+        given for every step, which takes the recurrence: each within its
+        own bound of the exact trajectory at every sample, the closed
+        form's the same at every step, the recurrence's growing with the
+        step count.  Both apply the same input sup norm."""
+        n, steps, h = 200, 40, 0.01
         sys = l2_system(n)
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal(n - 1)
@@ -185,11 +292,42 @@ class TestSimulate:
         rows = np.repeat(row, steps, axis=0)
         held = simulate(sys, x0, row, steps * h, h)
         repeated = simulate(sys, x0, rows, steps * h, h)
-        np.testing.assert_array_equal(prefix_states(sys, x0, row, h, steps),
-                                      prefix_states(sys, x0, rows, h, steps))
-        np.testing.assert_array_equal(held.states, repeated.states)
-        np.testing.assert_array_equal(held.norms, repeated.norms)
+        exact = held_exact(sys, x0, row[0], h, range(steps + 1))
+        assert_near_exact(sys, exact, prefix_states(sys, x0, row, h, steps), held.norms,
+                          closed_form_bound(sys, x0, row[0], h))
+        assert_near_exact(sys, exact, prefix_states(sys, x0, rows, h, steps), repeated.norms,
+                          recurrence_bound(sys, x0, row[0], h))
         assert held.input_sup_norm == repeated.input_sup_norm
+
+    @pytest.mark.parametrize("x0_seed, row", [(None, [0.3, -0.7]), (5, [0.3, -0.7]),
+                                              (5, [0.0, 0.0])],
+                             ids=["zero-x0", "random-x0", "free-decay"])
+    def test_closed_form_error_does_not_grow_with_steps(self, x0_seed, row):
+        """10^5 steps at n = 4, h = 1e-5: the closed form stays within its
+        bound of the exact state at late samples, which does not grow with
+        the step count.  The recurrence, whose phi = (exp(lambda h) - 1) /
+        lambda loses digits for small |lambda h| and whose exp(lambda h)^i
+        gathers the rounding of exp(lambda h), is further off there."""
+        n, steps, h = 4, 100_000, 1e-5
+        sys = l2_system(n)
+        x0 = (np.zeros(n - 1) if x0_seed is None
+              else np.random.default_rng(x0_seed).standard_normal(n - 1))
+        row = np.array(row)
+        late = [0, 1, 997, steps // 2, steps]
+        exact = held_exact(sys, x0, row, h, late)
+        bound = closed_form_bound(sys, x0, row, h)
+        y, q = held_magnitudes(sys, x0, row)
+        closed = [simulate(sys, x0, row[np.newaxis], i * h, h).states[0] for i in late[1:]]
+        stepped = simulate(sys, x0, np.tile(row, (steps, 1)), steps * h, h).states[0]
+        with decimal.localcontext() as ctx:
+            ctx.prec = DECIMAL_DIGITS
+            for i, state, target in zip(late[1:], closed, exact[1:]):
+                err = np.array([float(decimal.Decimal(v) - e) for v, e in zip(state.tolist(), target)])
+                assert np.all(np.abs(err) <= bound(i)), i
+            closed_err = np.abs(err) / (q + y)
+            stepped_err = np.abs([float(decimal.Decimal(v) - e)
+                                  for v, e in zip(stepped.tolist(), exact[-1])]) / (q + y)
+        assert np.max(stepped_err) > np.max(closed_err)
 
     def test_rows_past_last_step_ignored(self):
         sys = l2_system(8)
@@ -207,15 +345,25 @@ class TestSimulate:
     @pytest.mark.parametrize("u", [ONE_SIDED, TWO_SIDED, bang_bang(60, 20240501, active=(0,))],
                              ids=["onesided", "twosided", "bangbang"])
     def test_matches_stepwise_oracle(self, u):
-        """The three scenarios of the simulate command, bit for bit against
-        the one-step-at-a-time loop."""
+        """The three scenarios of the simulate command.  The held rows take
+        the closed form: within its bound of the exact trajectory at every
+        sample.  The bang-bang input, which drives the left end alone, takes
+        the recurrence: bit for bit against the one-step-at-a-time loop."""
         n, h = 64, 0.05
         sys = l2_system(n)
-        traj = simulate(sys, np.zeros(n - 1), u, 3.0, h)
-        oracle = simulate_stepwise(sys, np.zeros(n - 1), u, h, 60)
-        np.testing.assert_array_equal(prefix_states(sys, np.zeros(n - 1), u, h, 60), oracle)
+        x0 = np.zeros(n - 1)
+        if len(u) == 1:
+            traj = simulate(sys, x0, u, 3.0, h)
+            assert_near_exact(sys, held_exact(sys, x0, u[0], h, range(61)),
+                              prefix_states(sys, x0, u, h, 60), traj.norms,
+                              closed_form_bound(sys, x0, u[0], h))
+            return
+        sys = one_sided(sys)
+        traj = simulate(sys, x0, u, 3.0, h)
+        oracle = simulate_stepwise(sys, x0, u, h, 60)
+        np.testing.assert_array_equal(prefix_states(sys, x0, u, h, 60), oracle)
         np.testing.assert_array_equal(traj.states, oracle[-1:])
-        np.testing.assert_array_equal(traj.norms, stepwise_norms(sys, np.zeros(n - 1), oracle))
+        np.testing.assert_array_equal(traj.norms, stepwise_norms(sys, x0, oracle))
 
     def test_partial_step_rejected(self):
         sys = l2_system(4)
@@ -224,13 +372,10 @@ class TestSimulate:
 
 
 class TestBlocks:
-    """simulate with its block buffer shrunk to a few rows, bit for bit
-    against the one-step-at-a-time loop.
-
-    The inputs take values in {-1, 0, 1}, as every scenario of the simulate
-    command does, so that each product u_j g_j is exact.  Otherwise the
-    block's matrix product and the oracle's matrix-vector product round
-    differently, at the parent design's single full-length product too."""
+    """simulate with its block buffer shrunk to a few rows.  A full input is
+    checked bit for bit against the one-step-at-a-time loop; a held row bit
+    for bit against the same run at the default budget, and within the
+    closed form's bound of the exact trajectory."""
 
     @pytest.mark.parametrize("block_rows, steps", [(3, 10), (1, 7), (0, 6), (16, 5), (4, 1)],
                              ids=["ragged", "one-row", "budget-below-one-row", "steps-below-block",
@@ -239,14 +384,45 @@ class TestBlocks:
     def test_matches_stepwise_oracle(self, monkeypatch, block_rows, steps, held):
         n, h = 32, 0.05
         sys = l2_system(n)
-        monkeypatch.setattr(issgains.simulate, "BLOCK_BYTES", 8 * (n - 1) * block_rows)
         rng = np.random.default_rng(steps)
         x0 = rng.standard_normal(n - 1)
-        u = np.array([[1.0, -1.0]]) if held else bang_bang(steps, seed=steps)
+        # A full input of one step gets a second row, which simulate
+        # ignores, so that it is not a held row.
+        u = np.array([[1.0, -1.0]]) if held else bang_bang(max(steps, 2), seed=steps)
+        default = simulate(sys, x0, u, steps * h, h)
+        # Two input columns: the forcing block and its scratch block.
+        monkeypatch.setattr(issgains.simulate, "BLOCK_BYTES", 2 * 8 * (n - 1) * block_rows)
         traj = simulate(sys, x0, u, steps * h, h)
+        if held:
+            np.testing.assert_array_equal(traj.states, default.states)
+            np.testing.assert_array_equal(traj.norms, default.norms)
+            assert_near_exact(sys, held_exact(sys, x0, u[0], h, range(steps + 1)),
+                              prefix_states(sys, x0, u, h, steps), traj.norms,
+                              closed_form_bound(sys, x0, u[0], h))
+            return
         oracle = simulate_stepwise(sys, x0, u, h, steps)
         np.testing.assert_array_equal(traj.states, oracle[-1:])
         np.testing.assert_array_equal(traj.norms, stepwise_norms(sys, x0, oracle))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(2, 40), steps=st.integers(1, 25), held=st.booleans(),
+           h=st.sampled_from([1e-4, 0.01, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1),
+           ragged_rows=st.integers(2, 5))
+    def test_block_size_independent(self, n, steps, held, h, seed, ragged_rows):
+        """For real-valued inputs, held or full, and a random x0, the norms
+        and final state are the same bit for bit at a budget below one row,
+        at ragged blocks of a few rows and at the default budget."""
+        sys = l2_system(n)
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal(n - 1)
+        u = rng.uniform(-3.0, 3.0, (1 if held else steps + 1, 2))
+        runs = []
+        for budget in (1, 2 * 8 * (n - 1) * ragged_rows, issgains.simulate.BLOCK_BYTES):
+            with block_bytes(budget):
+                runs.append(simulate(sys, x0, u, steps * h, h))
+        for traj in runs[1:]:
+            np.testing.assert_array_equal(traj.states, runs[0].states)
+            np.testing.assert_array_equal(traj.norms, runs[0].norms)
 
     def test_buffer_holds_at_most_steps_rows(self, monkeypatch):
         # A 1 GiB budget would allocate 1 GiB if the buffer were not capped
@@ -410,7 +586,7 @@ class TestModalStepping:
         """The 10-digit strings of the trajectory CSV are the same whether
         the norms come from the modal rows or from the node values."""
         n, steps, h = 256, 2000, 0.001
-        system = l2_system(n)
+        system = one_sided(l2_system(n))
         u = bang_bang(steps, seed=20240501, active=(0,))
         traj = simulate(system, np.zeros(n - 1), u, steps * h, h)
         # The rows of simulate itself, as the stepwise oracle and simulate
@@ -462,8 +638,10 @@ class TestInputSignal:
         assert input_sup_norm(bang, norm) == max(space.input_sample_norm(v) for v in bang)
 
     def test_bang_bang_one_sided(self):
+        # One stored column, the first column of the two-sided draw.
         u = bang_bang(40, seed=3, active=(0,))
-        assert np.all(u[:, 1] == 0.0)
+        assert u.shape == (40, 1)
+        np.testing.assert_array_equal(u[:, 0], bang_bang(40, seed=3)[:, 0])
         assert input_sup_norm(u, "max") == 1.0
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -490,7 +668,7 @@ class TestInputSignal:
         # Seed 1's first byte is b with b % 3 == 1, level 0, so its one-step
         # one-sided draw is all zero before the fix-up.
         assert random.Random(1).randbytes(1)[0] % 3 == 1
-        np.testing.assert_array_equal(bang_bang(1, seed=1, active=(0,)), [[1.0, 0.0]])
+        np.testing.assert_array_equal(bang_bang(1, seed=1, active=(0,)), [[1.0]])
 
     @pytest.mark.parametrize("steps", [1, 12, 2000])
     def test_bang_bang_matches_byte_loop(self, steps):
@@ -546,7 +724,7 @@ class TestIssMargin:
         worst = math.inf
         for seed in range(50):
             u = bang_bang(60, seed=seed, active=(seed % 2,))
-            traj = simulate(sys, np.zeros(n - 1), u, 3.0, 0.05)
+            traj = simulate(one_sided(sys, seed % 2), np.zeros(n - 1), u, 3.0, 0.05)
             margin, _ = iss_margin(traj, REFERENCE_BUNDLE, 0.0)
             worst = min(worst, margin)
         assert worst > 0.0
