@@ -111,8 +111,13 @@ def frac_control_norm(sys: ClosedControlSystem, alpha: float) -> float:
     """Norm of (-A)^(alpha - 1) B from U into the weighted state space."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    eig = sys.eigendecomposition()
-    w = apply_matrix_function(eig, lambda lam: (-lam) ** (alpha - 1.0), sys.b_matrix)
+    def power(lam):
+        # (-lam) ** (alpha - 1) in one new array: **= is the same ufunc as **.
+        mapped = -lam
+        mapped **= alpha - 1.0
+        return mapped
+
+    w = apply_matrix_function(sys.eigendecomposition(), power, sys.b_matrix)
     return weighted_op_norm(w, sys.space.state_scale, sys.space.input_norm)
 
 

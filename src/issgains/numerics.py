@@ -7,6 +7,12 @@ The quadrature is a double-exponential rule in numpy alone (tanh-sinh on
 (0, 1), exp-sinh on (1, inf)); it needs no scipy, so computing the K
 constants imports none.
 
+The spectral kernels each hold a fixed few m-length arrays, in units of
+8m B for an m x m decomposition applied to k columns: ``sym_tridiag_eig``
+its result alone (2: the eigenvalues and the mode order), a sine-basis
+product k + 4 beside its operand, and ``apply_matrix_function`` 2k + 4
+beside b and f's result.  Every buffer is made by the call that uses it.
+
 Everything here is pure and deterministic; results may be shared freely
 between threads.
 """
@@ -65,6 +71,12 @@ class SineBasis:
     products ``v @ x`` and ``v.T @ x`` for x with m rows (one or two
     dimensions).  Each costs one real FFT of length 2(m+1) per column of x,
     O(m log m), and the basis itself holds only the m-entry mode order.
+
+    In units of 8m B, with x of k columns, a product holds its k-unit
+    result and, for one column at a time, the 2-unit odd extension and its
+    2-unit spectrum: k + 4 beside x.  ``v @ x`` places x into its result and
+    transforms it there; ``v.T @ x`` reads its result in mode order into a
+    second k-unit array once the transform's buffers are freed.
     """
 
     def __init__(self, order: np.ndarray, transposed: bool = False):
@@ -91,22 +103,29 @@ class SineBasis:
         scale = math.sqrt(2.0 / (m + 1))
         if self.transposed:
             # V^T x = P^T S x: the sine transform, read in mode order.
-            return scale * _dst1(x)[self.order]
+            return _dst1(x, scale, np.empty(x.shape))[self.order]
         # V x = S P x: the coefficients placed at their modes, then transformed.
-        placed = np.empty_like(x)
+        placed = np.empty(x.shape)
         placed[self.order] = x
-        return scale * _dst1(placed)
+        return _dst1(placed, scale, placed)
 
 
-def _dst1(x: np.ndarray) -> np.ndarray:
-    """sum_k x_k sin(j k pi/(m+1)), j = 1..m, along axis 0 (unnormalised
-    DST-I): minus half the imaginary part of the FFT of the odd extension
-    (0, x, 0, -reversed x) of length 2(m+1)."""
+def _dst1(x: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """out = scale * sum_k x_k sin(j k pi/(m+1)), j = 1..m, along axis 0 (a
+    scaled DST-I); returns ``out``, which may be x itself.  Each column is
+    minus half the imaginary part of the FFT of its odd extension
+    (0, x, 0, -reversed x) of length 2(m+1), built in one buffer that every
+    column reuses.  The factor -scale/2 is applied in one product: -1/2 is
+    exact, so every output above the subnormal range rounds as
+    scale * (-1/2 * transform) does."""
     m = x.shape[0]
-    odd = np.zeros((2 * (m + 1),) + x.shape[1:])
-    odd[1:m + 1] = x
-    odd[m + 2:] = -x[::-1]
-    return -0.5 * np.fft.rfft(odd, axis=0)[1:m + 1].imag
+    odd = np.zeros(2 * (m + 1))
+    factor = -0.5 * scale
+    for src, dst in zip(x.reshape(m, -1).T, out.reshape(m, -1).T):
+        odd[1:m + 1] = src
+        np.negative(src[::-1], out=odd[m + 2:])
+        np.multiply(np.fft.rfft(odd)[1:m + 1].imag, factor, out=dst)
+    return out
 
 
 class EigenDecomposition(NamedTuple):
@@ -267,10 +286,17 @@ def _uniform_tridiag_eig(m: int, d: float, e: float) -> EigenDecomposition:
     e < 0; either way its eigenvalue is (d + 2|e|) - 4|e| sin^2((m-c) pi/(2(m+1))),
     which keeps the few-ulp accuracy of the sine.  For e = 0 every eigenvalue
     is exactly d and the sine basis is still an orthonormal eigenbasis.
+
+    The eigenvalues are built in place in their one array, so the result
+    (2 units of 8m B, with the mode order) is all the working set.
     """
-    c = np.arange(m)
-    values = (d + 2.0 * abs(e)) - 4.0 * abs(e) * np.sin((m - c) * (np.pi / (2 * (m + 1)))) ** 2
-    order = c if e < 0.0 else m - 1 - c
+    values = np.arange(m, 0, -1, dtype=float)
+    values *= np.pi / (2 * (m + 1))
+    np.sin(values, out=values)
+    np.square(values, out=values)
+    values *= 4.0 * abs(e)
+    np.subtract(d + 2.0 * abs(e), values, out=values)
+    order = np.arange(m) if e < 0.0 else np.arange(m - 1, -1, -1)
     return EigenDecomposition(eigenvalues=values, eigenvectors=SineBasis(order))
 
 
@@ -280,7 +306,13 @@ def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarr
     ``f`` is called once, on the whole eigenvalue array, and maps it
     elementwise.  For a vector ``b`` it may return one row per eigenvalue (a
     family of functions, by broadcasting); the result then has one column
-    per member."""
+    per member.
+
+    The coefficients V^T b of a matrix b are scaled in place, so in units
+    of 8m B, with k the columns of b (or of the result), the working set
+    beside b and f's result is 2k + 4: the coefficients, and while V is
+    applied, its k-unit result and one column's odd extension and spectrum
+    (4)."""
     mapped = np.asarray(f(eig.eigenvalues), dtype=float)
     bad = ~np.isfinite(mapped)
     if bad.any():
@@ -289,8 +321,10 @@ def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarr
     v = eig.eigenvectors
     coeffs = v.T @ b
     if coeffs.ndim == 2:
-        return v @ (mapped[:, None] * coeffs)
-    return v @ (mapped.T * coeffs).T
+        coeffs *= mapped[:, None]
+    else:
+        coeffs = (mapped.T * coeffs).T
+    return v @ coeffs
 
 
 def weighted_op_norm(m: np.ndarray, row_weight: float, col_norm: str = "euclidean") -> float:
@@ -311,5 +345,8 @@ def weighted_op_norm(m: np.ndarray, row_weight: float, col_norm: str = "euclidea
         if m.shape[1] != 2:
             raise ValueError(f"the max-norm operator norm takes 2 columns, got {m.shape[1]}")
         c0, c1 = m.T
-        return row_weight * max(float(np.linalg.norm(c0 + c1)), float(np.linalg.norm(c0 - c1)))
+        corner = np.add(c0, c1)
+        plus = float(np.linalg.norm(corner))
+        minus = float(np.linalg.norm(np.subtract(c0, c1, out=corner)))
+        return row_weight * max(plus, minus)
     raise ValueError(f"unknown column norm {col_norm!r}")

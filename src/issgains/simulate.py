@@ -116,14 +116,16 @@ class Trajectory(NamedTuple):
 
 def _step_factors(sys: ClosedControlSystem, h: float):
     """Eigenvectors V and the diagonal factors exp(lambda h) and
-    (exp(lambda h) - 1) / lambda of one exact step of length h."""
+    phi = (exp(lambda h) - 1) / lambda of one exact step of length h.  phi
+    is taken as expm1(lambda h) / lambda, since exp(lambda h) - 1 would
+    lose about log10(1 / |lambda h|) digits to cancellation."""
     if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h}")
     eig = sys.eigendecomposition()
     lam = eig.eigenvalues
-    decay = np.exp(lam * h)
-    phi = (decay - 1.0) / lam
-    return eig.eigenvectors, decay, phi
+    lam_h = lam * h
+    phi = np.expm1(lam_h) / lam
+    return eig.eigenvectors, np.exp(lam_h), phi
 
 
 def step_exact(sys: ClosedControlSystem, x, u, h: float) -> np.ndarray:

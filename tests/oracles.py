@@ -116,6 +116,19 @@ def sine_basis_table(m: int, modes) -> np.ndarray:
     return vectors
 
 
+def dst1(x) -> np.ndarray:
+    """sum_k x_k sin(j k pi/(m+1)), j = 1..m, along axis 0 (unnormalised
+    DST-I), every column in one FFT: minus half the imaginary part of the
+    FFT of the whole odd extension (0, x, 0, -reversed x) of length 2(m+1).
+    The library transforms one column at a time and folds in its scale."""
+    x = np.asarray(x, dtype=float)
+    m = x.shape[0]
+    odd = np.zeros((2 * (m + 1),) + x.shape[1:])
+    odd[1:m + 1] = x
+    odd[m + 2:] = -x[::-1]
+    return -0.5 * np.fft.rfft(odd, axis=0)[1:m + 1].imag
+
+
 def eigenvector_matrix(eig) -> np.ndarray:
     """A decomposition's eigenvectors as a dense matrix: a dense ``eigh``
     result as it is, a matrix-free basis applied to the identity."""
@@ -148,7 +161,7 @@ def simulate_stepwise(sys, x0, u, h: float, steps: int) -> np.ndarray:
     eig = sys.eigendecomposition()
     lam, v = eig.eigenvalues, eig.eigenvectors
     decay = np.exp(lam * h)
-    phi = (decay - 1.0) / lam
+    phi = np.expm1(lam * h) / lam
     g = v.T @ sys.b_matrix
     u = np.asarray(u, dtype=float)
     states = np.empty((steps + 1, lam.size))

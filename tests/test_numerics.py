@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import issgains.numerics as numerics
 from issgains.config import QuadratureError
+from issgains.gains import frac_control_norm
 from issgains.numerics import (
     apply_matrix_function,
     quad_cauchy_tail,
@@ -16,7 +18,7 @@ from issgains.numerics import (
     weighted_op_norm,
 )
 from issgains.systems import build_heat_dirichlet
-from oracles import (dense_tridiag_eig, eigenvector_matrix, matrix_function,
+from oracles import (dense_tridiag_eig, dst1, eigenvector_matrix, matrix_function,
                      max_norm_corners, quadpack_cauchy_tail, quadpack_exp_tail, reconstruct, resolvent_dense,
                      sine_basis_table)
 
@@ -290,6 +292,25 @@ class TestSineBasis:
         assert back.shape == x.shape
         assert np.max(np.abs(back - x)) <= tol
 
+    @PROPERTY
+    @given(m=st.one_of(st.integers(1, 300),
+                       # m + 1 prime: 2(m + 1) has a large prime factor.
+                       st.sampled_from([1, 2, 4, 6, 10, 12, 96, 100, 126, 250, 256, 280, 292])),
+           e=st.sampled_from([1.0, -1.0]), cols=st.integers(0, 3),
+           magnitude=st.sampled_from([1.0, 1e-150, 1e150]), seed=st.integers(0, 2**32 - 1))
+    def test_products_match_whole_array_transform_bitwise(self, m, e, cols, magnitude, seed):
+        """Both products equal scale * (the whole-array DST-I), read or
+        placed in mode order, bit for bit: the column-wise transform with
+        its folded scale rounds as the whole-array one did."""
+        v, _ = uniform_basis(m, e)
+        x = magnitude * self._draw(m, cols, seed)[0]
+        scale = math.sqrt(2.0 / (m + 1))
+        order = v.order
+        assert np.array_equal(v.T @ x, scale * dst1(x)[order])
+        placed = np.empty_like(x)
+        placed[order] = x
+        assert np.array_equal(v @ x, scale * dst1(placed))
+
     @pytest.mark.parametrize("m", [1, 10, 1000, 10**6])
     def test_nbytes_linear_in_m(self, m):
         v = sym_tridiag_eig(np.full(m, -2.0), np.full(m - 1, 1.0)).eigenvectors
@@ -420,6 +441,44 @@ class TestMatrixFunction:
         assert applied.shape == (7, 3)
         for j, shift in enumerate(shifts):
             np.testing.assert_allclose(applied[:, j], resolvent_dense(sys, shift, b), rtol=1e-12)
+
+
+class TestWorkingSet:
+    """tracemalloc peaks of the spectral kernels at n = 2^17, in units of
+    8(n - 1) B: each holds a fixed few arrays of the unknowns' length."""
+
+    N = 2**17
+
+    @classmethod
+    def peak_units(cls, fn) -> float:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / (8 * (cls.N - 1))
+        finally:
+            tracemalloc.stop()
+
+    def test_frac_control_norm(self):
+        # The mapped spectrum (1), V^T B and V (V^T B) (2 each), and one
+        # column's odd extension and spectrum (2 each): 9.  Whole-array
+        # transforms and an out-of-place power took 17.1.
+        sys = build_heat_dirichlet(self.N, 1.0)
+        sys.eigendecomposition()
+        assert self.peak_units(lambda: frac_control_norm(sys, 0.5)) <= 10
+
+    def test_sym_tridiag_eig(self):
+        # The eigenvalues and the mode order, its result alone: 2.  The
+        # eigenvalues' temporaries took it to 3.06.
+        diag, off = heat_diagonals(self.N)
+        assert self.peak_units(lambda: sym_tridiag_eig(diag, off)) <= 2.1
+
+    def test_sine_transform(self):
+        # V^T B (2), one column's odd extension and spectrum (2 each): 6.
+        # Both columns transformed at once, and the scale applied out of
+        # place, took 10.
+        sys = build_heat_dirichlet(self.N, 1.0)
+        v, b = sys.eigendecomposition().eigenvectors, sys.b_matrix
+        assert self.peak_units(lambda: v.T @ b) <= 6.5
 
 
 class TestWeightedOpNorm:

@@ -111,11 +111,14 @@ def closed_form_bound(sys, x0, row, h):
 def recurrence_bound(sys, x0, row, h):
     """The map from a sample i to the per-mode bound on the error of i
     steps of the recurrence y <- fl(fl(d y) + f) under the held row, with
-    d = fl(exp(fl(lambda h))) within (2 LIB_ULPS + |lambda h|) U D of
-    D = exp(lambda h), and f = fl(fl(g . u) phi), phi = fl(fl(d - 1) / lambda):
-    each step adds at most (d - D) y, f - F and two roundings, in all
-    (4 LIB_ULPS + k + 6) U (Q + Y) (|lambda h| D <= 1/e, |y| <= Q + Y), and
-    the error carried from the step before decays by D <= 1."""
+    x = fl(lambda h), d = fl(exp(x)) within (2 LIB_ULPS + |lambda h|) U D of
+    D = exp(lambda h), phi = fl(fl(expm1(x)) / lambda) within
+    (2 LIB_ULPS + 2) U of Phi = (1 - D) / |lambda| relative (rounding x moves
+    expm1 by at most U |lambda h| D <= U (1 - D)), and f = fl(fl(g . u) phi)
+    within (2 LIB_ULPS + k + 3) U (1 - D) Q of F: each step adds at most
+    (d - D) y, f - F and two roundings, in all (4 LIB_ULPS + k + 6) U (Q + Y)
+    (|lambda h| D <= 1/e, |y| <= Q + Y), and the error carried from the step
+    before decays by D <= 1."""
     y, q = held_magnitudes(sys, x0, row)
     k = len(row)
     return lambda i: i * (4 * LIB_ULPS + k + 6) * U * (q + y)
@@ -305,9 +308,9 @@ class TestSimulate:
     def test_closed_form_error_does_not_grow_with_steps(self, x0_seed, row):
         """10^5 steps at n = 4, h = 1e-5: the closed form stays within its
         bound of the exact state at late samples, which does not grow with
-        the step count.  The recurrence, whose phi = (exp(lambda h) - 1) /
-        lambda loses digits for small |lambda h| and whose exp(lambda h)^i
-        gathers the rounding of exp(lambda h), is further off there."""
+        the step count.  The recurrence, whose exp(lambda h)^i gathers the
+        rounding of exp(lambda h) over the steps, is further off there, though
+        its phi = expm1(lambda h) / lambda loses no digits to cancellation."""
         n, steps, h = 4, 100_000, 1e-5
         sys = l2_system(n)
         x0 = (np.zeros(n - 1) if x0_seed is None
