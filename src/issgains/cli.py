@@ -143,12 +143,11 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     import numpy as np
 
     from .simulate import bang_bang, iss_margin, simulate
-    from .systems import GridSpec, WeightedSpace, build_heat_dirichlet
+    from .systems import build_heat_dirichlet
 
     bundle = _run_chain(cfg)
     n = max(cfg.n_schedule)
-    space = WeightedSpace(GridSpec(n), weight_exponent=1, input_norm=cfg.u_norm)
-    system = build_heat_dirichlet(n, cfg.a, space)
+    system = build_heat_dirichlet(n, cfg.a, weight_exponent=1, input_norm=cfg.u_norm)
     x0 = np.zeros(n - 1)
     steps = step_count(cfg.t_end, cfg.h)
 

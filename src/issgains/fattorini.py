@@ -8,9 +8,9 @@ conditions on finite probe families, the fractional semigroup bound behind
 K1 and K2, and the convergence of the simulated semigroup to the analytic
 one.  Strong-operator-topology conditions are checked empirically on
 probes, not proven.
-Every resolvent comes from the system's memoized eigendecomposition, and
-probe functions must accept arrays.  Only the check command loads this
-module.
+Every resolvent comes from the eigendecomposition that each system's
+builder makes, and probe functions must accept arrays.  Only the check
+command loads this module.
 """
 
 import math
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gains import GainBundle, PathSpec, sector_bound
-from .numerics import apply_matrix_function
+from .numerics import apply_matrix_function, sym_tridiag_eig
 from .simulate import step_exact
 from .systems import (
     ClosedControlSystem,
@@ -146,17 +146,11 @@ def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
     if not a > 0.0:
         raise ValueError(f"diffusion must be positive, got {a}")
     c = a * n * n
-    ainit = np.zeros((n - 1, n + 1))
-    for i in range(n - 1):
-        ainit[i, i] = c
-        ainit[i, i + 1] = -2.0 * c
-        ainit[i, i + 2] = c
+    ainit = c * (np.eye(n - 1, n + 1) - 2.0 * np.eye(n - 1, n + 1, 1) + np.eye(n - 1, n + 1, 2))
     bop = np.zeros((2, n + 1))
     bop[0, 0] = 1.0
     bop[1, n] = 1.0
-    restrict_r = np.zeros((n - 1, n + 1))
-    for i in range(n - 1):
-        restrict_r[i, i + 1] = 1.0
+    restrict_r = np.eye(n - 1, n + 1, 1)
     # Right inverse of the trace: the linear profiles 1 - xi and xi
     # sampled at all nodes, so that the trace of each column is a unit vector.
     k = np.arange(n + 1, dtype=float)
@@ -164,16 +158,17 @@ def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
     return PreClosureSystem(ainit=ainit, bop=bop, restrict_r=restrict_r, bop_rinv=bop_rinv)
 
 
-def close_system(pre: PreClosureSystem, space: WeightedSpace) -> ClosedControlSystem:
+def close_system(pre: PreClosureSystem, weight_exponent: int = 2,
+                 input_norm: str = "max") -> ClosedControlSystem:
     """Boundary closure: restrict the stencil to the kernel of the trace
-    and build B = Ainit D0 - A R D0.
+    and build B = Ainit D0 - A R D0, in the space
+    ``WeightedSpace(GridSpec(n), weight_exponent, input_norm)`` and with the
+    eigendecomposition of the restricted stencil.
 
     The product is grouped as (Ainit - A R) D0 so the interior columns
     cancel exactly and B inherits the exact boundary-column entries.
     """
     n = pre.n
-    if space.grid.n != n:
-        raise ValueError(f"space grid n = {space.grid.n} does not match system n = {n}")
     trace_of_rinv = pre.bop @ pre.bop_rinv
     if not np.array_equal(trace_of_rinv, np.eye(2)):
         raise ValueError("boundary trace times its right inverse is not the identity")
@@ -183,7 +178,8 @@ def close_system(pre: PreClosureSystem, space: WeightedSpace) -> ClosedControlSy
     b = (pre.ainit - a @ pre.restrict_r) @ pre.bop_rinv
     diag = np.diag(a).copy()
     off = np.diag(a, 1).copy()
-    return ClosedControlSystem(space=space, a_diag=diag, a_offdiag=off, b_matrix=b)
+    space = WeightedSpace(GridSpec(n), weight_exponent, input_norm)
+    return ClosedControlSystem(space, diag, off, b, sym_tridiag_eig(diag, off))
 
 
 def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
@@ -226,8 +222,8 @@ def resolvent_gap(n_coarse: int, n_fine: int, path: PathSpec, probe_modes,
     grid = path.grid()
     values = {}
     for n in (n_coarse, n_fine):
-        gs = GridSpec(n)
         sys = build_heat_dirichlet(n, a)
+        gs = sys.space.grid
         panels = panels_for(n)
         worst = 0.0
         for k in probe_modes:
@@ -322,7 +318,7 @@ def right_inverse_gap(pre_systems) -> DiagnosticReport:
         stencil_norm = float(np.max(np.abs(stencil_image)))
         # (B7) surrogate: A^{-1} applied to the stencil image, which is
         # already (numerically) zero.
-        sys = close_system(pre, WeightedSpace(GridSpec(n), weight_exponent=1))
+        sys = close_system(pre, weight_exponent=1)
         weighted = _resolvent(sys, 0.0, -stencil_image)
         extrap_norm = float(np.max(np.abs(weighted)))
         values[f"interp_gap_{n}"] = interp_gap
@@ -402,8 +398,8 @@ def trotter_kato_check(a: float, x0_modes, t: float, n_list) -> DiagnosticReport
     values = {}
     gaps = []
     for n in n_list:
-        grid = GridSpec(n)
-        sys = build_heat_dirichlet(n, a, WeightedSpace(grid, weight_exponent=1))
+        sys = build_heat_dirichlet(n, a, weight_exponent=1)
+        grid = sys.space.grid
         x0 = restrict(analytic_heat_state(x0_modes, a, 0.0), grid)
         lifted = extend(step_exact(sys, x0, (0.0, 0.0), t), grid)
         gap = function_l2_norm(lambda xi: lifted(xi) - exact(xi), panels=panels_for(n, 4096))

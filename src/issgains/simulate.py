@@ -114,27 +114,20 @@ class Trajectory(NamedTuple):
     input_sup_norm: float
 
 
-def _step_factors(sys: ClosedControlSystem, h: float):
-    """Eigenvectors V and the diagonal factors exp(lambda h) and
-    phi = (exp(lambda h) - 1) / lambda of one exact step of length h.  phi
-    is taken as expm1(lambda h) / lambda, since exp(lambda h) - 1 would
-    lose about log10(1 / |lambda h|) digits to cancellation."""
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    eig = sys.eigendecomposition()
-    lam = eig.eigenvalues
-    lam_h = lam * h
-    phi = np.expm1(lam_h) / lam
-    return eig.eigenvectors, np.exp(lam_h), phi
-
-
 def step_exact(sys: ClosedControlSystem, x, u, h: float) -> np.ndarray:
     """One step of x' = Ax + Bu with u frozen on [0, h]:
-    exp(Ah) x + A^{-1}(exp(Ah) - I) B u, evaluated spectrally."""
-    v, decay, phi = _step_factors(sys, h)
-    y = v.T @ np.asarray(x, dtype=float)
-    forcing = v.T @ (sys.b_matrix @ np.asarray(u, dtype=float))
-    return v @ (decay * y + phi * forcing)
+    exp(Ah) x + A^{-1}(exp(Ah) - I) B u, evaluated spectrally as ``_held``
+    at the one sample time h."""
+    if not h > 0.0:
+        raise ValueError(f"step size must be positive, got {h}")
+    u = np.asarray(u, dtype=float)
+    if u.shape != sys.b_matrix.shape[1:]:
+        raise ValueError(f"input must have shape {sys.b_matrix.shape[1:]}, got {u.shape}")
+    eig = sys.eigendecomposition()
+    v = eig.eigenvectors
+    y = _held(eig.eigenvalues, v.T @ sys.b_matrix, u, v.T @ np.asarray(x, dtype=float),
+              np.array([0.0, h]), np.empty(2))
+    return v @ y
 
 
 def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Trajectory:
@@ -190,7 +183,13 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
         times *= h
         y = _held(eig.eigenvalues, g, u[0], y, times, norms)
     else:
-        _, decay, phi = _step_factors(sys, h)
+        # The factors exp(lambda h) and phi = expm1(lambda h) / lambda of one
+        # step, in two arrays; exp(lambda h) - 1 would lose about
+        # log10(1 / |lambda h|) digits of phi to cancellation.
+        decay = eig.eigenvalues * h
+        phi = np.expm1(decay)
+        phi /= eig.eigenvalues
+        np.exp(decay, out=decay)
         y = _stepped(decay, phi, g, u, y, norms)
         # Made once the stepping buffer is freed, so that the input, the
         # buffer, the norms and the times are never alive at once.

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import CSV_HEADER
 from .gains import PathSpec, frac_control_norm, growth_bound, sector_bound
-from .systems import GridSpec, WeightedSpace, build_heat_dirichlet
+from .systems import build_heat_dirichlet
 
 __all__ = [
     "SweepRecord",
@@ -49,10 +49,11 @@ def run_sweep(n_schedule, a: float, alpha: float, path: PathSpec,
         raise ValueError("schedule must be strictly increasing with every n >= 2")
     records = []
     for n in schedule:
-        space = WeightedSpace(GridSpec(n), weight_exponent=weight_exponent, input_norm=input_norm)
-        sys = build_heat_dirichlet(n, a, space)
+        sys = build_heat_dirichlet(n, a, weight_exponent, input_norm)
         records.append(SweepRecord(n=n, omega_n=growth_bound(sys), d_n=sector_bound(sys, path),
                                    frac_norm_n=frac_control_norm(sys, alpha)))
+        # Freed before the next resolution's system and spectrum are made.
+        del sys
     return records
 
 

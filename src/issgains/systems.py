@@ -92,41 +92,32 @@ class WeightedSpace(_WeightedSpace):
         return float(norms) if u.ndim == 1 else norms
 
 
-class _ClosedControlSystem(NamedTuple):
+class ClosedControlSystem(NamedTuple):
+    """State-space pair (A, B) of the boundary-closed system.
+
+    A is symmetric tridiagonal, stored by its diagonals; B is (n-1) x 2.
+    ``eig`` is the eigendecomposition of A, made by the system's builder.
+    """
+
     space: WeightedSpace
     a_diag: np.ndarray
     a_offdiag: np.ndarray
     b_matrix: np.ndarray
-    eig_memo: list
-
-
-class ClosedControlSystem(_ClosedControlSystem):
-    """State-space pair (A, B) of the boundary-closed system.
-
-    A is symmetric tridiagonal, stored by its diagonals; B is (n-1) x 2.
-    ``eig_memo`` holds the eigendecomposition once it is computed; each
-    system built without one gets its own empty list.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, space, a_diag, a_offdiag, b_matrix, eig_memo=None):
-        return super().__new__(cls, space, a_diag, a_offdiag, b_matrix,
-                               [] if eig_memo is None else eig_memo)
+    eig: EigenDecomposition
 
     @property
     def n(self) -> int:
         return self.space.grid.n
 
     def eigendecomposition(self) -> EigenDecomposition:
-        # Memoized; the matrices are immutable after construction.
-        if not self.eig_memo:
-            self.eig_memo.append(sym_tridiag_eig(self.a_diag, self.a_offdiag))
-        return self.eig_memo[0]
+        return self.eig
 
 
-def build_heat_dirichlet(n: int, a: float, space: WeightedSpace | None = None) -> ClosedControlSystem:
-    """Finite-difference heat system on [0,1] with Dirichlet boundary inputs.
+def build_heat_dirichlet(n: int, a: float, weight_exponent: int = 2,
+                         input_norm: str = "max") -> ClosedControlSystem:
+    """Finite-difference heat system on [0,1] with Dirichlet boundary inputs,
+    in the space ``WeightedSpace(GridSpec(n), weight_exponent, input_norm)``
+    and with the closed-form eigendecomposition of its generator.
 
     A = a n^2 tridiag(1, -2, 1) on the n-1 interior nodes; B feeds the two
     boundary values into the first and last rows with weight a n^2.
@@ -135,17 +126,14 @@ def build_heat_dirichlet(n: int, a: float, space: WeightedSpace | None = None) -
         raise ValueError(f"need n >= 2, got {n}")
     if not a > 0.0:
         raise ValueError(f"diffusion must be positive, got {a}")
-    if space is None:
-        space = WeightedSpace(GridSpec(n))
-    if space.grid.n != n:
-        raise ValueError(f"space grid n = {space.grid.n} does not match n = {n}")
+    space = WeightedSpace(GridSpec(n), weight_exponent, input_norm)
     c = a * n * n
     diag = np.full(n - 1, -2.0 * c)
     off = np.full(n - 2, c)
     b = np.zeros((n - 1, 2))
     b[0, 0] = c
     b[n - 2, 1] = c
-    return ClosedControlSystem(space=space, a_diag=diag, a_offdiag=off, b_matrix=b)
+    return ClosedControlSystem(space, diag, off, b, sym_tridiag_eig(diag, off))
 
 
 def extend(x, grid: GridSpec):

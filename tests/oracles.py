@@ -4,9 +4,9 @@ They share no code with ``issgains`` beyond reading a system's matrices
 or a decomposition's arrays, and applying a decomposition's eigenvectors.
 Two helpers are no reference routes: ``prefix_states`` reads the states of
 a run back from ``simulate`` itself, which keeps only the last, and
-``with_dense_eig`` seeds a non-uniform system's memoized decomposition,
-which the library's closed form cannot supply, so that library routes can
-run on it.
+``with_dense_eig`` builds a non-uniform system around the dense
+decomposition, which the library's closed form cannot supply, so that
+library routes can run on it.
 """
 
 import decimal
@@ -18,6 +18,7 @@ import scipy.integrate
 
 from issgains.numerics import EigenDecomposition
 from issgains.simulate import simulate
+from issgains.systems import ClosedControlSystem
 
 
 def a_matrix(sys) -> np.ndarray:
@@ -39,12 +40,12 @@ def dense_tridiag_eig(diag, offdiag) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
-def with_dense_eig(sys):
-    """``sys`` with ``dense_tridiag_eig`` seeded into its memoized
-    decomposition, so that every library route on it, which would otherwise
-    take the uniform closed form, reads the dense eigenpairs instead."""
-    sys.eig_memo.append(dense_tridiag_eig(sys.a_diag, sys.a_offdiag))
-    return sys
+def with_dense_eig(space, a_diag, a_offdiag, b_matrix):
+    """The system (A, B) in ``space`` with the ``dense_tridiag_eig`` of A as
+    its decomposition: every library route on it reads the dense eigenpairs
+    of a generator that the uniform closed form cannot decompose."""
+    return ClosedControlSystem(space, a_diag, a_offdiag, b_matrix,
+                               dense_tridiag_eig(a_diag, a_offdiag))
 
 
 def frac_control_norm_gram(sys) -> float:

@@ -21,7 +21,7 @@ from issgains.gains import GainBundle, PathSpec, assemble_gains, frac_control_no
 from issgains.numerics import quad_cauchy_tail, quad_exp_tail
 from issgains.simulate import bang_bang, iss_margin, simulate
 from issgains.sweep import emit_csv, run_sweep
-from issgains.systems import GridSpec, WeightedSpace, build_heat_dirichlet
+from issgains.systems import build_heat_dirichlet
 from oracles import a_matrix, frac_control_norm_gram, prefix_states
 
 SCHEDULE = (250, 500, 1000, 2000, 4000)
@@ -98,7 +98,7 @@ def test_criterion_06_boundary_closure_equivalence():
     for a in (0.5, 1.0, 2.0):
         for n in range(2, 65):
             direct = build_heat_dirichlet(n, a)
-            closed = close_system(build_preclosure_heat(n, a), direct.space)
+            closed = close_system(build_preclosure_heat(n, a))
             worst = max(worst,
                         np.max(np.abs(a_matrix(closed) - a_matrix(direct))),
                         np.max(np.abs(closed.b_matrix - direct.b_matrix)))
@@ -127,8 +127,7 @@ def test_criterion_08_semigroup_convergence_order():
 
 def test_criterion_09_empirical_iss_margins():
     n = 1000
-    space = WeightedSpace(GridSpec(n), weight_exponent=1, input_norm="max")
-    sys = build_heat_dirichlet(n, 1.0, space)
+    sys = build_heat_dirichlet(n, 1.0, weight_exponent=1, input_norm="max")
     x0 = np.zeros(n - 1)
 
     traj = simulate(sys, x0, np.array([[1.0, 0.0]]), 3.0, 0.05)
@@ -138,8 +137,7 @@ def test_criterion_09_empirical_iss_margins():
     margin_two, _ = iss_margin(traj2, REFERENCE_BUNDLE, 0.0)
 
     n_bb = 100
-    space_bb = WeightedSpace(GridSpec(n_bb), weight_exponent=1, input_norm="max")
-    sys_bb = build_heat_dirichlet(n_bb, 1.0, space_bb)
+    sys_bb = build_heat_dirichlet(n_bb, 1.0, weight_exponent=1, input_norm="max")
     worst = math.inf
     for seed in range(50):
         # The one-column input drives the end seed % 2 alone.
@@ -158,8 +156,7 @@ def test_criterion_09_empirical_iss_margins():
 
 def test_criterion_10_simulator_exactness():
     n = 100
-    space = WeightedSpace(GridSpec(n), weight_exponent=1, input_norm="max")
-    sys = build_heat_dirichlet(n, 1.0, space)
+    sys = build_heat_dirichlet(n, 1.0, weight_exponent=1, input_norm="max")
     grid = sys.space.grid
     v = sys.eigendecomposition().eigenvectors
     zero_input = np.zeros((1, 2))

@@ -19,7 +19,6 @@ from issgains.fattorini import (
 )
 from issgains.gains import PathSpec
 from issgains.systems import (
-    ClosedControlSystem,
     GridSpec,
     WeightedSpace,
     build_heat_dirichlet,
@@ -28,14 +27,10 @@ from issgains.systems import (
 from oracles import a_matrix, resolvent_dense, with_dense_eig
 
 
-def space_for(n, p=2):
-    return WeightedSpace(GridSpec(n), weight_exponent=p)
-
-
 class TestCloseSystem:
     def test_n4_control_matrix(self):
         pre = build_preclosure_heat(4, 1.0)
-        closed = close_system(pre, space_for(4))
+        closed = close_system(pre)
         expected = np.zeros((3, 2))
         expected[0, 0] = 16.0
         expected[2, 1] = 16.0
@@ -45,18 +40,18 @@ class TestCloseSystem:
     @pytest.mark.parametrize("n", list(range(2, 65)))
     def test_matches_direct_builder_exactly(self, n, a):
         direct = build_heat_dirichlet(n, a)
-        closed = close_system(build_preclosure_heat(n, a), direct.space)
+        closed = close_system(build_preclosure_heat(n, a))
         assert np.array_equal(a_matrix(closed), a_matrix(direct))
         assert np.array_equal(closed.b_matrix, direct.b_matrix)
 
     def test_diffusion_linearity(self):
-        b1 = close_system(build_preclosure_heat(8, 1.0), space_for(8)).b_matrix
-        b2 = close_system(build_preclosure_heat(8, 2.0), space_for(8)).b_matrix
+        b1 = close_system(build_preclosure_heat(8, 1.0)).b_matrix
+        b2 = close_system(build_preclosure_heat(8, 2.0)).b_matrix
         np.testing.assert_array_equal(b2, 2.0 * b1)
 
     def test_kernel_identification(self):
         pre = build_preclosure_heat(12, 1.0)
-        closed = close_system(pre, space_for(12))
+        closed = close_system(pre)
         rng = np.random.default_rng(0)
         v = np.zeros(13)
         v[1:12] = rng.standard_normal(11)
@@ -69,7 +64,7 @@ class TestCloseSystem:
                                restrict_r=pre.restrict_r,
                                bop_rinv=pre.bop_rinv + 0.1)
         with pytest.raises(ValueError, match="right inverse"):
-            close_system(bad, space_for(4))
+            close_system(bad)
 
 
 class TestSectorDiagnostic:
@@ -126,9 +121,8 @@ def random_nonuniform_system(n, seed):
     c = float(n * n)
     b = np.zeros((n - 1, 2))
     b[0, 0] = b[-1, 1] = c
-    return with_dense_eig(ClosedControlSystem(
-        space=space_for(n), a_diag=-c * rng.uniform(3.1, 4.0, n - 1),
-        a_offdiag=c * rng.uniform(0.5, 1.5, n - 2), b_matrix=b))
+    return with_dense_eig(WeightedSpace(GridSpec(n)), -c * rng.uniform(3.1, 4.0, n - 1),
+                          c * rng.uniform(0.5, 1.5, n - 2), b)
 
 
 class TestResolventRoute:

@@ -18,7 +18,7 @@ from issgains.gains import (
     sector_bound,
 )
 from issgains.sweep import SweepRecord, run_sweep
-from issgains.systems import GridSpec, WeightedSpace, build_heat_dirichlet
+from issgains.systems import build_heat_dirichlet
 from oracles import frac_control_norm_gram, resolvent_constant_scan
 
 REFERENCE_OMEGA = 9.8647
@@ -90,8 +90,7 @@ class TestFracControlNorm:
         assert frac_control_norm(sys, 0.5) == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_euclidean_norm_is_one(self):
-        space = WeightedSpace(GridSpec(100), weight_exponent=2, input_norm="euclidean")
-        sys = build_heat_dirichlet(100, 1.0, space)
+        sys = build_heat_dirichlet(100, 1.0, weight_exponent=2, input_norm="euclidean")
         assert frac_control_norm(sys, 0.5) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("n", [10, 100, 500])
@@ -102,8 +101,7 @@ class TestFracControlNorm:
         assert spectral == pytest.approx(gram, rel=1e-9)
 
     def test_gram_oracle_euclidean_route(self):
-        space = WeightedSpace(GridSpec(64), weight_exponent=2, input_norm="euclidean")
-        sys = build_heat_dirichlet(64, 1.0, space)
+        sys = build_heat_dirichlet(64, 1.0, weight_exponent=2, input_norm="euclidean")
         assert frac_control_norm(sys, 0.5) == pytest.approx(frac_control_norm_gram(sys), rel=1e-9)
 
     def test_alpha_domain(self):

@@ -5,19 +5,28 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from issgains import config
 from issgains.config import ConfigError, RunConfig
-from issgains.fattorini import DiagnosticReport, PreClosureSystem
-from issgains.gains import GainBundle, PathSpec
+from issgains.fattorini import (
+    DiagnosticReport,
+    PreClosureSystem,
+    _resolvent,
+    build_preclosure_heat,
+    close_system,
+)
+from issgains.gains import GainBundle, PathSpec, frac_control_norm
 from issgains.numerics import EigenDecomposition, QuadratureResult, sym_tridiag_eig
-from issgains.simulate import Trajectory
+from issgains.simulate import Trajectory, simulate
 from issgains.sweep import SweepRecord
 from issgains.systems import ClosedControlSystem, GridSpec, WeightedSpace, build_heat_dirichlet
+from oracles import a_matrix, frac_control_norm_gram, resolvent_dense, with_dense_eig
 
 GRID = GridSpec(n=4)
 SPACE = WeightedSpace(grid=GRID)
 ARRAY = np.zeros(3)
+EIG = EigenDecomposition(eigenvalues=ARRAY, eigenvectors=ARRAY)
 
 # Each type with its fields in order, the defaults among them, and values
 # for the fields that have none.
@@ -43,9 +52,9 @@ RECORDS = [
     (GridSpec, ("n",), {}, {"n": 4}),
     (WeightedSpace, ("grid", "weight_exponent", "input_norm"),
      {"weight_exponent": 2, "input_norm": "max"}, {"grid": GRID}),
-    (ClosedControlSystem, ("space", "a_diag", "a_offdiag", "b_matrix", "eig_memo"),
-     {"eig_memo": []},
-     {"space": SPACE, "a_diag": ARRAY, "a_offdiag": ARRAY[:2], "b_matrix": np.zeros((3, 2))}),
+    (ClosedControlSystem, ("space", "a_diag", "a_offdiag", "b_matrix", "eig"), {},
+     {"space": SPACE, "a_diag": ARRAY, "a_offdiag": ARRAY[:2], "b_matrix": np.zeros((3, 2)),
+      "eig": EIG}),
     (PreClosureSystem, ("ainit", "bop", "restrict_r", "bop_rinv"), {},
      {"ainit": ARRAY, "bop": ARRAY, "restrict_r": ARRAY, "bop_rinv": ARRAY}),
     (QuadratureResult, ("value", "abs_error_estimate", "evaluations"), {},
@@ -64,6 +73,7 @@ IDS = [cls.__name__ for cls, *_ in RECORDS]
 class TestRecordContract:
     def test_fields_and_defaults(self, cls, fields, defaults, required):
         assert cls._fields == fields
+        assert cls._field_defaults == defaults
         record = cls(**required)
         assert type(record) is cls
         assert repr(record).startswith(cls.__name__ + "(")
@@ -148,17 +158,56 @@ def test_parsers_follow_the_fields():
         parse_schedule("250, 500,1000,")
 
 
-class TestEigenMemo:
-    def test_each_system_has_its_own_memo(self):
-        first, second = build_heat_dirichlet(4, 1.0), build_heat_dirichlet(4, 1.0)
-        assert first.eig_memo == [] and second.eig_memo == []
-        assert first.eig_memo is not second.eig_memo
-        eig = first.eigendecomposition()
-        assert first.eigendecomposition() is eig
-        assert second.eig_memo == []
+BUILDERS = {
+    "direct": lambda n, p, norm: build_heat_dirichlet(n, 2.0, p, norm),
+    "closure": lambda n, p, norm: close_system(build_preclosure_heat(n, 2.0), p, norm),
+}
 
-    def test_seeded_memo_is_used(self):
-        system = build_heat_dirichlet(4, 1.0)
-        seeded = sym_tridiag_eig(system.a_diag, system.a_offdiag)
-        reseeded = ClosedControlSystem(*system[:4], eig_memo=[seeded])
-        assert reseeded.eigendecomposition() is seeded
+
+class TestBuiltSystem:
+    """Each builder makes its system's space from n, and its spectrum once;
+    every route reads the spectrum the system was built with."""
+
+    @pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS.keys())
+    @pytest.mark.parametrize("p, norm", [(1, "max"), (2, "euclidean")])
+    def test_space_is_made_from_n(self, builder, p, norm):
+        system = builder(6, p, norm)
+        assert system.space == WeightedSpace(GridSpec(6), p, norm)
+        assert system.eigendecomposition() is system.eig
+        np.testing.assert_array_equal(system.eig.eigenvalues,
+                                      sym_tridiag_eig(system.a_diag, system.a_offdiag).eigenvalues)
+
+    def test_default_space(self):
+        assert build_heat_dirichlet(6, 1.0).space == WeightedSpace(GridSpec(6))
+        assert close_system(build_preclosure_heat(6, 1.0)).space == WeightedSpace(GridSpec(6))
+
+    def test_replaced_input_keeps_spectrum(self):
+        system = build_heat_dirichlet(6, 1.0)
+        driven = system._replace(b_matrix=system.b_matrix[:, [0]])
+        assert driven.eig is system.eig
+
+    def test_routes_read_the_built_spectrum(self):
+        """A non-uniform generator, which the closed form refuses, built
+        around its dense decomposition: each route agrees with a dense
+        reference, so each read the decomposition it was given."""
+        n = 16
+        rng = np.random.default_rng(3)
+        c = float(n * n)
+        b = np.zeros((n - 1, 2))
+        b[0, 0] = b[-1, 1] = c
+        system = with_dense_eig(WeightedSpace(GridSpec(n)), -c * rng.uniform(3.1, 4.0, n - 1),
+                                c * rng.uniform(0.5, 1.5, n - 2), b)
+        with pytest.raises(ValueError, match="not uniform"):
+            sym_tridiag_eig(system.a_diag, system.a_offdiag)
+        assert frac_control_norm(system, 0.5) == pytest.approx(frac_control_norm_gram(system),
+                                                               rel=1e-12)
+        rhs = rng.standard_normal(n - 1)
+        np.testing.assert_allclose(_resolvent(system, 2.0, rhs), resolvent_dense(system, 2.0, rhs),
+                                   rtol=1e-12, atol=0)
+        # Held input: x(t) = exp(At) x0 + A^{-1} (exp(At) - I) B u, densely.
+        x0, u, t = rng.standard_normal(n - 1), np.array([1.0, -0.5]), 1e-3
+        a = a_matrix(system)
+        expm = scipy.linalg.expm(a * t)
+        expected = expm @ x0 + np.linalg.solve(a, (expm - np.eye(n - 1)) @ (b @ u))
+        final = system.eig.eigenvectors @ simulate(system, x0, u[None], t, t).states[0]
+        np.testing.assert_allclose(final, expected, rtol=1e-11, atol=1e-13 * np.max(np.abs(expected)))

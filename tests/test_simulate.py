@@ -21,7 +21,6 @@ from issgains.simulate import (
     step_exact,
 )
 from issgains.systems import (
-    ClosedControlSystem,
     GridSpec,
     WeightedSpace,
     build_heat_dirichlet,
@@ -42,8 +41,7 @@ TWO_SIDED = np.array([[1.0, 1.0]])
 
 
 def l2_system(n, a=1.0, u_norm="max"):
-    space = WeightedSpace(GridSpec(n), weight_exponent=1, input_norm=u_norm)
-    return build_heat_dirichlet(n, a, space)
+    return build_heat_dirichlet(n, a, weight_exponent=1, input_norm=u_norm)
 
 
 def one_sided(sys, column=0):
@@ -186,6 +184,21 @@ class TestStepExact:
         with pytest.raises(ValueError):
             step_exact(l2_system(4), np.zeros(3), (0.0, 0.0), 0.0)
 
+    @pytest.mark.parametrize("u", [(1.0,), (1.0, 0.0, 5.0), ((1.0, 0.0),)])
+    def test_input_shape_rejected(self, u):
+        with pytest.raises(ValueError, match="^input must have shape"):
+            step_exact(l2_system(4), np.ones(3), u, 0.1)
+
+    def test_is_simulate_held_for_one_step(self):
+        # The one exact step is the closed form of a held row at t = h.
+        sys = l2_system(64)
+        x = np.random.default_rng(4).standard_normal(63)
+        u = np.array([1.0, -0.5])
+        v = sys.eigendecomposition().eigenvectors
+        for h in (1e-5, 0.01, 0.3):
+            np.testing.assert_array_equal(step_exact(sys, x, u, h),
+                                          v @ simulate(sys, x, u[None], h, h).states[0])
+
 
 class TestSimulate:
     def test_eigenvector_decay_exact(self):
@@ -272,7 +285,7 @@ class TestSimulate:
         # A weight-2 system measures states by dx * ||x||, not by the
         # Riemann weight sqrt(dx) * ||x||.
         n = 32
-        sys = build_heat_dirichlet(n, 1.0, WeightedSpace(GridSpec(n), weight_exponent=2))
+        sys = build_heat_dirichlet(n, 1.0, weight_exponent=2)
         x0 = np.sin(np.pi * sys.space.grid.nodes())
         u = bang_bang(20, seed=5)
         traj = simulate(sys, x0, u, 1.0, 0.05)
@@ -549,7 +562,7 @@ def random_tridiagonal_system(n, seed):
     b = np.zeros((n - 1, 2))
     b[0, 0] = rng.uniform(1.0, 2.0)
     b[-1, 1] = rng.uniform(1.0, 2.0)
-    return with_dense_eig(ClosedControlSystem(space=space, a_diag=diag, a_offdiag=off, b_matrix=b))
+    return with_dense_eig(space, diag, off, b)
 
 
 class TestModalStepping:
@@ -768,3 +781,16 @@ class TestTrotterKato:
     def test_time_zero_rejected(self):
         with pytest.raises(ValueError):
             trotter_kato_check(1.0, [(1, 1.0)], 0.0, [16, 32])
+
+    def test_values_pinned(self):
+        # Bit for bit, so that any change in how the exact step rounds shows.
+        report = trotter_kato_check(1.0, [(1, 1.0), (3, 0.5)], 0.05, [16, 32, 64, 128])
+        assert {key: value.hex() for key, value in report.values.items()} == {
+            "gap_16": "0x1.0f0b4a952538fp-10",
+            "gap_32": "0x1.0d7ddde8dd30fp-12",
+            "gap_64": "0x1.0d1c3ca7dd7d3p-14",
+            "gap_128": "0x1.0d03efcb9912ap-16",
+            "ratio_16_32": "0x1.017987308d0bep+2",
+            "ratio_32_64": "0x1.005cdfa70c7acp+2",
+            "ratio_64_128": "0x1.00171fe2b83e7p+2",
+        }
