@@ -130,13 +130,17 @@ def _cmd_gains(cfg: RunConfig) -> int:
 
 def _traj_csv(path: str, traj) -> None:
     # One write per CSV_BLOCK_ROWS rows, so that the formatted text never
-    # grows with the step count.
+    # grows with the step count, each formatted by a single % of the block's
+    # values interleaved as (t, norm) pairs.
     with open(path, "w") as fh:
         fh.write(TRAJ_HEADER + "\n")
         for start in range(0, traj.times.size, CSV_BLOCK_ROWS):
             block = slice(start, start + CSV_BLOCK_ROWS)
-            fh.write("".join(map("%.10g,%.10g\n".__mod__,
-                                 zip(traj.times[block].tolist(), traj.norms[block].tolist()))))
+            times = traj.times[block].tolist()
+            flat = [None] * (2 * len(times))
+            flat[0::2] = times
+            flat[1::2] = traj.norms[block].tolist()
+            fh.write("%.10g,%.10g\n" * len(times) % tuple(flat))
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:

@@ -3,14 +3,15 @@ eigendecomposition of a uniform tridiagonal (its sine eigenvectors applied
 by FFT and never formed), spectral matrix functions and weighted operator
 norms.
 
-The quadrature is a double-exponential rule in numpy alone (tanh-sinh on
-(0, 1), exp-sinh on (1, inf)); it needs no scipy, so computing the K
-constants imports none.
+The quadrature is a double-exponential rule (tanh-sinh on (0, 1), exp-sinh
+on (1, inf)) on ``math`` floats, each level summed by ``math.fsum``: it
+needs no scipy, and computing the K constants runs none of numpy's
+kernels.
 
 The spectral kernels each hold a fixed few m-length arrays, in units of
 8m B for an m x m decomposition applied to k columns: ``sym_tridiag_eig``
 its result alone (2: the eigenvalues and the mode order), a sine-basis
-product k + 4 beside its operand, and ``apply_matrix_function`` 2k + 4
+product k + 4 beside its operand, and ``apply_matrix_function`` k + 4
 beside b and f's result.  Every buffer is made by the call that uses it.
 
 Everything here is pure and deterministic; results may be shared freely
@@ -72,16 +73,21 @@ class SineBasis:
     dimensions).  Each costs one real FFT of length 2(m+1) per column of x,
     O(m log m), and the basis itself holds only the m-entry mode order.
 
+    The mode order is the identity (e < 0) or the reversal (e >= 0), so
+    placing x at its modes, or reading a transform in mode order, is a view.
+
     In units of 8m B, with x of k columns, a product holds its k-unit
     result and, for one column at a time, the 2-unit odd extension and its
-    2-unit spectrum: k + 4 beside x.  ``v @ x`` places x into its result and
-    transforms it there; ``v.T @ x`` reads its result in mode order into a
-    second k-unit array once the transform's buffers are freed.
+    2-unit spectrum: k + 4 beside x.  ``v @ x`` transforms the placed view
+    of x into its result; ``v.T @ x`` reads its result in mode order, a
+    second k-unit array for the reversal, once the transform's buffers are
+    freed.  ``v.apply_in_place(x)`` is ``v @ x`` written over x: 4 beside x.
     """
 
     def __init__(self, order: np.ndarray, transposed: bool = False):
         self.order = order
         self.transposed = transposed
+        self.reversed = bool(order.size > 1 and order[0] != 0)
 
     @property
     def shape(self) -> tuple:
@@ -95,19 +101,34 @@ class SineBasis:
     def T(self) -> "SineBasis":
         return SineBasis(self.order, not self.transposed)
 
-    def __matmul__(self, x):
+    def _check(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         m = self.order.size
         if x.ndim not in (1, 2) or x.shape[0] != m:
             raise ValueError(f"cannot apply a {m} x {m} sine basis to shape {x.shape}")
-        scale = math.sqrt(2.0 / (m + 1))
+        return x
+
+    def _permuted(self, x: np.ndarray) -> np.ndarray:
+        """P x = P^T x, a view: the reversal is its own inverse."""
+        return x[::-1] if self.reversed else x
+
+    def __matmul__(self, x):
+        x = self._check(x)
+        scale = math.sqrt(2.0 / (self.order.size + 1))
         if self.transposed:
             # V^T x = P^T S x: the sine transform, read in mode order.
-            return _dst1(x, scale, np.empty(x.shape))[self.order]
+            return np.ascontiguousarray(self._permuted(_dst1(x, scale, np.empty(x.shape))))
         # V x = S P x: the coefficients placed at their modes, then transformed.
-        placed = np.empty(x.shape)
-        placed[self.order] = x
-        return _dst1(placed, scale, placed)
+        return _dst1(self._permuted(x), scale, np.empty(x.shape))
+
+    def apply_in_place(self, x: np.ndarray) -> np.ndarray:
+        """V x written over the float array x, and returned; the same bits
+        as ``v @ x``.  Each column of the placed view is read into the
+        transform's buffer before its column of x is written."""
+        if self.transposed:
+            raise ValueError("only V, not V^T, is applied in place")
+        x = self._check(x)
+        return _dst1(self._permuted(x), math.sqrt(2.0 / (self.order.size + 1)), x)
 
 
 def _dst1(x: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
@@ -140,64 +161,74 @@ class EigenDecomposition(NamedTuple):
     eigenvectors: SineBasis
 
 
-def _tanh_sinh(t):
-    """Nodes x = 1/(1 + exp(-pi sinh t)) in (0, 1) and weights dx/dt.
+def _tanh_sinh(t: float) -> tuple:
+    """Node x = 1/(1 + exp(-pi sinh t)) in (0, 1) and weight dx/dt.
 
     x and 1 - x = 1/(1 + exp(pi sinh t)) are each formed without
     cancellation, so nodes near either end keep full relative accuracy.
     """
-    u = np.pi * np.sinh(t)
-    x = 1.0 / (1.0 + np.exp(-u))
-    return x, np.pi * np.cosh(t) * x / (1.0 + np.exp(u))
+    u = math.pi * math.sinh(t)
+    x = 1.0 / (1.0 + math.exp(-u))
+    return x, math.pi * math.cosh(t) * x / (1.0 + math.exp(u))
 
 
-def _exp_sinh(t):
-    """Nodes s = 1 + exp(pi/2 sinh t) in (1, inf) and weights ds/dt."""
-    e = np.exp(0.5 * np.pi * np.sinh(t))
-    return 1.0 + e, 0.5 * np.pi * np.cosh(t) * e
+def _exp_sinh(t: float) -> tuple:
+    """Node s = 1 + exp(pi/2 sinh t) in (1, inf) and weight ds/dt."""
+    e = math.exp(0.5 * math.pi * math.sinh(t))
+    return 1.0 + e, 0.5 * math.pi * math.cosh(t) * e
 
 
 # Truncation windows |t| <= T: the exponent of each map stays within +-700.
 # log(DBL_MAX) = 709.78 leaves room for the factor (pi/2) cosh T = 700 of the
-# largest exp-sinh weight, so every node and weight is finite, and the
-# smallest tanh-sinh node, about exp(-700) = 1e-304, is still a normal double
-# above 0.  No term needs masking.
+# largest exp-sinh weight, so every node and weight is finite (math.exp
+# raises no OverflowError), and the smallest tanh-sinh node, about
+# exp(-700) = 1e-304, is still a normal double above 0.  No term needs
+# masking.
 _TANH_SINH = (_tanh_sinh, math.asinh(700.0 / math.pi))
 _EXP_SINH = (_exp_sinh, math.asinh(1400.0 / math.pi))
 
 
-def _level_abscissae(level: int, window: float) -> np.ndarray:
+def _level_abscissae(level: int, window: float) -> list:
     """The points t = k 2^-level with |t| <= window that no coarser level has."""
     h = 2.0**-level
     if level == 0:
-        k = np.arange(-math.floor(window), math.floor(window) + 1)
-    else:
-        k = np.arange(1, math.floor(window / h) + 1, 2)
-        k = np.concatenate([-k[::-1], k])
-    return k * h
+        reach = math.floor(window)
+        return [float(k) for k in range(-reach, reach + 1)]
+    ks = range(1, math.floor(window / h) + 1, 2)
+    return [-k * h for k in reversed(ks)] + [k * h for k in ks]
+
+
+def _level_sum(terms: list) -> float:
+    """The correctly rounded sum of ``terms``; an infinite or NaN term, or a
+    sum past the double range, gives the non-finite float sum instead of
+    fsum's exception, for _quad to report."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)
 
 
 def _quad(name: str, parts, scale: float = 1.0) -> QuadratureResult:
     """scale * (sum of the integrals of ``parts``) by the double-exponential
-    rule (Takahasi & Mori, 1974).
+    rule (Takahasi & Mori, 1974), in ``math`` floats.
 
     Each part is ``(rule, fn)`` with ``rule`` one of _TANH_SINH (over (0, 1))
-    or _EXP_SINH (over (1, inf)) and ``fn`` a vectorised integrand.  The
+    or _EXP_SINH (over (1, inf)) and ``fn`` an integrand of one float.  The
     trapezoid step on the t axis halves each level, reusing every earlier
-    node, until two successive estimates agree to QUAD_RTOL relative.  The
-    QUAD_MAX_LEVEL + 1 levels take 3123 nodes of a _TANH_SINH part and 3477
-    of an _EXP_SINH part, so neither K-constant integral can take more than
-    6600 evaluations.
+    node, until two successive estimates agree to QUAD_RTOL relative.  Each
+    level's terms are summed by ``math.fsum``.  The QUAD_MAX_LEVEL + 1
+    levels take 3123 nodes of a _TANH_SINH part and 3477 of an _EXP_SINH
+    part, so neither K-constant integral can take more than 6600
+    evaluations.
     """
     total = 0.0
     evals = 0
     estimate = math.nan
     for level in range(QUAD_MAX_LEVEL + 1):
         for (rule, window), fn in parts:
-            t = _level_abscissae(level, window)
-            x, w = rule(t)
-            total += float(np.sum(fn(x) * w))
-            evals += t.size
+            terms = [fn(x) * w for x, w in map(rule, _level_abscissae(level, window))]
+            total += _level_sum(terms)
+            evals += len(terms)
         previous, estimate = estimate, total * 2.0**-level
         value = scale * estimate
         if not math.isfinite(value):
@@ -229,8 +260,8 @@ def quad_exp_tail(alpha: float, omega: float) -> QuadratureResult:
         scale = math.inf
     q = 1.0 / (1.0 - alpha)
     return _quad(f"quad_exp_tail(alpha={alpha!r}, omega={omega!r})", [
-        (_TANH_SINH, lambda r: q * np.exp(-r**q)),
-        (_EXP_SINH, lambda t: t**-alpha * np.exp(-t)),
+        (_TANH_SINH, lambda r: q * math.exp(-r**q)),
+        (_EXP_SINH, lambda t: t**-alpha * math.exp(-t)),
     ], scale=scale)
 
 
@@ -308,11 +339,11 @@ def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarr
     family of functions, by broadcasting); the result then has one column
     per member.
 
-    The coefficients V^T b of a matrix b are scaled in place, so in units
-    of 8m B, with k the columns of b (or of the result), the working set
-    beside b and f's result is 2k + 4: the coefficients, and while V is
-    applied, its k-unit result and one column's odd extension and spectrum
-    (4)."""
+    The coefficients V^T b are private to the call, so for a matrix b they
+    are scaled, and V is applied to them, in place: in units of 8m B, with
+    k the columns of b (or of the result), the working set beside b and f's
+    result is k + 4, the coefficients and one column's odd extension and
+    spectrum (4)."""
     mapped = np.asarray(f(eig.eigenvalues), dtype=float)
     bad = ~np.isfinite(mapped)
     if bad.any():
@@ -324,6 +355,9 @@ def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarr
         coeffs *= mapped[:, None]
     else:
         coeffs = (mapped.T * coeffs).T
+    if isinstance(v, SineBasis):
+        return v.apply_in_place(coeffs)
+    # A V held as a dense matrix takes the product.
     return v @ coeffs
 
 

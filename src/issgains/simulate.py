@@ -15,10 +15,14 @@ eigenvectors V are orthonormal, so ||x|| = ||y||.
   per-step loop, and a rounding error that does not grow with the step
   count.
 - A full input takes the recurrence y <- exp(lambda h) y + phi (g u_i),
-  O(n) per step, one Python iteration per step.
+  one Python iteration per step, over the live modes only: the modes whose
+  exp(lambda h) is 0 settle within one step and form a prefix of the modes
+  (582 of 999 at n = 1000, h = 5e-4; 3961 of 3999 at n = 4000, h = 0.05).
+  Their share of each norm comes from a k x k Gram matrix, for k input
+  columns, so they are neither stepped nor stored.
 
-Both work one block of samples at a time, in at most BLOCK_BYTES of
-temporaries, and take each block's norms from its modal rows before the
+Both work one block of samples at a time, in at most BLOCK_BYTES (64 KiB)
+of temporaries, and take each block's norms from its modal rows before the
 next block overwrites them.  Only the final modal state is kept, so the
 states take O(n) memory at any step count.  Both the state norms and the
 input sup norm are those of the system's ``WeightedSpace``.
@@ -51,18 +55,21 @@ __all__ = [
     "iss_margin",
 ]
 
-# Byte budget of simulate's temporaries: for a full input, the modal rows of
-# one block of steps (the forcing, then the states, then their norms) and,
-# for two or more input columns, a scratch block of the forcing's terms; for
-# a held row, lambda t and the closed form of one block of samples, and
+# Byte budget of simulate's temporaries: for a full input, one block of steps
+# of the live modes (the forcing, then the states, then their norms), for two
+# or more input columns a scratch block of the forcing's terms, and two
+# arrays of the block's length for the settled modes' share of the norms;
+# for a held row, lambda t and the closed form of one block of samples, and
 # exp(lambda t) y0 beside them.  It also sizes the blocks of input rows over
-# which the input sup norm is taken.  No result depends on it.  When all
-# three CLI scenarios took the recurrence, stepping them at n = 1000,
-# h = 5e-4 took (in-process, median of 7 runs, 2-vCPU x86-64 host) 120 ms
-# at 64 KiB, 103 ms at 128 KiB, 94 ms at 256 KiB, 87 ms at 512 KiB, 89 ms
-# at 1 MiB and 92 ms at 2 MiB; 256 KiB keeps most of that speed for a
-# quarter of the 1 MiB buffer's resident memory.
-BLOCK_BYTES = 2**18
+# which the input sup norm is taken.  No result depends on it.  Stepping the
+# bang-bang scenario at n = 1000, h = 5e-4 (417 live modes, 6000 steps) took
+# (in-process, median of 9 runs, 2-vCPU x86-64 host) 21.4 ms at 32 KiB,
+# 16.9 ms at 64 KiB, 14.7 ms at 128 KiB, 14.2 ms at 256 KiB and 13.5 ms at
+# 1 MiB, against 20.6 ms when every mode's column was stored at 256 KiB; the
+# two held scenarios took 5.2-5.8 ms together at any of these budgets.
+# 64 KiB keeps most of that speed for a quarter of the resident memory of
+# 256 KiB.
+BLOCK_BYTES = 2**16
 
 # exp(x) is exactly 0 below about -745.13 and expm1(x) exactly -1 below
 # about -37.4, so a mode whose lambda t is below -SETTLED has reached its
@@ -142,10 +149,11 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     of one row) is evaluated in closed form at each sample time
     (``_held``): O(moving modes) per block of samples, no per-step loop, and
     each entry within a fixed number of ulps of the exact solution at any
-    step count.  A full input takes the recurrence (``_stepped``): O(n) and
-    one Python iteration per step, with a rounding error that grows with the
-    step count.  Either way the forcing is formed elementwise, column by
-    column, so no BLAS matrix product is made, and every result, for any
+    step count.  A full input takes the recurrence (``_stepped``): O(live
+    modes) and one Python iteration per step, with a rounding error that
+    grows with the step count; the settled modes enter each norm through a
+    k x k Gram matrix.  Either way the forcing is formed elementwise, column
+    by column, so no BLAS matrix product is made, and every result, for any
     real input, is the same bit for bit whatever block sizes BLOCK_BYTES
     sets.
 
@@ -214,41 +222,81 @@ def _forcing(g, samples, out) -> None:
 
 
 def _stepped(decay, phi, g, u, y, norms) -> np.ndarray:
-    """Steps y <- exp(lambda h) y + phi (g u_i) for the rows of ``u``, in
-    blocks of rows held in a buffer of at most BLOCK_BYTES, and writes the
-    norms of the states into norms[1:].  Returns the final modal state."""
+    """Steps y <- exp(lambda h) y + phi (g u_i) for the rows of ``u`` and
+    writes the norms of the states into norms[1:].  Returns the final modal
+    state.
+
+    lambda ascends, so the modes whose exp(lambda h) underflows to 0, the
+    settled ones, form a prefix.  Their decay term 0 * prev is +-0, so each
+    of their entries is its forcing fl(fl(g u_i) phi) alone (adding the zero
+    could change at most the sign of a zero entry, which no norm sees).  They
+    are neither stepped nor stored: their share of norm_i^2 is u_i^T G u_i,
+    with the k x k Gram matrix G = W^T W of W = phi g over the settled modes
+    (``_settled_share``), and their entries of the final state are formed
+    once, from the last input row.  Only the live modes are stepped, in
+    blocks of rows held in a buffer of at most BLOCK_BYTES together with the
+    settled share's two arrays of a block's length.  Every entry of every
+    state is the one-step-at-a-time loop's bit for bit; only the summation
+    order of a norm with settled modes differs from it."""
     steps, k = u.shape
-    # Two or more input columns take a scratch block beside the forcing.
-    rows_max = max(1, min(steps, BLOCK_BYTES // ((1 if k == 1 else 2) * y.nbytes)))
-    block = np.empty((rows_max, y.size))
-    # lambda ascends, so the modes whose exp(lambda h) underflows to 0 come
-    # first.  Their decay term 0 * prev is +-0, so each of their entries is
-    # its forcing alone and only the live modes are stepped.  Adding the
-    # zero could change at most the sign of a zero entry, which no norm sees.
-    live = int(np.searchsorted(decay, 0.0, side="right"))
-    decay = decay[live:]
-    decayed = np.empty(decay.size)
+    settled = int(np.searchsorted(decay, 0.0, side="right"))
+    live = y.size - settled
+    # W^T W by einsum, which makes no BLAS call.
+    w = g[:settled] * phi[:settled, np.newaxis]
+    gram = np.einsum("ij,ik->jk", w, w)
+    g_live, phi_live, decay = g[settled:], phi[settled:], decay[settled:]
+    # A row of a block: the forcing of the live modes, then their states,
+    # with a scratch row beside it for two or more input columns, and the
+    # two entries of the settled share.
+    rows_max = max(1, min(steps, BLOCK_BYTES // (8 * ((1 if k == 1 else 2) * live + 2))))
+    block = np.empty((rows_max, live))
+    share = np.empty((2, rows_max))
+    decayed = np.empty(live)
+    y_live = y[settled:]
     for start in range(0, steps, rows_max):
         stop = min(start + rows_max, steps)
         rows = block[:stop - start]
+        samples = u[start:stop]
         # The decay of the last state, taken before the forcing overwrites
         # the buffer row it may sit in.
-        np.multiply(decay, y[live:], out=decayed)
+        np.multiply(decay, y_live, out=decayed)
         # The forcing phi * (g u_i) of each step, written into the row it is
         # added to.
-        _forcing(g, u[start:stop], rows)
-        rows *= phi
-        live_rows = rows[:, live:]
-        live_rows[0] += decayed
-        for prev, row in zip(live_rows, live_rows[1:]):
-            np.multiply(decay, prev, out=decayed)
-            row += decayed
+        _forcing(g_live, samples, rows)
+        rows *= phi_live
+        if live:
+            rows[0] += decayed
+            for prev, row in zip(rows, rows[1:]):
+                np.multiply(decay, prev, out=decayed)
+                row += decayed
         sq = norms[start + 1:stop + 1]
         np.einsum("ij,ij->i", rows, rows, out=sq)
+        if settled:
+            sq += _settled_share(gram, samples, share[:, :stop - start])
         np.sqrt(sq, out=sq)
-        y = rows[-1]
-    # A copy, so that the buffer is freed on return.
-    return y.copy()
+        y_live = rows[-1]
+    final = np.empty(y.size)
+    _forcing(g[:settled], u[-1:], final[np.newaxis, :settled])
+    final[:settled] *= phi[:settled]
+    final[settled:] = y_live
+    return final
+
+
+def _settled_share(gram, samples, out) -> np.ndarray:
+    """u_i^T G u_i for each row u_i of ``samples``, the sum over (j, l) in
+    row-major order of fl(fl(u_j G_jl) u_l), formed elementwise into out[0]
+    (returned) with out[1] as scratch, so a row rounds the same in a block of
+    any size."""
+    total, term = out
+    k = gram.shape[0]
+    for j in range(k):
+        for l in range(k):
+            dest = total if j == l == 0 else term
+            np.multiply(samples[:, j], gram[j, l], out=dest)
+            dest *= samples[:, l]
+            if dest is term:
+                total += term
+    return total
 
 
 def _held(lam, g, row, y0, times, norms) -> np.ndarray:

@@ -171,6 +171,24 @@ class TestDispatch:
         expected = "t,norm\n" + "".join(f"{t:.10g},{r:.10g}\n" for t, r in zip(times, norms))
         assert (tmp_path / "traj.csv").read_text() == expected
 
+    def test_trajectory_csv_matches_row_formatting(self, tmp_path, monkeypatch):
+        """One % per block writes the bytes of one "%.10g,%.10g" per row:
+        random doubles of every magnitude, signed zeros, subnormals and
+        1e300, over blocks of 4 with a ragged last block of 3."""
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 4)
+        rng = np.random.default_rng(17)
+        special = [0.0, -0.0, 5e-324, -2.2e-310, 1e300, -1e300, 1.0, 0.1]
+        times = np.concatenate([special, rng.uniform(-1.0, 1.0, 7)
+                                * 10.0 ** rng.integers(-320, 300, 7)])
+        norms = np.concatenate([special[::-1], np.abs(rng.standard_normal(7))
+                                * 10.0 ** rng.integers(-320, 300, 7)])
+        assert times.size % 4 == 3
+        traj = SimpleNamespace(times=times, norms=norms)
+        cli._traj_csv(tmp_path / "traj.csv", traj)
+        expected = "t,norm\n" + "".join("%.10g,%.10g\n" % (t, r)
+                                        for t, r in zip(times.tolist(), norms.tolist()))
+        assert (tmp_path / "traj.csv").read_bytes() == expected.encode()
+
     def test_simulate_fails_on_negative_margin(self, tmp_path, capsys):
         # Halving mu_e halves the gain slope, so the one-sided and the
         # bang-bang trajectories leave the certified bound.

@@ -155,6 +155,54 @@ def stepwise_norms(sys, x0, modal):
     return norms * sys.space.state_scale
 
 
+def settled_count(sys, h):
+    """The number of modes whose exp(lambda h) is exactly 0."""
+    return int(np.count_nonzero(np.exp(sys.eigendecomposition().eigenvalues * h) == 0.0))
+
+
+def assert_norms_near_stepwise(sys, x0, u, h, oracle, norms):
+    """norms (simulate's, from the stepwise oracle's very entries) within
+    the rounding of two summation orders of stepwise_norms(sys, x0, oracle).
+
+    For the s settled modes, simulate forms u_i^T G u_i with G = W^T W,
+    W = fl(phi g), instead of summing the squares of their entries
+    e = fl(fl(sum_j fl(u_j g_j)) phi).  With a_m = sum_j |phi_m g_mj u_ij|
+    and S = sum over settled m of a_m^2, to first order in U:
+    - |e_m - t_m| <= (k + 1) U a_m for t_m = sum_j phi_m g_mj u_j, so the
+      squares' sum is within 2 (k + 1) U S of sum t_m^2;
+    - each G_jl is within (s + 2) U sum_m |w_mj w_ml| of the exact one, and
+      the k^2 terms fl(fl(u_j G_jl) u_l) and their sum add (k^2 + 1) U
+      relative to each term, so u^T G u is within (s + k^2 + 3) U S of
+      sum t_m^2.
+    S bounds the share and not the norm: for k >= 2, u^T G u can cancel.
+    The l live squares sum within l U L of their exact sum L, the oracle's
+    m squares within m U (L + S), and simulate's last add costs U (L + S):
+    the squared norms differ by at most D = (2m + k^2 + 2k + 7) U (L + S),
+    one U of it for second-order terms.  Then, with c the state scale,
+    |N - N_o| <= c^2 D / ((N + N_o)(1 - 4U)) + 2U (N + N_o), the last term
+    for each side's square root and scaling."""
+    eig = sys.eigendecomposition()
+    lam = eig.eigenvalues
+    s = settled_count(sys, h)
+    m, k = lam.size, sys.b_matrix.shape[1]
+    steps = len(norms) - 1
+    u = np.asarray(u, dtype=float)[:steps]
+    phi = np.expm1(lam * h) / lam
+    w = np.abs((eig.eigenvectors.T @ sys.b_matrix)[:s] * phi[:s, np.newaxis])
+    a = np.abs(u) @ w.T
+    settled = np.einsum("ij,ij->i", a, a)
+    live = np.einsum("ij,ij->i", oracle[1:, s:], oracle[1:, s:])
+    d = (2 * m + k * k + 2 * k + 7) * U * (live + settled)
+    expected = stepwise_norms(sys, x0, oracle)
+    assert norms[0] == expected[0]
+    both = norms[1:] + expected[1:]
+    c = sys.space.state_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(both > 0, c * c * d / (both * (1 - 4 * U)), 0.0) + 2 * U * both
+    err = np.abs(norms[1:] - expected[1:])
+    assert np.all(err <= bound), np.max(err - bound)
+
+
 def input_sup_norm(u, u_norm):
     """input_sup_norm of a run that applies each row of u for one step, on
     the system that u's columns drive."""
@@ -364,7 +412,9 @@ class TestSimulate:
         """The three scenarios of the simulate command.  The held rows take
         the closed form: within its bound of the exact trajectory at every
         sample.  The bang-bang input, which drives the left end alone, takes
-        the recurrence: bit for bit against the one-step-at-a-time loop."""
+        the recurrence: every state entry bit for bit against the
+        one-step-at-a-time loop, and the norms, which take the settled
+        modes from their Gram matrix, within two summation orders of its."""
         n, h = 64, 0.05
         sys = l2_system(n)
         x0 = np.zeros(n - 1)
@@ -375,11 +425,12 @@ class TestSimulate:
                               closed_form_bound(sys, x0, u[0], h))
             return
         sys = one_sided(sys)
+        assert settled_count(sys, h) > 0
         traj = simulate(sys, x0, u, 3.0, h)
         oracle = simulate_stepwise(sys, x0, u, h, 60)
         np.testing.assert_array_equal(prefix_states(sys, x0, u, h, 60), oracle)
         np.testing.assert_array_equal(traj.states, oracle[-1:])
-        np.testing.assert_array_equal(traj.norms, stepwise_norms(sys, x0, oracle))
+        assert_norms_near_stepwise(sys, x0, u, h, oracle, traj.norms)
 
     def test_partial_step_rejected(self):
         sys = l2_system(4)
@@ -388,8 +439,9 @@ class TestSimulate:
 
 
 class TestBlocks:
-    """simulate with its block buffer shrunk to a few rows.  A full input is
-    checked bit for bit against the one-step-at-a-time loop; a held row bit
+    """simulate with its block buffer shrunk to a few rows.  A full input,
+    under which no mode settles at this n and h, is checked bit for bit
+    against the one-step-at-a-time loop; a held row bit
     for bit against the same run at the default budget, and within the
     closed form's bound of the exact trajectory."""
 
@@ -531,24 +583,66 @@ class TestStepLengthArrays:
 
 class TestLiveModes:
     """simulate steps only the modes whose exp(lambda h) is nonzero, and
-    leaves the others at their forcing; bit for bit against the stepwise
-    oracle, which steps every mode.  Blocks of 7 rows carry the state
-    across block edges."""
+    takes the settled others' share of each norm from their Gram matrix.
+    Every entry of every modal state stays bit for bit the stepwise
+    oracle's, which steps every mode; a norm with settled modes stays
+    within two summation orders of the oracle's (bit for bit without).
+    Blocks of 7 rows carry the state across block edges."""
 
-    @pytest.mark.parametrize("n, h, has_dead", [(200, 0.05, True), (8, 0.01, False)],
-                             ids=["dead-modes", "all-live"])
-    def test_matches_stepwise_oracle(self, monkeypatch, n, h, has_dead):
+    @pytest.mark.parametrize("n, h, uniform, has_settled",
+                             [(200, 0.05, False, True), (8, 0.01, False, False),
+                              (200, 0.05, True, True), (8, 100.0, False, True)],
+                             ids=["dead-modes", "all-live", "uniform-inputs", "all-settled"])
+    def test_matches_stepwise_oracle(self, monkeypatch, n, h, uniform, has_settled):
         sys = l2_system(n)
-        dead = np.count_nonzero(np.exp(sys.eigendecomposition().eigenvalues * h) == 0.0)
-        assert (0 < dead < n - 1) if has_dead else dead == 0
+        settled = settled_count(sys, h)
+        if not has_settled:
+            assert settled == 0
+        elif n == 8:
+            assert settled == n - 1
+        else:
+            assert 0 < settled < n - 1
         monkeypatch.setattr(issgains.simulate, "BLOCK_BYTES", 8 * (n - 1) * 7)
         steps = 40
-        x0 = np.random.default_rng(n).standard_normal(n - 1)
-        u = bang_bang(steps, seed=n)
+        rng = np.random.default_rng(n)
+        x0 = rng.standard_normal(n - 1)
+        # Both inputs drive both ends.  Uniform samples give inexact
+        # products u_j g_j and a cross term G_01 u_0 u_1 of either sign.
+        u = rng.uniform(-1.0, 1.0, (steps, 2)) if uniform else bang_bang(steps, seed=n)
         traj = simulate(sys, x0, u, steps * h, h)
         oracle = simulate_stepwise(sys, x0, u, h, steps)
+        np.testing.assert_array_equal(prefix_states(sys, x0, u, h, steps), oracle)
         np.testing.assert_array_equal(traj.states, oracle[-1:])
-        np.testing.assert_array_equal(traj.norms, stepwise_norms(sys, x0, oracle))
+        if settled:
+            assert_norms_near_stepwise(sys, x0, u, h, oracle, traj.norms)
+        else:
+            np.testing.assert_array_equal(traj.norms, stepwise_norms(sys, x0, oracle))
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_working_set(self, columns):
+        """At n = 1000 and h = 5e-4, as in the long-horizon benchmark, 600
+        full-input steps take BLOCK_BYTES, the two step-length outputs and a
+        fixed slack: 16 units of 8(n - 1) B for the arrays of the modes'
+        length (V^T B, V^T x0 and their transform buffers, lambda h, phi,
+        W, the decayed row and the final state) and numpy's iterator
+        buffers of a broadcast product, two of np.getbufsize() doubles."""
+        n, h, steps = 1000, 5e-4, 600
+        sys = l2_system(n)
+        if columns == 1:
+            sys = one_sided(sys)
+        u = bang_bang(steps, seed=11, active=tuple(range(columns)))
+        x0 = np.zeros(n - 1)
+        # Memoizes the spectrum and the FFT's plan for this length.
+        simulate(sys, x0, u, steps * h, h)
+        tracemalloc.start()
+        try:
+            traj = simulate(sys, x0, u, steps * h, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = traj.times.nbytes + traj.norms.nbytes
+        slack = 16 * 8 * (n - 1) + 2 * 8 * np.getbufsize()
+        assert peak < issgains.simulate.BLOCK_BYTES + outputs + slack
 
 
 def random_tridiagonal_system(n, seed):
@@ -605,8 +699,8 @@ class TestModalStepping:
         system = one_sided(l2_system(n))
         u = bang_bang(steps, seed=20240501, active=(0,))
         traj = simulate(system, np.zeros(n - 1), u, steps * h, h)
-        # The rows of simulate itself, as the stepwise oracle and simulate
-        # agree bit for bit (test_matches_stepwise_oracle).
+        # The rows of simulate itself: no mode settles at this n and h, so
+        # the stepwise oracle and simulate agree bit for bit, norms included.
         modal = simulate_stepwise(system, np.zeros(n - 1), u, h, steps)
         np.testing.assert_array_equal(traj.norms, stepwise_norms(system, np.zeros(n - 1), modal))
         nodes = node_values(system, modal)
