@@ -25,8 +25,10 @@ argparse or the gettext and locale modules it pulls in.
 Exit rule: importing this module registers ``gc.freeze`` to run at
 interpreter exit, so every process that runs the front end skips the
 shutdown collections over the objects it leaves alive.  In return, an
-object left in a reference cycle is not finalized at exit: every artifact
-is written through a handle closed explicitly (``with open(...)``).
+object left in a reference cycle is not finalized at exit.  So one
+function, ``_write``, writes every artifact, through a handle it closes
+explicitly, and always as ASCII with LF line ends; the numeric layers
+return the text and touch no file.
 """
 
 import atexit
@@ -57,10 +59,10 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "dispatch", "main"]
 # those collections skip.  os._exit would skip them too, but also the other
 # atexit handlers and the flush of stdio; gc.disable() at exit saves little.
 # The cost: an object in a reference cycle at exit is never finalized, so
-# every artifact must be written through an explicitly closed handle.
+# every artifact is written by _write, through an explicitly closed handle.
 atexit.register(gc.freeze)
 
-# Rows of a trajectory CSV formatted per write; the bytes written do not
+# Rows of a trajectory CSV formatted per chunk; the bytes written do not
 # depend on it.  Writing a 6001-row CSV peaks at 0.85 MB of traced memory
 # when all of it is formatted at once, at 0.15 MB in blocks of 1024 rows.
 CSV_BLOCK_ROWS = 2**10
@@ -69,6 +71,13 @@ TRAJ_HEADER = "t,norm"
 
 def _out(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
+
+
+def _write(cfg: RunConfig, name: str, chunks) -> int:
+    """Write the text chunks, in order, to the artifact ``name`` in
+    output_dir, and return the number of bytes written."""
+    with open(_out(cfg, name), "w", encoding="ascii", newline="\n") as fh:
+        return sum(map(fh.write, chunks))
 
 
 def _path(cfg: RunConfig):
@@ -97,9 +106,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     from .sweep import emit_csv
 
     records = _records(cfg)
-    dest = _out(cfg, "sweep.csv")
-    nbytes = emit_csv(records, dest)
-    print(f"wrote {dest} ({nbytes} bytes, {len(records)} resolutions)")
+    nbytes = _write(cfg, "sweep.csv", [emit_csv(records)])
+    print(f"wrote {_out(cfg, 'sweep.csv')} ({nbytes} bytes, {len(records)} resolutions)")
     return 0
 
 
@@ -120,27 +128,24 @@ def _cmd_gains(cfg: RunConfig) -> int:
     text_lines = [f"{name:<{width}}  {value:.10g}" for name, value in rows]
     text = "\n".join(text_lines) + "\n"
     kv = "".join(f"{name} = {value:.10g}\n" for name, value in rows)
-    with open(_out(cfg, "gains.txt"), "w") as fh:
-        fh.write(text)
-    with open(_out(cfg, "gains.kv"), "w") as fh:
-        fh.write(kv)
+    _write(cfg, "gains.txt", [text])
+    _write(cfg, "gains.kv", [kv])
     print(text, end="")
     return 0
 
 
-def _traj_csv(path: str, traj) -> None:
-    # One write per CSV_BLOCK_ROWS rows, so that the formatted text never
-    # grows with the step count, each formatted by a single % of the block's
-    # values interleaved as (t, norm) pairs.
-    with open(path, "w") as fh:
-        fh.write(TRAJ_HEADER + "\n")
-        for start in range(0, traj.times.size, CSV_BLOCK_ROWS):
-            block = slice(start, start + CSV_BLOCK_ROWS)
-            times = traj.times[block].tolist()
-            flat = [None] * (2 * len(times))
-            flat[0::2] = times
-            flat[1::2] = traj.norms[block].tolist()
-            fh.write("%.10g,%.10g\n" * len(times) % tuple(flat))
+def _traj_csv(traj):
+    # The header, then one chunk per CSV_BLOCK_ROWS rows, so that the
+    # formatted text never grows with the step count, each formatted by a
+    # single % of the block's values interleaved as (t, norm) pairs.
+    yield TRAJ_HEADER + "\n"
+    for start in range(0, traj.times.size, CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        times = traj.times[block].tolist()
+        flat = [None] * (2 * len(times))
+        flat[0::2] = times
+        flat[1::2] = traj.norms[block].tolist()
+        yield "%.10g,%.10g\n" * len(times) % tuple(flat)
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
@@ -171,7 +176,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     for label, driven, make_input in scenarios:
         traj = simulate(driven, x0, make_input(), cfg.t_end, cfg.h)
         margin, at = iss_margin(traj, bundle, x0_norm=0.0)
-        _traj_csv(_out(cfg, f"traj_{label}.csv"), traj)
+        _write(cfg, f"traj_{label}.csv", _traj_csv(traj))
         del traj
         note = ""
         if label == "twosided":
@@ -218,8 +223,7 @@ def _cmd_check(cfg: RunConfig) -> int:
     kv_blocks = [r.as_kv() for r in reports]
     kv_blocks.append(f"mu_p = {mu_p:.10g}\nmu_e = {mu_e:.10g}")
     text = "\n\n".join(blocks) + "\n\n" + "\n".join(kv_blocks) + "\n"
-    with open(_out(cfg, "check.txt"), "w") as fh:
-        fh.write(text)
+    _write(cfg, "check.txt", [text])
     print("\n\n".join(blocks))
     return 1 if any(r.verdict == "fail" for r in reports) else 0
 
@@ -262,27 +266,24 @@ def _read_csv(path: str, header: str) -> dict:
 def _cmd_plot(cfg: RunConfig) -> int:
     from . import svgplot
 
-    sweep_path = os.path.join(cfg.output_dir, "sweep.csv")
+    sweep_path = _out(cfg, "sweep.csv")
     if not os.path.exists(sweep_path):
         print(f"error: {sweep_path} not found; run the sweep command first", file=_sys.stderr)
         return 2
     data = _read_csv(sweep_path, CSV_HEADER)
-    ns = data["n"]
-    svgplot.line_chart(_out(cfg, "fig_omegan.svg"), {"omega_n": (ns, data["omegan"])},
-                       xlabel="n", ylabel="omega_n")
-    svgplot.line_chart(_out(cfg, "fig_dn.svg"), {"D_n": (ns, data["Dn"])},
-                       xlabel="n", ylabel="D_n")
-    svgplot.line_chart(_out(cfg, "fig_fracnorm.svg"),
-                       {"frac_norm": (ns, data["AnalphaBnnorm"])},
-                       xlabel="n", ylabel="fractional control norm")
-    made = ["fig_omegan.svg", "fig_dn.svg", "fig_fracnorm.svg"]
+    made = []
+    for name, label, column, ylabel in (
+            ("fig_omegan.svg", "omega_n", "omegan", "omega_n"),
+            ("fig_dn.svg", "D_n", "Dn", "D_n"),
+            ("fig_fracnorm.svg", "frac_norm", "AnalphaBnnorm", "fractional control norm")):
+        _write(cfg, name, [svgplot.line_chart(data["n"], data[column], label, "n", ylabel)])
+        made.append(name)
     for name in sorted(os.listdir(cfg.output_dir)):
         if name.startswith("traj_") and name.endswith(".csv"):
-            tdata = _read_csv(os.path.join(cfg.output_dir, name), TRAJ_HEADER)
-            label = name[len("traj_"):-len(".csv")]
-            out_name = f"fig_traj_{label}.svg"
-            svgplot.line_chart(_out(cfg, out_name), {"norm": (tdata["t"], tdata["norm"])},
-                               xlabel="t", ylabel="state norm")
+            tdata = _read_csv(_out(cfg, name), TRAJ_HEADER)
+            out_name = f"fig_{name[:-len('.csv')]}.svg"
+            _write(cfg, out_name, [svgplot.line_chart(tdata["t"], tdata["norm"], "norm",
+                                                      "t", "state norm")])
             made.append(out_name)
     print("wrote " + ", ".join(made))
     return 0

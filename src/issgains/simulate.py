@@ -21,10 +21,16 @@ eigenvectors V are orthonormal, so ||x|| = ||y||.
   Their share of each norm comes from a k x k Gram matrix, for k input
   columns, so they are neither stepped nor stored.
 
-Both work one block of samples at a time, in at most BLOCK_BYTES (64 KiB)
-of temporaries, and take each block's norms from its modal rows before the
-next block overwrites them.  Only the final modal state is kept, so the
-states take O(n) memory at any step count.  Both the state norms and the
+Both work one block of samples at a time, in block arrays of at most
+BLOCK_BYTES (64 KiB), and take each block's norms from its modal rows
+before the next block overwrites them.  Only the final modal state is
+kept, so the states take O(n) memory at any step count.  BLOCK_BYTES does
+not bound the whole working set: beside the blocks stand arrays of the
+modes' length and the buffers numpy's iterator allocates for a broadcast
+product, up to ``np.getbufsize()`` doubles per broadcast operand.
+``TestLiveModes::test_working_set`` checks that a full input's stepping,
+besides its times and norms, stays below BLOCK_BYTES + 16 arrays of the
+modes' length + two such buffers.  Both the state norms and the
 input sup norm are those of the system's ``WeightedSpace``.
 
 What grows with the step count is the input samples (8 B a step per
@@ -55,13 +61,14 @@ __all__ = [
     "iss_margin",
 ]
 
-# Byte budget of simulate's temporaries: for a full input, one block of steps
+# Byte budget of simulate's block arrays: for a full input, one block of steps
 # of the live modes (the forcing, then the states, then their norms), for two
 # or more input columns a scratch block of the forcing's terms, and two
 # arrays of the block's length for the settled modes' share of the norms;
 # for a held row, lambda t and the closed form of one block of samples, and
 # exp(lambda t) y0 beside them.  It also sizes the blocks of input rows over
-# which the input sup norm is taken.  No result depends on it.  Stepping the
+# which the input sup norm is taken.  No result depends on it, and it does not
+# bound numpy's iterator buffers (see the module docstring).  Stepping the
 # bang-bang scenario at n = 1000, h = 5e-4 (417 live modes, 6000 steps) took
 # (in-process, median of 9 runs, 2-vCPU x86-64 host) 21.4 ms at 32 KiB,
 # 16.9 ms at 64 KiB, 14.7 ms at 128 KiB, 14.2 ms at 256 KiB and 13.5 ms at
@@ -160,7 +167,7 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     The input sup norm is the max of the sample norms of each block of
     BLOCK_BYTES of input rows, which equals the max over all rows bit for
     bit.  Besides the input, only ``times`` and ``norms`` (8 B a step each)
-    grow with the step count; the temporaries are bounded by BLOCK_BYTES.
+    grow with the step count; the module docstring bounds the temporaries.
     """
     steps = step_count(t_end, h)
     k = sys.b_matrix.shape[1]

@@ -1,6 +1,7 @@
 """Minimal static SVG line charts (no plotting framework).
 
-Charts are deterministic byte-for-byte for identical input data.
+A chart is returned as ASCII text for the front end to write, and is
+deterministic byte for byte for identical input data.
 """
 
 __all__ = ["line_chart"]
@@ -11,7 +12,7 @@ MARGIN_L = 70
 MARGIN_R = 20
 MARGIN_T = 20
 MARGIN_B = 50
-COLORS = ("#1f4e9c", "#b02418", "#2a7a2a", "#7a4ba0")
+COLOR = "#1f4e9c"
 
 
 def _fmt(x: float) -> str:
@@ -24,17 +25,12 @@ def _scale(value, lo, hi, out_lo, out_hi):
     return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def line_chart(path, series, xlabel: str, ylabel: str) -> None:
-    """Write a polyline chart.
-
-    ``series`` maps label -> (xs, ys); all series share the axes.
-    """
-    all_x = [x for xs, _ in series.values() for x in xs]
-    all_y = [y for _, ys in series.values() for y in ys]
-    if not all_x:
+def line_chart(xs, ys, label: str, xlabel: str, ylabel: str) -> str:
+    """One polyline through the points (xs, ys), labelled ``label``, as SVG."""
+    if len(xs) == 0:
         raise ValueError("no data to plot")
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys), max(ys)
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
@@ -72,18 +68,15 @@ def line_chart(path, series, xlabel: str, ylabel: str) -> None:
         f'<text x="15" y="{(py_lo + py_hi) / 2:.1f}" font-size="14" text-anchor="middle" '
         f'transform="rotate(-90 15 {(py_lo + py_hi) / 2:.1f})">{ylabel}</text>'
     )
-    for idx, (label, (xs, ys)) in enumerate(series.items()):
-        color = COLORS[idx % len(COLORS)]
-        points = " ".join(
-            f"{_scale(x, x_lo, x_hi, px_lo, px_hi):.2f},"
-            f"{_scale(y, y_lo, y_hi, py_lo, py_hi):.2f}"
-            for x, y in zip(xs, ys)
-        )
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
-        parts.append(
-            f'<text x="{px_hi - 5}" y="{MARGIN_T + 16 * (idx + 1)}" font-size="12" '
-            f'text-anchor="end" fill="{color}">{label}</text>'
-        )
+    points = " ".join(
+        f"{_scale(x, x_lo, x_hi, px_lo, px_hi):.2f},"
+        f"{_scale(y, y_lo, y_hi, py_lo, py_hi):.2f}"
+        for x, y in zip(xs, ys)
+    )
+    parts.append(f'<polyline fill="none" stroke="{COLOR}" stroke-width="1.5" points="{points}"/>')
+    parts.append(
+        f'<text x="{px_hi - 5}" y="{MARGIN_T + 16}" font-size="12" '
+        f'text-anchor="end" fill="{COLOR}">{label}</text>'
+    )
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"

@@ -1,7 +1,7 @@
 """Resolution sweep: per-n spectral constants and the CSV table of the
-convergence study.  The limits over n are taken in ``gains.assemble_gains``."""
+convergence study, returned as text for the front end to write.  The limits
+over n are taken in ``gains.assemble_gains``."""
 
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -62,22 +62,13 @@ def _fmt(value: float) -> str:
                                       fractional=False, trim="k")
 
 
-def emit_csv(records, destination) -> int:
-    """Write the sweep table; floats carry 10 significant digits.
-
-    Returns the number of bytes written.
-    """
+def emit_csv(records) -> str:
+    """The sweep table as ASCII text, one line per record and a newline
+    after the last; floats carry 10 significant digits."""
     records = list(records)
     if not records:
         raise ValueError("no records to write")
     lines = [CSV_HEADER]
     for r in records:
         lines.append(f"{r.n},{_fmt(r.omega_n)},{_fmt(r.d_n)},{_fmt(r.frac_norm_n)}")
-    payload = ("\n".join(lines) + "\n").encode("ascii")
-    if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        os.makedirs(os.path.dirname(os.path.abspath(destination)), exist_ok=True)
-        with open(destination, "wb") as fh:
-            fh.write(payload)
-    return len(payload)
+    return "\n".join(lines) + "\n"

@@ -5,11 +5,14 @@ and asserts the same condition, so the suite doubles as a human-readable
 report and a hard gate.
 """
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from issgains.cli import main
 from issgains.config import CSV_HEADER, DEFAULT_THETA
 from issgains.fattorini import (
     build_preclosure_heat,
@@ -20,7 +23,7 @@ from issgains.fattorini import (
 from issgains.gains import GainBundle, PathSpec, assemble_gains, frac_control_norm, k_constants
 from issgains.numerics import quad_cauchy_tail, quad_exp_tail
 from issgains.simulate import bang_bang, iss_margin, simulate
-from issgains.sweep import emit_csv, run_sweep
+from issgains.sweep import run_sweep
 from issgains.systems import build_heat_dirichlet
 from oracles import a_matrix, frac_control_norm_gram, prefix_states
 
@@ -192,9 +195,11 @@ def test_criterion_10_simulator_exactness():
 def test_criterion_11_reproducible_sweep_artifact(tmp_path):
     blobs = []
     for run in range(2):
-        dest = tmp_path / f"sweep_{run}.csv"
-        emit_csv(run_sweep((16, 32, 64), 1.0, 0.5, PathSpec()), str(dest))
-        blobs.append(dest.read_bytes())
+        out_dir = tmp_path / f"run_{run}"
+        # The command's own "wrote" line stays out of the report.
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--n_schedule", "16,32,64", "--output_dir", str(out_dir)]) == 0
+        blobs.append((out_dir / "sweep.csv").read_bytes())
     header = blobs[0].decode().splitlines()[0]
     ok = blobs[0] == blobs[1] and header == CSV_HEADER
     _report(11, f"two sweep runs byte-identical, header {header!r}", ok)

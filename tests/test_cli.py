@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -162,16 +164,15 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "diagnostic only" in out
 
-    def test_trajectory_csv_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+    def test_trajectory_csv_blocks_join_seamlessly(self, monkeypatch):
         monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 3)
         times = [0.1 * i for i in range(10)]
         norms = [math.exp(-t) / 3.0 for t in times]
         traj = SimpleNamespace(times=np.array(times), norms=np.array(norms))
-        cli._traj_csv(tmp_path / "traj.csv", traj)
         expected = "t,norm\n" + "".join(f"{t:.10g},{r:.10g}\n" for t, r in zip(times, norms))
-        assert (tmp_path / "traj.csv").read_text() == expected
+        assert "".join(cli._traj_csv(traj)) == expected
 
-    def test_trajectory_csv_matches_row_formatting(self, tmp_path, monkeypatch):
+    def test_trajectory_csv_matches_row_formatting(self, monkeypatch):
         """One % per block writes the bytes of one "%.10g,%.10g" per row:
         random doubles of every magnitude, signed zeros, subnormals and
         1e300, over blocks of 4 with a ragged last block of 3."""
@@ -184,10 +185,9 @@ class TestDispatch:
                                 * 10.0 ** rng.integers(-320, 300, 7)])
         assert times.size % 4 == 3
         traj = SimpleNamespace(times=times, norms=norms)
-        cli._traj_csv(tmp_path / "traj.csv", traj)
         expected = "t,norm\n" + "".join("%.10g,%.10g\n" % (t, r)
                                         for t, r in zip(times.tolist(), norms.tolist()))
-        assert (tmp_path / "traj.csv").read_bytes() == expected.encode()
+        assert "".join(cli._traj_csv(traj)) == expected
 
     def test_simulate_fails_on_negative_margin(self, tmp_path, capsys):
         # Halving mu_e halves the gain slope, so the one-sided and the
@@ -395,6 +395,34 @@ class TestExtremeOmega:
         assert f"K1 = {bundle.k1:.10g}\n" in (tmp_path / "gains.kv").read_text()
 
 
+class TestOnlyFrontEndTouchesFiles:
+    """The layers under the front end return text; only cli.py opens a file
+    or imports a module that reaches the file system."""
+
+    FILE_MODULES = {"os", "io", "pathlib", "shutil", "tempfile"}
+    PACKAGE = Path(issgains.__file__).parent
+    LAYERS = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "cli.py")
+
+    @pytest.mark.parametrize("name", LAYERS)
+    def test_no_file_access(self, name):
+        tree = ast.parse((self.PACKAGE / name).read_text())
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "open":
+                found.append(f"line {node.lineno}: open()")
+            elif isinstance(node, ast.Import):
+                found += [f"line {node.lineno}: import {alias.name}" for alias in node.names
+                          if alias.name.split(".")[0] in self.FILE_MODULES]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and node.module.split(".")[0] in self.FILE_MODULES:
+                found.append(f"line {node.lineno}: from {node.module} import")
+        assert found == []
+
+    def test_layers_found(self):
+        assert {"sweep.py", "svgplot.py", "simulate.py"} <= set(self.LAYERS)
+
+
 class TestReferenceGains:
     # The reference gains output of the default config.  Fixing the sector
     # constant D to hold over the whole ray moves K2, kappa and gamma_slope
@@ -443,8 +471,9 @@ def sha256(path) -> str:
 
 
 class TestReferenceArtifacts:
-    """simulate's and check's output at the default config: the stdout of
-    simulate and the SHA-256 of every file the two commands write."""
+    """simulate's, check's and plot's output at the default config: the
+    stdout of simulate and plot and the SHA-256 of every file the three
+    commands write."""
 
     SIMULATE_OUT = ("onesided: min margin +0.322675 at t = 3\n"
                     "twosided: min margin -0.099958 at t = 3 (diagnostic only)\n"
@@ -455,6 +484,17 @@ class TestReferenceArtifacts:
         "bangbang": "224c7af64fa333f340dce265af0d0b18746da19a9e4d28053e769b4c9e882a5d",
     }
     CHECK_SHA256 = "a5a3f905228d8faebdaeaec0d0a1752acc1d78377a3c2e9dcca23547f986abdc"
+    FIG_SHA256 = {
+        "fig_omegan.svg": "2c08d17c804189a57c706fcab68d9c12f7a790ebea14271b60a3fe91aea1709b",
+        "fig_dn.svg": "236be431b25d74b19e02579d28f07fd030e84e4bdddcba36b79c80beb91cf0e9",
+        "fig_fracnorm.svg": "02974c3734293a21333d2b32dffd9fc8410f213fbb09b1727b88ffe2dc2d1644",
+        "fig_traj_bangbang.svg":
+            "61d3327df38c93efd3f0e4247dae324a9f6d573d169484a1140821840031a24e",
+        "fig_traj_onesided.svg":
+            "9cd1c5bb48bba8e4d08332aa0573639752b8098d360e6d09da0c048fcf495168",
+        "fig_traj_twosided.svg":
+            "ca3b2b400cb90a2d0df477f3af0229acad8c521a6a42cc8eb0e1103573baa9d0",
+    }
 
     def test_default_simulate(self, tmp_path, capsys):
         assert main(["simulate", "--output_dir", str(tmp_path)]) == 0
@@ -465,6 +505,12 @@ class TestReferenceArtifacts:
     def test_default_check(self, tmp_path, capsys):
         assert main(["check", "--output_dir", str(tmp_path)]) == 0
         assert sha256(tmp_path / "check.txt") == self.CHECK_SHA256
+
+    def test_default_plot(self, tmp_path, capsys):
+        for command in ("sweep", "simulate", "plot"):
+            assert main([command, "--output_dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "wrote " + ", ".join(self.FIG_SHA256)
+        assert {name: sha256(tmp_path / name) for name in self.FIG_SHA256} == self.FIG_SHA256
 
 
 class TestMain:

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -93,20 +92,16 @@ class TestAggregate:
 class TestEmitCsv:
     def test_format(self):
         rec = SweepRecord(n=3, omega_n=9.0, d_n=0.9992006794, frac_norm_n=math.sqrt(2.0))
-        buf = io.BytesIO()
-        nbytes = emit_csv([rec], buf)
-        text = buf.getvalue().decode()
+        text = emit_csv([rec])
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[1] == "3,9.000000000,0.9992006794,1.414213562"
         assert text.endswith("\n")
-        assert nbytes == len(buf.getvalue())
+        assert text.isascii()
 
     def test_round_trip(self):
         records = run_sweep([16, 32], 1.0, 0.5, PATH)
-        buf = io.BytesIO()
-        emit_csv(records, buf)
-        lines = buf.getvalue().decode().splitlines()[1:]
+        lines = emit_csv(records).splitlines()[1:]
         for rec, line in zip(records, lines):
             n, omega, d, frac = line.split(",")
             assert int(n) == rec.n
@@ -115,22 +110,12 @@ class TestEmitCsv:
             assert float(frac) == pytest.approx(rec.frac_norm_n, rel=1e-9)
 
     def test_determinism(self):
-        records = run_sweep([16, 32], 1.0, 0.5, PATH)
-        bufs = []
-        for _ in range(2):
-            buf = io.BytesIO()
-            emit_csv(run_sweep([16, 32], 1.0, 0.5, PATH), buf)
-            bufs.append(buf.getvalue())
-        assert bufs[0] == bufs[1]
-
-    def test_file_output(self, tmp_path):
-        dest = tmp_path / "sub" / "sweep.csv"
-        emit_csv(run_sweep([8], 1.0, 0.5, PATH), str(dest))
-        assert dest.read_text().startswith(CSV_HEADER)
+        texts = [emit_csv(run_sweep([16, 32], 1.0, 0.5, PATH)) for _ in range(2)]
+        assert texts[0] == texts[1]
 
     def test_empty_records(self):
         with pytest.raises(ValueError):
-            emit_csv([], io.BytesIO())
+            emit_csv([])
 
     def test_non_finite_record_rejected(self):
         with pytest.raises(ValueError):
