@@ -34,7 +34,6 @@ __all__ = [
     "DiagnosticReport",
     "PreClosureSystem",
     "build_preclosure_heat",
-    "weighted_state_norm",
     "restrict",
     "analytic_heat_state",
     "panels_for",
@@ -99,15 +98,6 @@ class PreClosureSystem(NamedTuple):
         return self.ainit.shape[1] - 1
 
 
-def weighted_state_norm(x, space: WeightedSpace) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (space.grid.interior_nodes,):
-        raise ValueError(
-            f"state length {x.shape} does not match {space.grid.interior_nodes} interior nodes"
-        )
-    return space.state_scale * float(np.linalg.norm(x))
-
-
 def restrict(f, grid: GridSpec) -> np.ndarray:
     """Sample a vectorised function at the interior nodes, in one call."""
     return np.array(np.broadcast_to(f(grid.nodes()), (grid.interior_nodes,)), dtype=float)
@@ -159,7 +149,8 @@ def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
 
 
 def close_system(pre: PreClosureSystem, weight_exponent: int = 2,
-                 input_norm: str = "max") -> ClosedControlSystem:
+                 input_norm: str = WeightedSpace._field_defaults["input_norm"]
+                 ) -> ClosedControlSystem:
     """Boundary closure: restrict the stencil to the kernel of the trace
     and build B = Ainit D0 - A R D0, in the space
     ``WeightedSpace(GridSpec(n), weight_exponent, input_norm)`` and with the
@@ -272,7 +263,7 @@ def consistency_diagnostic(systems, probes) -> DiagnosticReport:
             f2_norm = function_l2_norm(f2)
             strong[f"{name}_{n}"] = function_l2_norm(lifted, panels=panels_for(n)) / (f_norm + f2_norm)
             # Weak reading: the round trip ||A^{-1} A P f|| / ||f||.
-            weak[f"{name}_{n}"] = weighted_state_norm(_resolvent(sys, 0.0, -av), p1) / f_norm
+            weak[f"{name}_{n}"] = p1.state_norm(_resolvent(sys, 0.0, -av)) / f_norm
     values = {f"strong.{k}": v for k, v in strong.items()}
     values.update({f"weak.{k}": v for k, v in weak.items()})
     bounded = _bounded(strong) and _bounded(weak)
@@ -351,10 +342,10 @@ def estimate_mu(samples, n_list, seed: int = 0,
             f_norm = function_l2_norm(f)
             if f_norm == 0.0:
                 raise ValueError("sample function has zero L2 norm")
-            mu_p = max(mu_p, weighted_state_norm(restrict(f, gs), p1) / f_norm)
+            mu_p = max(mu_p, p1.state_norm(restrict(f, gs)) / f_norm)
         for _ in range(random_vectors):
             x = rng.standard_normal(gs.interior_nodes)
-            x_norm = weighted_state_norm(x, p1)
+            x_norm = p1.state_norm(x)
             mu_e = max(mu_e, function_l2_norm(extend(x, gs), panels=panels) / x_norm)
     return mu_p, mu_e
 

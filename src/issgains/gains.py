@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import LimitError
-from .numerics import apply_matrix_function, quad_cauchy_tail, quad_exp_tail, weighted_op_norm
+from .numerics import apply_matrix_function, quad_cauchy_tail, quad_exp_tail
 from .systems import ClosedControlSystem
 
 __all__ = [
@@ -118,7 +118,7 @@ def frac_control_norm(sys: ClosedControlSystem, alpha: float) -> float:
         return mapped
 
     w = apply_matrix_function(sys.eigendecomposition(), power, sys.b_matrix)
-    return weighted_op_norm(w, sys.space.state_scale, sys.space.input_norm)
+    return sys.space.op_norm(w)
 
 
 def k_constants(alpha: float, theta: float, omega: float, d: float) -> tuple[float, float, float]:

@@ -1,7 +1,6 @@
 """Numerical kernels: improper-integral quadrature, the closed-form
 eigendecomposition of a uniform tridiagonal (its sine eigenvectors applied
-by FFT and never formed), spectral matrix functions and weighted operator
-norms.
+by FFT and never formed) and spectral matrix functions.
 
 The quadrature is a double-exponential rule (tanh-sinh on (0, 1), exp-sinh
 on (1, inf)) on ``math`` floats, each level summed by ``math.fsum``: it
@@ -33,7 +32,6 @@ __all__ = [
     "quad_cauchy_tail",
     "sym_tridiag_eig",
     "apply_matrix_function",
-    "weighted_op_norm",
 ]
 
 # Double-exponential quadrature: relative agreement of two successive step
@@ -360,27 +358,3 @@ def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarr
     # A V held as a dense matrix takes the product.
     return v @ coeffs
 
-
-def weighted_op_norm(m: np.ndarray, row_weight: float, col_norm: str = "euclidean") -> float:
-    """Operator norm of ``u -> row_weight * m @ u`` from (R^cols, col_norm)
-    into the euclidean space.
-
-    ``col_norm='max'`` takes the two inputs of a boundary-controlled system:
-    m must have two columns c0 and c1.  The supremum over the unit
-    infinity-ball is attained at its corners (the map is convex), which sign
-    symmetry reduces to (1, 1) and (1, -1): max(||c0 + c1||, ||c0 - c1||).
-    """
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    if not row_weight > 0.0:
-        raise ValueError(f"row_weight must be positive, got {row_weight}")
-    if col_norm == "euclidean":
-        return row_weight * float(np.linalg.norm(m, 2))
-    if col_norm == "max":
-        if m.shape[1] != 2:
-            raise ValueError(f"the max-norm operator norm takes 2 columns, got {m.shape[1]}")
-        c0, c1 = m.T
-        corner = np.add(c0, c1)
-        plus = float(np.linalg.norm(corner))
-        minus = float(np.linalg.norm(np.subtract(c0, c1, out=corner)))
-        return row_weight * max(plus, minus)
-    raise ValueError(f"unknown column norm {col_norm!r}")

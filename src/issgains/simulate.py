@@ -7,7 +7,8 @@ no time-discretization error enters the ISS verification.  An input is an
 array of samples, one row per step (or one row held for every step);
 ``bang_bang`` draws the seeded random ones, one column per boundary end it
 drives.  ``simulate`` works in modal coordinates y = V^T x: the
-eigenvectors V are orthonormal, so ||x|| = ||y||.
+eigenvectors V are orthonormal, so ||x|| = ||y||, and both routes below
+assume that every mode decays.
 
 - A held row is evaluated in closed form at each sample time,
   y(t) = exp(lambda t) y0 + expm1(lambda t) (g u) / lambda, over the modes
@@ -96,6 +97,10 @@ def bang_bang(steps: int, seed: int, active: tuple = (0, 1)) -> np.ndarray:
     column, with 255 rejected so that b % 3 is uniform (255 = 3 * 85), and
     mapped to b % 3 - 1.  The standard library's generator spares the
     simulate command the load of numpy.random."""
+    if steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    if not active:
+        raise ValueError("active must name at least one boundary component")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     rng = random.Random(seed)
@@ -130,18 +135,13 @@ class Trajectory(NamedTuple):
 
 def step_exact(sys: ClosedControlSystem, x, u, h: float) -> np.ndarray:
     """One step of x' = Ax + Bu with u frozen on [0, h]:
-    exp(Ah) x + A^{-1}(exp(Ah) - I) B u, evaluated spectrally as ``_held``
-    at the one sample time h."""
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
+    exp(Ah) x + A^{-1}(exp(Ah) - I) B u, ``simulate`` of the one sample u
+    held over [0, h] (so A must be Hurwitz), mapped back from modal
+    coordinates."""
     u = np.asarray(u, dtype=float)
     if u.shape != sys.b_matrix.shape[1:]:
         raise ValueError(f"input must have shape {sys.b_matrix.shape[1:]}, got {u.shape}")
-    eig = sys.eigendecomposition()
-    v = eig.eigenvectors
-    y = _held(eig.eigenvalues, v.T @ sys.b_matrix, u, v.T @ np.asarray(x, dtype=float),
-              np.array([0.0, h]), np.empty(2))
-    return v @ y
+    return sys.eig.eigenvectors @ simulate(sys, x, u[np.newaxis], h, h).states[0]
 
 
 def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Trajectory:
@@ -149,6 +149,10 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     with one column per input component and either one row, held for every
     step, or at least one row per step (rows past the last step are
     ignored).  State and input norms are those of ``sys.space``.
+
+    A generator that is not Hurwitz raises ValueError: ``_held`` settles a
+    mode at -(g u) / lambda once t > SETTLED / -lambda, which for lambda >= 0
+    would give a silently wrong trajectory.
 
     The state is kept in modal coordinates y = V^T x, and only its final
     row is returned as ``states``.  norms[0] is taken from x0 itself, the
@@ -189,6 +193,8 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     if state.shape != (space.grid.interior_nodes,):
         raise ValueError("initial state length does not match the grid")
     eig = sys.eigendecomposition()
+    if not eig.eigenvalues[-1] < 0.0:
+        raise ValueError(f"generator is not Hurwitz: largest eigenvalue {eig.eigenvalues[-1]}")
     g = eig.eigenvectors.T @ sys.b_matrix
     y = eig.eigenvectors.T @ state
     norms = np.empty(steps + 1)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import CSV_HEADER
 from .gains import PathSpec, frac_control_norm, growth_bound, sector_bound
-from .systems import build_heat_dirichlet
+from .systems import WeightedSpace, build_heat_dirichlet
 
 __all__ = [
     "SweepRecord",
@@ -38,8 +38,8 @@ class SweepRecord(_SweepRecord):
         return self
 
 
-def run_sweep(n_schedule, a: float, alpha: float, path: PathSpec,
-              weight_exponent: int = 2, input_norm: str = "max") -> list:
+def run_sweep(n_schedule, a: float, alpha: float, path: PathSpec, weight_exponent: int = 2,
+              input_norm: str = WeightedSpace._field_defaults["input_norm"]) -> list:
     """One record per resolution: decay rate, resolvent constant and the
     fractional control-operator norm."""
     schedule = list(n_schedule)

@@ -1,5 +1,6 @@
-"""Discretized state spaces and heat-equation system builders on the unit
-interval, with the extension operator and the L2 quadrature norm.
+"""Discretized state spaces, the one owner of every state, input and operator
+norm, and heat-equation system builders on the unit interval, with the
+extension operator and the L2 quadrature norm.
 
 ``extend`` and ``function_l2_norm`` serve the check diagnostics alone, like
 the helpers in ``fattorini``; they are kept here because perfbench's traced
@@ -80,6 +81,33 @@ class WeightedSpace(_WeightedSpace):
     def state_scale(self) -> float:
         """Multiplier turning the plain l2 norm into the weighted norm."""
         return self.grid.dx ** (self.weight_exponent / 2.0)
+
+    def state_norm(self, x) -> float:
+        """Weighted norm of one state x, state_scale * ||x||_2."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.grid.interior_nodes,):
+            raise ValueError(
+                f"state length {x.shape} does not match {self.grid.interior_nodes} interior nodes"
+            )
+        return self.state_scale * float(np.linalg.norm(x))
+
+    def op_norm(self, m) -> float:
+        """Operator norm of u -> m u from U into the weighted state space.
+
+        For the max norm on U, m must have two columns c0 and c1.  The
+        supremum over the unit infinity-ball is attained at its corners (the
+        map is convex), which sign symmetry reduces to (1, 1) and (1, -1):
+        max(||c0 + c1||, ||c0 - c1||)."""
+        m = np.atleast_2d(np.asarray(m, dtype=float))
+        if self.input_norm == "euclidean":
+            return self.state_scale * float(np.linalg.norm(m, 2))
+        if m.shape[1] != 2:
+            raise ValueError(f"the max-norm operator norm takes 2 columns, got {m.shape[1]}")
+        c0, c1 = m.T
+        corner = np.add(c0, c1)
+        plus = float(np.linalg.norm(corner))
+        minus = float(np.linalg.norm(np.subtract(c0, c1, out=corner)))
+        return self.state_scale * max(plus, minus)
 
     def input_sample_norm(self, u):
         """Norm of one input sample u in U, or of each row of a 2-D array of

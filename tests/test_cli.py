@@ -423,6 +423,27 @@ class TestOnlyFrontEndTouchesFiles:
         assert {"sweep.py", "svgplot.py", "simulate.py"} <= set(self.LAYERS)
 
 
+class TestOnlySpaceNamesInputNorms:
+    """The choice of input norm is read in one place: systems.WeightedSpace
+    measures inputs, and config.py validates the option.  No other module
+    holds the name of an input norm."""
+
+    NAMES = {"max", "euclidean"}
+    PACKAGE = Path(issgains.__file__).parent
+    MODULES = sorted(path.name for path in PACKAGE.glob("*.py")
+                     if path.name not in ("config.py", "systems.py"))
+
+    @pytest.mark.parametrize("name", MODULES)
+    def test_no_input_norm_name(self, name):
+        tree = ast.parse((self.PACKAGE / name).read_text())
+        found = [f"line {node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and node.value in self.NAMES]
+        assert found == []
+
+    def test_modules_found(self):
+        assert {"numerics.py", "gains.py", "fattorini.py", "sweep.py", "cli.py"} <= set(self.MODULES)
+
+
 class TestReferenceGains:
     # The reference gains output of the default config.  Fixing the sector
     # constant D to hold over the whole ray moves K2, kappa and gamma_slope

@@ -15,7 +15,6 @@ from issgains.fattorini import (
     restrict,
     right_inverse_gap,
     sector_diagnostic,
-    weighted_state_norm,
 )
 from issgains.gains import PathSpec
 from issgains.systems import (
@@ -151,7 +150,7 @@ class TestResolventRoute:
         p1 = WeightedSpace(sys.space.grid, weight_exponent=1)
         for name, f, _ in PROBES:
             av = a_matrix(sys) @ restrict(f, sys.space.grid)
-            expected = weighted_state_norm(resolvent_dense(sys, 0.0, -av), p1) / function_l2_norm(f)
+            expected = p1.state_norm(resolvent_dense(sys, 0.0, -av)) / function_l2_norm(f)
             assert report.values[f"weak.{name}_{n}"] == pytest.approx(expected, rel=1e-12)
 
 

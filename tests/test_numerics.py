@@ -15,11 +15,10 @@ from issgains.numerics import (
     quad_cauchy_tail,
     quad_exp_tail,
     sym_tridiag_eig,
-    weighted_op_norm,
 )
 from issgains.systems import build_heat_dirichlet
 from oracles import (dense_tridiag_eig, dst1, eigenvector_matrix, matrix_function,
-                     max_norm_corners, quadpack_cauchy_tail, quadpack_exp_tail, reconstruct, resolvent_dense,
+                     quadpack_cauchy_tail, quadpack_exp_tail, reconstruct, resolvent_dense,
                      sine_basis_table)
 
 
@@ -503,36 +502,3 @@ class TestWorkingSet:
         v, b = sys.eigendecomposition().eigenvectors, sys.b_matrix
         assert self.peak_units(lambda: v.T @ b) <= 6.5
 
-
-class TestWeightedOpNorm:
-    def test_identity_euclidean(self):
-        assert weighted_op_norm(np.eye(2), 1.0, "euclidean") == pytest.approx(1.0)
-
-    def test_identity_max_corner(self):
-        assert weighted_op_norm(np.eye(2), 0.5, "max") == pytest.approx(0.5 * math.sqrt(2.0))
-
-    def test_scalar(self):
-        assert weighted_op_norm(np.array([[3.0]]), 2.0, "euclidean") == pytest.approx(6.0)
-
-    def test_max_norm_dominates_euclidean_ball(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((5, 2))
-        # The infinity ball contains the euclidean ball.
-        assert weighted_op_norm(m, 1.0, "max") >= weighted_op_norm(m, 1.0, "euclidean") - 1e-12
-
-    def test_max_norm_takes_two_columns(self):
-        for cols in (1, 3):
-            with pytest.raises(ValueError, match=f"takes 2 columns, got {cols}"):
-                weighted_op_norm(np.ones((4, cols)), 1.0, "max")
-
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-           scale=st.floats(1e-100, 1e100))
-    def test_max_norm_matches_corner_enumeration(self, rows, seed, scale):
-        # Products with +-1 are exact, so the two routes agree bitwise.
-        m = scale * np.random.default_rng(seed).standard_normal((rows, 2))
-        assert weighted_op_norm(m, 1.0, "max") == max_norm_corners(m)
-
-    def test_bad_weight(self):
-        with pytest.raises(ValueError):
-            weighted_op_norm(np.eye(2), 0.0)

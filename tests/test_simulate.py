@@ -13,6 +13,7 @@ import issgains.simulate
 from issgains.config import DEFAULT_THETA, MAX_STEPS, step_count
 from issgains.fattorini import trotter_kato_check
 from issgains.gains import GainBundle
+from issgains.numerics import sym_tridiag_eig
 from issgains.simulate import (
     Trajectory,
     bang_bang,
@@ -21,6 +22,7 @@ from issgains.simulate import (
     step_exact,
 )
 from issgains.systems import (
+    ClosedControlSystem,
     GridSpec,
     WeightedSpace,
     build_heat_dirichlet,
@@ -246,6 +248,37 @@ class TestStepExact:
         for h in (1e-5, 0.01, 0.3):
             np.testing.assert_array_equal(step_exact(sys, x, u, h),
                                           v @ simulate(sys, x, u[None], h, h).states[0])
+
+
+def growing_system():
+    """A symmetric generator with every eigenvalue positive, 1 + cos(k pi/8)/2
+    for k = 1..7 (from 0.538 to 1.462), driven at both ends."""
+    d, e = np.ones(7), np.full(6, 0.25)
+    b = np.zeros((7, 2))
+    b[0, 0] = b[6, 1] = 1.0
+    return ClosedControlSystem(WeightedSpace(GridSpec(8), 1), d, e, b, sym_tridiag_eig(d, e))
+
+
+class TestHurwitzGate:
+    """simulate and step_exact refuse a generator with a mode that does not
+    decay, rather than return a trajectory whose closed form assumed it."""
+
+    @pytest.mark.parametrize("u", [np.array([[1.0, 0.0]]), np.tile([1.0, 0.0], (4, 1))],
+                             ids=["held", "full"])
+    def test_growing_modes(self, u):
+        with pytest.raises(ValueError, match="not Hurwitz"):
+            simulate(growing_system(), np.ones(7), u, 1.0, 0.25)
+
+    def test_step_exact(self):
+        with pytest.raises(ValueError, match="not Hurwitz"):
+            step_exact(growing_system(), np.ones(7), (1.0, 0.0), 0.25)
+
+    def test_zero_generator(self):
+        zeros = np.zeros(2)
+        sys = ClosedControlSystem(WeightedSpace(GridSpec(3)), zeros, np.zeros(1), np.eye(2),
+                                  sym_tridiag_eig(zeros, [0.0]))
+        with pytest.raises(ValueError, match="not Hurwitz"):
+            simulate(sys, np.ones(2), ONE_SIDED, 1.0, 0.5)
 
 
 class TestSimulate:
@@ -758,6 +791,11 @@ class TestInputSignal:
     def test_bang_bang_seed_outside_64_bits(self, seed):
         with pytest.raises(ValueError, match="seed"):
             bang_bang(10, seed=seed)
+
+    @pytest.mark.parametrize("steps, active, name", [(0, (0, 1), "steps"), (3, (), "active")])
+    def test_bang_bang_nothing_to_draw(self, steps, active, name):
+        with pytest.raises(ValueError, match=name):
+            bang_bang(steps, 1, active=active)
 
     def test_bang_bang_levels_uniform(self):
         steps = 30000

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from issgains import systems
 from issgains.fattorini import (
@@ -9,10 +11,9 @@ from issgains.fattorini import (
     build_preclosure_heat,
     panels_for,
     restrict,
-    weighted_state_norm,
 )
 from issgains.systems import GridSpec, WeightedSpace, build_heat_dirichlet, extend, function_l2_norm
-from oracles import a_matrix
+from oracles import a_matrix, max_norm_corners
 
 
 class TestGridSpec:
@@ -103,22 +104,22 @@ class TestPreClosure:
 class TestNorms:
     def test_zero(self):
         space = WeightedSpace(GridSpec(10), weight_exponent=1)
-        assert weighted_state_norm(np.zeros(9), space) == 0.0
+        assert space.state_norm(np.zeros(9)) == 0.0
 
     def test_ones_riemann_weight(self):
         space = WeightedSpace(GridSpec(100), weight_exponent=1)
-        assert weighted_state_norm(np.ones(99), space) == pytest.approx(math.sqrt(0.01 * 99))
+        assert space.state_norm(np.ones(99)) == pytest.approx(math.sqrt(0.01 * 99))
 
     def test_sine_samples_approach_l2_norm(self):
         grid = GridSpec(1000)
         space = WeightedSpace(grid, weight_exponent=1)
         x = restrict(lambda xi: np.sin(np.pi * xi), grid)
-        assert weighted_state_norm(x, space) == pytest.approx(1.0 / math.sqrt(2.0), abs=2e-3)
+        assert space.state_norm(x) == pytest.approx(1.0 / math.sqrt(2.0), abs=2e-3)
 
     def test_length_mismatch(self):
         space = WeightedSpace(GridSpec(10))
         with pytest.raises(ValueError):
-            weighted_state_norm(np.zeros(5), space)
+            space.state_norm(np.zeros(5))
 
     def test_sine_samples_match_l2_norm_exactly(self):
         # The midpoint-free Riemann sum integrates products of the discrete
@@ -128,7 +129,7 @@ class TestNorms:
             space = WeightedSpace(grid, weight_exponent=1)
             f = lambda xi: np.sin(np.pi * xi) + 0.3 * np.sin(2 * np.pi * xi)
             expected = math.sqrt((1.0 + 0.09) / 2.0)
-            assert weighted_state_norm(restrict(f, grid), space) == pytest.approx(expected, rel=1e-12)
+            assert space.state_norm(restrict(f, grid)) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("norm, expected", [("max", [2.0, 0.0, 4.0]),
                                                 ("euclidean", [math.sqrt(5.0), 0.0, 5.0])])
@@ -149,8 +150,47 @@ class TestNorms:
         for n in (16, 32, 64, 128, 256, 512, 1024):
             grid = GridSpec(n)
             space = WeightedSpace(grid, weight_exponent=1)
-            errors.append(abs(weighted_state_norm(restrict(f, grid), space) - target))
+            errors.append(abs(space.state_norm(restrict(f, grid)) - target))
         assert all(e1 < e0 for e0, e1 in zip(errors, errors[1:]))
+
+
+class TestOpNorm:
+    """WeightedSpace.op_norm, the norm of u -> m u from U into the states."""
+
+    @staticmethod
+    def half(input_norm):
+        # dx = 1/4 and p = 1: state_scale is 0.5 exactly.
+        return WeightedSpace(GridSpec(4), 1, input_norm)
+
+    def test_identity_euclidean(self):
+        assert self.half("euclidean").op_norm(np.eye(2)) == pytest.approx(0.5)
+
+    def test_identity_max_corner(self):
+        assert self.half("max").op_norm(np.eye(2)) == pytest.approx(0.5 * math.sqrt(2.0))
+
+    def test_scalar(self):
+        space = WeightedSpace(GridSpec(4), 2, "euclidean")
+        assert space.op_norm(np.array([[3.0]])) == pytest.approx(0.75)
+
+    def test_max_norm_dominates_euclidean_ball(self):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((5, 2))
+        # The infinity ball contains the euclidean ball.
+        assert self.half("max").op_norm(m) >= self.half("euclidean").op_norm(m) - 1e-12
+
+    def test_max_norm_takes_two_columns(self):
+        for cols in (1, 3):
+            with pytest.raises(ValueError, match=f"takes 2 columns, got {cols}"):
+                self.half("max").op_norm(np.ones((4, cols)))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-100, 1e100))
+    def test_max_norm_matches_corner_enumeration(self, rows, seed, scale):
+        # Products with +-1 and with 0.5 are exact, so the two routes agree
+        # bitwise.
+        m = scale * np.random.default_rng(seed).standard_normal((rows, 2))
+        assert self.half("max").op_norm(m) == 0.5 * max_norm_corners(m)
 
 
 class TestQuadratureRule:
