@@ -16,9 +16,9 @@ cannot be written (the artifacts written before it stay on disk).
 Import rule: at module level this module imports the standard library and
 ``issgains.config`` alone, so that ``plot``, ``--help`` and every exit-2
 config error run without numpy.  Each command imports the layers it runs
-inside its own body, at call time: ``sweep`` and ``gains`` load neither
-``simulate`` nor ``svgplot``, ``plot`` loads ``svgplot`` only, and only
-``check`` loads ``fattorini``, numpy.polynomial or numpy.random.  The
+inside its own body, at call time: ``sweep``, ``gains`` and ``check`` load
+neither ``simulate`` nor ``svgplot``, ``plot`` loads ``svgplot`` only, and
+only ``check`` loads ``fattorini``, numpy.polynomial or numpy.random.  The
 arguments are parsed here, from ``PARSERS``, so that no process loads
 argparse or the gettext and locale modules it pulls in.
 
@@ -268,8 +268,7 @@ def _cmd_plot(cfg: RunConfig) -> int:
 
     sweep_path = _out(cfg, "sweep.csv")
     if not os.path.exists(sweep_path):
-        print(f"error: {sweep_path} not found; run the sweep command first", file=_sys.stderr)
-        return 2
+        raise ConfigError(f"{sweep_path} not found; run the sweep command first")
     data = _read_csv(sweep_path, CSV_HEADER)
     made = []
     for name, label, column, ylabel in (
@@ -410,8 +409,14 @@ def main(argv=None) -> int:
         command, raw = parsed
         overrides = {}
         if "config" in raw:
-            with open(raw["config"]) as fh:
-                overrides = file_overrides(fh.read())
+            # Never errors="replace": a U+FFFD would pass into output_dir.
+            with open(raw["config"], encoding="utf-8") as fh:
+                try:
+                    text = fh.read()
+                except UnicodeDecodeError as exc:
+                    raise ConfigError(f"{raw['config']}: not UTF-8 at byte {exc.start}: "
+                                      f"{exc.reason}") from None
+            overrides = file_overrides(text)
         # Flags win over the file; the merged result is validated once.
         for name, parse in PARSERS.items():
             if name in raw:

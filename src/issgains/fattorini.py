@@ -4,23 +4,19 @@ The closure maps the pre-boundary-closure quintuple (``PreClosureSystem``,
 built by ``build_preclosure_heat``) to the closed pair (A, B); the
 diagnostics check uniform sectoriality, resolvent convergence,
 consistency of the discretized generator and the boundary right-inverse
-conditions on finite probe families, the fractional semigroup bound behind
-K1 and K2, and the convergence of the simulated semigroup to the analytic
-one.  Strong-operator-topology conditions are checked empirically on
-probes, not proven.
+conditions on finite probe families.  Strong-operator-topology conditions
+are checked empirically on probes, not proven.
 Every resolvent comes from the eigendecomposition that each system's
 builder makes, and probe functions must accept arrays.  Only the check
 command loads this module.
 """
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .gains import GainBundle, PathSpec, sector_bound
+from .gains import PathSpec, sector_bound
 from .numerics import apply_matrix_function, sym_tridiag_eig
-from .simulate import step_exact
 from .systems import (
     ClosedControlSystem,
     GridSpec,
@@ -35,7 +31,6 @@ __all__ = [
     "PreClosureSystem",
     "build_preclosure_heat",
     "restrict",
-    "analytic_heat_state",
     "panels_for",
     "close_system",
     "sector_diagnostic",
@@ -43,8 +38,6 @@ __all__ = [
     "consistency_diagnostic",
     "right_inverse_gap",
     "estimate_mu",
-    "lemma_frac_semigroup_check",
-    "trotter_kato_check",
 ]
 
 
@@ -103,30 +96,10 @@ def restrict(f, grid: GridSpec) -> np.ndarray:
     return np.array(np.broadcast_to(f(grid.nodes()), (grid.interior_nodes,)), dtype=float)
 
 
-def analytic_heat_state(modes, a: float, t: float):
-    """Exact homogeneous heat solution for a finite sum of sine modes.
-
-    ``modes`` is an iterable of (k, c) pairs; the result is the function
-    xi -> sum c exp(-a k^2 pi^2 t) sin(k pi xi).
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    terms = [(int(k), c * np.exp(-a * (k * np.pi) ** 2 * t)) for k, c in modes]
-
-    def state(xi):
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
-        for k, amp in terms:
-            out = out + amp * np.sin(k * np.pi * xi)
-        return out if out.ndim else float(out)
-
-    return state
-
-
-def panels_for(n: int, minimum: int = 2048) -> int:
-    """Smallest multiple of n that is >= ``minimum``: a ``function_l2_norm``
-    panel count that puts the kinks of an n-interval interpolant on edges."""
-    return -(-minimum // n) * n
+def panels_for(n: int) -> int:
+    """Smallest multiple of n that is >= 2048: a ``function_l2_norm`` panel
+    count that puts the kinks of an n-interval interpolant on edges."""
+    return -(-2048 // n) * n
 
 
 def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
@@ -348,61 +321,3 @@ def estimate_mu(samples, n_list, seed: int = 0,
             x_norm = p1.state_norm(x)
             mu_e = max(mu_e, function_l2_norm(extend(x, gs), panels=panels) / x_norm)
     return mu_p, mu_e
-
-
-def lemma_frac_semigroup_check(sys: ClosedControlSystem, bundle: GainBundle, t_grid) -> DiagnosticReport:
-    """Check ||(-A)^alpha exp(At)|| <= K1 exp(-omega t) + K2 exp(-omega t) t^-alpha
-    spectrally on a time grid."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0.0):
-        raise ValueError("time grid must be strictly positive (the bound is singular at 0)")
-    mu = -sys.eigendecomposition().eigenvalues
-    alpha = bundle.alpha
-    omega = bundle.beta_omega
-    worst_excess = -math.inf
-    worst_t = t_grid[0]
-    for t in t_grid:
-        lhs = float(np.max(mu**alpha * np.exp(-mu * t)))
-        rhs = bundle.k1 * math.exp(-omega * t) + bundle.k2 * math.exp(-omega * t) * t**-alpha
-        excess = lhs / rhs - 1.0
-        if excess > worst_excess:
-            worst_excess = excess
-            worst_t = t
-    verdict = "pass" if worst_excess <= 1e-9 else "fail"
-    return DiagnosticReport(
-        name="frac_semigroup_bound",
-        values={"worst_excess": worst_excess, "worst_t": float(worst_t)},
-        verdict=verdict,
-        detail=f"spectral LHS vs K1/K2 bound over {t_grid.size} times, worst excess {worst_excess:.3g}",
-    )
-
-
-def trotter_kato_check(a: float, x0_modes, t: float, n_list) -> DiagnosticReport:
-    """L2 distance between the lifted simulated state and the analytic
-    solution, per resolution; passes when each doubling at least halves it."""
-    if not t > 0.0:
-        raise ValueError("need t > 0")
-    n_list = list(n_list)
-    if any(m >= n for m, n in zip(n_list, n_list[1:])):
-        raise ValueError("resolution list must be increasing")
-    exact = analytic_heat_state(x0_modes, a, t)
-    values = {}
-    gaps = []
-    for n in n_list:
-        sys = build_heat_dirichlet(n, a, weight_exponent=1)
-        grid = sys.space.grid
-        x0 = restrict(analytic_heat_state(x0_modes, a, 0.0), grid)
-        lifted = extend(step_exact(sys, x0, (0.0, 0.0), t), grid)
-        gap = function_l2_norm(lambda xi: lifted(xi) - exact(xi), panels=panels_for(n, 4096))
-        values[f"gap_{n}"] = gap
-        gaps.append(gap)
-    ratios = [g0 / g1 for g0, g1 in zip(gaps, gaps[1:])]
-    for i, r in enumerate(ratios):
-        values[f"ratio_{n_list[i]}_{n_list[i + 1]}"] = r
-    verdict = "pass" if all(r >= 2.0 for r in ratios) else "fail"
-    return DiagnosticReport(
-        name="trotter_kato",
-        values=values,
-        verdict=verdict,
-        detail=f"semigroup convergence at t = {t:g}; per-refinement gap ratios {ratios}",
-    )

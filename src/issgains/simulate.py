@@ -137,7 +137,10 @@ def step_exact(sys: ClosedControlSystem, x, u, h: float) -> np.ndarray:
     """One step of x' = Ax + Bu with u frozen on [0, h]:
     exp(Ah) x + A^{-1}(exp(Ah) - I) B u, ``simulate`` of the one sample u
     held over [0, h] (so A must be Hurwitz), mapped back from modal
-    coordinates."""
+    coordinates.
+
+    No library code calls it; it stays here because perfbench's n-ladder
+    times it as ``simulate.step_exact``, and the tests drive it."""
     u = np.asarray(u, dtype=float)
     if u.shape != sys.b_matrix.shape[1:]:
         raise ValueError(f"input must have shape {sys.b_matrix.shape[1:]}, got {u.shape}")

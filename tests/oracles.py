@@ -2,11 +2,12 @@
 
 They share no code with ``issgains`` beyond reading a system's matrices
 or a decomposition's arrays, and applying a decomposition's eigenvectors.
-Two helpers are no reference routes: ``prefix_states`` reads the states of
-a run back from ``simulate`` itself, which keeps only the last, and
-``with_dense_eig`` builds a non-uniform system around the dense
-decomposition, which the library's closed form cannot supply, so that
-library routes can run on it.
+Three helpers are no reference routes: ``prefix_states`` reads the states
+of a run back from ``simulate`` itself, which keeps only the last;
+``trotter_kato_gaps`` drives the library's exact step, extension and L2 norm
+against ``analytic_heat_state``; and ``with_dense_eig`` builds a non-uniform
+system around the dense decomposition, which the library's closed form
+cannot supply, so that library routes can run on it.
 """
 
 import decimal
@@ -17,8 +18,8 @@ import numpy as np
 import scipy.integrate
 
 from issgains.numerics import EigenDecomposition
-from issgains.simulate import simulate
-from issgains.systems import ClosedControlSystem
+from issgains.simulate import simulate, step_exact
+from issgains.systems import ClosedControlSystem, build_heat_dirichlet, extend, function_l2_norm
 
 
 def a_matrix(sys) -> np.ndarray:
@@ -185,6 +186,56 @@ def prefix_states(sys, x0, u, h: float, steps: int) -> np.ndarray:
     first = (v.T @ np.asarray(x0, dtype=float))[np.newaxis]
     return np.concatenate([first] + [simulate(sys, x0, u[:i + 1], i * h, h).states
                                      for i in range(1, steps + 1)])
+
+
+def analytic_heat_state(modes, a: float, t: float):
+    """Exact homogeneous heat solution for a finite sum of sine modes.
+
+    ``modes`` is an iterable of (k, c) pairs; the result is the function
+    xi -> sum c exp(-a k^2 pi^2 t) sin(k pi xi), which accepts arrays.
+    """
+    terms = [(int(k), c * np.exp(-a * (k * np.pi) ** 2 * t)) for k, c in modes]
+
+    def state(xi):
+        xi = np.asarray(xi, dtype=float)
+        out = np.zeros_like(xi)
+        for k, amp in terms:
+            out = out + amp * np.sin(k * np.pi * xi)
+        return out if out.ndim else float(out)
+
+    return state
+
+
+def trotter_kato_gaps(a: float, modes, t: float, n_list) -> list:
+    """L2 distance, per resolution n, between the exact step over [0, t] of
+    the sampled initial state, lifted by ``extend``, and the exact heat
+    solution ``analytic_heat_state(modes, a, t)``, in the L2-consistent
+    weight.  The quadrature takes the smallest multiple of n that is >= 4096
+    panels, so the interpolant's kinks fall on panel edges."""
+    exact = analytic_heat_state(modes, a, t)
+    start = analytic_heat_state(modes, a, 0.0)
+    gaps = []
+    for n in n_list:
+        sys = build_heat_dirichlet(n, a, weight_exponent=1)
+        grid = sys.space.grid
+        lifted = extend(step_exact(sys, start(grid.nodes()), (0.0, 0.0), t), grid)
+        gaps.append(function_l2_norm(lambda xi: lifted(xi) - exact(xi),
+                                     panels=-(-4096 // n) * n))
+    return gaps
+
+
+def frac_semigroup_excess(sys, bundle, times) -> float:
+    """The worst relative excess, over ``times`` > 0, of the spectral norm
+    ||(-A)^alpha exp(At)|| = max_mu mu^alpha exp(-mu t) over the bound
+    (K1 + K2 t^-alpha) exp(-omega t) of ``bundle``: the largest
+    max_mu mu^alpha exp(-(mu - omega) t) / (K1 + K2 t^-alpha) - 1, with
+    mu = -lambda over the eigenvalues of A.  Dividing out exp(-omega t)
+    keeps both sides finite where omega t is large.  At most 0 where the
+    bound holds."""
+    mu = -sys.eigendecomposition().eigenvalues
+    alpha, omega = bundle.alpha, bundle.beta_omega
+    return max(float(np.max(mu**alpha * np.exp(-(mu - omega) * t)))
+               / (bundle.k1 + bundle.k2 * t**-alpha) - 1.0 for t in times)
 
 
 # Digits of the decimal reference trajectories, far beyond the 17 of a

@@ -296,6 +296,10 @@ class TestPlotInput:
         assert captured.out == ""
         return captured.err
 
+    def test_missing_sweep(self, tmp_path, capsys):
+        err = self.plot_error(tmp_path, capsys, {})
+        assert err == f"error: {tmp_path / 'sweep.csv'} not found; run the sweep command first\n"
+
     def test_header_only_sweep(self, tmp_path, capsys):
         err = self.plot_error(tmp_path, capsys, {"sweep.csv": "n,omegan,Dn,AnalphaBnnorm\n"})
         assert err == f"error: {tmp_path / 'sweep.csv'}: no data rows\n"
@@ -599,6 +603,17 @@ class TestMain:
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
 
+    def test_config_file_not_utf8(self, tmp_path, monkeypatch, capsys):
+        # A Latin-1 byte in a comment; never decoded as U+FFFD, which could
+        # pass into a value such as output_dir.
+        (tmp_path / "bad.cfg").write_bytes(b"a = 1.0\nalpha = 0.5 # caf\xe9\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "dispatch", None)
+        assert main(["gains", "--config", "bad.cfg"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad.cfg: not UTF-8 at byte 25: invalid continuation byte\n"
+
     @pytest.mark.parametrize("argv", [["--config="], ["--config", ""]])
     def test_empty_config_path_is_opened(self, monkeypatch, capsys, argv):
         # An empty path names no file: it fails like any other, not as no --config.
@@ -858,6 +873,19 @@ print(json.dumps(stages))
 """
 
 
+# Runs check alone in a fresh interpreter and prints its exit code and the
+# issgains modules loaded.  Argument: output dir.
+_CHECK_SCRIPT = """
+import contextlib, io, json, sys
+from issgains.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["check", "--n_schedule", "8,16", "--lambda_count", "20",
+                 "--output_dir", sys.argv[1]])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("issgains"))]))
+"""
+
+
 # Refuses every numpy import, then imports the CLI and runs --help, a config
 # error and plot over the CSVs in the output dir given as its argument;
 # prints what each returned and whether numpy was loaded or importable.
@@ -967,6 +995,15 @@ class TestImportFootprint:
         for command in ("sweep", "gains", "plot", "simulate"):
             assert loaded[command] == [], command
         assert "issgains.fattorini" in loaded["check"]
+
+    def test_check_loads_no_simulator(self, tmp_path):
+        # check alone in its interpreter; the footprint script runs simulate
+        # before check, so it cannot tell.
+        code, loaded = _fresh(_CHECK_SCRIPT, tmp_path / "out")
+        assert code == 0
+        assert "issgains.fattorini" in loaded
+        assert "issgains.simulate" not in loaded
+        assert "issgains.svgplot" not in loaded
 
     def test_no_command_loads_dataclasses(self, tmp_path):
         loaded = _fresh(_FOOTPRINT_SCRIPT, tmp_path / "out", "8,16", "allow")["never"]
