@@ -17,9 +17,9 @@ Import rule: at module level this module imports the standard library and
 ``issgains.config`` alone, so that ``plot``, ``--help`` and every exit-2
 config error run without numpy.  Each command imports the layers it runs
 inside its own body, at call time: ``sweep``, ``gains`` and ``check`` load
-neither ``simulate`` nor ``svgplot``, ``plot`` loads ``svgplot`` only, and
-only ``check`` loads ``fattorini``, numpy.polynomial or numpy.random.  The
-arguments are parsed here, from ``PARSERS``, so that no process loads
+neither ``simulate`` nor ``svgplot``, ``plot`` loads ``svgplot`` only, only
+``check`` loads ``fattorini`` or numpy.random, and none loads numpy.polynomial.
+The arguments are parsed here, from ``PARSERS``, so that no process loads
 argparse or the gettext and locale modules it pulls in.
 
 Exit rule: importing this module registers ``gc.freeze`` to run at
@@ -83,7 +83,7 @@ def _write(cfg: RunConfig, name: str, chunks) -> int:
 def _path(cfg: RunConfig):
     from .gains import PathSpec
 
-    return PathSpec(cfg.lambda_min, cfg.lambda_max, cfg.lambda_count)
+    return PathSpec(cfg.lambda_min, cfg.lambda_max)
 
 
 def _records(cfg: RunConfig) -> list:
@@ -196,7 +196,7 @@ def _cmd_check(cfg: RunConfig) -> int:
     from . import fattorini
     from .systems import build_heat_dirichlet
 
-    # Only check builds the lambda_count grid, so only check validates it.
+    # Only check reads lambda_count, so only check validates it.
     if cfg.lambda_count < 2:
         raise ConfigError("lambda_count must be >= 2")
     small = [n for n in cfg.n_schedule if n <= 256] or list(cfg.n_schedule[:2])
@@ -213,7 +213,7 @@ def _cmd_check(cfg: RunConfig) -> int:
     ]
     reports = [
         fattorini.sector_diagnostic(systems, path),
-        fattorini.resolvent_gap(16, 32, path, probe_modes=(1,), a=cfg.a),
+        fattorini.resolvent_gap(16, 32, path, cfg.lambda_count, probe_modes=(1,), a=cfg.a),
         fattorini.consistency_diagnostic(systems, probes),
         fattorini.right_inverse_gap(pre_systems),
     ]
@@ -416,7 +416,12 @@ def main(argv=None) -> int:
                 except UnicodeDecodeError as exc:
                     raise ConfigError(f"{raw['config']}: not UTF-8 at byte {exc.start}: "
                                       f"{exc.reason}") from None
-            overrides = file_overrides(text)
+            # A byte-order mark is dropped here, as utf-8-sig would count the
+            # byte offset above from its end.
+            try:
+                overrides = file_overrides(text.removeprefix("\ufeff"))
+            except ConfigError as exc:
+                raise ConfigError(f"{raw['config']}: {exc}") from None
         # Flags win over the file; the merged result is validated once.
         for name, parse in PARSERS.items():
             if name in raw:

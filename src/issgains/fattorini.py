@@ -176,14 +176,16 @@ def _resolvent(sys: ClosedControlSystem, shift, rhs: np.ndarray) -> np.ndarray:
                                  lambda lam: 1.0 / np.subtract.outer(shift, lam).T, rhs)
 
 
-def resolvent_gap(n_coarse: int, n_fine: int, path: PathSpec, probe_modes,
+def resolvent_gap(n_coarse: int, n_fine: int, path: PathSpec, count: int, probe_modes,
                   a: float = 1.0) -> DiagnosticReport:
     """Gap between the lifted discrete resolvent and the exact resolvent on
-    sine modes, at two resolutions; passes when refinement at least halves
-    the gap."""
+    sine modes, at two resolutions, over ``count`` log-spaced points of the
+    path's window; passes when refinement at least halves the gap."""
     if n_fine < 2 * n_coarse:
         raise ValueError("n_fine must be at least twice n_coarse")
-    grid = path.grid()
+    if count < 2:
+        raise ValueError("need at least 2 path points")
+    grid = np.geomspace(path.lambda_min, path.lambda_max, count)
     values = {}
     for n in (n_coarse, n_fine):
         sys = build_heat_dirichlet(n, a)

@@ -37,14 +37,11 @@ LIMIT_TOL = 1e-3
 class _PathSpec(NamedTuple):
     lambda_min: float = 1e-4
     lambda_max: float = 1e4
-    count: int = 400
 
 
 class PathSpec(_PathSpec):
     """Window [lambda_min, lambda_max] of the positive real ray over which
-    resolvent bounds are taken, and a log-spaced grid of ``count`` points on
-    it for the check diagnostics' resolvent scans.  Only ``grid`` reads
-    ``count``, so only ``grid`` checks it."""
+    resolvent bounds are taken."""
 
     __slots__ = ()
 
@@ -53,11 +50,6 @@ class PathSpec(_PathSpec):
         if not 0.0 < self.lambda_min < self.lambda_max:
             raise ValueError("need 0 < lambda_min < lambda_max")
         return self
-
-    def grid(self) -> np.ndarray:
-        if self.count < 2:
-            raise ValueError("need at least 2 path points")
-        return np.geomspace(self.lambda_min, self.lambda_max, self.count)
 
     def resolvent_constant(self, mu_min: float) -> float:
         """sup over the window of (lambda + 1) ||R(lambda, A)||; for a
@@ -75,7 +67,6 @@ class GainBundle(NamedTuple):
     k2: float
     kappa: float
     frac_norm_limit: float
-    mu_e: float
     beta_m: float
     beta_omega: float
     gamma_slope: float
@@ -185,7 +176,6 @@ def assemble_gains(records, alpha: float, theta: float,
         k2=k2,
         kappa=kappa,
         frac_norm_limit=frac_norm_limit,
-        mu_e=mu_e,
         beta_m=mu_p * mu_e,
         beta_omega=omega,
         gamma_slope=mu_e * kappa * frac_norm_limit,

@@ -62,10 +62,10 @@ def frac_control_norm_gram(sys) -> float:
     return sys.space.state_scale * math.sqrt(top)
 
 
-def resolvent_constant_scan(path, mu_min: float) -> float:
+def resolvent_constant_scan(path, mu_min: float, count: int) -> float:
     """sup of (lambda + 1) / (lambda + mu_min) over the window, as the
-    maximum over a log-spaced grid of the path's ``count`` points."""
-    grid = np.geomspace(path.lambda_min, path.lambda_max, path.count)
+    maximum over a log-spaced grid of ``count`` points on it."""
+    grid = np.geomspace(path.lambda_min, path.lambda_max, count)
     return float(np.max((grid + 1.0) / (grid + mu_min)))
 
 

@@ -32,7 +32,7 @@ SCHEDULE = (250, 500, 1000, 2000, 4000)
 
 REFERENCE_BUNDLE = GainBundle(
     alpha=0.5, theta=DEFAULT_THETA, k1=3.1408, k2=0.5626, kappa=0.6359,
-    frac_norm_limit=1.4136, mu_e=1.0, beta_m=1.0, beta_omega=9.8647,
+    frac_norm_limit=1.4136, beta_m=1.0, beta_omega=9.8647,
     gamma_slope=0.8989,
 )
 

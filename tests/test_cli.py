@@ -69,7 +69,16 @@ class TestParseConfig:
         cfg_file.write_text("alpha = 0.3\n# later\nalpha = 0.6\n")
         assert main(["gains", "--config", str(cfg_file), "--output_dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err == "error: line 3: duplicate key 'alpha' (first set on line 1)\n"
+        assert err == f"error: {cfg_file}: line 3: duplicate key 'alpha' (first set on line 1)\n"
+
+    def test_unknown_key_names_the_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "bogus.cfg"
+        cfg_file.write_text("a = 1.0\nbogus = 2\n")
+        assert main(["gains", "--config", str(cfg_file), "--output_dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg_file}: line 2: unknown key 'bogus'\n"
+        assert os.listdir(tmp_path) == ["bogus.cfg"]
 
     def test_range_error_names_alpha(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -614,6 +623,26 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "error: bad.cfg: not UTF-8 at byte 25: invalid continuation byte\n"
 
+    def test_config_file_byte_order_mark(self, tmp_path, monkeypatch):
+        # A UTF-8 byte-order mark is dropped: the file gives the RunConfig
+        # of the same file without it.
+        body = b"a = 2.0\nn_schedule = 16,32\n"
+        (tmp_path / "plain.cfg").write_bytes(body)
+        (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + body)
+        seen = []
+        monkeypatch.setattr(cli, "dispatch", lambda command, cfg: seen.append(cfg) or 0)
+        for name in ("plain.cfg", "bom.cfg"):
+            assert main(["gains", "--config", str(tmp_path / name)]) == 0
+        assert seen[0] == seen[1] == RunConfig(a=2.0, n_schedule=(16, 32))
+
+    def test_bad_byte_after_byte_order_mark(self, tmp_path, monkeypatch, capsys):
+        # The offset counts the mark's three bytes: it is the file's own.
+        (tmp_path / "bad.cfg").write_bytes(b"\xef\xbb\xbfa = 1.0\n\xff\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "dispatch", None)
+        assert main(["gains", "--config", "bad.cfg"]) == 2
+        assert capsys.readouterr().err == "error: bad.cfg: not UTF-8 at byte 11: invalid start byte\n"
+
     @pytest.mark.parametrize("argv", [["--config="], ["--config", ""]])
     def test_empty_config_path_is_opened(self, monkeypatch, capsys, argv):
         # An empty path names no file: it fails like any other, not as no --config.
@@ -833,9 +862,9 @@ class RefuseScipy(importlib.abc.MetaPathFinder):
         return None
 
 # Less any that importing numpy loads by itself, which no command can avoid.
-CHECK_ONLY = [m for m in ("issgains.fattorini", "numpy.polynomial", "numpy.random", "_hashlib")
+CHECK_ONLY = [m for m in ("issgains.fattorini", "numpy.random", "_hashlib")
               if m not in sys.modules]
-NEVER_LOADED = [m for m in ("dataclasses",) if m not in sys.modules]
+NEVER_LOADED = [m for m in ("dataclasses", "numpy.polynomial") if m not in sys.modules]
 PARSER = [m for m in ("argparse", "gettext", "locale") if m not in sys.modules]
 out_dir, schedule, mode = sys.argv[1:4]
 if mode == "refuse":
@@ -987,10 +1016,10 @@ class TestImportFootprint:
         assert "issgains.svgplot" in loaded["plot"]
 
     def test_check_only_modules_loaded_only_by_check(self, tmp_path):
-        # The diagnostics, numpy.polynomial and numpy.random (with the
-        # OpenSSL binding that numpy.random's seeding pulls in) are loaded by
-        # check alone; the commands run in the order sweep, gains, plot,
-        # simulate, check in one interpreter.
+        # The diagnostics and numpy.random (with the OpenSSL binding that
+        # numpy.random's seeding pulls in) are loaded by check alone; the
+        # commands run in the order sweep, gains, plot, simulate, check in
+        # one interpreter.
         loaded = _fresh(_FOOTPRINT_SCRIPT, tmp_path / "out", "8,16", "allow")["check_only"]
         for command in ("sweep", "gains", "plot", "simulate"):
             assert loaded[command] == [], command
@@ -1006,6 +1035,8 @@ class TestImportFootprint:
         assert "issgains.svgplot" not in loaded
 
     def test_no_command_loads_dataclasses(self, tmp_path):
+        # Nor numpy.polynomial: check's Gauss rule is written out in
+        # systems.py.
         loaded = _fresh(_FOOTPRINT_SCRIPT, tmp_path / "out", "8,16", "allow")["never"]
         for command in ("sweep", "gains", "plot", "simulate", "check"):
             assert loaded[command] == [], command

@@ -86,7 +86,7 @@ class TestSectorDiagnostic:
 
     def test_endpoint_dominates_interior(self):
         # (lambda+1)/(lambda+mu) is monotone for mu != 1: grid extremes dominate.
-        grid = PathSpec().grid()
+        grid = np.geomspace(1e-4, 1e4, 400)
         for mu in (0.2, 9.0, 150.0):
             values = (grid + 1.0) / (grid + mu)
             assert np.max(values) == pytest.approx(max(values[0], values[-1]))
@@ -98,13 +98,13 @@ class TestSectorDiagnostic:
 
 class TestResolventGap:
     def test_second_order_refinement(self):
-        report = resolvent_gap(16, 32, PathSpec(count=60), probe_modes=(1,))
+        report = resolvent_gap(16, 32, PathSpec(), 60, probe_modes=(1,))
         assert report.verdict == "pass"
         assert 3.0 <= report.values["ratio"] <= 5.0
 
     def test_requires_doubling(self):
         with pytest.raises(ValueError):
-            resolvent_gap(16, 24, PathSpec(), probe_modes=(1,))
+            resolvent_gap(16, 24, PathSpec(), 400, probe_modes=(1,))
 
 
 PROBES = [
@@ -128,7 +128,7 @@ class TestResolventRoute:
     @pytest.mark.parametrize("n, a, k", [(16, 1.0, 1), (32, 1.0, 3), (64, 0.25, 5), (250, 2.0, 1)])
     def test_sine_probe_closed_form(self, n, a, k):
         # sin(k pi xi) sampled is an eigenvector of A with eigenvalue -4an^2 sin^2(k pi/2n).
-        shifts = PathSpec().grid()
+        shifts = np.geomspace(1e-4, 1e4, 400)
         probe = np.sin(k * np.pi * GridSpec(n).nodes())
         solutions = _resolvent(build_heat_dirichlet(n, a), shifts, probe)
         mu = 4.0 * a * n**2 * np.sin(k * np.pi / (2 * n)) ** 2

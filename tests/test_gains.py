@@ -68,9 +68,9 @@ class TestSectorBound:
         Closer to 1, every (lambda + 1) / (lambda + omega) is within ulps of
         1 and an interior point can round above both ends: of 100 000 such
         samples the scan came out higher in 24, by 1 ulp, and never lower."""
-        path = PathSpec(10.0**lo, 10.0**hi, count)
+        path = PathSpec(10.0**lo, 10.0**hi)
         d = path.resolvent_constant(omega)
-        scan = resolvent_constant_scan(path, omega)
+        scan = resolvent_constant_scan(path, omega, count)
         if abs(omega - 1.0) > 1e-6:
             assert d == scan
         else:
@@ -78,9 +78,7 @@ class TestSectorBound:
 
     def test_unit_spectral_gap_gives_one(self):
         # Synthetic check on the scan formula itself at mu_min = 1.
-        grid = PathSpec().grid()
-        values = (grid + 1.0) / (grid + 1.0)
-        assert np.max(values) == 1.0
+        assert resolvent_constant_scan(PathSpec(), 1.0, 400) == 1.0
 
 
 class TestFracControlNorm:
@@ -160,12 +158,13 @@ class TestAssembleGains:
         assert math.sqrt(2.0 / 3.0) == pytest.approx(0.8165, abs=1e-4)
 
     def test_bundle_invariants_recompute(self):
-        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, DEFAULT_THETA, mu_p=1.0, mu_e=1.0)
+        mu_e = 1.0
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, DEFAULT_THETA, mu_p=1.0, mu_e=mu_e)
         k1, k2, kappa = k_constants(bundle.alpha, bundle.theta, REFERENCE_OMEGA, REFERENCE_D)
         assert bundle.k1 == pytest.approx(k1, abs=1e-12)
         assert bundle.k2 == pytest.approx(k2, abs=1e-12)
         assert bundle.kappa == pytest.approx(kappa, abs=1e-12)
-        assert bundle.gamma_slope == pytest.approx(bundle.mu_e * bundle.kappa * bundle.frac_norm_limit,
+        assert bundle.gamma_slope == pytest.approx(mu_e * bundle.kappa * bundle.frac_norm_limit,
                                                    abs=1e-12)
 
     def test_gain_shape(self):
@@ -246,7 +245,7 @@ class TestAssembleGains:
     def verdict(a, alpha):
         """The certified fractional norm of a 16, 32 sweep at p = 2, or None
         if the limit fails its Cauchy test."""
-        records = run_sweep((16, 32), a, alpha, PathSpec(count=20))
+        records = run_sweep((16, 32), a, alpha, PathSpec())
         try:
             return assemble_gains(records, alpha, DEFAULT_THETA).frac_norm_limit
         except LimitError:
@@ -279,7 +278,7 @@ class TestLemmaCheck:
         omega = growth_bound(sys)
         k1, k2, kappa = k_constants(alpha, DEFAULT_THETA, omega, sector_bound(sys, PathSpec()))
         return GainBundle(alpha=alpha, theta=DEFAULT_THETA, k1=k1, k2=k2, kappa=kappa,
-                          frac_norm_limit=math.nan, mu_e=1.0, beta_m=1.0, beta_omega=omega,
+                          frac_norm_limit=math.nan, beta_m=1.0, beta_omega=omega,
                           gamma_slope=math.nan)
 
     @pytest.mark.parametrize("n", [100, 1000])

@@ -15,6 +15,7 @@ from issgains.fattorini import (
     _resolvent,
     build_preclosure_heat,
     close_system,
+    resolvent_gap,
 )
 from issgains.gains import GainBundle, PathSpec, frac_control_norm
 from issgains.numerics import EigenDecomposition, QuadratureResult, sym_tridiag_eig
@@ -39,14 +40,13 @@ RECORDS = [
       "lambda_count": 400, "weight_exponent": 2, "u_norm": "max", "mu_p": 1.0, "mu_e": 1.0,
       "t_end": 3.0, "h": 0.05, "seed": 20240501, "output_dir": "out"},
      {}),
-    (PathSpec, ("lambda_min", "lambda_max", "count"),
-     {"lambda_min": 1e-4, "lambda_max": 1e4, "count": 400}, {}),
+    (PathSpec, ("lambda_min", "lambda_max"), {"lambda_min": 1e-4, "lambda_max": 1e4}, {}),
     (GainBundle,
-     ("alpha", "theta", "k1", "k2", "kappa", "frac_norm_limit", "mu_e", "beta_m",
-      "beta_omega", "gamma_slope"),
+     ("alpha", "theta", "k1", "k2", "kappa", "frac_norm_limit", "beta_m", "beta_omega",
+      "gamma_slope"),
      {},
      {"alpha": 0.5, "theta": 3.0, "k1": 1.0, "k2": 1.0, "kappa": 1.0, "frac_norm_limit": 1.0,
-      "mu_e": 1.0, "beta_m": 1.0, "beta_omega": 1.0, "gamma_slope": 1.0}),
+      "beta_m": 1.0, "beta_omega": 1.0, "gamma_slope": 1.0}),
     (SweepRecord, ("n", "omega_n", "d_n", "frac_norm_n"), {},
      {"n": 4, "omega_n": 9.0, "d_n": 1.0, "frac_norm_n": 1.4}),
     (GridSpec, ("n",), {}, {"n": 4}),
@@ -136,12 +136,10 @@ def test_run_config_validates_on_request():
         cfg.validate()
 
 
-def test_path_grid_needs_two_points():
-    # Only the grid reads count: a one-point path still gives its window.
-    path = PathSpec(count=1)
-    assert path.resolvent_constant(2.0) == PathSpec().resolvent_constant(2.0)
+def test_resolvent_gap_needs_two_points():
+    # The path is the window alone; the resolvent gap takes its grid's size.
     with pytest.raises(ValueError, match="^need at least 2 path points$"):
-        path.grid()
+        resolvent_gap(16, 32, PathSpec(), 1, probe_modes=(1,))
 
 
 def test_parsers_follow_the_fields():
