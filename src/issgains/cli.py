@@ -45,12 +45,11 @@ from .config import (
     QuadratureError,
     RunConfig,
     file_overrides,
-    parse_config,
     step_count,
     validated,
 )
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "dispatch", "main"]
+__all__ = ["RunConfig", "ConfigError", "dispatch", "main"]
 
 # CPython's finalization runs full collections over every tracked object even
 # when gc is disabled; after ``import numpy`` that is about 20k objects and
@@ -213,7 +212,7 @@ def _cmd_check(cfg: RunConfig) -> int:
     ]
     reports = [
         fattorini.sector_diagnostic(systems, path),
-        fattorini.resolvent_gap(16, 32, path, cfg.lambda_count, probe_modes=(1,), a=cfg.a),
+        fattorini.resolvent_gap(path, cfg.lambda_count, cfg.a),
         fattorini.consistency_diagnostic(systems, probes),
         fattorini.right_inverse_gap(pre_systems),
     ]

@@ -22,9 +22,9 @@ __all__ = [
     "DEFAULT_THETA",
     "CSV_HEADER",
     "MAX_STEPS",
+    "MAX_N",
     "PARSERS",
     "step_count",
-    "parse_config",
     "file_overrides",
     "validated",
 ]
@@ -35,6 +35,9 @@ DEFAULT_SCHEDULE = (250, 500, 1000, 2000, 4000)
 DEFAULT_THETA = math.pi * (1.0 - 1e-9)
 CSV_HEADER = "n,omegan,Dn,AnalphaBnnorm"
 MAX_STEPS = 10**7
+# The largest resolution n: the large-n commands peak at 167.6 MB at n = 10**6
+# and grow linearly in n, so about 1.7 GB at 10**7.
+MAX_N = 10**7
 # a only rescales time, so each constant is a power of a; outside this range
 # the fractional norm can underflow to 0 (a = 2.3e-308) or overflow (1e-320).
 A_RANGE = (1e-100, 1e100)
@@ -51,14 +54,8 @@ class LimitError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Raised when an integral does not converge within
-    ``numerics.QUAD_MAX_LEVEL`` step halvings, or when its sum is not finite.
-
-    Carries the best available estimate in ``best_estimate``.
-    """
-
-    def __init__(self, message, best_estimate):
-        super().__init__(message)
-        self.best_estimate = best_estimate
+    ``numerics.QUAD_MAX_LEVEL`` step halvings, or when its sum is not finite;
+    the message gives the best estimate."""
 
 
 def step_count(t_end: float, h: float) -> int:
@@ -128,6 +125,10 @@ class RunConfig(namedtuple("RunConfig", list(PARSERS),
     def validate(self) -> None:
         if not self.n_schedule or any(n < 2 for n in self.n_schedule):
             raise ConfigError("n_schedule entries must all be >= 2")
+        for i, n in enumerate(self.n_schedule, start=1):
+            if n > MAX_N:
+                raise ConfigError(f"n_schedule entry {i} of {len(self.n_schedule)} is {n}, "
+                                  f"above MAX_N = {MAX_N}")
         if list(self.n_schedule) != sorted(set(self.n_schedule)):
             raise ConfigError("n_schedule must be strictly increasing")
         if not A_RANGE[0] <= self.a <= A_RANGE[1]:
@@ -152,13 +153,6 @@ class RunConfig(namedtuple("RunConfig", list(PARSERS),
             raise ConfigError(str(exc)) from None
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-
-
-def parse_config(source: str) -> RunConfig:
-    """Parse flat ``key = value`` lines with # comments into a validated
-    config; unknown keys and malformed lines raise with the offending line
-    number."""
-    return validated(file_overrides(source))
 
 
 def file_overrides(source: str) -> dict:

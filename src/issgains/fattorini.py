@@ -40,6 +40,13 @@ __all__ = [
     "estimate_mu",
 ]
 
+# resolvent_gap's coarse and fine resolutions and its one sine probe mode;
+# the seed and per-resolution count of estimate_mu's random grid vectors.
+GAP_RESOLUTIONS = (16, 32)
+GAP_PROBE_MODE = 1
+MU_SEED = 0
+MU_RANDOM_VECTORS = 16
+
 
 class _DiagnosticReport(NamedTuple):
     name: str
@@ -121,7 +128,8 @@ def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
     return PreClosureSystem(ainit=ainit, bop=bop, restrict_r=restrict_r, bop_rinv=bop_rinv)
 
 
-def close_system(pre: PreClosureSystem, weight_exponent: int = 2,
+def close_system(pre: PreClosureSystem,
+                 weight_exponent: int = WeightedSpace._field_defaults["weight_exponent"],
                  input_norm: str = WeightedSpace._field_defaults["input_norm"]
                  ) -> ClosedControlSystem:
     """Boundary closure: restrict the stencil to the kernel of the trace
@@ -176,34 +184,30 @@ def _resolvent(sys: ClosedControlSystem, shift, rhs: np.ndarray) -> np.ndarray:
                                  lambda lam: 1.0 / np.subtract.outer(shift, lam).T, rhs)
 
 
-def resolvent_gap(n_coarse: int, n_fine: int, path: PathSpec, count: int, probe_modes,
-                  a: float = 1.0) -> DiagnosticReport:
+def resolvent_gap(path: PathSpec, count: int, a: float) -> DiagnosticReport:
     """Gap between the lifted discrete resolvent and the exact resolvent on
-    sine modes, at two resolutions, over ``count`` log-spaced points of the
-    path's window; passes when refinement at least halves the gap."""
-    if n_fine < 2 * n_coarse:
-        raise ValueError("n_fine must be at least twice n_coarse")
+    the sine mode GAP_PROBE_MODE, at the coarse and fine resolutions of
+    GAP_RESOLUTIONS, over ``count`` log-spaced points of the path's window;
+    passes when refinement at least halves the gap."""
     if count < 2:
         raise ValueError("need at least 2 path points")
     grid = np.geomspace(path.lambda_min, path.lambda_max, count)
+    k = GAP_PROBE_MODE
     values = {}
-    for n in (n_coarse, n_fine):
+    for n in GAP_RESOLUTIONS:
         sys = build_heat_dirichlet(n, a)
         gs = sys.space.grid
         panels = panels_for(n)
         worst = 0.0
-        for k in probe_modes:
-            solutions = _resolvent(sys, grid, np.sin(k * np.pi * gs.nodes()))
-            for lam, x in zip(grid, solutions.T):
-                approx = extend(x, gs)
-                exact_scale = 1.0 / (lam + a * (k * np.pi) ** 2)
-                gap = function_l2_norm(
-                    lambda xi: approx(xi) - exact_scale * np.sin(k * np.pi * xi),
-                    panels=panels,
-                )
-                worst = max(worst, gap)
+        solutions = _resolvent(sys, grid, np.sin(k * np.pi * gs.nodes()))
+        for lam, x in zip(grid, solutions.T):
+            approx = extend(x, gs)
+            exact_scale = 1.0 / (lam + a * (k * np.pi) ** 2)
+            gap = function_l2_norm(lambda xi: approx(xi) - exact_scale * np.sin(k * np.pi * xi),
+                                   panels=panels)
+            worst = max(worst, gap)
         values[f"gap_{n}"] = worst
-    ratio = values[f"gap_{n_coarse}"] / values[f"gap_{n_fine}"]
+    ratio = values[f"gap_{GAP_RESOLUTIONS[0]}"] / values[f"gap_{GAP_RESOLUTIONS[1]}"]
     values["ratio"] = ratio
     verdict = "pass" if ratio >= 2.0 else "fail"
     return DiagnosticReport(
@@ -300,13 +304,13 @@ def right_inverse_gap(pre_systems) -> DiagnosticReport:
     )
 
 
-def estimate_mu(samples, n_list, seed: int = 0,
-                random_vectors: int = 16) -> tuple[float, float]:
+def estimate_mu(samples, n_list) -> tuple[float, float]:
     """Empirical bounds for the restriction and extension operator norms
-    (L2-consistent weight), from function samples and random grid vectors."""
+    (L2-consistent weight), from function samples and MU_RANDOM_VECTORS
+    random grid vectors per resolution, drawn from MU_SEED."""
     if not samples:
         raise ValueError("need at least one sample function")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MU_SEED)
     mu_p = 0.0
     mu_e = 0.0
     for n in n_list:
@@ -318,7 +322,7 @@ def estimate_mu(samples, n_list, seed: int = 0,
             if f_norm == 0.0:
                 raise ValueError("sample function has zero L2 norm")
             mu_p = max(mu_p, p1.state_norm(restrict(f, gs)) / f_norm)
-        for _ in range(random_vectors):
+        for _ in range(MU_RANDOM_VECTORS):
             x = rng.standard_normal(gs.interior_nodes)
             x_norm = p1.state_norm(x)
             mu_e = max(mu_e, function_l2_norm(extend(x, gs), panels=panels) / x_norm)

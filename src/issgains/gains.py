@@ -35,8 +35,8 @@ LIMIT_TOL = 1e-3
 
 
 class _PathSpec(NamedTuple):
-    lambda_min: float = 1e-4
-    lambda_max: float = 1e4
+    lambda_min: float
+    lambda_max: float
 
 
 class PathSpec(_PathSpec):
@@ -71,11 +71,9 @@ class GainBundle(NamedTuple):
     beta_omega: float
     gamma_slope: float
 
-    def beta(self, s: float, t):
-        """beta(s, t); ``t`` may be an array of times, whose values are then
-        computed in one new array of its shape."""
-        if np.ndim(t) == 0:
-            return self.beta_m * np.exp(-self.beta_omega * t) * s
+    def beta(self, s: float, t: np.ndarray) -> np.ndarray:
+        """beta(s, t) at each entry of the array of times ``t``, computed in
+        one new array of its shape."""
         values = np.multiply(-self.beta_omega, t)
         np.exp(values, out=values)
         values *= self.beta_m
@@ -127,8 +125,7 @@ def k_constants(alpha: float, theta: float, omega: float, d: float) -> tuple[flo
     return k1, k2, kappa
 
 
-def assemble_gains(records, alpha: float, theta: float,
-                   mu_p: float = 1.0, mu_e: float = 1.0) -> GainBundle:
+def assemble_gains(records, alpha: float, theta: float, mu_p: float, mu_e: float) -> GainBundle:
     """Certified gains from a resolution sweep (records with ``omega_n``,
     ``d_n`` and ``frac_norm_n``, in increasing n).  Each limit over n is
     taken by a rule that keeps it on the safe side:

@@ -230,15 +230,14 @@ def _quad(name: str, parts, scale: float = 1.0) -> QuadratureResult:
         previous, estimate = estimate, total * 2.0**-level
         value = scale * estimate
         if not math.isfinite(value):
-            raise QuadratureError(f"{name} has a non-finite sum {value!r}", best_estimate=value)
+            raise QuadratureError(f"{name} has a non-finite sum {value!r}")
         change = abs(estimate - previous)
         if change <= QUAD_RTOL * abs(estimate):
             return QuadratureResult(value=value, abs_error_estimate=scale * change,
                                     evaluations=evals)
     raise QuadratureError(
         f"{name} did not converge within {QUAD_MAX_LEVEL} step halvings "
-        f"(last change {scale * change:.3g}); best estimate {value:.17g}",
-        best_estimate=value)
+        f"(last change {scale * change:.3g}); best estimate {value:.17g}")
 
 
 def quad_exp_tail(alpha: float, omega: float) -> QuadratureResult:

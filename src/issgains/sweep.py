@@ -38,7 +38,8 @@ class SweepRecord(_SweepRecord):
         return self
 
 
-def run_sweep(n_schedule, a: float, alpha: float, path: PathSpec, weight_exponent: int = 2,
+def run_sweep(n_schedule, a: float, alpha: float, path: PathSpec,
+              weight_exponent: int = WeightedSpace._field_defaults["weight_exponent"],
               input_norm: str = WeightedSpace._field_defaults["input_norm"]) -> list:
     """One record per resolution: decay rate, resolvent constant and the
     fractional control-operator norm."""

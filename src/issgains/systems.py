@@ -110,14 +110,12 @@ class WeightedSpace(_WeightedSpace):
         return self.state_scale * max(plus, minus)
 
     def input_sample_norm(self, u):
-        """Norm of one input sample u in U, or of each row of a 2-D array of
-        samples (an array of norms)."""
+        """The norm in U of each row of the input samples u; a 1-D u is one
+        sample."""
         u = np.asarray(u, dtype=float)
         if self.input_norm == "euclidean":
-            norms = np.linalg.norm(u, axis=-1)
-        else:
-            norms = np.max(np.abs(u), axis=-1)
-        return float(norms) if u.ndim == 1 else norms
+            return np.linalg.norm(u, axis=-1)
+        return np.max(np.abs(u), axis=-1)
 
 
 class ClosedControlSystem(NamedTuple):
@@ -141,8 +139,10 @@ class ClosedControlSystem(NamedTuple):
         return self.eig
 
 
-def build_heat_dirichlet(n: int, a: float, weight_exponent: int = 2,
-                         input_norm: str = "max") -> ClosedControlSystem:
+def build_heat_dirichlet(n: int, a: float,
+                         weight_exponent: int = WeightedSpace._field_defaults["weight_exponent"],
+                         input_norm: str = WeightedSpace._field_defaults["input_norm"]
+                         ) -> ClosedControlSystem:
     """Finite-difference heat system on [0,1] with Dirichlet boundary inputs,
     in the space ``WeightedSpace(GridSpec(n), weight_exponent, input_norm)``
     and with the closed-form eigendecomposition of its generator.

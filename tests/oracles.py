@@ -7,7 +7,8 @@ of a run back from ``simulate`` itself, which keeps only the last;
 ``trotter_kato_gaps`` drives the library's exact step, extension and L2 norm
 against ``analytic_heat_state``; and ``with_dense_eig`` builds a non-uniform
 system around the dense decomposition, which the library's closed form
-cannot supply, so that library routes can run on it.
+cannot supply, so that library routes can run on it.  ``WINDOW`` is the
+resolvent window, the config's default, that the tests pass as a path.
 """
 
 import decimal
@@ -17,9 +18,12 @@ import math
 import numpy as np
 import scipy.integrate
 
+from issgains.gains import PathSpec
 from issgains.numerics import EigenDecomposition
 from issgains.simulate import simulate, step_exact
 from issgains.systems import ClosedControlSystem, build_heat_dirichlet, extend, function_l2_norm
+
+WINDOW = PathSpec(1e-4, 1e4)
 
 
 def a_matrix(sys) -> np.ndarray:

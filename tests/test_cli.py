@@ -20,7 +20,8 @@ import issgains.cli as cli
 import issgains.gains as gains
 import issgains.numerics as numerics
 import issgains.sweep as sweep
-from issgains.cli import ConfigError, RunConfig, dispatch, main, parse_config
+from issgains.cli import ConfigError, RunConfig, dispatch, main
+from issgains.config import MAX_N, file_overrides, validated
 from issgains.gains import assemble_gains
 
 
@@ -49,20 +50,20 @@ NON_DIGIT_SCHEDULES = [
 
 class TestParseConfig:
     def test_empty_source_gives_defaults(self):
-        assert parse_config("") == RunConfig()
+        assert validated(file_overrides("")) == RunConfig()
 
     def test_comments_and_blank_lines(self):
-        cfg = parse_config("# full comment\n\n a = 2.0  # trailing\n")
+        cfg = validated(file_overrides("# full comment\n\n a = 2.0  # trailing\n"))
         assert cfg.a == 2.0
 
     def test_schedule_and_overrides(self):
-        cfg = parse_config("n_schedule = 500,1000\na = 2.0\n")
+        cfg = validated(file_overrides("n_schedule = 500,1000\na = 2.0\n"))
         assert cfg.n_schedule == (500, 1000)
         assert cfg.a == 2.0
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="line 1.*unknown key"):
-            parse_config("beta = 3\n")
+            validated(file_overrides("beta = 3\n"))
 
     def test_duplicate_key(self, tmp_path, capsys):
         cfg_file = tmp_path / "dup.cfg"
@@ -82,29 +83,29 @@ class TestParseConfig:
 
     def test_range_error_names_alpha(self):
         with pytest.raises(ConfigError, match="alpha"):
-            parse_config("alpha = 1.5\n")
+            validated(file_overrides("alpha = 1.5\n"))
 
     def test_malformed_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
-            parse_config("a = 1.0\nnot a pair\n")
+            validated(file_overrides("a = 1.0\nnot a pair\n"))
 
     def test_schedule_whitespace(self):
-        assert parse_config("n_schedule =  250 , 500 \n").n_schedule == (250, 500)
+        assert validated(file_overrides("n_schedule =  250 , 500 \n")).n_schedule == (250, 500)
 
     @pytest.mark.parametrize("value, message", EMPTY_SCHEDULES)
     def test_empty_schedule_entry(self, value, message):
         with pytest.raises(ConfigError) as info:
-            parse_config(f"n_schedule = {value}\n")
+            validated(file_overrides(f"n_schedule = {value}\n"))
         assert str(info.value) == f"line 1: bad value for n_schedule: {message}"
 
     @pytest.mark.parametrize("value, message", NON_DIGIT_SCHEDULES)
     def test_non_digit_schedule_entry(self, value, message):
         with pytest.raises(ConfigError) as info:
-            parse_config(f"n_schedule = {value}\n")
+            validated(file_overrides(f"n_schedule = {value}\n"))
         assert str(info.value) == f"line 1: bad value for n_schedule: {message}"
 
     def test_schedule_leading_zeros(self):
-        assert parse_config("n_schedule = 08,016\n").n_schedule == (8, 16)
+        assert validated(file_overrides("n_schedule = 08,016\n")).n_schedule == (8, 16)
 
     @pytest.mark.parametrize("line", ["a = -1", "theta = 1.0", "u_norm = taxicab",
                                       "n_schedule = 4,3", "weight_exponent = 3",
@@ -114,17 +115,21 @@ class TestParseConfig:
                                       # the fractional norm overflows, and underflows
                                       "a = 1e-320", "a = 2.3e-308",
                                       # 10^7 + 1 steps of the default h = 0.05
-                                      "t_end = 500000.05"])
+                                      "t_end = 500000.05",
+                                      "n_schedule = 4,10000001"])
     def test_validation(self, line):
         with pytest.raises(ConfigError):
-            parse_config(line + "\n")
+            validated(file_overrides(line + "\n"))
+
+    def test_largest_resolution(self):
+        assert validated(file_overrides(f"n_schedule = 4,{MAX_N}\n")).n_schedule == (4, MAX_N)
 
 
 SMALL = "n_schedule = 16,32\nlambda_count = 50\nt_end = 1.0\nh = 0.1\n"
 
 
 def small_cfg(tmp_path, extra=""):
-    cfg = parse_config(SMALL + extra)
+    cfg = validated(file_overrides(SMALL + extra))
     return cfg._replace(output_dir=str(tmp_path / "out"))
 
 
@@ -505,9 +510,9 @@ def sha256(path) -> str:
 
 
 class TestReferenceArtifacts:
-    """simulate's, check's and plot's output at the default config: the
-    stdout of simulate and plot and the SHA-256 of every file the three
-    commands write."""
+    """simulate's, check's and plot's output at the default config, and
+    simulate's at the long-horizon one: the stdout of simulate and plot and
+    the SHA-256 of every file the three commands write."""
 
     SIMULATE_OUT = ("onesided: min margin +0.322675 at t = 3\n"
                     "twosided: min margin -0.099958 at t = 3 (diagnostic only)\n"
@@ -529,6 +534,23 @@ class TestReferenceArtifacts:
         "fig_traj_twosided.svg":
             "ca3b2b400cb90a2d0df477f3af0229acad8c521a6a42cc8eb0e1103573baa9d0",
     }
+
+    # The long-horizon config: 6000 recurrence steps at n = 1000.
+    HORIZON_ARGS = ["--n_schedule", "250,1000", "--h", "0.0005"]
+    HORIZON_OUT = ("onesided: min margin +0.323001 at t = 3\n"
+                   "twosided: min margin -0.099582 at t = 3 (diagnostic only)\n"
+                   "bangbang: min margin +0.674438 at t = 1.125\n")
+    HORIZON_SHA256 = {
+        "onesided": "6e8ba6f27db26a145771833c8a0106d3f166275f074a224db51858d0910f5a0b",
+        "twosided": "5f23c7d226bc26d151fcbc58041f6256ec58651ff63bab3dc9213e0cb254eff3",
+        "bangbang": "7c072c4ac1fc88e7ab1da5f78178974ec383f75aaf30f2a3f042219ba1d9469f",
+    }
+
+    def test_long_horizon_simulate(self, tmp_path, capsys):
+        assert main(["simulate", *self.HORIZON_ARGS, "--output_dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == self.HORIZON_OUT
+        assert {label: sha256(tmp_path / f"traj_{label}.csv")
+                for label in self.HORIZON_SHA256} == self.HORIZON_SHA256
 
     def test_default_simulate(self, tmp_path, capsys):
         assert main(["simulate", "--output_dir", str(tmp_path)]) == 0
@@ -660,6 +682,17 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad value for --n_schedule: {message}\n"
+
+    @pytest.mark.parametrize("entry", ["1099511627776", "99999999999999999999"])
+    def test_oversized_resolution_is_config_error(self, tmp_path, monkeypatch, capsys, entry):
+        # Refused by the config, before dispatch makes any array: n = 2^40
+        # would allocate 8 TiB, and 10^20 exceeds numpy's largest dimension.
+        monkeypatch.setattr(cli, "dispatch", None)
+        assert main(["sweep", "--n_schedule", f"4,{entry}", "--output_dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n_schedule entry 2 of 2 is {entry}, above MAX_N = {MAX_N}\n"
+        assert not os.listdir(tmp_path)
 
     def test_unknown_command_via_main(self, tmp_path, capsys):
         assert main(["nope", "--output_dir", str(tmp_path)]) == 2

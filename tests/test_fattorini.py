@@ -23,7 +23,7 @@ from issgains.systems import (
     build_heat_dirichlet,
     function_l2_norm,
 )
-from oracles import a_matrix, resolvent_dense, with_dense_eig
+from oracles import WINDOW, a_matrix, resolvent_dense, with_dense_eig
 
 
 class TestCloseSystem:
@@ -69,18 +69,18 @@ class TestCloseSystem:
 class TestSectorDiagnostic:
     def test_n3_endpoint_value(self):
         systems = [build_heat_dirichlet(n, 1.0) for n in (3, 6)]
-        report = sector_diagnostic(systems, PathSpec())
+        report = sector_diagnostic(systems, WINDOW)
         assert report.values["D_3"] == pytest.approx(10001.0 / 10009.0, rel=1e-12)
 
     def test_large_n_matches_reference_constant(self):
         systems = [build_heat_dirichlet(n, 1.0) for n in (2000, 4000)]
-        report = sector_diagnostic(systems, PathSpec())
+        report = sector_diagnostic(systems, WINDOW)
         assert report.values["D_4000"] == pytest.approx(0.9991, abs=1e-4)
         assert report.verdict == "pass"
 
     def test_sup_tends_to_one_from_below(self):
         systems = [build_heat_dirichlet(n, 1.0) for n in (100, 200, 400)]
-        report = sector_diagnostic(systems, PathSpec(lambda_max=1e8))
+        report = sector_diagnostic(systems, PathSpec(WINDOW.lambda_min, 1e8))
         for key, value in report.values.items():
             assert value < 1.0
 
@@ -93,18 +93,14 @@ class TestSectorDiagnostic:
 
     def test_requires_two_systems(self):
         with pytest.raises(ValueError):
-            sector_diagnostic([build_heat_dirichlet(4, 1.0)], PathSpec())
+            sector_diagnostic([build_heat_dirichlet(4, 1.0)], WINDOW)
 
 
 class TestResolventGap:
     def test_second_order_refinement(self):
-        report = resolvent_gap(16, 32, PathSpec(), 60, probe_modes=(1,))
+        report = resolvent_gap(WINDOW, 60, 1.0)
         assert report.verdict == "pass"
         assert 3.0 <= report.values["ratio"] <= 5.0
-
-    def test_requires_doubling(self):
-        with pytest.raises(ValueError):
-            resolvent_gap(16, 24, PathSpec(), 400, probe_modes=(1,))
 
 
 PROBES = [
@@ -222,7 +218,7 @@ class TestEstimateMu:
 
     def test_bounds_dominate_observations(self):
         samples = [lambda x: np.sin(np.pi * x), lambda x: x * (1 - x)]
-        mu_p, mu_e = estimate_mu(samples, [64, 128], seed=2)
+        mu_p, mu_e = estimate_mu(samples, [64, 128])
         assert mu_p > 0.9
         assert 0.5 < mu_e <= 1.01
 

@@ -22,7 +22,7 @@ from issgains.numerics import EigenDecomposition, QuadratureResult, sym_tridiag_
 from issgains.simulate import Trajectory, simulate
 from issgains.sweep import SweepRecord
 from issgains.systems import ClosedControlSystem, GridSpec, WeightedSpace, build_heat_dirichlet
-from oracles import a_matrix, frac_control_norm_gram, resolvent_dense, with_dense_eig
+from oracles import WINDOW, a_matrix, frac_control_norm_gram, resolvent_dense, with_dense_eig
 
 GRID = GridSpec(n=4)
 SPACE = WeightedSpace(grid=GRID)
@@ -40,7 +40,7 @@ RECORDS = [
       "lambda_count": 400, "weight_exponent": 2, "u_norm": "max", "mu_p": 1.0, "mu_e": 1.0,
       "t_end": 3.0, "h": 0.05, "seed": 20240501, "output_dir": "out"},
      {}),
-    (PathSpec, ("lambda_min", "lambda_max"), {"lambda_min": 1e-4, "lambda_max": 1e4}, {}),
+    (PathSpec, ("lambda_min", "lambda_max"), {}, {"lambda_min": 1e-4, "lambda_max": 1e4}),
     (GainBundle,
      ("alpha", "theta", "k1", "k2", "kappa", "frac_norm_limit", "beta_m", "beta_omega",
       "gamma_slope"),
@@ -102,9 +102,10 @@ INVALID = [
      "weight exponent must be 1 or 2, got 3"),
     (WeightedSpace, {"grid": GRID, "input_norm": "l1"},
      "input norm must be 'euclidean' or 'max', got 'l1'"),
-    (PathSpec, {"lambda_min": 0.0}, "need 0 < lambda_min < lambda_max"),
+    (PathSpec, {"lambda_min": 0.0, "lambda_max": 1e4}, "need 0 < lambda_min < lambda_max"),
     (PathSpec, {"lambda_min": 2.0, "lambda_max": 1.0}, "need 0 < lambda_min < lambda_max"),
-    (PathSpec, {"lambda_max": math.nan}, "need 0 < lambda_min < lambda_max"),
+    (PathSpec, {"lambda_min": 1e-4, "lambda_max": math.nan},
+     "need 0 < lambda_min < lambda_max"),
     (SweepRecord, {"n": 4, "omega_n": math.nan, "d_n": 1.0, "frac_norm_n": 1.0},
      "non-finite sweep record at n = 4"),
     (SweepRecord, {"n": 4, "omega_n": 9.0, "d_n": math.inf, "frac_norm_n": 1.0},
@@ -139,7 +140,7 @@ def test_run_config_validates_on_request():
 def test_resolvent_gap_needs_two_points():
     # The path is the window alone; the resolvent gap takes its grid's size.
     with pytest.raises(ValueError, match="^need at least 2 path points$"):
-        resolvent_gap(16, 32, PathSpec(), 1, probe_modes=(1,))
+        resolvent_gap(WINDOW, 1, 1.0)
 
 
 def test_parsers_follow_the_fields():

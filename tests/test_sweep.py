@@ -5,29 +5,28 @@ import pytest
 
 from issgains import systems
 from issgains.config import CSV_HEADER, DEFAULT_THETA
-from issgains.gains import LIMIT_TOL, PathSpec, assemble_gains, k_constants
+from issgains.gains import LIMIT_TOL, assemble_gains, k_constants
 from issgains.sweep import SweepRecord, emit_csv, run_sweep
-
-PATH = PathSpec()
+from oracles import WINDOW
 
 
 class TestRunSweep:
     def test_single_resolution(self):
-        (rec,) = run_sweep([3], 1.0, 0.5, PATH)
+        (rec,) = run_sweep([3], 1.0, 0.5, WINDOW)
         assert rec.n == 3
         assert rec.omega_n == pytest.approx(9.0, rel=1e-12)
         assert rec.d_n == pytest.approx(10001.0 / 10009.0, rel=1e-12)
         assert rec.frac_norm_n == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
     def test_omega_increases_toward_limit(self):
-        records = run_sweep([50, 100, 200, 400], 1.0, 0.5, PATH)
+        records = run_sweep([50, 100, 200, 400], 1.0, 0.5, WINDOW)
         omegas = [r.omega_n for r in records]
         assert all(a < b for a, b in zip(omegas, omegas[1:]))
         assert omegas[-1] < math.pi**2
 
     def test_schedule_independence(self):
-        alone = run_sweep([64], 1.0, 0.5, PATH)[0]
-        within = run_sweep([32, 64, 128], 1.0, 0.5, PATH)[1]
+        alone = run_sweep([64], 1.0, 0.5, WINDOW)[0]
+        within = run_sweep([32, 64, 128], 1.0, 0.5, WINDOW)[1]
         assert alone == within
 
     def test_one_eigensolve_per_resolution(self, monkeypatch):
@@ -43,24 +42,24 @@ class TestRunSweep:
             return solver(*args, **kwargs)
 
         monkeypatch.setattr(systems, "sym_tridiag_eig", counting)
-        run_sweep([16, 32, 64], 1.0, 0.5, PATH)
+        run_sweep([16, 32, 64], 1.0, 0.5, WINDOW)
         assert calls == [15, 31, 63]
 
     @pytest.mark.parametrize("schedule", [[], [4, 4], [8, 4], [1, 4]])
     def test_bad_schedules(self, schedule):
         with pytest.raises(ValueError):
-            run_sweep(schedule, 1.0, 0.5, PATH)
+            run_sweep(schedule, 1.0, 0.5, WINDOW)
 
 
 class TestAggregate:
     """The limits over n that assemble_gains takes from a real sweep."""
 
     def records(self, ns):
-        return run_sweep(ns, 1.0, 0.5, PATH)
+        return run_sweep(ns, 1.0, 0.5, WINDOW)
 
     def test_omega_cauchy_convergence(self):
         records = self.records([2000, 4000])
-        bundle = assemble_gains(records, 0.5, DEFAULT_THETA)
+        bundle = assemble_gains(records, 0.5, DEFAULT_THETA, 1.0, 1.0)
         assert bundle.beta_omega == records[-1].omega_n
         last_delta = records[-1].omega_n - records[-2].omega_n
         assert 0.0 < last_delta <= 1e-4
@@ -71,7 +70,7 @@ class TestAggregate:
 
     def test_d_hat_is_supremum(self):
         records = self.records([100, 200, 400])
-        bundle = assemble_gains(records, 0.5, DEFAULT_THETA)
+        bundle = assemble_gains(records, 0.5, DEFAULT_THETA, 1.0, 1.0)
         omega = records[-1].omega_n
         # K2 grows with D, so the supremum gives the largest K2 of any record.
         k2_sup = k_constants(0.5, DEFAULT_THETA, omega, max(r.d_n for r in records))[1]
@@ -81,7 +80,7 @@ class TestAggregate:
 
     def test_mu_scaling(self):
         records = self.records([100, 200])
-        plain = assemble_gains(records, 0.5, DEFAULT_THETA)
+        plain = assemble_gains(records, 0.5, DEFAULT_THETA, 1.0, 1.0)
         scaled = assemble_gains(records, 0.5, DEFAULT_THETA, mu_p=1.1, mu_e=1.2)
         # K2 is linear in D, so D = mu_p mu_e max D_n scales it by 1.32.
         assert scaled.k2 == pytest.approx(1.32 * plain.k2, rel=1e-12)
@@ -100,7 +99,7 @@ class TestEmitCsv:
         assert text.isascii()
 
     def test_round_trip(self):
-        records = run_sweep([16, 32], 1.0, 0.5, PATH)
+        records = run_sweep([16, 32], 1.0, 0.5, WINDOW)
         lines = emit_csv(records).splitlines()[1:]
         for rec, line in zip(records, lines):
             n, omega, d, frac = line.split(",")
@@ -110,7 +109,7 @@ class TestEmitCsv:
             assert float(frac) == pytest.approx(rec.frac_norm_n, rel=1e-9)
 
     def test_determinism(self):
-        texts = [emit_csv(run_sweep([16, 32], 1.0, 0.5, PATH)) for _ in range(2)]
+        texts = [emit_csv(run_sweep([16, 32], 1.0, 0.5, WINDOW)) for _ in range(2)]
         assert texts[0] == texts[1]
 
     def test_empty_records(self):
