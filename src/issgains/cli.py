@@ -39,6 +39,7 @@ import sys as _sys
 
 from .config import (
     CSV_HEADER,
+    MAX_LAMBDA_COUNT,
     PARSERS,
     ConfigError,
     LimitError,
@@ -190,14 +191,18 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_check(cfg: RunConfig) -> int:
+    # Only check reads lambda_count, so only check validates it, before it
+    # loads numpy.
+    if cfg.lambda_count < 2:
+        raise ConfigError("lambda_count must be >= 2")
+    if cfg.lambda_count > MAX_LAMBDA_COUNT:
+        raise ConfigError(f"lambda_count is {cfg.lambda_count}, "
+                          f"above MAX_LAMBDA_COUNT = {MAX_LAMBDA_COUNT}")
     import numpy as np
 
     from . import fattorini
     from .systems import build_heat_dirichlet
 
-    # Only check reads lambda_count, so only check validates it.
-    if cfg.lambda_count < 2:
-        raise ConfigError("lambda_count must be >= 2")
     small = [n for n in cfg.n_schedule if n <= 256] or list(cfg.n_schedule[:2])
     if len(small) < 2:
         small = [small[0], 2 * small[0]]

@@ -23,6 +23,7 @@ __all__ = [
     "CSV_HEADER",
     "MAX_STEPS",
     "MAX_N",
+    "MAX_LAMBDA_COUNT",
     "PARSERS",
     "step_count",
     "file_overrides",
@@ -38,6 +39,12 @@ MAX_STEPS = 10**7
 # The largest resolution n: the large-n commands peak at 167.6 MB at n = 10**6
 # and grow linearly in n, so about 1.7 GB at 10**7.
 MAX_N = 10**7
+# The largest lambda_count.  resolvent_gap runs at n = 16 and 32 whatever the
+# schedule, so each point costs the same: check --n_schedule 8,16 took 0.48 s
+# and 35.4 MB peak RSS at 400 points and 15.3 s and 54.9 MB at 40000 (one
+# Intel Xeon core), about 0.37 ms and 0.5 KB per point.  By that rate, not
+# run, 10**6 points take about 6 min and 0.5 GB.
+MAX_LAMBDA_COUNT = 10**6
 # a only rescales time, so each constant is a power of a; outside this range
 # the fractional norm can underflow to 0 (a = 2.3e-308) or overflow (1e-320).
 A_RANGE = (1e-100, 1e100)

@@ -19,7 +19,6 @@ from .gains import PathSpec, sector_bound
 from .numerics import apply_matrix_function, sym_tridiag_eig
 from .systems import (
     ClosedControlSystem,
-    GridSpec,
     WeightedSpace,
     build_heat_dirichlet,
     extend,
@@ -98,9 +97,9 @@ class PreClosureSystem(NamedTuple):
         return self.ainit.shape[1] - 1
 
 
-def restrict(f, grid: GridSpec) -> np.ndarray:
+def restrict(f, space: WeightedSpace) -> np.ndarray:
     """Sample a vectorised function at the interior nodes, in one call."""
-    return np.array(np.broadcast_to(f(grid.nodes()), (grid.interior_nodes,)), dtype=float)
+    return np.array(np.broadcast_to(f(space.nodes()), (space.interior_nodes,)), dtype=float)
 
 
 def panels_for(n: int) -> int:
@@ -134,7 +133,7 @@ def close_system(pre: PreClosureSystem,
                  ) -> ClosedControlSystem:
     """Boundary closure: restrict the stencil to the kernel of the trace
     and build B = Ainit D0 - A R D0, in the space
-    ``WeightedSpace(GridSpec(n), weight_exponent, input_norm)`` and with the
+    ``WeightedSpace(n, weight_exponent, input_norm)`` and with the
     eigendecomposition of the restricted stencil.
 
     The product is grouped as (Ainit - A R) D0 so the interior columns
@@ -150,7 +149,7 @@ def close_system(pre: PreClosureSystem,
     b = (pre.ainit - a @ pre.restrict_r) @ pre.bop_rinv
     diag = np.diag(a).copy()
     off = np.diag(a, 1).copy()
-    space = WeightedSpace(GridSpec(n), weight_exponent, input_norm)
+    space = WeightedSpace(n, weight_exponent, input_norm)
     return ClosedControlSystem(space, diag, off, b, sym_tridiag_eig(diag, off))
 
 
@@ -196,12 +195,11 @@ def resolvent_gap(path: PathSpec, count: int, a: float) -> DiagnosticReport:
     values = {}
     for n in GAP_RESOLUTIONS:
         sys = build_heat_dirichlet(n, a)
-        gs = sys.space.grid
         panels = panels_for(n)
         worst = 0.0
-        solutions = _resolvent(sys, grid, np.sin(k * np.pi * gs.nodes()))
+        solutions = _resolvent(sys, grid, np.sin(k * np.pi * sys.space.nodes()))
         for lam, x in zip(grid, solutions.T):
-            approx = extend(x, gs)
+            approx = extend(x, sys.space)
             exact_scale = 1.0 / (lam + a * (k * np.pi) ** 2)
             gap = function_l2_norm(lambda xi: approx(xi) - exact_scale * np.sin(k * np.pi * xi),
                                    panels=panels)
@@ -226,19 +224,18 @@ def consistency_diagnostic(systems, probes) -> DiagnosticReport:
     weak = {}
     for sys in systems:
         n = sys.n
-        gs = sys.space.grid
-        p1 = WeightedSpace(gs, weight_exponent=1)
+        p1 = WeightedSpace(n, 1)
         for name, f, f2 in probes:
             if abs(f(0.0)) > 1e-12 or abs(f(1.0)) > 1e-12:
                 raise ValueError(f"probe {name!r} does not vanish at the boundary")
-            samples = restrict(f, gs)
+            samples = restrict(f, p1)
             av = _apply_tridiag(sys, samples)
             f_norm = function_l2_norm(f)
             if f_norm == 0.0:
                 strong[f"{name}_{n}"] = 0.0
                 weak[f"{name}_{n}"] = 0.0
                 continue
-            lifted = extend(av, gs)
+            lifted = extend(av, p1)
             f2_norm = function_l2_norm(f2)
             strong[f"{name}_{n}"] = function_l2_norm(lifted, panels=panels_for(n)) / (f_norm + f2_norm)
             # Weak reading: the round trip ||A^{-1} A P f|| / ||f||.
@@ -288,7 +285,7 @@ def right_inverse_gap(pre_systems) -> DiagnosticReport:
         stencil_norm = float(np.max(np.abs(stencil_image)))
         # (B7) surrogate: A^{-1} applied to the stencil image, which is
         # already (numerically) zero.
-        sys = close_system(pre, weight_exponent=1)
+        sys = close_system(pre)
         weighted = _resolvent(sys, 0.0, -stencil_image)
         extrap_norm = float(np.max(np.abs(weighted)))
         values[f"interp_gap_{n}"] = interp_gap
@@ -314,16 +311,15 @@ def estimate_mu(samples, n_list) -> tuple[float, float]:
     mu_p = 0.0
     mu_e = 0.0
     for n in n_list:
-        gs = GridSpec(n)
-        p1 = WeightedSpace(gs, weight_exponent=1)
+        p1 = WeightedSpace(n, 1)
         panels = panels_for(n)
         for f in samples:
             f_norm = function_l2_norm(f)
             if f_norm == 0.0:
                 raise ValueError("sample function has zero L2 norm")
-            mu_p = max(mu_p, p1.state_norm(restrict(f, gs)) / f_norm)
+            mu_p = max(mu_p, p1.state_norm(restrict(f, p1)) / f_norm)
         for _ in range(MU_RANDOM_VECTORS):
-            x = rng.standard_normal(gs.interior_nodes)
+            x = rng.standard_normal(p1.interior_nodes)
             x_norm = p1.state_norm(x)
-            mu_e = max(mu_e, function_l2_norm(extend(x, gs), panels=panels) / x_norm)
+            mu_e = max(mu_e, function_l2_norm(extend(x, p1), panels=panels) / x_norm)
     return mu_p, mu_e

@@ -40,25 +40,15 @@ QUAD_RTOL = 1e-13
 QUAD_MAX_LEVEL = 8
 
 
-class _QuadratureResult(NamedTuple):
+class QuadratureResult(NamedTuple):
+    """An integral's value, its absolute error estimate and the number of
+    integrand evaluations it took.  ``_quad``, its one builder, makes the
+    estimate scale * |change| with scale >= 0, and level 0 of either rule
+    already has 3 or more nodes."""
+
     value: float
     abs_error_estimate: float
     evaluations: int
-
-
-class QuadratureResult(_QuadratureResult):
-    """An integral's value, its absolute error estimate and the number of
-    integrand evaluations it took."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.abs_error_estimate < 0:
-            raise ValueError("negative error estimate")
-        if self.evaluations < 1:
-            raise ValueError("evaluation count must be >= 1")
-        return self
 
 
 class SineBasis:

@@ -193,7 +193,7 @@ def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Traject
     sup = np.max([np.max(space.input_sample_norm(u[i:i + norm_rows]))
                   for i in range(0, u.shape[0], norm_rows)])
     state = np.asarray(x0, dtype=float)
-    if state.shape != (space.grid.interior_nodes,):
+    if state.shape != (space.interior_nodes,):
         raise ValueError("initial state length does not match the grid")
     eig = sys.eigendecomposition()
     if not eig.eigenvalues[-1] < 0.0:

@@ -11,10 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import RunConfig
 from .numerics import EigenDecomposition, sym_tridiag_eig
 
 __all__ = [
-    "GridSpec",
     "WeightedSpace",
     "ClosedControlSystem",
     "build_heat_dirichlet",
@@ -23,13 +23,22 @@ __all__ = [
 ]
 
 
-class _GridSpec(NamedTuple):
+class _WeightedSpace(NamedTuple):
     n: int
+    weight_exponent: int = RunConfig._field_defaults["weight_exponent"]
+    input_norm: str = RunConfig._field_defaults["u_norm"]
 
 
-class GridSpec(_GridSpec):
-    """Uniform grid on [0, 1] with n intervals and n-1 interior nodes; other
-    domain lengths are rescaled via the diffusion coefficient."""
+class WeightedSpace(_WeightedSpace):
+    """State space R^{n-1} on the uniform grid of [0, 1] with n intervals
+    and n-1 interior nodes, with norm (dx)^(p/2) * l2 and a choice of norm
+    on the input space U = R^2; other domain lengths are rescaled via the
+    diffusion coefficient.
+
+    ``weight_exponent`` p = 2 is the squared-step weight used in the
+    reference figure values; p = 1 is the Riemann weight consistent with
+    the L2 limit.
+    """
 
     __slots__ = ()
 
@@ -37,6 +46,10 @@ class GridSpec(_GridSpec):
         self = super().__new__(cls, *args, **kwargs)
         if self.n < 2:
             raise ValueError(f"grid needs at least 2 intervals, got n = {self.n}")
+        if self.weight_exponent not in (1, 2):
+            raise ValueError(f"weight exponent must be 1 or 2, got {self.weight_exponent}")
+        if self.input_norm not in ("euclidean", "max"):
+            raise ValueError(f"input norm must be 'euclidean' or 'max', got {self.input_norm!r}")
         return self
 
     @property
@@ -51,43 +64,17 @@ class GridSpec(_GridSpec):
         """Interior nodes xi_1 .. xi_{n-1}."""
         return np.arange(1, self.n) * self.dx
 
-
-class _WeightedSpace(NamedTuple):
-    grid: GridSpec
-    weight_exponent: int = 2
-    input_norm: str = "max"
-
-
-class WeightedSpace(_WeightedSpace):
-    """State space R^{n-1} with norm (dx)^(p/2) * l2 and a choice of norm
-    on the input space U = R^2.
-
-    ``weight_exponent`` p = 2 is the squared-step weight used in the
-    reference figure values; p = 1 is the Riemann weight consistent with
-    the L2 limit.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.weight_exponent not in (1, 2):
-            raise ValueError(f"weight exponent must be 1 or 2, got {self.weight_exponent}")
-        if self.input_norm not in ("euclidean", "max"):
-            raise ValueError(f"input norm must be 'euclidean' or 'max', got {self.input_norm!r}")
-        return self
-
     @property
     def state_scale(self) -> float:
         """Multiplier turning the plain l2 norm into the weighted norm."""
-        return self.grid.dx ** (self.weight_exponent / 2.0)
+        return self.dx ** (self.weight_exponent / 2.0)
 
     def state_norm(self, x) -> float:
         """Weighted norm of one state x, state_scale * ||x||_2."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.grid.interior_nodes,):
+        if x.shape != (self.interior_nodes,):
             raise ValueError(
-                f"state length {x.shape} does not match {self.grid.interior_nodes} interior nodes"
+                f"state length {x.shape} does not match {self.interior_nodes} interior nodes"
             )
         return self.state_scale * float(np.linalg.norm(x))
 
@@ -133,7 +120,7 @@ class ClosedControlSystem(NamedTuple):
 
     @property
     def n(self) -> int:
-        return self.space.grid.n
+        return self.space.n
 
     def eigendecomposition(self) -> EigenDecomposition:
         return self.eig
@@ -144,17 +131,15 @@ def build_heat_dirichlet(n: int, a: float,
                          input_norm: str = WeightedSpace._field_defaults["input_norm"]
                          ) -> ClosedControlSystem:
     """Finite-difference heat system on [0,1] with Dirichlet boundary inputs,
-    in the space ``WeightedSpace(GridSpec(n), weight_exponent, input_norm)``
+    in the space ``WeightedSpace(n, weight_exponent, input_norm)``
     and with the closed-form eigendecomposition of its generator.
 
     A = a n^2 tridiag(1, -2, 1) on the n-1 interior nodes; B feeds the two
     boundary values into the first and last rows with weight a n^2.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    space = WeightedSpace(n, weight_exponent, input_norm)
     if not a > 0.0:
         raise ValueError(f"diffusion must be positive, got {a}")
-    space = WeightedSpace(GridSpec(n), weight_exponent, input_norm)
     c = a * n * n
     diag = np.full(n - 1, -2.0 * c)
     off = np.full(n - 2, c)
@@ -164,15 +149,15 @@ def build_heat_dirichlet(n: int, a: float,
     return ClosedControlSystem(space, diag, off, b, sym_tridiag_eig(diag, off))
 
 
-def extend(x, grid: GridSpec):
+def extend(x, space: WeightedSpace):
     """Hat-function interpolant through the interior values, vanishing at
     both endpoints. Returns a vectorized callable on [0, 1]."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (grid.interior_nodes,):
+    if x.shape != (space.interior_nodes,):
         raise ValueError(
-            f"coefficient length {x.shape} does not match {grid.interior_nodes} interior nodes"
+            f"coefficient length {x.shape} does not match {space.interior_nodes} interior nodes"
         )
-    xp = np.concatenate([[0.0], grid.nodes(), [1.0]])
+    xp = np.concatenate([[0.0], space.nodes(), [1.0]])
     fp = np.concatenate([[0.0], x, [0.0]])
 
     def interpolant(xi):

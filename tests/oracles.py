@@ -221,8 +221,7 @@ def trotter_kato_gaps(a: float, modes, t: float, n_list) -> list:
     gaps = []
     for n in n_list:
         sys = build_heat_dirichlet(n, a, weight_exponent=1)
-        grid = sys.space.grid
-        lifted = extend(step_exact(sys, start(grid.nodes()), (0.0, 0.0), t), grid)
+        lifted = extend(step_exact(sys, start(sys.space.nodes()), (0.0, 0.0), t), sys.space)
         gaps.append(function_l2_norm(lambda xi: lifted(xi) - exact(xi),
                                      panels=-(-4096 // n) * n))
     return gaps

@@ -162,7 +162,6 @@ def test_criterion_09_empirical_iss_margins():
 def test_criterion_10_simulator_exactness():
     n = 100
     sys = build_heat_dirichlet(n, 1.0, weight_exponent=1, input_norm="max")
-    grid = sys.space.grid
     v = sys.eigendecomposition().eigenvectors
     zero_input = np.zeros((1, 2))
 
@@ -172,7 +171,7 @@ def test_criterion_10_simulator_exactness():
 
     worst = 0.0
     for k in (1, 2, 5):
-        x0 = np.sin(k * np.pi * grid.nodes())
+        x0 = np.sin(k * np.pi * sys.space.nodes())
         states = node_states(x0, zero_input, 0.01, 50)
         lam = -4.0 * n**2 * math.sin(k * math.pi / (2 * n)) ** 2
         scale = np.linalg.norm(x0)

@@ -21,7 +21,7 @@ import issgains.gains as gains
 import issgains.numerics as numerics
 import issgains.sweep as sweep
 from issgains.cli import ConfigError, RunConfig, dispatch, main
-from issgains.config import MAX_N, file_overrides, validated
+from issgains.config import MAX_LAMBDA_COUNT, MAX_N, file_overrides, validated
 from issgains.gains import assemble_gains
 
 
@@ -496,6 +496,22 @@ class TestReferenceGains:
         assert main(["sweep", "--lambda_count", "2", "--output_dir", str(tmp_path)]) == 0
         assert (tmp_path / "sweep.csv").read_bytes() == self.REFERENCE_SWEEP_CSV
 
+    # The sweep tables of the euclidean input norm, whose AnalphaBnnorm is 1
+    # at every n, and of the Riemann weight p = 1 at alpha = 0.05: the two
+    # branches of the operator norm and the state scale at p = 1.
+    SWEEP_SHA256 = {
+        "euclidean": (["--u_norm", "euclidean"],
+                      "b9f780f59b4ccb3c64489fb8f806d6696b60717fb96207908c4d6e6b0e0afd27"),
+        "riemann": (["--weight_exponent", "1", "--alpha", "0.05",
+                     "--n_schedule", "500,1000,2000"],
+                    "90ad9696fd595826b4411d91b82d54a587e6a030cfe602f59646ae6d6aa7d8b1"),
+    }
+
+    @pytest.mark.parametrize("flags, digest", SWEEP_SHA256.values(), ids=SWEEP_SHA256.keys())
+    def test_sweep_csv_digest(self, tmp_path, capsys, flags, digest):
+        assert main(["sweep", *flags, "--output_dir", str(tmp_path)]) == 0
+        assert sha256(tmp_path / "sweep.csv") == digest
+
     def test_default_config(self, tmp_path, capsys):
         assert main(["gains", "--output_dir", str(tmp_path)]) == 0
         assert (tmp_path / "gains.kv").read_text() == self.REFERENCE_KV
@@ -630,6 +646,19 @@ class TestMain:
         assert captured.err == "error: lambda_count must be >= 2\n"
         assert captured.out == ""
         assert not (tmp_path / "check.txt").exists()
+
+    @pytest.mark.parametrize("count", ["1099511627776", "99999999999999999999"])
+    def test_oversized_lambda_count_is_config_error(self, tmp_path, capsys, count):
+        # 2^40 points would allocate 8 TiB, and 10^20 exceeds numpy's
+        # largest dimension.
+        code = main(["check", "--n_schedule", "8,16", "--lambda_count", count,
+                     "--output_dir", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: lambda_count is {count}, "
+                                f"above MAX_LAMBDA_COUNT = {MAX_LAMBDA_COUNT}\n")
+        assert not os.listdir(tmp_path)
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
@@ -949,7 +978,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("issgains"
 
 
 # Refuses every numpy import, then imports the CLI and runs --help, a config
-# error and plot over the CSVs in the output dir given as its argument;
+# error, check's refusal of its lambda_count and plot over the CSVs in the
+# output dir given as its argument;
 # prints what each returned and whether numpy was loaded or importable.
 _NUMPY_FREE_SCRIPT = """
 import contextlib, importlib.abc, io, json, sys
@@ -970,6 +1000,9 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
 with contextlib.redirect_stderr(io.StringIO()) as err:
     result["gains_nan"] = [main(["gains", "--a", "nan", "--output_dir", out_dir]),
                            err.getvalue()]
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    result["check_lambda"] = [main(["check", "--lambda_count", "1099511627776",
+                                    "--output_dir", out_dir]), err.getvalue()]
 with contextlib.redirect_stdout(io.StringIO()) as out:
     result["plot"] = [main(["plot", "--output_dir", out_dir]), out.getvalue()]
 result["numpy_loaded"] = any(m == "numpy" or m.startswith("numpy.") for m in sys.modules)
@@ -1105,6 +1138,8 @@ class TestImportFootprint:
         assert result["import"] == ["issgains", "issgains.cli", "issgains.config"]
         assert result["help"] == [0, True]
         assert result["gains_nan"] == [2, "error: a must lie in [1e-100, 1e+100], got nan\n"]
+        assert result["check_lambda"] == [
+            2, f"error: lambda_count is 1099511627776, above MAX_LAMBDA_COUNT = {MAX_LAMBDA_COUNT}\n"]
         assert result["plot"] == [0, plotted]
         assert result["numpy_loaded"] is False
         assert result["numpy_importable"] is False

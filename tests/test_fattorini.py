@@ -18,7 +18,6 @@ from issgains.fattorini import (
 )
 from issgains.gains import PathSpec
 from issgains.systems import (
-    GridSpec,
     WeightedSpace,
     build_heat_dirichlet,
     function_l2_norm,
@@ -116,7 +115,7 @@ def random_nonuniform_system(n, seed):
     c = float(n * n)
     b = np.zeros((n - 1, 2))
     b[0, 0] = b[-1, 1] = c
-    return with_dense_eig(WeightedSpace(GridSpec(n)), -c * rng.uniform(3.1, 4.0, n - 1),
+    return with_dense_eig(WeightedSpace(n), -c * rng.uniform(3.1, 4.0, n - 1),
                           c * rng.uniform(0.5, 1.5, n - 2), b)
 
 
@@ -125,7 +124,7 @@ class TestResolventRoute:
     def test_sine_probe_closed_form(self, n, a, k):
         # sin(k pi xi) sampled is an eigenvector of A with eigenvalue -4an^2 sin^2(k pi/2n).
         shifts = np.geomspace(1e-4, 1e4, 400)
-        probe = np.sin(k * np.pi * GridSpec(n).nodes())
+        probe = np.sin(k * np.pi * WeightedSpace(n).nodes())
         solutions = _resolvent(build_heat_dirichlet(n, a), shifts, probe)
         mu = 4.0 * a * n**2 * np.sin(k * np.pi / (2 * n)) ** 2
         np.testing.assert_allclose(solutions, probe[:, None] / (shifts + mu), rtol=1e-13, atol=0)
@@ -143,9 +142,9 @@ class TestResolventRoute:
         n = 24
         sys = random_nonuniform_system(n, seed=9)
         report = consistency_diagnostic([sys], PROBES)
-        p1 = WeightedSpace(sys.space.grid, weight_exponent=1)
+        p1 = WeightedSpace(n, weight_exponent=1)
         for name, f, _ in PROBES:
-            av = a_matrix(sys) @ restrict(f, sys.space.grid)
+            av = a_matrix(sys) @ restrict(f, sys.space)
             expected = p1.state_norm(resolvent_dense(sys, 0.0, -av)) / function_l2_norm(f)
             assert report.values[f"weak.{name}_{n}"] == pytest.approx(expected, rel=1e-12)
 
@@ -171,7 +170,7 @@ class TestConsistency:
         sys = build_heat_dirichlet(n, 1.0)
         from issgains.fattorini import _apply_tridiag
 
-        samples = restrict(lambda x: x * (1 - x), sys.space.grid)
+        samples = restrict(lambda x: x * (1 - x), sys.space)
         image = _apply_tridiag(sys, samples)
         np.testing.assert_allclose(image, -2.0, rtol=1e-9)
 
@@ -208,13 +207,13 @@ class TestEstimateMu:
 
     def test_hat_coefficient_extension_norm(self):
         # ||E e1||_L2 = sqrt(2 dx / 3) against ||e1|| = sqrt(dx).
-        from issgains.systems import GridSpec, extend, function_l2_norm
+        from issgains.systems import extend
 
-        grid = GridSpec(10)
+        space = WeightedSpace(10)
         x = np.zeros(9)
         x[0] = 1.0
-        norm = function_l2_norm(extend(x, grid), panels=2050)
-        assert norm == pytest.approx(math.sqrt(2.0 * grid.dx / 3.0), rel=1e-6)
+        norm = function_l2_norm(extend(x, space), panels=2050)
+        assert norm == pytest.approx(math.sqrt(2.0 * space.dx / 3.0), rel=1e-6)
 
     def test_bounds_dominate_observations(self):
         samples = [lambda x: np.sin(np.pi * x), lambda x: x * (1 - x)]

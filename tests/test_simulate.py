@@ -22,7 +22,6 @@ from issgains.simulate import (
 )
 from issgains.systems import (
     ClosedControlSystem,
-    GridSpec,
     WeightedSpace,
     build_heat_dirichlet,
 )
@@ -255,7 +254,7 @@ def growing_system():
     d, e = np.ones(7), np.full(6, 0.25)
     b = np.zeros((7, 2))
     b[0, 0] = b[6, 1] = 1.0
-    return ClosedControlSystem(WeightedSpace(GridSpec(8), 1), d, e, b, sym_tridiag_eig(d, e))
+    return ClosedControlSystem(WeightedSpace(8, 1), d, e, b, sym_tridiag_eig(d, e))
 
 
 class TestHurwitzGate:
@@ -274,7 +273,7 @@ class TestHurwitzGate:
 
     def test_zero_generator(self):
         zeros = np.zeros(2)
-        sys = ClosedControlSystem(WeightedSpace(GridSpec(3)), zeros, np.zeros(1), np.eye(2),
+        sys = ClosedControlSystem(WeightedSpace(3), zeros, np.zeros(1), np.eye(2),
                                   sym_tridiag_eig(zeros, [0.0]))
         with pytest.raises(ValueError, match="not Hurwitz"):
             simulate(sys, np.ones(2), ONE_SIDED, 1.0, 0.5)
@@ -284,9 +283,8 @@ class TestSimulate:
     def test_eigenvector_decay_exact(self):
         n = 100
         sys = l2_system(n)
-        grid = sys.space.grid
         for k in (1, 3):
-            x0 = np.sin(k * np.pi * grid.nodes())
+            x0 = np.sin(k * np.pi * sys.space.nodes())
             traj = simulate(sys, x0, ZERO, 0.5, 0.01)
             nodes = node_values(sys, prefix_states(sys, x0, ZERO, 0.01, 50))
             lam = -4.0 * n**2 * math.sin(k * math.pi / (2 * n)) ** 2
@@ -298,7 +296,7 @@ class TestSimulate:
     def test_norm_decay_rate(self):
         n = 1000
         sys = l2_system(n)
-        x0 = np.sin(np.pi * sys.space.grid.nodes())
+        x0 = np.sin(np.pi * sys.space.nodes())
         traj = simulate(sys, x0, ZERO, 0.2, 0.01)
         omega_n = 4.0 * n**2 * math.sin(math.pi / (2 * n)) ** 2
         for t, norm in zip(traj.times, traj.norms):
@@ -335,7 +333,7 @@ class TestSimulate:
         sys = l2_system(32)
         u = bang_bang(20, seed=5)
         traj = simulate(sys, np.zeros(31), u, 1.0, 0.05)
-        dx = sys.space.grid.dx
+        dx = sys.space.dx
         for state, norm in zip(prefix_states(sys, np.zeros(31), u, 0.05, 20), traj.norms,
                                strict=True):
             assert norm == pytest.approx(math.sqrt(dx) * np.linalg.norm(state), abs=1e-12)
@@ -366,11 +364,11 @@ class TestSimulate:
         # Riemann weight sqrt(dx) * ||x||.
         n = 32
         sys = build_heat_dirichlet(n, 1.0, weight_exponent=2)
-        x0 = np.sin(np.pi * sys.space.grid.nodes())
+        x0 = np.sin(np.pi * sys.space.nodes())
         u = bang_bang(20, seed=5)
         traj = simulate(sys, x0, u, 1.0, 0.05)
         nodes = node_values(sys, prefix_states(sys, x0, u, 0.05, 20))
-        dx = sys.space.grid.dx
+        dx = sys.space.dx
         for state, norm in zip(nodes, traj.norms, strict=True):
             assert norm == pytest.approx(dx * np.linalg.norm(state), rel=1e-12, abs=1e-15)
 
@@ -580,7 +578,7 @@ class TestStepLengthArrays:
     def test_margin_matches_one_expression(self, x0_norm):
         n = 64
         sys = l2_system(n)
-        x0 = np.sin(np.pi * sys.space.grid.nodes())
+        x0 = np.sin(np.pi * sys.space.nodes())
         traj = simulate(sys, x0, bang_bang(40, seed=9), 2.0, 0.05)
         b = REFERENCE_BUNDLE
         margins = (b.beta_m * np.exp(-b.beta_omega * traj.times) * x0_norm
@@ -682,7 +680,7 @@ def random_tridiagonal_system(n, seed):
     eigenpairs come from the dense oracle, since the library has the
     uniform closed form only."""
     rng = np.random.default_rng(seed)
-    space = WeightedSpace(GridSpec(n), weight_exponent=1)
+    space = WeightedSpace(n, weight_exponent=1)
     off = rng.uniform(0.5, 2.0, n - 2)
     diag = -rng.uniform(4.5, 6.0, n - 1)
     b = np.zeros((n - 1, 2))
@@ -701,7 +699,7 @@ class TestModalStepping:
     def test_matches_iterated_step_exact(self, system, monkeypatch):
         h = 0.01
         rng = np.random.default_rng(21)
-        x = rng.standard_normal(system.space.grid.interior_nodes)
+        x = rng.standard_normal(system.space.interior_nodes)
         u = rng.uniform(-1.0, 1.0, (self.STEPS, 2))
         traj = simulate(system, x, u, self.STEPS * h, h)
         assert traj.states.shape == (1, x.size)
@@ -711,7 +709,7 @@ class TestModalStepping:
         monkeypatch.setattr(issgains.simulate, "BLOCK_BYTES", 8 * x.size)
         one_row = simulate(system, x, u, self.STEPS * h, h)
         states = prefix_states(system, x, u, h, self.STEPS)
-        scale = math.sqrt(system.space.grid.dx)
+        scale = math.sqrt(system.space.dx)
         modal = states[1:]
         np.testing.assert_array_equal(one_row.norms[1:],
                                       scale * np.sqrt(np.einsum("ij,ij->i", modal, modal)))
@@ -736,7 +734,7 @@ class TestModalStepping:
         modal = simulate_stepwise(system, np.zeros(n - 1), u, h, steps)
         np.testing.assert_array_equal(traj.norms, stepwise_norms(system, np.zeros(n - 1), modal))
         nodes = node_values(system, modal)
-        node_norms = math.sqrt(system.space.grid.dx) * np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
+        node_norms = math.sqrt(system.space.dx) * np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
         assert [f"{r:.10g}" for r in traj.norms] == [f"{r:.10g}" for r in node_norms]
 
 
@@ -773,7 +771,7 @@ class TestInputSignal:
 
     @pytest.mark.parametrize("norm", ["max", "euclidean"])
     def test_sup_norm_is_largest_sample_norm(self, norm):
-        space = WeightedSpace(GridSpec(4), input_norm=norm)
+        space = WeightedSpace(4, input_norm=norm)
         values = np.random.default_rng(7).uniform(-2.0, 2.0, (300, 2))
         assert input_sup_norm(values, norm) == max(space.input_sample_norm(v) for v in values)
         bang = bang_bang(300, seed=11)
@@ -851,7 +849,7 @@ class TestIssMargin:
     def test_free_decay_has_nonnegative_margin(self):
         n = 200
         sys = l2_system(n)
-        x0 = np.sin(np.pi * sys.space.grid.nodes())
+        x0 = np.sin(np.pi * sys.space.nodes())
         traj = simulate(sys, x0, ZERO, 1.0, 0.02)
         margin, _ = iss_margin(traj, REFERENCE_BUNDLE, traj.norms[0])
         assert margin >= 0.0
@@ -881,7 +879,7 @@ class TestIssMargin:
         # with x0_norm > 0, against beta and gamma evaluated one time at a time.
         n = 64
         sys = l2_system(n)
-        x0 = np.sin(np.pi * sys.space.grid.nodes())
+        x0 = np.sin(np.pi * sys.space.nodes())
         traj = simulate(sys, x0, bang_bang(40, seed=9), 2.0, 0.05)
         margin, at = iss_margin(traj, REFERENCE_BUNDLE, 2.0)
         expected = [2.0 * math.exp(-REFERENCE_BUNDLE.beta_omega * t)

@@ -7,25 +7,27 @@ from hypothesis import strategies as st
 
 from issgains import systems
 from issgains.fattorini import build_preclosure_heat, panels_for, restrict
-from issgains.systems import GridSpec, WeightedSpace, build_heat_dirichlet, extend, function_l2_norm
+from issgains.systems import WeightedSpace, build_heat_dirichlet, extend, function_l2_norm
 from oracles import a_matrix, analytic_heat_state, max_norm_corners
 
 
 class TestGridSpec:
+    """The uniform grid of [0, 1] that a WeightedSpace describes."""
+
     def test_basic(self):
-        g = GridSpec(4)
+        g = WeightedSpace(4)
         assert g.dx == 0.25
         assert g.interior_nodes == 3
         np.testing.assert_allclose(g.nodes(), [0.25, 0.5, 0.75])
 
     def test_dx_times_n_is_length(self):
         for n in (2, 3, 7, 100, 4000):
-            g = GridSpec(n)
+            g = WeightedSpace(n)
             assert g.dx * n == pytest.approx(1.0, abs=np.finfo(float).eps)
 
     def test_too_coarse(self):
-        with pytest.raises(ValueError):
-            GridSpec(1)
+        with pytest.raises(ValueError, match="grid needs at least 2 intervals, got n = 1"):
+            WeightedSpace(1)
 
 
 class TestHeatBuilder:
@@ -98,21 +100,20 @@ class TestPreClosure:
 
 class TestNorms:
     def test_zero(self):
-        space = WeightedSpace(GridSpec(10), weight_exponent=1)
+        space = WeightedSpace(10, weight_exponent=1)
         assert space.state_norm(np.zeros(9)) == 0.0
 
     def test_ones_riemann_weight(self):
-        space = WeightedSpace(GridSpec(100), weight_exponent=1)
+        space = WeightedSpace(100, weight_exponent=1)
         assert space.state_norm(np.ones(99)) == pytest.approx(math.sqrt(0.01 * 99))
 
     def test_sine_samples_approach_l2_norm(self):
-        grid = GridSpec(1000)
-        space = WeightedSpace(grid, weight_exponent=1)
-        x = restrict(lambda xi: np.sin(np.pi * xi), grid)
+        space = WeightedSpace(1000, weight_exponent=1)
+        x = restrict(lambda xi: np.sin(np.pi * xi), space)
         assert space.state_norm(x) == pytest.approx(1.0 / math.sqrt(2.0), abs=2e-3)
 
     def test_length_mismatch(self):
-        space = WeightedSpace(GridSpec(10))
+        space = WeightedSpace(10)
         with pytest.raises(ValueError):
             space.state_norm(np.zeros(5))
 
@@ -120,16 +121,15 @@ class TestNorms:
         # The midpoint-free Riemann sum integrates products of the discrete
         # sine modes exactly, so the sampled norm has no truncation error.
         for n in (16, 128, 1024):
-            grid = GridSpec(n)
-            space = WeightedSpace(grid, weight_exponent=1)
+            space = WeightedSpace(n, weight_exponent=1)
             f = lambda xi: np.sin(np.pi * xi) + 0.3 * np.sin(2 * np.pi * xi)
             expected = math.sqrt((1.0 + 0.09) / 2.0)
-            assert space.state_norm(restrict(f, grid)) == pytest.approx(expected, rel=1e-12)
+            assert space.state_norm(restrict(f, space)) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("norm, expected", [("max", [2.0, 0.0, 4.0]),
                                                 ("euclidean", [math.sqrt(5.0), 0.0, 5.0])])
     def test_input_sample_norm_by_rows(self, norm, expected):
-        space = WeightedSpace(GridSpec(4), input_norm=norm)
+        space = WeightedSpace(4, input_norm=norm)
         samples = np.array([[1.0, -2.0], [0.0, 0.0], [-3.0, 4.0]])
         norms = space.input_sample_norm(samples)
         assert norms.shape == (3,)
@@ -143,9 +143,8 @@ class TestNorms:
         target = math.sqrt(1.0 / 30.0)
         errors = []
         for n in (16, 32, 64, 128, 256, 512, 1024):
-            grid = GridSpec(n)
-            space = WeightedSpace(grid, weight_exponent=1)
-            errors.append(abs(space.state_norm(restrict(f, grid)) - target))
+            space = WeightedSpace(n, weight_exponent=1)
+            errors.append(abs(space.state_norm(restrict(f, space)) - target))
         assert all(e1 < e0 for e0, e1 in zip(errors, errors[1:]))
 
 
@@ -155,7 +154,7 @@ class TestOpNorm:
     @staticmethod
     def half(input_norm):
         # dx = 1/4 and p = 1: state_scale is 0.5 exactly.
-        return WeightedSpace(GridSpec(4), 1, input_norm)
+        return WeightedSpace(4, 1, input_norm)
 
     def test_identity_euclidean(self):
         assert self.half("euclidean").op_norm(np.eye(2)) == pytest.approx(0.5)
@@ -164,7 +163,7 @@ class TestOpNorm:
         assert self.half("max").op_norm(np.eye(2)) == pytest.approx(0.5 * math.sqrt(2.0))
 
     def test_scalar(self):
-        space = WeightedSpace(GridSpec(4), 2, "euclidean")
+        space = WeightedSpace(4, 2, "euclidean")
         assert space.op_norm(np.array([[3.0]])) == pytest.approx(0.75)
 
     def test_max_norm_dominates_euclidean_ball(self):
@@ -223,11 +222,11 @@ class TestQuadratureRule:
 
 class TestRestrictExtend:
     def test_restrict_sine(self):
-        x = restrict(lambda xi: np.sin(np.pi * xi), GridSpec(4))
+        x = restrict(lambda xi: np.sin(np.pi * xi), WeightedSpace(4))
         np.testing.assert_allclose(x, [math.sqrt(0.5), 1.0, math.sqrt(0.5)], rtol=1e-15)
 
     def test_hat_function_values(self):
-        f = extend(np.array([1.0, 0.0, 0.0]), GridSpec(4))
+        f = extend(np.array([1.0, 0.0, 0.0]), WeightedSpace(4))
         assert f(0.25) == pytest.approx(1.0)
         assert f(0.5) == pytest.approx(0.0)
         assert f(0.0) == 0.0
@@ -235,17 +234,17 @@ class TestRestrictExtend:
 
     def test_restrict_after_extend_is_identity(self):
         rng = np.random.default_rng(5)
-        grid = GridSpec(10)
+        space = WeightedSpace(10)
         x = rng.standard_normal(9)
-        back = restrict(extend(x, grid), grid)
+        back = restrict(extend(x, space), space)
         np.testing.assert_array_equal(back, x)
 
     def test_interpolation_error_second_order(self):
         f = lambda xi: np.sin(np.pi * xi)
         gaps = []
         for n in (16, 32, 64, 128, 256, 512, 1024):
-            grid = GridSpec(n)
-            lifted = extend(restrict(f, grid), grid)
+            space = WeightedSpace(n)
+            lifted = extend(restrict(f, space), space)
             panels = 2048 if 2048 % n == 0 else 2048 * n
             gaps.append(function_l2_norm(lambda xi: lifted(xi) - np.sin(np.pi * xi),
                                          panels=min(panels, 8192)))
