@@ -39,11 +39,10 @@ MAX_STEPS = 10**7
 # The largest resolution n: the large-n commands peak at 167.6 MB at n = 10**6
 # and grow linearly in n, so about 1.7 GB at 10**7.
 MAX_N = 10**7
-# The largest lambda_count.  resolvent_gap runs at n = 16 and 32 whatever the
-# schedule, so each point costs the same: check --n_schedule 8,16 took 0.48 s
-# and 35.4 MB peak RSS at 400 points and 15.3 s and 54.9 MB at 40000 (one
-# Intel Xeon core), about 0.37 ms and 0.5 KB per point.  By that rate, not
-# run, 10**6 points take about 6 min and 0.5 GB.
+# The largest lambda_count.  resolvent_gap evaluates a closed form at each
+# point: check --n_schedule 8,16 took 0.18 s and 29.4 MB peak RSS at 400
+# points and 0.26 s and 59.7 MB at 10**6 (one Intel Xeon core), about 30 B
+# a point, which would be 30 TB at 2**40.
 MAX_LAMBDA_COUNT = 10**6
 # a only rescales time, so each constant is a power of a; outside this range
 # the fractional norm can underflow to 0 (a = 2.3e-308) or overflow (1e-320).
@@ -147,6 +146,11 @@ class RunConfig(namedtuple("RunConfig", list(PARSERS),
         if not 0 < self.lambda_min < self.lambda_max < math.inf:
             raise ConfigError("need 0 < lambda_min < lambda_max < inf, got "
                               f"{self.lambda_min} and {self.lambda_max}")
+        if self.lambda_count < 2:
+            raise ConfigError("lambda_count must be >= 2")
+        if self.lambda_count > MAX_LAMBDA_COUNT:
+            raise ConfigError(f"lambda_count is {self.lambda_count}, "
+                              f"above MAX_LAMBDA_COUNT = {MAX_LAMBDA_COUNT}")
         if self.weight_exponent not in (1, 2):
             raise ConfigError(f"weight_exponent must be 1 or 2, got {self.weight_exponent}")
         if self.u_norm not in ("euclidean", "max"):

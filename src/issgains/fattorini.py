@@ -11,6 +11,7 @@ builder makes, and probe functions must accept arrays.  Only the check
 command loads this module.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -33,18 +34,16 @@ __all__ = [
     "panels_for",
     "close_system",
     "sector_diagnostic",
+    "sine_gap",
     "resolvent_gap",
     "consistency_diagnostic",
     "right_inverse_gap",
     "estimate_mu",
 ]
 
-# resolvent_gap's coarse and fine resolutions and its one sine probe mode;
-# the seed and per-resolution count of estimate_mu's random grid vectors.
+# resolvent_gap's coarse and fine resolutions and its one sine probe mode.
 GAP_RESOLUTIONS = (16, 32)
 GAP_PROBE_MODE = 1
-MU_SEED = 0
-MU_RANDOM_VECTORS = 16
 
 
 class _DiagnosticReport(NamedTuple):
@@ -177,34 +176,50 @@ def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
     )
 
 
-def _resolvent(sys: ClosedControlSystem, shift, rhs: np.ndarray) -> np.ndarray:
-    """(shift I - A)^{-1} rhs; for an array of shifts, one column per shift."""
-    return apply_matrix_function(sys.eigendecomposition(),
-                                 lambda lam: 1.0 / np.subtract.outer(shift, lam).T, rhs)
+def _resolvent(sys: ClosedControlSystem, shift: float, rhs: np.ndarray) -> np.ndarray:
+    """(shift I - A)^{-1} rhs."""
+    return apply_matrix_function(sys.eigendecomposition(), lambda lam: 1.0 / (shift - lam), rhs)
+
+
+def sine_gap(n: int, a: float, grid: np.ndarray) -> np.ndarray:
+    """||E R(lambda, A_n) P s - R(lambda, A) s||_L2 at each lambda of ``grid``,
+    for s = sin(k pi xi), k = GAP_PROBE_MODE, and E the hat interpolant.
+
+    P s is an eigenvector of A_n (eigenvalue -mu, from the system's own
+    spectrum) and s of A (-nu = -a (k pi)^2).  With p = 1/(lambda + mu),
+    q = 1/(lambda + nu), e = E P s - s and x = k pi/(2n), the squared gap is
+    p^2 ||e||^2 + 2 p (p - q) <e, s> + (p - q)^2/2, where by the hat mass
+    matrix ||e||^2 = 1 - sin^2(x)/3 - (sin(x)/x)^2 and <e, s> =
+    -(1 - (sin(x)/x)^2)/2.  Each difference is formed without cancellation:
+    with c_m = (-1)^m (2x)^(2m-2)/(2m)!, <e, s> = -sum_{m>=2} c_m and ||e||^2 =
+    sum_{m>=3} c_m (6 - m(2m-1))/3, within 6e-16 relative, and p - q =
+    p (nu - mu)/(lambda + nu), with nu - mu exact (mu >= nu/2).  The gap is
+    within 2e-15 of a 40-digit evaluation from the same mu and nu.  Rounding
+    p and q apart costs up to about 20 eps/x^2 (eps = 2^-53), 3e-12 at
+    n = 64; the expanded p^2 ||E P s||^2 - 2 p q <E P s, s> + q^2/2 loses 1e-9."""
+    k = GAP_PROBE_MODE
+    mu = float(-build_heat_dirichlet(n, a).eigendecomposition().eigenvalues[-k])
+    nu = a * (k * np.pi) ** 2
+    u = (k * math.pi / n) ** 2
+    c = u / 24.0
+    inner, sq = -c, 0.0
+    # For x <= pi/2 the first term left out, m = 19, is below 1e-17 of either sum.
+    for m in range(3, 19):
+        c *= -u / ((2 * m - 1) * (2 * m))
+        inner -= c
+        sq += c * (6 - m * (2 * m - 1)) / 3.0
+    r = (nu - mu) / (grid + nu)
+    return np.sqrt(sq + r * (2.0 * inner + 0.5 * r)) / (grid + mu)
 
 
 def resolvent_gap(path: PathSpec, count: int, a: float) -> DiagnosticReport:
-    """Gap between the lifted discrete resolvent and the exact resolvent on
-    the sine mode GAP_PROBE_MODE, at the coarse and fine resolutions of
-    GAP_RESOLUTIONS, over ``count`` log-spaced points of the path's window;
+    """The largest ``sine_gap`` over ``count`` log-spaced points of the
+    path's window, at the coarse and fine resolutions of GAP_RESOLUTIONS;
     passes when refinement at least halves the gap."""
     if count < 2:
         raise ValueError("need at least 2 path points")
     grid = np.geomspace(path.lambda_min, path.lambda_max, count)
-    k = GAP_PROBE_MODE
-    values = {}
-    for n in GAP_RESOLUTIONS:
-        sys = build_heat_dirichlet(n, a)
-        panels = panels_for(n)
-        worst = 0.0
-        solutions = _resolvent(sys, grid, np.sin(k * np.pi * sys.space.nodes()))
-        for lam, x in zip(grid, solutions.T):
-            approx = extend(x, sys.space)
-            exact_scale = 1.0 / (lam + a * (k * np.pi) ** 2)
-            gap = function_l2_norm(lambda xi: approx(xi) - exact_scale * np.sin(k * np.pi * xi),
-                                   panels=panels)
-            worst = max(worst, gap)
-        values[f"gap_{n}"] = worst
+    values = {f"gap_{n}": float(np.max(sine_gap(n, a, grid))) for n in GAP_RESOLUTIONS}
     ratio = values[f"gap_{GAP_RESOLUTIONS[0]}"] / values[f"gap_{GAP_RESOLUTIONS[1]}"]
     values["ratio"] = ratio
     verdict = "pass" if ratio >= 2.0 else "fail"
@@ -302,24 +317,19 @@ def right_inverse_gap(pre_systems) -> DiagnosticReport:
 
 
 def estimate_mu(samples, n_list) -> tuple[float, float]:
-    """Empirical bounds for the restriction and extension operator norms
-    (L2-consistent weight), from function samples and MU_RANDOM_VECTORS
-    random grid vectors per resolution, drawn from MU_SEED."""
+    """Bounds for the restriction and extension norms in the L2-consistent
+    weight over ``n_list``: mu_p the largest ratio ||P f|| / ||f||_L2 over the
+    samples, and mu_e exact, max over n of sqrt((2 + cos(pi/n))/3), the norm of
+    the hat extension by the top eigenvalue of the hat mass matrix (Wathen,
+    IMA J. Numer. Anal. 7, 1987).  Named for perfbench, which times it."""
     if not samples:
         raise ValueError("need at least one sample function")
-    rng = np.random.default_rng(MU_SEED)
     mu_p = 0.0
-    mu_e = 0.0
     for n in n_list:
         p1 = WeightedSpace(n, 1)
-        panels = panels_for(n)
         for f in samples:
             f_norm = function_l2_norm(f)
             if f_norm == 0.0:
                 raise ValueError("sample function has zero L2 norm")
             mu_p = max(mu_p, p1.state_norm(restrict(f, p1)) / f_norm)
-        for _ in range(MU_RANDOM_VECTORS):
-            x = rng.standard_normal(p1.interior_nodes)
-            x_norm = p1.state_norm(x)
-            mu_e = max(mu_e, function_l2_norm(extend(x, p1), panels=panels) / x_norm)
-    return mu_p, mu_e
+    return mu_p, max(math.sqrt((2.0 + math.cos(math.pi / n)) / 3.0) for n in n_list)

@@ -322,15 +322,12 @@ def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarr
     """``V diag(f(lambda)) V^T @ b`` without forming the full matrix.
 
     ``f`` is called once, on the whole eigenvalue array, and maps it
-    elementwise.  For a vector ``b`` it may return one row per eigenvalue (a
-    family of functions, by broadcasting); the result then has one column
-    per member.
+    elementwise; b is a vector or a matrix of columns.
 
-    The coefficients V^T b are private to the call, so for a matrix b they
-    are scaled, and V is applied to them, in place: in units of 8m B, with
-    k the columns of b (or of the result), the working set beside b and f's
-    result is k + 4, the coefficients and one column's odd extension and
-    spectrum (4)."""
+    The coefficients V^T b are private to the call, so they are scaled, and
+    V is applied to them, in place: in units of 8m B, with k the columns of
+    b, the working set beside b and f's result is k + 4, the coefficients
+    and one column's odd extension and spectrum (4)."""
     mapped = np.asarray(f(eig.eigenvalues), dtype=float)
     bad = ~np.isfinite(mapped)
     if bad.any():
@@ -338,12 +335,8 @@ def apply_matrix_function(eig: EigenDecomposition, f, b: np.ndarray) -> np.ndarr
         raise ValueError(f"matrix function undefined or non-finite at eigenvalue {lam}")
     v = eig.eigenvectors
     coeffs = v.T @ b
-    if coeffs.ndim == 2:
-        coeffs *= mapped[:, None]
-    else:
-        coeffs = (mapped.T * coeffs).T
+    coeffs *= mapped[:, None] if coeffs.ndim == 2 else mapped
     if isinstance(v, SineBasis):
         return v.apply_in_place(coeffs)
     # A V held as a dense matrix takes the product.
     return v @ coeffs
-

@@ -1,14 +1,16 @@
 """Independent reference routes that the tests compare the library against.
 
 They share no code with ``issgains`` beyond reading a system's matrices
-or a decomposition's arrays, and applying a decomposition's eigenvectors.
-Three helpers are no reference routes: ``prefix_states`` reads the states
-of a run back from ``simulate`` itself, which keeps only the last;
-``trotter_kato_gaps`` drives the library's exact step, extension and L2 norm
-against ``analytic_heat_state``; and ``with_dense_eig`` builds a non-uniform
-system around the dense decomposition, which the library's closed form
-cannot supply, so that library routes can run on it.  ``WINDOW`` is the
-resolvent window, the config's default, that the tests pass as a path.
+or a decomposition's arrays, and applying a decomposition's eigenvectors;
+``sine_gap_quadrature`` and ``extension_norm_search``, the routes that
+``check`` took before its closed forms, also drive the library's extension
+and L2 norm.  Three helpers are no reference routes: ``prefix_states`` reads
+the states of a run back from ``simulate`` itself, which keeps only the
+last; ``trotter_kato_gaps`` drives the library's exact step, extension and
+L2 norm against ``analytic_heat_state``; and ``with_dense_eig`` builds a
+non-uniform system around the dense decomposition, which the library's
+closed form cannot supply, so that library routes can run on it.  ``WINDOW``
+is the resolvent window, the config's default, that the tests pass as a path.
 """
 
 import decimal
@@ -18,10 +20,17 @@ import math
 import numpy as np
 import scipy.integrate
 
+from issgains.fattorini import GAP_PROBE_MODE
 from issgains.gains import PathSpec
 from issgains.numerics import EigenDecomposition
 from issgains.simulate import simulate, step_exact
-from issgains.systems import ClosedControlSystem, build_heat_dirichlet, extend, function_l2_norm
+from issgains.systems import (
+    ClosedControlSystem,
+    WeightedSpace,
+    build_heat_dirichlet,
+    extend,
+    function_l2_norm,
+)
 
 WINDOW = PathSpec(1e-4, 1e4)
 
@@ -225,6 +234,71 @@ def trotter_kato_gaps(a: float, modes, t: float, n_list) -> list:
         gaps.append(function_l2_norm(lambda xi: lifted(xi) - exact(xi),
                                      panels=-(-4096 // n) * n))
     return gaps
+
+
+def sine_gap_quadrature(n: int, a: float, grid) -> np.ndarray:
+    """``fattorini.sine_gap`` by quadrature: the discrete resolvent of the
+    sampled sine mode k = GAP_PROBE_MODE solved at every lambda of ``grid``
+    at once in the eigenbasis, each solution lifted by ``extend``, and its
+    L2 distance from the exact resolvent (lambda + a (k pi)^2)^-1 s taken by
+    ``function_l2_norm``, one quadrature per lambda, on the smallest multiple
+    of n that is >= 2048 panels."""
+    k = GAP_PROBE_MODE
+    sys = build_heat_dirichlet(n, a)
+    eig = sys.eigendecomposition()
+    v = eig.eigenvectors
+    coeffs = v.T @ np.sin(k * np.pi * sys.space.nodes())
+    solutions = v @ ((1.0 / np.subtract.outer(grid, eig.eigenvalues).T) * coeffs[:, None])
+    panels = -(-2048 // n) * n
+    gaps = []
+    for lam, x in zip(grid, solutions.T):
+        approx = extend(x, sys.space)
+        exact_scale = 1.0 / (lam + a * (k * np.pi) ** 2)
+        gaps.append(function_l2_norm(lambda xi: approx(xi) - exact_scale * np.sin(k * np.pi * xi),
+                                     panels=panels))
+    return np.array(gaps)
+
+
+def sine_gap_decimal(n: int, a: float, grid) -> list:
+    """``fattorini.sine_gap`` in DECIMAL_DIGITS-digit decimal arithmetic, as
+    a list of Decimals: the squared gap p^2 ||e||^2 + 2 p (p - q) <e, s> +
+    (p - q)^2/2 with ||e||^2 = 1 - sin^2(x)/3 - (sin(x)/x)^2 and
+    <e, s> = -(1 - (sin(x)/x)^2)/2 formed as written, and sin x by its Taylor
+    series.  The doubles mu (from the system's spectrum), a (k pi)^2,
+    x = k pi/(2n) and lambda are taken as exact."""
+    k = GAP_PROBE_MODE
+    mu = float(-build_heat_dirichlet(n, a).eigendecomposition().eigenvalues[-k])
+    with decimal.localcontext() as ctx:
+        ctx.prec = DECIMAL_DIGITS
+        D = decimal.Decimal
+        x = D(k * math.pi / (2 * n))
+        sin = term = x
+        for j in range(1, 30):
+            term *= -x * x / ((2 * j) * (2 * j + 1))
+            sin += term
+        ratio = (sin / x) ** 2
+        sq = 1 - sin * sin / 3 - ratio
+        inner = -(1 - ratio) / 2
+        gaps = []
+        for lam in np.asarray(grid, dtype=float).tolist():
+            p = 1 / (D(lam) + D(mu))
+            d = p - 1 / (D(lam) + D(a * (k * np.pi) ** 2))
+            gaps.append((p * p * sq + 2 * p * d * inner + d * d / 2).sqrt())
+        return gaps
+
+
+def extension_norm_search(n: int, vectors: int = 16, seed: int = 0) -> float:
+    """A lower bound of the norm of ``extend`` from the L2-consistent weight
+    into L2(0, 1): the largest ratio ||E x||_L2 / ||x|| over ``vectors``
+    standard normal grid vectors x drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    space = WeightedSpace(n, 1)
+    panels = -(-2048 // n) * n
+    best = 0.0
+    for _ in range(vectors):
+        x = rng.standard_normal(space.interior_nodes)
+        best = max(best, function_l2_norm(extend(x, space), panels=panels) / space.state_norm(x))
+    return best
 
 
 def frac_semigroup_excess(sys, bundle, times) -> float:

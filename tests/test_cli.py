@@ -116,13 +116,18 @@ class TestParseConfig:
                                       "a = 1e-320", "a = 2.3e-308",
                                       # 10^7 + 1 steps of the default h = 0.05
                                       "t_end = 500000.05",
-                                      "n_schedule = 4,10000001"])
+                                      "n_schedule = 4,10000001",
+                                      "lambda_count = 1", "lambda_count = 1000001"])
     def test_validation(self, line):
         with pytest.raises(ConfigError):
             validated(file_overrides(line + "\n"))
 
     def test_largest_resolution(self):
         assert validated(file_overrides(f"n_schedule = 4,{MAX_N}\n")).n_schedule == (4, MAX_N)
+
+    @pytest.mark.parametrize("count", [2, MAX_LAMBDA_COUNT])
+    def test_lambda_count_bounds(self, count):
+        assert validated(file_overrides(f"lambda_count = {count}\n")).lambda_count == count
 
 
 SMALL = "n_schedule = 16,32\nlambda_count = 50\nt_end = 1.0\nh = 0.1\n"
@@ -538,7 +543,7 @@ class TestReferenceArtifacts:
         "twosided": "1a3e42006b643855ea3c49d6a707a9430197ab691058dee32a5007cb571565d5",
         "bangbang": "224c7af64fa333f340dce265af0d0b18746da19a9e4d28053e769b4c9e882a5d",
     }
-    CHECK_SHA256 = "a5a3f905228d8faebdaeaec0d0a1752acc1d78377a3c2e9dcca23547f986abdc"
+    CHECK_SHA256 = "270131c02a4f939cffb6f46c372b2c3a0d353ea13dda37960b7a404c8959ce4d"
     FIG_SHA256 = {
         "fig_omegan.svg": "2c08d17c804189a57c706fcab68d9c12f7a790ebea14271b60a3fe91aea1709b",
         "fig_dn.svg": "236be431b25d74b19e02579d28f07fd030e84e4bdddcba36b79c80beb91cf0e9",
@@ -633,10 +638,14 @@ class TestMain:
 
     @pytest.mark.parametrize("command", ["sweep", "gains", "simulate"])
     def test_lambda_count_unread_outside_check(self, tmp_path, capsys, command):
-        # Only check builds the lambda_count grid.
+        # Only check builds the lambda_count grid, but every command refuses
+        # a bad one with the rest of the config.
         assert main([command, "--lambda_count", "1", "--n_schedule", "16,32",
-                     "--t_end", "1.0", "--h", "0.1", "--output_dir", str(tmp_path)]) == 0
-        assert capsys.readouterr().err == ""
+                     "--t_end", "1.0", "--h", "0.1", "--output_dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: lambda_count must be >= 2\n"
+        assert captured.out == ""
+        assert not os.listdir(tmp_path)
 
     def test_lambda_count_checked_by_check(self, tmp_path, capsys):
         code = main(["check", "--lambda_count", "1", "--n_schedule", "16,32",
@@ -659,6 +668,14 @@ class TestMain:
         assert captured.err == (f"error: lambda_count is {count}, "
                                 f"above MAX_LAMBDA_COUNT = {MAX_LAMBDA_COUNT}\n")
         assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("command", ["sweep", "gains", "simulate", "check", "plot"])
+    def test_bad_lambda_count_makes_no_output_dir(self, tmp_path, capsys, command):
+        # Refused with the config, before dispatch creates the directory.
+        out_dir = tmp_path / "new"
+        assert main([command, "--lambda_count", "1", "--output_dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "error: lambda_count must be >= 2\n"
+        assert not out_dir.exists()
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/x.cfg"]) == 2
@@ -924,9 +941,9 @@ class RefuseScipy(importlib.abc.MetaPathFinder):
         return None
 
 # Less any that importing numpy loads by itself, which no command can avoid.
-CHECK_ONLY = [m for m in ("issgains.fattorini", "numpy.random", "_hashlib")
-              if m not in sys.modules]
-NEVER_LOADED = [m for m in ("dataclasses", "numpy.polynomial") if m not in sys.modules]
+CHECK_ONLY = [m for m in ("issgains.fattorini",) if m not in sys.modules]
+NEVER_LOADED = [m for m in ("dataclasses", "numpy.polynomial", "numpy.random", "_hashlib")
+                if m not in sys.modules]
 PARSER = [m for m in ("argparse", "gettext", "locale") if m not in sys.modules]
 out_dir, schedule, mode = sys.argv[1:4]
 if mode == "refuse":
@@ -1082,10 +1099,8 @@ class TestImportFootprint:
         assert "issgains.svgplot" in loaded["plot"]
 
     def test_check_only_modules_loaded_only_by_check(self, tmp_path):
-        # The diagnostics and numpy.random (with the OpenSSL binding that
-        # numpy.random's seeding pulls in) are loaded by check alone; the
-        # commands run in the order sweep, gains, plot, simulate, check in
-        # one interpreter.
+        # The diagnostics are loaded by check alone; the commands run in the
+        # order sweep, gains, plot, simulate, check in one interpreter.
         loaded = _fresh(_FOOTPRINT_SCRIPT, tmp_path / "out", "8,16", "allow")["check_only"]
         for command in ("sweep", "gains", "plot", "simulate"):
             assert loaded[command] == [], command
@@ -1102,7 +1117,8 @@ class TestImportFootprint:
 
     def test_no_command_loads_dataclasses(self, tmp_path):
         # Nor numpy.polynomial: check's Gauss rule is written out in
-        # systems.py.
+        # systems.py.  Nor numpy.random, or the OpenSSL binding that its
+        # seeding pulls in: check draws no random vectors.
         loaded = _fresh(_FOOTPRINT_SCRIPT, tmp_path / "out", "8,16", "allow")["never"]
         for command in ("sweep", "gains", "plot", "simulate", "check"):
             assert loaded[command] == [], command

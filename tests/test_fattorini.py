@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from issgains.fattorini import (
     DiagnosticReport,
@@ -11,18 +13,38 @@ from issgains.fattorini import (
     close_system,
     consistency_diagnostic,
     estimate_mu,
+    panels_for,
     resolvent_gap,
     restrict,
     right_inverse_gap,
     sector_diagnostic,
+    sine_gap,
 )
 from issgains.gains import PathSpec
 from issgains.systems import (
     WeightedSpace,
     build_heat_dirichlet,
+    extend,
     function_l2_norm,
 )
-from oracles import WINDOW, a_matrix, resolvent_dense, with_dense_eig
+from oracles import (
+    WINDOW,
+    a_matrix,
+    extension_norm_search,
+    resolvent_dense,
+    sine_gap_decimal,
+    sine_gap_quadrature,
+    with_dense_eig,
+)
+
+# Draws of the sine gap's arguments: a resolution, a diffusion coefficient
+# log-uniform in [1e-3, 1e6] and a log-spaced window of 8 points.
+GAP_CASES = dict(n=st.integers(4, 64), log_a=st.floats(-3.0, 6.0),
+                 log_low=st.floats(-6.0, 4.0), decades=st.floats(0.5, 6.0))
+
+
+def gap_arguments(n, log_a, log_low, decades):
+    return n, 10.0**log_a, np.geomspace(10.0**log_low, 10.0**(log_low + decades), 8)
 
 
 class TestCloseSystem:
@@ -101,11 +123,30 @@ class TestResolventGap:
         assert report.verdict == "pass"
         assert 3.0 <= report.values["ratio"] <= 5.0
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(**GAP_CASES)
+    def test_closed_form_matches_decimal(self, n, log_a, log_low, decades):
+        n, a, grid = gap_arguments(n, log_a, log_low, decades)
+        exact = np.array([float(g) for g in sine_gap_decimal(n, a, grid)])
+        np.testing.assert_allclose(sine_gap(n, a, grid), exact, rtol=1e-14, atol=0)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(**GAP_CASES)
+    def test_closed_form_matches_quadrature(self, n, log_a, log_low, decades):
+        # The quadrature route rounds p and q apart, which costs it up to
+        # about 20 eps/x^2 relative (sine_gap's docstring): the tolerance is
+        # 1e-12, or twice that cost where it is larger, from n = 22.
+        n, a, grid = gap_arguments(n, log_a, log_low, decades)
+        rtol = max(1e-12, 40.0 * 2.0**-53 / (math.pi / (2 * n)) ** 2)
+        np.testing.assert_allclose(sine_gap(n, a, grid), sine_gap_quadrature(n, a, grid),
+                                   rtol=rtol, atol=0)
+
 
 PROBES = [
     ("sin_pi", lambda x: np.sin(np.pi * x), lambda x: -np.pi**2 * np.sin(np.pi * x)),
     ("parabola", lambda x: x * (1 - x), lambda x: -2.0),
 ]
+PROBE_FUNCTIONS = [f for _, f, _ in PROBES]
 
 
 def random_nonuniform_system(n, seed):
@@ -125,17 +166,17 @@ class TestResolventRoute:
         # sin(k pi xi) sampled is an eigenvector of A with eigenvalue -4an^2 sin^2(k pi/2n).
         shifts = np.geomspace(1e-4, 1e4, 400)
         probe = np.sin(k * np.pi * WeightedSpace(n).nodes())
-        solutions = _resolvent(build_heat_dirichlet(n, a), shifts, probe)
+        system = build_heat_dirichlet(n, a)
         mu = 4.0 * a * n**2 * np.sin(k * np.pi / (2 * n)) ** 2
-        np.testing.assert_allclose(solutions, probe[:, None] / (shifts + mu), rtol=1e-13, atol=0)
+        for shift in shifts:
+            np.testing.assert_allclose(_resolvent(system, shift, probe), probe / (shift + mu),
+                                       rtol=1e-13, atol=0)
 
     def test_nonuniform_system_matches_dense_solve(self):
         sys = random_nonuniform_system(24, seed=7)
         rhs = np.random.default_rng(8).standard_normal(23)
-        shifts = np.array([0.0, 1e-4, 3.0, 1e4])
-        solutions = _resolvent(sys, shifts, rhs)
-        for j, shift in enumerate(shifts):
-            np.testing.assert_allclose(solutions[:, j], resolvent_dense(sys, shift, rhs),
+        for shift in (0.0, 1e-4, 3.0, 1e4):
+            np.testing.assert_allclose(_resolvent(sys, shift, rhs), resolvent_dense(sys, shift, rhs),
                                        rtol=1e-12, atol=0)
 
     def test_nonuniform_consistency_round_trip(self):
@@ -207,8 +248,6 @@ class TestEstimateMu:
 
     def test_hat_coefficient_extension_norm(self):
         # ||E e1||_L2 = sqrt(2 dx / 3) against ||e1|| = sqrt(dx).
-        from issgains.systems import extend
-
         space = WeightedSpace(10)
         x = np.zeros(9)
         x[0] = 1.0
@@ -224,6 +263,20 @@ class TestEstimateMu:
     def test_empty_samples(self):
         with pytest.raises(ValueError):
             estimate_mu([], [16])
+
+    @pytest.mark.parametrize("n", [8, 64, 500])
+    def test_extension_norm_dominates_random_search(self, n):
+        _, mu_e = estimate_mu(PROBE_FUNCTIONS, [n])
+        assert mu_e >= extension_norm_search(n)
+
+    @pytest.mark.parametrize("n", [8, 64, 500])
+    def test_extension_norm_is_the_first_sine_mode(self, n):
+        # The first sine mode attains the norm; a larger n raises it.
+        space = WeightedSpace(n, 1)
+        mode = restrict(lambda xi: np.sin(np.pi * xi), space)
+        ratio = function_l2_norm(extend(mode, space), panels=panels_for(n)) / space.state_norm(mode)
+        assert estimate_mu(PROBE_FUNCTIONS, [n])[1] == pytest.approx(ratio, rel=1e-14, abs=0)
+        assert estimate_mu(PROBE_FUNCTIONS, [n, n // 2])[1] == estimate_mu(PROBE_FUNCTIONS, [n])[1]
 
 
 class TestDiagnosticReport:

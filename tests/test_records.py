@@ -93,32 +93,43 @@ class TestRecordContract:
             cls(**required, extra=None)
 
 
-# Each validated type with arguments it refuses and the message it gives.
-INVALID = [
-    (WeightedSpace, {"n": 1}, "grid needs at least 2 intervals, got n = 1"),
-    (WeightedSpace, {"n": 4, "weight_exponent": 3},
-     "weight exponent must be 1 or 2, got 3"),
-    (WeightedSpace, {"n": 4, "input_norm": "l1"},
-     "input norm must be 'euclidean' or 'max', got 'l1'"),
-    (PathSpec, {"lambda_min": 0.0, "lambda_max": 1e4}, "need 0 < lambda_min < lambda_max"),
-    (PathSpec, {"lambda_min": 2.0, "lambda_max": 1.0}, "need 0 < lambda_min < lambda_max"),
-    (PathSpec, {"lambda_min": 1e-4, "lambda_max": math.nan},
-     "need 0 < lambda_min < lambda_max"),
-    (SweepRecord, {"n": 4, "omega_n": math.nan, "d_n": 1.0, "frac_norm_n": 1.0},
-     "non-finite sweep record at n = 4"),
-    (SweepRecord, {"n": 4, "omega_n": 9.0, "d_n": math.inf, "frac_norm_n": 1.0},
-     "non-finite sweep record at n = 4"),
-    (SweepRecord, {"n": 8, "omega_n": 9.0, "d_n": 1.0, "frac_norm_n": -math.inf},
-     "non-finite sweep record at n = 8"),
-    (DiagnosticReport, {"name": "probe", "values": {"x": 1.0}, "verdict": "ok", "detail": ""},
-     "unknown verdict 'ok'"),
-    (DiagnosticReport, {"name": "probe", "values": {}, "verdict": "pass", "detail": ""},
-     "a pass verdict requires nonempty values"),
-]
+# Each validated type with arguments it refuses and the message it gives,
+# named by the type and the field and value it refuses.
+INVALID = {
+    "WeightedSpace-n=1":
+        (WeightedSpace, {"n": 1}, "grid needs at least 2 intervals, got n = 1"),
+    "WeightedSpace-weight_exponent=3":
+        (WeightedSpace, {"n": 4, "weight_exponent": 3},
+         "weight exponent must be 1 or 2, got 3"),
+    "WeightedSpace-input_norm=l1":
+        (WeightedSpace, {"n": 4, "input_norm": "l1"},
+         "input norm must be 'euclidean' or 'max', got 'l1'"),
+    "PathSpec-lambda_min=0.0":
+        (PathSpec, {"lambda_min": 0.0, "lambda_max": 1e4}, "need 0 < lambda_min < lambda_max"),
+    "PathSpec-lambda_max=1.0":
+        (PathSpec, {"lambda_min": 2.0, "lambda_max": 1.0}, "need 0 < lambda_min < lambda_max"),
+    "PathSpec-lambda_max=nan":
+        (PathSpec, {"lambda_min": 1e-4, "lambda_max": math.nan},
+         "need 0 < lambda_min < lambda_max"),
+    "SweepRecord-omega_n=nan":
+        (SweepRecord, {"n": 4, "omega_n": math.nan, "d_n": 1.0, "frac_norm_n": 1.0},
+         "non-finite sweep record at n = 4"),
+    "SweepRecord-d_n=inf":
+        (SweepRecord, {"n": 4, "omega_n": 9.0, "d_n": math.inf, "frac_norm_n": 1.0},
+         "non-finite sweep record at n = 4"),
+    "SweepRecord-frac_norm_n=-inf":
+        (SweepRecord, {"n": 8, "omega_n": 9.0, "d_n": 1.0, "frac_norm_n": -math.inf},
+         "non-finite sweep record at n = 8"),
+    "DiagnosticReport-verdict=ok":
+        (DiagnosticReport, {"name": "probe", "values": {"x": 1.0}, "verdict": "ok", "detail": ""},
+         "unknown verdict 'ok'"),
+    "DiagnosticReport-values={}":
+        (DiagnosticReport, {"name": "probe", "values": {}, "verdict": "pass", "detail": ""},
+         "a pass verdict requires nonempty values"),
+}
 
 
-@pytest.mark.parametrize("cls, kwargs, message", INVALID,
-                         ids=[f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(INVALID)])
+@pytest.mark.parametrize("cls, kwargs, message", INVALID.values(), ids=INVALID.keys())
 def test_validation_message(cls, kwargs, message):
     with pytest.raises(ValueError) as excinfo:
         cls(**kwargs)
