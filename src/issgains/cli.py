@@ -200,9 +200,7 @@ def _cmd_check(cfg: RunConfig) -> int:
         small = [small[0], 2 * small[0]]
     path = _path(cfg)
     systems = [build_heat_dirichlet(n, cfg.a) for n in small]
-    pre_systems = [fattorini.build_preclosure_heat(n, cfg.a) for n in small if n <= 64] or [
-        fattorini.build_preclosure_heat(16, cfg.a)
-    ]
+    closed = [s for s in systems if s.n <= 64] or [build_heat_dirichlet(16, cfg.a)]
     probes = [
         ("sin_pi", lambda x: np.sin(np.pi * x), lambda x: -np.pi**2 * np.sin(np.pi * x)),
         ("parabola", lambda x: x * (1 - x), lambda x: -2.0),
@@ -211,7 +209,7 @@ def _cmd_check(cfg: RunConfig) -> int:
         fattorini.sector_diagnostic(systems, path),
         fattorini.resolvent_gap(path, cfg.lambda_count, cfg.a),
         fattorini.consistency_diagnostic(systems, probes),
-        fattorini.right_inverse_gap(pre_systems),
+        fattorini.right_inverse_gap(closed),
     ]
     mu_p, mu_e = fattorini.estimate_mu([p[1] for p in probes], small)
     blocks = [r.as_text() for r in reports]

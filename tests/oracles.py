@@ -4,7 +4,12 @@ They share no code with ``issgains`` beyond reading a system's matrices
 or a decomposition's arrays, and applying a decomposition's eigenvectors;
 ``sine_gap_quadrature`` and ``extension_norm_search``, the routes that
 ``check`` took before its closed forms, also drive the library's extension
-and L2 norm.  Three helpers are no reference routes: ``prefix_states`` reads
+and L2 norm; ``weak_round_trip``, the A^{-1} A round trip that the weak
+consistency reading skips, drives its L2 norm and matrix function; and
+``close_system``, Fattorini's dense closure of the quintuple that
+``build_preclosure_heat`` makes, the second route to the pair (A, B) of
+``build_heat_dirichlet``, takes its decomposition from ``sym_tridiag_eig``.
+Three helpers are no reference routes: ``prefix_states`` reads
 the states of a run back from ``simulate`` itself, which keeps only the
 last; ``trotter_kato_gaps`` drives the library's exact step, extension and
 L2 norm against ``analytic_heat_state``; and ``with_dense_eig`` builds a
@@ -16,13 +21,14 @@ is the resolvent window, the config's default, that the tests pass as a path.
 import decimal
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
 
-from issgains.fattorini import GAP_PROBE_MODE
+from issgains.fattorini import GAP_PROBE_MODE, restrict
 from issgains.gains import PathSpec
-from issgains.numerics import EigenDecomposition
+from issgains.numerics import EigenDecomposition, apply_matrix_function, sym_tridiag_eig
 from issgains.simulate import simulate, step_exact
 from issgains.systems import (
     ClosedControlSystem,
@@ -60,6 +66,80 @@ def with_dense_eig(space, a_diag, a_offdiag, b_matrix):
     of a generator that the uniform closed form cannot decompose."""
     return ClosedControlSystem(space, a_diag, a_offdiag, b_matrix,
                                dense_tridiag_eig(a_diag, a_offdiag))
+
+
+class PreClosureSystem(NamedTuple):
+    """The quintuple describing the discretization before boundary closure:
+    stencil with boundary columns, discrete boundary trace, interior
+    projection (also the descriptor) and the right inverse of the trace.
+    """
+
+    ainit: np.ndarray      # (n-1) x (n+1)
+    bop: np.ndarray        # 2 x (n+1)
+    restrict_r: np.ndarray  # (n-1) x (n+1)
+    bop_rinv: np.ndarray   # (n+1) x 2
+
+    @property
+    def n(self) -> int:
+        return self.ainit.shape[1] - 1
+
+
+def build_preclosure_heat(n: int, a: float) -> PreClosureSystem:
+    """Heat discretization retaining the boundary nodes (pre-closure form)."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if not a > 0.0:
+        raise ValueError(f"diffusion must be positive, got {a}")
+    c = a * n * n
+    ainit = c * (np.eye(n - 1, n + 1) - 2.0 * np.eye(n - 1, n + 1, 1) + np.eye(n - 1, n + 1, 2))
+    bop = np.zeros((2, n + 1))
+    bop[0, 0] = 1.0
+    bop[1, n] = 1.0
+    restrict_r = np.eye(n - 1, n + 1, 1)
+    # Right inverse of the trace: the linear profiles 1 - xi and xi
+    # sampled at all nodes, so that the trace of each column is a unit vector.
+    k = np.arange(n + 1, dtype=float)
+    bop_rinv = np.column_stack([(n - k) / n, k / n])
+    return PreClosureSystem(ainit=ainit, bop=bop, restrict_r=restrict_r, bop_rinv=bop_rinv)
+
+
+def close_system(pre: PreClosureSystem,
+                 weight_exponent: int = WeightedSpace._field_defaults["weight_exponent"],
+                 input_norm: str = WeightedSpace._field_defaults["input_norm"]
+                 ) -> ClosedControlSystem:
+    """Boundary closure: restrict the stencil to the kernel of the trace
+    and build B = Ainit D0 - A R D0, in the space
+    ``WeightedSpace(n, weight_exponent, input_norm)`` and with the
+    eigendecomposition of the restricted stencil.
+
+    The product is grouped as (Ainit - A R) D0 so the interior columns
+    cancel exactly and B inherits the exact boundary-column entries.
+    """
+    n = pre.n
+    trace_of_rinv = pre.bop @ pre.bop_rinv
+    if not np.array_equal(trace_of_rinv, np.eye(2)):
+        raise ValueError("boundary trace times its right inverse is not the identity")
+    # Kernel of the trace = vanishing boundary nodes, identified with the
+    # interior coordinates; the restricted stencil is the interior column block.
+    a = pre.ainit[:, 1:n]
+    b = (pre.ainit - a @ pre.restrict_r) @ pre.bop_rinv
+    diag = np.diag(a).copy()
+    off = np.diag(a, 1).copy()
+    space = WeightedSpace(n, weight_exponent, input_norm)
+    return ClosedControlSystem(space, diag, off, b, sym_tridiag_eig(diag, off))
+
+
+def weak_round_trip(sys, f) -> float:
+    """``fattorini.consistency_diagnostic``'s weak reading as the round trip
+    ||A^{-1} A P f|| / ||f||_L2 in the L2-consistent weight, with A P f by the
+    tridiagonal stencil and A^{-1} from the system's decomposition."""
+    p1 = WeightedSpace(sys.n, 1)
+    samples = restrict(f, p1)
+    av = sys.a_diag * samples
+    av[:-1] += sys.a_offdiag * samples[1:]
+    av[1:] += sys.a_offdiag * samples[:-1]
+    back = apply_matrix_function(sys.eigendecomposition(), lambda lam: 1.0 / lam, av)
+    return p1.state_norm(back) / function_l2_norm(f)
 
 
 def frac_control_norm_gram(sys) -> float:

@@ -14,7 +14,6 @@ import pytest
 
 from issgains.cli import main
 from issgains.config import CSV_HEADER, DEFAULT_THETA
-from issgains.fattorini import build_preclosure_heat, close_system
 from issgains.gains import GainBundle, assemble_gains, frac_control_norm, k_constants
 from issgains.numerics import quad_cauchy_tail, quad_exp_tail
 from issgains.simulate import bang_bang, iss_margin, simulate
@@ -23,6 +22,8 @@ from issgains.systems import build_heat_dirichlet
 from oracles import (
     WINDOW,
     a_matrix,
+    build_preclosure_heat,
+    close_system,
     frac_control_norm_gram,
     frac_semigroup_excess,
     prefix_states,

@@ -590,6 +590,51 @@ class TestReferenceArtifacts:
         assert {name: sha256(tmp_path / name) for name in self.FIG_SHA256} == self.FIG_SHA256
 
 
+def value_lines(*values):
+    return ["  right_inverse." + v for v in values]
+
+
+class TestRightInverseCheck:
+    """check's right-inverse diagnostic: the stencil image is judged relative
+    to the stencil's entries of size 2 a n^2, and its non-zero values are the
+    digits of the dense product of the stencil with the right inverse, which
+    an O(n) form such as A R_int + B rounds differently at some (n, a)."""
+
+    VALUE_LINES = {
+        "3,6,12": value_lines(
+            "interp_gap_3 = 1.110223025e-16", "stencil_image_3 = 7.21644966e-16",
+            "extrap_image_3 = 6.579099405e-17", "interp_gap_6 = 1.110223025e-16",
+            "stencil_image_6 = 4.884981308e-15", "extrap_image_6 = 1.377498938e-16",
+            "interp_gap_12 = 1.110223025e-16", "stencil_image_12 = 1.953992523e-14",
+            "extrap_image_12 = 1.295260195e-16"),
+        "10,20,40 a 7.1": value_lines(
+            "interp_gap_10 = 1.110223025e-16", "stencil_image_10 = 1.452171716e-13",
+            "extrap_image_10 = 1.638595363e-16", "interp_gap_20 = 1.110223025e-16",
+            "stencil_image_20 = 4.547473509e-13", "extrap_image_20 = 3.6027519e-16",
+            "interp_gap_40 = 1.110223025e-16", "stencil_image_40 = 3.637978807e-12",
+            "extrap_image_40 = 8.766696289e-16"),
+    }
+
+    @staticmethod
+    def run_check(tmp_path, capsys, label):
+        schedule, _, a = label.partition(" a ")
+        args = ["--n_schedule", schedule] + (["--a", a] if a else [])
+        assert main(["check", *args, "--output_dir", str(tmp_path)]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("label", ["50,100 a 1e4", "10,20,40 a 7.1"])
+    def test_large_stencil_entries_pass(self, tmp_path, capsys, label):
+        # Stencil images of 5.6e-9 and 3.6e-12, rounding on entries of size
+        # 2 a n^2 = 5e7 and 22720.
+        assert "\n[PASS] right_inverse\n" in self.run_check(tmp_path, capsys, label)
+
+    @pytest.mark.parametrize("label", list(VALUE_LINES))
+    def test_value_lines(self, tmp_path, capsys, label):
+        out = self.run_check(tmp_path, capsys, label)
+        lines = [line for line in out.splitlines() if line.startswith("  right_inverse.")]
+        assert lines == self.VALUE_LINES[label]
+
+
 class TestMain:
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

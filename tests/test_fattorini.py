@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from issgains.fattorini import (
     DiagnosticReport,
-    PreClosureSystem,
     _resolvent,
-    build_preclosure_heat,
-    close_system,
     consistency_diagnostic,
     estimate_mu,
     panels_for,
@@ -29,11 +26,15 @@ from issgains.systems import (
 )
 from oracles import (
     WINDOW,
+    PreClosureSystem,
     a_matrix,
+    build_preclosure_heat,
+    close_system,
     extension_norm_search,
     resolvent_dense,
     sine_gap_decimal,
     sine_gap_quadrature,
+    weak_round_trip,
     with_dense_eig,
 )
 
@@ -215,6 +216,16 @@ class TestConsistency:
         image = _apply_tridiag(sys, samples)
         np.testing.assert_allclose(image, -2.0, rtol=1e-9)
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(2, 256), log_a=st.floats(-3.0, 6.0))
+    def test_weak_reading_matches_round_trip(self, n, log_a):
+        # The weak reading ||P f|| / ||f|| is the round trip A^{-1} A skipped.
+        system = build_heat_dirichlet(n, 10.0**log_a)
+        report = consistency_diagnostic([system], PROBES)
+        for name, f, _ in PROBES:
+            assert report.values[f"weak.{name}_{n}"] == pytest.approx(
+                weak_round_trip(system, f), rel=1e-13, abs=0)
+
     def test_rejects_probe_with_boundary_values(self):
         systems = [build_heat_dirichlet(16, 1.0)]
         bad = [("cos", lambda x: np.cos(np.pi * x), lambda x: -np.pi**2 * np.cos(np.pi * x))]
@@ -224,21 +235,42 @@ class TestConsistency:
 
 class TestRightInverse:
     def test_exact_zeros_for_heat(self):
-        pres = [build_preclosure_heat(n, 1.0) for n in (2, 10, 32)]
-        report = right_inverse_gap(pres)
+        report = right_inverse_gap([build_heat_dirichlet(n, 1.0) for n in (2, 10, 32)])
         assert report.verdict == "pass"
         for value in report.values.values():
             assert value <= 1e-13
 
-    def test_perturbed_right_inverse_warns(self):
-        pre = build_preclosure_heat(10, 1.0)
-        rinv = pre.bop_rinv.copy()
-        rinv[5, 0] += 0.1  # interior perturbation keeps the trace intact
-        bad = PreClosureSystem(ainit=pre.ainit, bop=pre.bop,
-                               restrict_r=pre.restrict_r, bop_rinv=rinv)
-        report = right_inverse_gap([bad])
+    def test_perturbed_input_matrix_warns(self):
+        # B off the closure's boundary columns by 1e-9 of an entry: the
+        # stencil [b0 | A | b1] no longer annihilates the linear profiles,
+        # at a diffusion where its rounding alone reaches 5.6e-9.
+        system = build_heat_dirichlet(50, 1e4)
+        b = system.b_matrix.copy()
+        b[25, 0] += 1e-9 * b[0, 0]
+        assert right_inverse_gap([system]).verdict == "pass"
+        report = right_inverse_gap([system._replace(b_matrix=b)])
         assert report.verdict == "warn"
-        assert report.values["interp_gap_10"] > 0.0
+        assert report.values["stencil_image_50"] > 0.5e-9 * b[0, 0]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(2, 64), log_a=st.floats(-3.0, 6.0))
+    def test_verdict_is_scale_free(self, n, log_a):
+        # The stencil image is rounding on entries of size 2 a n^2.
+        a = 10.0**log_a
+        report = right_inverse_gap([build_heat_dirichlet(n, a)])
+        assert report.verdict == "pass"
+        assert report.values[f"stencil_image_{n}"] <= 1e-15 * a * n * n
+
+    @pytest.mark.parametrize("n, a", [(2, 1.0), (3, 0.3), (12, 1.0), (40, 7.1), (50, 1e4),
+                                      (64, 1e-3)])
+    def test_values_match_the_closure(self, n, a):
+        # The same stencil, densely multiplied, as the closure's A_init R:
+        # every value agrees to the bit.
+        pre = build_preclosure_heat(n, a)
+        report = right_inverse_gap([close_system(pre)])
+        stencil_image = pre.ainit @ pre.bop_rinv
+        assert report.values[f"stencil_image_{n}"] == float(np.max(np.abs(stencil_image)))
+        assert report.values == right_inverse_gap([build_heat_dirichlet(n, a)]).values
 
 
 class TestEstimateMu:
@@ -259,6 +291,13 @@ class TestEstimateMu:
         mu_p, mu_e = estimate_mu(samples, [64, 128])
         assert mu_p > 0.9
         assert 0.5 < mu_e <= 1.01
+
+    def test_narrow_hat_exceeds_one(self):
+        # mu_p is the largest probe ratio, a lower estimate: point sampling
+        # is unbounded on L2, and a narrow hat sampled at its peak shows it.
+        hat = lambda x: np.maximum(0.0, 1.0 - 1000.0 * np.abs(x - 0.5))
+        mu_p, _ = estimate_mu([hat], [250, 500])
+        assert f"{mu_p:.10g}" == "2.449505511"
 
     def test_empty_samples(self):
         with pytest.raises(ValueError):

@@ -9,20 +9,22 @@ import scipy.linalg
 
 from issgains import config
 from issgains.config import ConfigError, RunConfig
-from issgains.fattorini import (
-    DiagnosticReport,
-    PreClosureSystem,
-    _resolvent,
-    build_preclosure_heat,
-    close_system,
-    resolvent_gap,
-)
+from issgains.fattorini import DiagnosticReport, _resolvent, resolvent_gap
 from issgains.gains import GainBundle, PathSpec, frac_control_norm
 from issgains.numerics import EigenDecomposition, QuadratureResult, sym_tridiag_eig
 from issgains.simulate import Trajectory, simulate
 from issgains.sweep import SweepRecord
 from issgains.systems import ClosedControlSystem, WeightedSpace, build_heat_dirichlet
-from oracles import WINDOW, a_matrix, frac_control_norm_gram, resolvent_dense, with_dense_eig
+from oracles import (
+    WINDOW,
+    PreClosureSystem,
+    a_matrix,
+    build_preclosure_heat,
+    close_system,
+    frac_control_norm_gram,
+    resolvent_dense,
+    with_dense_eig,
+)
 
 SPACE = WeightedSpace(n=4)
 ARRAY = np.zeros(3)

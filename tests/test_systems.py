@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from issgains import systems
-from issgains.fattorini import build_preclosure_heat, panels_for, restrict
+from issgains.fattorini import panels_for, restrict
 from issgains.systems import WeightedSpace, build_heat_dirichlet, extend, function_l2_norm
-from oracles import a_matrix, analytic_heat_state, max_norm_corners
+from oracles import a_matrix, analytic_heat_state, build_preclosure_heat, max_norm_corners
 
 
 class TestGridSpec:
