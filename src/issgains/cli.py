@@ -8,8 +8,8 @@ may stand anywhere among the options; a key may be shortened to any prefix
 that names it alone, and the last of repeated flags wins.  Exit codes:
 0 success; 1 a failing diagnostic verdict, a negative certified margin, no
 certified gain (a sweep limit that did not converge, or a gain constant
-that is not finite and positive, as when mu_p mu_e overflows or
-underflows) or a K-constant integral that failed; 2 usage or config error,
+that is not finite and positive, as when mu_p mu_e overflows) or a
+K-constant integral that failed; 2 usage or config error,
 a missing, unreadable or malformed CSV given to plot, or an artifact that
 cannot be written (the artifacts written before it stay on disk).
 
@@ -190,8 +190,6 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_check(cfg: RunConfig) -> int:
-    import numpy as np
-
     from . import fattorini
     from .systems import build_heat_dirichlet
 
@@ -201,17 +199,13 @@ def _cmd_check(cfg: RunConfig) -> int:
     path = _path(cfg)
     systems = [build_heat_dirichlet(n, cfg.a) for n in small]
     closed = [s for s in systems if s.n <= 64] or [build_heat_dirichlet(16, cfg.a)]
-    probes = [
-        ("sin_pi", lambda x: np.sin(np.pi * x), lambda x: -np.pi**2 * np.sin(np.pi * x)),
-        ("parabola", lambda x: x * (1 - x), lambda x: -2.0),
-    ]
     reports = [
         fattorini.sector_diagnostic(systems, path),
         fattorini.resolvent_gap(path, cfg.lambda_count, cfg.a),
-        fattorini.consistency_diagnostic(systems, probes),
+        fattorini.consistency_diagnostic(systems, fattorini.PROBES),
         fattorini.right_inverse_gap(closed),
     ]
-    mu_p, mu_e = fattorini.estimate_mu([p[1] for p in probes], small)
+    mu_p, mu_e = fattorini.estimate_mu([f for _, f, _ in fattorini.PROBES], small)
     blocks = [r.as_text() for r in reports]
     blocks.append(f"[INFO] operator bounds\n  mu_p = {mu_p:.6f}\n  mu_e = {mu_e:.6f}")
     kv_blocks = [r.as_kv() for r in reports]

@@ -129,6 +129,12 @@ class RunConfig(namedtuple("RunConfig", list(PARSERS),
     __slots__ = ()
 
     def validate(self) -> None:
+        """Refuse each setting outside its range with a ConfigError.
+
+        mu_p and mu_e must be at least 1: at p = 1 sampling is an exact
+        isometry on the sine modes (mu_p = 1), and the hat extension's norm,
+        max over n of sqrt((2 + cos(pi/n))/3), has supremum 1.  A smaller
+        value certifies a gain that the scheme's own trajectories can break."""
         if not self.n_schedule or any(n < 2 for n in self.n_schedule):
             raise ConfigError("n_schedule entries must all be >= 2")
         for i, n in enumerate(self.n_schedule, start=1):
@@ -155,8 +161,8 @@ class RunConfig(namedtuple("RunConfig", list(PARSERS),
             raise ConfigError(f"weight_exponent must be 1 or 2, got {self.weight_exponent}")
         if self.u_norm not in ("euclidean", "max"):
             raise ConfigError(f"u_norm must be 'euclidean' or 'max', got {self.u_norm!r}")
-        if not (0 < self.mu_p < math.inf and 0 < self.mu_e < math.inf):
-            raise ConfigError("mu_p and mu_e must be positive and finite, got "
+        if not (1 <= self.mu_p < math.inf and 1 <= self.mu_e < math.inf):
+            raise ConfigError("mu_p and mu_e must be at least 1 and finite, got "
                               f"{self.mu_p} and {self.mu_e}")
         try:
             step_count(self.t_end, self.h)

@@ -4,11 +4,10 @@ They share no code with ``issgains`` beyond reading a system's matrices
 or a decomposition's arrays, and applying a decomposition's eigenvectors;
 ``sine_gap_quadrature`` and ``extension_norm_search``, the routes that
 ``check`` took before its closed forms, also drive the library's extension
-and L2 norm; ``weak_round_trip``, the A^{-1} A round trip that the weak
-consistency reading skips, drives its L2 norm and matrix function; and
-``close_system``, Fattorini's dense closure of the quintuple that
-``build_preclosure_heat`` makes, the second route to the pair (A, B) of
-``build_heat_dirichlet``, takes its decomposition from ``sym_tridiag_eig``.
+and L2 norm; and ``close_system``, Fattorini's dense closure of the
+quintuple that ``build_preclosure_heat`` makes, the second route to the
+pair (A, B) of ``build_heat_dirichlet``, takes its decomposition from
+``sym_tridiag_eig``.
 Three helpers are no reference routes: ``prefix_states`` reads
 the states of a run back from ``simulate`` itself, which keeps only the
 last; ``trotter_kato_gaps`` drives the library's exact step, extension and
@@ -26,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.integrate
 
-from issgains.fattorini import GAP_PROBE_MODE, restrict
+from issgains.fattorini import GAP_PROBE_MODE
 from issgains.gains import PathSpec
-from issgains.numerics import EigenDecomposition, apply_matrix_function, sym_tridiag_eig
+from issgains.numerics import EigenDecomposition, sym_tridiag_eig
 from issgains.simulate import simulate, step_exact
 from issgains.systems import (
     ClosedControlSystem,
@@ -127,19 +126,6 @@ def close_system(pre: PreClosureSystem,
     off = np.diag(a, 1).copy()
     space = WeightedSpace(n, weight_exponent, input_norm)
     return ClosedControlSystem(space, diag, off, b, sym_tridiag_eig(diag, off))
-
-
-def weak_round_trip(sys, f) -> float:
-    """``fattorini.consistency_diagnostic``'s weak reading as the round trip
-    ||A^{-1} A P f|| / ||f||_L2 in the L2-consistent weight, with A P f by the
-    tridiagonal stencil and A^{-1} from the system's decomposition."""
-    p1 = WeightedSpace(sys.n, 1)
-    samples = restrict(f, p1)
-    av = sys.a_diag * samples
-    av[:-1] += sys.a_offdiag * samples[1:]
-    av[1:] += sys.a_offdiag * samples[:-1]
-    back = apply_matrix_function(sys.eigendecomposition(), lambda lam: 1.0 / lam, av)
-    return p1.state_norm(back) / function_l2_norm(f)
 
 
 def frac_control_norm_gram(sys) -> float:

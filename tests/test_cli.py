@@ -112,6 +112,8 @@ class TestParseConfig:
                                       "mu_e = 0", "mu_p = -1", "h = 0.07",
                                       "a = inf", "lambda_max = inf", "mu_p = inf",
                                       "mu_e = inf", "mu_e = nan",
+                                      # below the norms the scheme attains
+                                      "mu_e = 0.5", "mu_p = 0.999",
                                       # the fractional norm overflows, and underflows
                                       "a = 1e-320", "a = 2.3e-308",
                                       # 10^7 + 1 steps of the default h = 0.05
@@ -173,6 +175,20 @@ class TestDispatch:
         text = (tmp_path / "out" / "check.txt").read_text()
         assert "FAIL" not in text
 
+    def test_check_takes_each_probe_norm_once(self, tmp_path, capsys, monkeypatch):
+        # At the diagnostics config, 4 resolutions and 2 probes: ||f|| and
+        # ||f''|| of each probe and one lifted image per (probe, n) for the
+        # consistency ratios, then ||f|| of each probe for mu_p.
+        import issgains.fattorini as fattorini
+
+        norm = fattorini.function_l2_norm
+        calls = []
+        monkeypatch.setattr(fattorini, "function_l2_norm",
+                            lambda f, **kw: calls.append(f) or norm(f, **kw))
+        assert main(["check", "--n_schedule", "32,64,128,256", "--lambda_count", "4000",
+                     "--output_dir", str(tmp_path)]) == 0
+        assert len(calls) == 2 * 2 + 2 * 4 + 2
+
     def test_simulate_writes_trajectories(self, tmp_path, capsys):
         cfg = small_cfg(tmp_path)
         assert dispatch("simulate", cfg) == 0
@@ -208,11 +224,17 @@ class TestDispatch:
                                         for t, r in zip(times.tolist(), norms.tolist()))
         assert "".join(cli._traj_csv(traj)) == expected
 
-    def test_simulate_fails_on_negative_margin(self, tmp_path, capsys):
-        # Halving mu_e halves the gain slope, so the one-sided and the
-        # bang-bang trajectories leave the certified bound.
-        code = main(["simulate", "--mu_e", "0.5", "--n_schedule", "64,128",
-                     "--output_dir", str(tmp_path)])
+    def test_simulate_fails_on_negative_margin(self, tmp_path, capsys, monkeypatch):
+        # Halving the gain slope, the one-sided and the bang-bang
+        # trajectories leave the certified bound.
+        run_chain = cli._run_chain
+
+        def halved(cfg):
+            bundle = run_chain(cfg)
+            return bundle._replace(gamma_slope=0.5 * bundle.gamma_slope)
+
+        monkeypatch.setattr(cli, "_run_chain", halved)
+        code = main(["simulate", "--n_schedule", "64,128", "--output_dir", str(tmp_path)])
         assert code == 1
         out = capsys.readouterr().out
         assert "onesided: min margin -" in out
@@ -250,14 +272,20 @@ class TestDispatch:
     @pytest.mark.parametrize("command", ["gains", "simulate"])
     @pytest.mark.parametrize("mu, value", [("1e200", "inf"), ("1e-200", "0")])
     def test_no_certified_gain_from_extreme_mu(self, tmp_path, capsys, command, mu, value):
-        # mu_p mu_e overflows to inf or underflows to 0, and D, K2 and beta_M
-        # with it; neither bound certifies anything.
+        # mu_p mu_e overflows to inf, and D, K2 and beta_M with it, so no
+        # bound certifies anything.  A mu below 1, where the product would
+        # underflow to 0, is refused as a config error before any work.
         code = main([command, "--n_schedule", "16,32,64", "--mu_p", mu, "--mu_e", mu,
                      "--output_dir", str(tmp_path)])
-        assert code == 1
         captured = capsys.readouterr()
-        assert captured.err == (f"error: K2 = {value} is not finite and positive, "
-                                "so no certified gain exists\n")
+        if value == "inf":
+            assert code == 1
+            assert captured.err == ("error: K2 = inf is not finite and positive, "
+                                    "so no certified gain exists\n")
+        else:
+            assert code == 2
+            assert captured.err == ("error: mu_p and mu_e must be at least 1 and finite, "
+                                    f"got {mu} and {mu}\n")
         assert captured.out == ""
         assert not [name for name in os.listdir(tmp_path)
                     if name == "gains.kv" or name.startswith("traj_")]
@@ -543,7 +571,7 @@ class TestReferenceArtifacts:
         "twosided": "1a3e42006b643855ea3c49d6a707a9430197ab691058dee32a5007cb571565d5",
         "bangbang": "224c7af64fa333f340dce265af0d0b18746da19a9e4d28053e769b4c9e882a5d",
     }
-    CHECK_SHA256 = "270131c02a4f939cffb6f46c372b2c3a0d353ea13dda37960b7a404c8959ce4d"
+    CHECK_SHA256 = "236b42cdd30730151f34922186e9af6a5c584a870d1bf048f00bc74b9839fb78"
     FIG_SHA256 = {
         "fig_omegan.svg": "2c08d17c804189a57c706fcab68d9c12f7a790ebea14271b60a3fe91aea1709b",
         "fig_dn.svg": "236be431b25d74b19e02579d28f07fd030e84e4bdddcba36b79c80beb91cf0e9",
@@ -602,17 +630,13 @@ class TestRightInverseCheck:
 
     VALUE_LINES = {
         "3,6,12": value_lines(
-            "interp_gap_3 = 1.110223025e-16", "stencil_image_3 = 7.21644966e-16",
-            "extrap_image_3 = 6.579099405e-17", "interp_gap_6 = 1.110223025e-16",
+            "stencil_image_3 = 7.21644966e-16", "extrap_image_3 = 6.579099405e-17",
             "stencil_image_6 = 4.884981308e-15", "extrap_image_6 = 1.377498938e-16",
-            "interp_gap_12 = 1.110223025e-16", "stencil_image_12 = 1.953992523e-14",
-            "extrap_image_12 = 1.295260195e-16"),
+            "stencil_image_12 = 1.953992523e-14", "extrap_image_12 = 1.295260195e-16"),
         "10,20,40 a 7.1": value_lines(
-            "interp_gap_10 = 1.110223025e-16", "stencil_image_10 = 1.452171716e-13",
-            "extrap_image_10 = 1.638595363e-16", "interp_gap_20 = 1.110223025e-16",
+            "stencil_image_10 = 1.452171716e-13", "extrap_image_10 = 1.638595363e-16",
             "stencil_image_20 = 4.547473509e-13", "extrap_image_20 = 3.6027519e-16",
-            "interp_gap_40 = 1.110223025e-16", "stencil_image_40 = 3.637978807e-12",
-            "extrap_image_40 = 8.766696289e-16"),
+            "stencil_image_40 = 3.637978807e-12", "extrap_image_40 = 8.766696289e-16"),
     }
 
     @staticmethod
