@@ -205,7 +205,7 @@ def _cmd_check(cfg: RunConfig) -> int:
         fattorini.consistency_diagnostic(systems, fattorini.PROBES),
         fattorini.right_inverse_gap(closed),
     ]
-    mu_p, mu_e = fattorini.estimate_mu([f for _, f, _ in fattorini.PROBES], small)
+    mu_p, mu_e = fattorini.estimate_mu(small)
     blocks = [r.as_text() for r in reports]
     blocks.append(f"[INFO] operator bounds\n  mu_p = {mu_p:.6f}\n  mu_e = {mu_e:.6f}")
     kv_blocks = [r.as_kv() for r in reports]

@@ -42,11 +42,13 @@ __all__ = [
 GAP_RESOLUTIONS = (16, 32)
 GAP_PROBE_MODE = 1
 
-# check's probe family (name, f, f''): smooth, zero at both ends, and f''
-# in closed form; consistency_diagnostic reads all three, estimate_mu f.
+# check's probe family (name, f, ||f|| + ||f''||): smooth, zero at both ends,
+# with both L2 norms in closed form.  sin(pi xi) has norm 1/sqrt(2) and its
+# f'' = -pi^2 sin(pi xi) has pi^2/sqrt(2); xi(1 - xi) has norm 1/sqrt(30) and
+# its f'' = -2 has 2.
 PROBES = (
-    ("sin_pi", lambda x: np.sin(np.pi * x), lambda x: -np.pi**2 * np.sin(np.pi * x)),
-    ("parabola", lambda x: x * (1 - x), lambda x: -2.0),
+    ("sin_pi", lambda x: np.sin(np.pi * x), 1 / math.sqrt(2) + math.pi**2 / math.sqrt(2)),
+    ("parabola", lambda x: x * (1 - x), 1 / math.sqrt(30) + 2.0),
 )
 
 
@@ -176,23 +178,20 @@ def resolvent_gap(path: PathSpec, count: int, a: float) -> DiagnosticReport:
 
 def consistency_diagnostic(systems, probes) -> DiagnosticReport:
     """Uniform boundedness of the ratios ||E A_n P f|| / (||f|| + ||f''||) on
-    smooth probes (name, f, f'') vanishing at the boundary, each probe's
-    norms taken once for all n; a probe of zero norm reads 0.0."""
-    scales = {}
-    for name, f, f2 in probes:
+    smooth probes (name, f, ||f|| + ||f''||) vanishing at the boundary; only
+    the lifted images are integrated, and a probe of scale 0 reads 0.0."""
+    for name, f, _ in probes:
         if abs(f(0.0)) > 1e-12 or abs(f(1.0)) > 1e-12:
             raise ValueError(f"probe {name!r} does not vanish at the boundary")
-        f_norm = function_l2_norm(f)
-        scales[name] = f_norm + function_l2_norm(f2) if f_norm else 0.0
     values = {}
     for sys in systems:
         n = sys.n
         p1 = WeightedSpace(n, 1)
-        for name, f, _ in probes:
+        for name, f, scale in probes:
             ratio = 0.0
-            if scales[name]:
+            if scale:
                 lifted = extend(_apply_tridiag(sys, restrict(f, p1)), p1)
-                ratio = function_l2_norm(lifted, panels=panels_for(n)) / scales[name]
+                ratio = function_l2_norm(lifted, panels=panels_for(n)) / scale
             values[f"strong.{name}_{n}"] = ratio
     return DiagnosticReport(
         name="consistency",
@@ -251,21 +250,13 @@ def right_inverse_gap(systems) -> DiagnosticReport:
     )
 
 
-def estimate_mu(samples, n_list) -> tuple[float, float]:
-    """The restriction and extension norms in the L2-consistent weight over
-    ``n_list``: mu_p the largest ratio ||P f|| / ||f||_L2 over the samples, a
-    lower estimate and no bound, since point sampling is unbounded on L2;
-    and mu_e exact, max over n of sqrt((2 + cos(pi/n))/3), the norm of
+def estimate_mu(n_list) -> tuple[float, float]:
+    """The restriction and extension norms in the L2-consistent weight
+    (p = 1) over ``n_list``, both exact.  mu_p = 1: by discrete
+    orthogonality, sum_j sin(k pi j/n) sin(l pi j/n) = (n/2) delta_kl for
+    0 < k, l < n, so sampling at the interior nodes maps the sine modes below
+    n isometrically.  On all of L2 point sampling is unbounded, so no probe
+    can bound it.  mu_e = max over n of sqrt((2 + cos(pi/n))/3), the norm of
     the hat extension by the top eigenvalue of the hat mass matrix (Wathen,
     IMA J. Numer. Anal. 7, 1987).  Named for perfbench, which times it."""
-    if not samples:
-        raise ValueError("need at least one sample function")
-    norms = [function_l2_norm(f) for f in samples]
-    if 0.0 in norms:
-        raise ValueError("sample function has zero L2 norm")
-    mu_p = 0.0
-    for n in n_list:
-        p1 = WeightedSpace(n, 1)
-        for f, f_norm in zip(samples, norms):
-            mu_p = max(mu_p, p1.state_norm(restrict(f, p1)) / f_norm)
-    return mu_p, max(math.sqrt((2.0 + math.cos(math.pi / n)) / 3.0) for n in n_list)
+    return 1.0, max(math.sqrt((2.0 + math.cos(math.pi / n)) / 3.0) for n in n_list)

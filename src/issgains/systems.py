@@ -3,8 +3,8 @@ norm, and heat-equation system builders on the unit interval, with the
 extension operator and the L2 quadrature norm.
 
 ``extend`` and ``function_l2_norm`` serve ``fattorini.consistency_diagnostic``
-and ``estimate_mu``'s mu_p alone; perfbench's traced run times them as
-``systems.extend`` and ``systems.function_l2_norm``, so they stay here.
+alone; perfbench's traced run times them as ``systems.extend`` and
+``systems.function_l2_norm``, so they stay here.
 """
 
 from typing import NamedTuple

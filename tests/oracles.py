@@ -2,9 +2,9 @@
 
 They share no code with ``issgains`` beyond reading a system's matrices
 or a decomposition's arrays, and applying a decomposition's eigenvectors;
-``sine_gap_quadrature`` and ``extension_norm_search``, the routes that
-``check`` took before its closed forms, also drive the library's extension
-and L2 norm; and ``close_system``, Fattorini's dense closure of the
+``sine_gap_quadrature``, ``extension_norm_search``, ``probe_ratio_mu`` and
+``probe_scale_quadrature``, the routes that ``check`` took before its closed
+forms, also drive the library's sampling, extension and L2 norm; and ``close_system``, Fattorini's dense closure of the
 quintuple that ``build_preclosure_heat`` makes, the second route to the
 pair (A, B) of ``build_heat_dirichlet``, takes its decomposition from
 ``sym_tridiag_eig``.
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.integrate
 
-from issgains.fattorini import GAP_PROBE_MODE
+from issgains.fattorini import GAP_PROBE_MODE, restrict
 from issgains.gains import PathSpec
 from issgains.numerics import EigenDecomposition, sym_tridiag_eig
 from issgains.simulate import simulate, step_exact
@@ -365,6 +365,36 @@ def extension_norm_search(n: int, vectors: int = 16, seed: int = 0) -> float:
         x = rng.standard_normal(space.interior_nodes)
         best = max(best, function_l2_norm(extend(x, space), panels=panels) / space.state_norm(x))
     return best
+
+
+# The second derivatives of the probes of ``fattorini.PROBES``, by name.
+PROBE_SECOND_DERIVATIVES = {
+    "sin_pi": lambda x: -np.pi**2 * np.sin(np.pi * x),
+    "parabola": lambda x: -2.0,
+}
+
+
+def probe_scale_quadrature(f, f2) -> float:
+    """||f|| + ||f''|| by Gauss quadrature, for a probe f and its f''."""
+    return function_l2_norm(f) + function_l2_norm(f2)
+
+
+def probe_ratio_mu(samples, n_list) -> float:
+    """The largest ratio ||P f|| / ||f||_L2 over the sample functions and the
+    resolutions, with P sampling at the interior nodes in the L2-consistent
+    weight: a lower estimate of the restriction norm, and no bound, since
+    point sampling is unbounded on L2."""
+    if not samples:
+        raise ValueError("need at least one sample function")
+    norms = [function_l2_norm(f) for f in samples]
+    if 0.0 in norms:
+        raise ValueError("sample function has zero L2 norm")
+    mu_p = 0.0
+    for n in n_list:
+        p1 = WeightedSpace(n, 1)
+        for f, f_norm in zip(samples, norms):
+            mu_p = max(mu_p, p1.state_norm(restrict(f, p1)) / f_norm)
+    return mu_p
 
 
 def frac_semigroup_excess(sys, bundle, times) -> float:

@@ -176,9 +176,9 @@ class TestDispatch:
         assert "FAIL" not in text
 
     def test_check_takes_each_probe_norm_once(self, tmp_path, capsys, monkeypatch):
-        # At the diagnostics config, 4 resolutions and 2 probes: ||f|| and
-        # ||f''|| of each probe and one lifted image per (probe, n) for the
-        # consistency ratios, then ||f|| of each probe for mu_p.
+        # At the diagnostics config, 4 resolutions and 2 probes: one lifted
+        # image per (probe, n) for the consistency ratios.  The probe norms
+        # and mu_p are closed forms.
         import issgains.fattorini as fattorini
 
         norm = fattorini.function_l2_norm
@@ -187,7 +187,20 @@ class TestDispatch:
                             lambda f, **kw: calls.append(f) or norm(f, **kw))
         assert main(["check", "--n_schedule", "32,64,128,256", "--lambda_count", "4000",
                      "--output_dir", str(tmp_path)]) == 0
-        assert len(calls) == 2 * 2 + 2 * 4 + 2
+        assert len(calls) == 2 * 4
+
+    def test_check_samples_each_probe_once_per_resolution(self, tmp_path, capsys, monkeypatch):
+        # At the diagnostics config only the consistency ratios sample a
+        # probe, once per (probe, n); estimate_mu samples nothing.
+        import issgains.fattorini as fattorini
+
+        restrict = fattorini.restrict
+        calls = []
+        monkeypatch.setattr(fattorini, "restrict",
+                            lambda f, space: calls.append(space.n) or restrict(f, space))
+        assert main(["check", "--n_schedule", "32,64,128,256", "--lambda_count", "4000",
+                     "--output_dir", str(tmp_path)]) == 0
+        assert sorted(calls) == [n for n in (32, 64, 128, 256) for _ in range(2)]
 
     def test_simulate_writes_trajectories(self, tmp_path, capsys):
         cfg = small_cfg(tmp_path)

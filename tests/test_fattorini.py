@@ -31,7 +31,10 @@ from oracles import (
     a_matrix,
     build_preclosure_heat,
     close_system,
+    PROBE_SECOND_DERIVATIVES,
     extension_norm_search,
+    probe_ratio_mu,
+    probe_scale_quadrature,
     resolvent_dense,
     sine_gap_decimal,
     sine_gap_quadrature,
@@ -209,7 +212,7 @@ class TestConsistency:
                                        for name, _, _ in PROBES]
 
     def test_zero_probe_reads_zero(self):
-        zero = ("zero", lambda x: 0.0 * x, lambda x: 0.0)
+        zero = ("zero", lambda x: 0.0 * x, 0.0)
         report = consistency_diagnostic([build_heat_dirichlet(n, 1.0) for n in (8, 16)],
                                         [*PROBES, zero])
         assert report.values["strong.zero_8"] == report.values["strong.zero_16"] == 0.0
@@ -217,7 +220,7 @@ class TestConsistency:
 
     def test_rejects_probe_with_boundary_values(self):
         systems = [build_heat_dirichlet(16, 1.0)]
-        bad = [("cos", lambda x: np.cos(np.pi * x), lambda x: -np.pi**2 * np.cos(np.pi * x))]
+        bad = [("cos", lambda x: np.cos(np.pi * x), 1.0)]
         with pytest.raises(ValueError, match="vanish"):
             consistency_diagnostic(systems, bad)
 
@@ -266,7 +269,7 @@ class TestRightInverse:
 
 class TestEstimateMu:
     def test_sine_ratio_near_one(self):
-        mu_p, _ = estimate_mu([lambda x: np.sin(np.pi * x)], [512, 1024])
+        mu_p = probe_ratio_mu([lambda x: np.sin(np.pi * x)], [512, 1024])
         assert mu_p == pytest.approx(1.0, abs=5e-3)
 
     def test_hat_coefficient_extension_norm(self):
@@ -278,25 +281,64 @@ class TestEstimateMu:
         assert norm == pytest.approx(math.sqrt(2.0 * space.dx / 3.0), rel=1e-6)
 
     def test_bounds_dominate_observations(self):
-        samples = [lambda x: np.sin(np.pi * x), lambda x: x * (1 - x)]
-        mu_p, mu_e = estimate_mu(samples, [64, 128])
-        assert mu_p > 0.9
+        mu_p, mu_e = estimate_mu([64, 128])
+        assert mu_p == 1.0
+        # The sine probe is sampled isometrically: its ratio is 1 up to rounding.
+        assert probe_ratio_mu(PROBE_FUNCTIONS, [64, 128]) <= mu_p + 4 * 2.0**-52
         assert 0.5 < mu_e <= 1.01
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(2, 2048), seed=st.integers(0, 2**32 - 1))
+    def test_sampling_is_isometric_on_sine_modes(self, n, seed):
+        # By discrete orthogonality, the sampled sum of c_k sin(k pi xi) over
+        # 0 < k < n has p = 1 norm sqrt(sum c_k^2 / 2), its L2 norm: mu_p = 1.
+        c = np.random.default_rng(seed).standard_normal(n - 1)
+        k = np.arange(1, n)
+        space = WeightedSpace(n, 1)
+        sampled = restrict(lambda xi: c @ np.sin(np.pi * np.multiply.outer(k, xi)), space)
+        expected = math.sqrt(float(np.sum(c * c)) / 2.0)
+        assert space.state_norm(sampled) == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_narrow_hat_exceeds_one(self):
-        # mu_p is the largest probe ratio, a lower estimate: point sampling
-        # is unbounded on L2, and a narrow hat sampled at its peak shows it.
+        # mu_p = 1 holds on the sine modes below n only: point sampling is
+        # unbounded on L2, and a narrow hat sampled at its peak shows it.
         hat = lambda x: np.maximum(0.0, 1.0 - 1000.0 * np.abs(x - 0.5))
-        mu_p, _ = estimate_mu([hat], [250, 500])
-        assert f"{mu_p:.10g}" == "2.449505511"
+        spaces = [WeightedSpace(n, 1) for n in (250, 500)]
+        sampled = max(space.state_norm(restrict(hat, space)) for space in spaces)
+        assert f"{sampled / function_l2_norm(hat):.10g}" == "2.449505511"
 
     def test_empty_samples(self):
         with pytest.raises(ValueError):
-            estimate_mu([], [16])
+            probe_ratio_mu([], [16])
+        with pytest.raises(ValueError):
+            estimate_mu([])
+
+    def test_calls_neither_sampling_nor_quadrature(self, monkeypatch):
+        import issgains.fattorini as fattorini
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate_mu sampled or integrated")
+
+        monkeypatch.setattr(fattorini, "restrict", refuse)
+        monkeypatch.setattr(fattorini, "function_l2_norm", refuse)
+        assert estimate_mu([16, 32]) == (1.0, math.sqrt((2.0 + math.cos(math.pi / 32)) / 3.0))
+
+    def test_probe_ratio_prints_one_where_check_prints_mu_p(self):
+        # check prints mu_p over its small resolutions, each n <= 256 or the
+        # first two of the schedule; at each such n, and at larger ones, the
+        # probe ratio estimate prints the exact value's digits.
+        for n in [*range(2, 300), 500, 1000, 2000, 4000, 10**4]:
+            ratio = probe_ratio_mu(PROBE_FUNCTIONS, [n])
+            assert (f"{ratio:.10g}", f"{ratio:.6f}") == ("1", "1.000000"), n
+
+    @pytest.mark.parametrize("name, f, scale", PROBES, ids=[name for name, _, _ in PROBES])
+    def test_probe_scale_is_the_quadrature(self, name, f, scale):
+        quadrature = probe_scale_quadrature(f, PROBE_SECOND_DERIVATIVES[name])
+        assert abs(quadrature - scale) <= 4 * math.ulp(scale)
 
     @pytest.mark.parametrize("n", [8, 64, 500])
     def test_extension_norm_dominates_random_search(self, n):
-        _, mu_e = estimate_mu(PROBE_FUNCTIONS, [n])
+        _, mu_e = estimate_mu([n])
         assert mu_e >= extension_norm_search(n)
 
     @pytest.mark.parametrize("n", [8, 64, 500])
@@ -305,8 +347,8 @@ class TestEstimateMu:
         space = WeightedSpace(n, 1)
         mode = restrict(lambda xi: np.sin(np.pi * xi), space)
         ratio = function_l2_norm(extend(mode, space), panels=panels_for(n)) / space.state_norm(mode)
-        assert estimate_mu(PROBE_FUNCTIONS, [n])[1] == pytest.approx(ratio, rel=1e-14, abs=0)
-        assert estimate_mu(PROBE_FUNCTIONS, [n, n // 2])[1] == estimate_mu(PROBE_FUNCTIONS, [n])[1]
+        assert estimate_mu([n])[1] == pytest.approx(ratio, rel=1e-14, abs=0)
+        assert estimate_mu([n, n // 2])[1] == estimate_mu([n])[1]
 
 
 class TestDiagnosticReport:
