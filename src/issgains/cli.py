@@ -95,10 +95,7 @@ def _records(cfg: RunConfig) -> list:
 def _run_chain(cfg: RunConfig):
     from .gains import assemble_gains
 
-    if len(cfg.n_schedule) < 2:
-        raise ConfigError("the gains are limits over n_schedule, which needs at least "
-                          f"2 resolutions, got {len(cfg.n_schedule)}")
-    return assemble_gains(_records(cfg), cfg.alpha, cfg.theta, mu_p=cfg.mu_p, mu_e=cfg.mu_e)
+    return assemble_gains(_records(cfg), cfg.alpha, mu_p=cfg.mu_p, mu_e=cfg.mu_e)
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -111,21 +108,11 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_gains(cfg: RunConfig) -> int:
-    bundle = _run_chain(cfg)
-    rows = [
-        ("alpha", bundle.alpha),
-        ("theta", bundle.theta),
-        ("K1", bundle.k1),
-        ("K2", bundle.k2),
-        ("kappa", bundle.kappa),
-        ("frac_norm_limit", bundle.frac_norm_limit),
-        ("beta_M", bundle.beta_m),
-        ("beta_omega", bundle.beta_omega),
-        ("gamma_slope", bundle.gamma_slope),
-    ]
+    # The GainBundle fields in order, each under its printed name.
+    rows = list(zip(("alpha", "theta", "K1", "K2", "kappa", "frac_norm_limit", "beta_M",
+                     "beta_omega", "gamma_slope"), _run_chain(cfg), strict=True))
     width = max(len(name) for name, _ in rows)
-    text_lines = [f"{name:<{width}}  {value:.10g}" for name, value in rows]
-    text = "\n".join(text_lines) + "\n"
+    text = "".join(f"{name:<{width}}  {value:.10g}\n" for name, value in rows)
     kv = "".join(f"{name} = {value:.10g}\n" for name, value in rows)
     _write(cfg, "gains.txt", [text])
     _write(cfg, "gains.kv", [kv])
@@ -189,13 +176,17 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     return status
 
 
+def _check_schedule(n_schedule) -> list:
+    """check's resolutions: those up to 256, or else the first two; a lone n pairs with 2n."""
+    small = [n for n in n_schedule if n <= 256] or list(n_schedule[:2])
+    return small if len(small) > 1 else [small[0], 2 * small[0]]
+
+
 def _cmd_check(cfg: RunConfig) -> int:
     from . import fattorini
     from .systems import build_heat_dirichlet
 
-    small = [n for n in cfg.n_schedule if n <= 256] or list(cfg.n_schedule[:2])
-    if len(small) < 2:
-        small = [small[0], 2 * small[0]]
+    small = _check_schedule(cfg.n_schedule)
     path = _path(cfg)
     systems = [build_heat_dirichlet(n, cfg.a) for n in small]
     closed = [s for s in systems if s.n <= 64] or [build_heat_dirichlet(16, cfg.a)]
@@ -285,19 +276,28 @@ COMMANDS = {
 }
 
 
-def dispatch(command: str, cfg: RunConfig) -> int:
+def _refuse(command: str, cfg: RunConfig) -> None:
+    """Raise ConfigError if ``command`` cannot run on the valid ``cfg``."""
+    from .config import MAX_N
+
     if command not in COMMANDS:
-        print(f"error: unknown command {command!r}; choose from {', '.join(COMMANDS)}",
-              file=_sys.stderr)
-        return 2
-    # Before any work, so that an unusable directory costs no sweep.
+        raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+    if command in ("gains", "simulate") and len(cfg.n_schedule) < 2:
+        raise ConfigError("the gains are limits over n_schedule, which needs at least "
+                          f"2 resolutions, got {len(cfg.n_schedule)}")
+    if command == "check" and (top := _check_schedule(cfg.n_schedule)[-1]) > MAX_N:
+        raise ConfigError(f"check pairs n = {top // 2} with {top}, above MAX_N = {MAX_N}")
+
+
+def dispatch(command: str, cfg: RunConfig) -> int:
     try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot use output_dir {cfg.output_dir!r}: {exc.strerror or exc}",
-              file=_sys.stderr)
-        return 2
-    try:
+        # A refused run leaves no output_dir, and an unusable one costs no sweep.
+        _refuse(command, cfg)
+        try:
+            os.makedirs(cfg.output_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output_dir {cfg.output_dir!r}: "
+                              f"{exc.strerror or exc}") from None
         return COMMANDS[command](cfg)
     except (LimitError, QuadratureError) as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -19,7 +19,6 @@ __all__ = [
     "LimitError",
     "QuadratureError",
     "DEFAULT_SCHEDULE",
-    "DEFAULT_THETA",
     "CSV_HEADER",
     "MAX_STEPS",
     "MAX_N",
@@ -31,9 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_SCHEDULE = (250, 500, 1000, 2000, 4000)
-# Infimum of |cos(theta)|^-1 over the admissible interval for self-adjoint
-# negative-definite generators (analyticity angle pi/2).
-DEFAULT_THETA = math.pi * (1.0 - 1e-9)
 CSV_HEADER = "n,omegan,Dn,AnalphaBnnorm"
 MAX_STEPS = 10**7
 # The largest resolution n: the large-n commands peak at 167.6 MB at n = 10**6
@@ -106,7 +102,6 @@ _FIELDS = (
     ("n_schedule", _parse_schedule, DEFAULT_SCHEDULE),
     ("a", float, 1.0),
     ("alpha", float, 0.5),
-    ("theta", float, DEFAULT_THETA),
     ("lambda_min", float, 1e-4),
     ("lambda_max", float, 1e4),
     ("lambda_count", int, 400),
@@ -147,8 +142,6 @@ class RunConfig(namedtuple("RunConfig", list(PARSERS),
             raise ConfigError(f"a must lie in [{A_RANGE[0]:g}, {A_RANGE[1]:g}], got {self.a}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not math.pi / 2 < self.theta < math.pi:
-            raise ConfigError(f"theta must lie in (pi/2, pi), got {self.theta}")
         if not 0 < self.lambda_min < self.lambda_max < math.inf:
             raise ConfigError("need 0 < lambda_min < lambda_max < inf, got "
                               f"{self.lambda_min} and {self.lambda_max}")

@@ -22,6 +22,7 @@ __all__ = [
     "PathSpec",
     "GainBundle",
     "LIMIT_TOL",
+    "THETA",
     "growth_bound",
     "sector_bound",
     "frac_control_norm",
@@ -110,22 +111,26 @@ def frac_control_norm(sys: ClosedControlSystem, alpha: float) -> float:
     return sys.space.op_norm(w)
 
 
-def k_constants(alpha: float, theta: float, omega: float, d: float) -> tuple[float, float, float]:
+# The sector angle of K2: the infimum of 1/|cos theta| over the angles (pi/2, pi)
+# admissible for the self-adjoint generator; |cos THETA| rounds to exactly 1.0.
+THETA = math.pi * (1.0 - 1e-9)
+
+
+def k_constants(alpha: float, omega: float, d: float) -> tuple[float, float, float]:
     """Quadrature constants K1, K2 and kappa = K1/omega + K2 omega^-alpha Gamma(alpha)
-    for the growth bound exp(-omega t) (M = 1) and the resolvent constant d."""
+    for the growth bound exp(-omega t) (M = 1) and the resolvent constant d.  The
+    lemma behind kappa needs K2 >= (alpha/e)^alpha as t -> 0, false at d = 1 from
+    alpha ~ 0.78 (excess +0.014 at 0.8, n = 1000); ``gains`` exits 1 for alpha > 1/2."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if not math.pi / 2 < theta < math.pi:
-        raise ValueError(f"theta must lie in (pi/2, pi), got {theta}")
-    cos_theta = abs(math.cos(theta))
     g1ma = math.gamma(1.0 - alpha)
     k1 = omega / g1ma * quad_exp_tail(alpha, omega).value
-    k2 = d / (g1ma * math.pi * cos_theta) * quad_cauchy_tail(alpha).value
+    k2 = d / (g1ma * math.pi * abs(math.cos(THETA))) * quad_cauchy_tail(alpha).value
     kappa = k1 / omega + k2 * omega ** (-alpha) * math.gamma(alpha)
     return k1, k2, kappa
 
 
-def assemble_gains(records, alpha: float, theta: float, mu_p: float, mu_e: float) -> GainBundle:
+def assemble_gains(records, alpha: float, mu_p: float, mu_e: float) -> GainBundle:
     """Certified gains from a resolution sweep (records with ``omega_n``,
     ``d_n`` and ``frac_norm_n``, in increasing n).  Each limit over n is
     taken by a rule that keeps it on the safe side:
@@ -165,10 +170,10 @@ def assemble_gains(records, alpha: float, theta: float, mu_p: float, mu_e: float
     if not frac_delta <= LIMIT_TOL * abs(frac_norm_limit):
         raise LimitError(f"frac_norm_limit did not converge: last_delta = "
                          f"{frac_delta:.6g} > {LIMIT_TOL:g} * |{frac_norm_limit:.6g}|")
-    k1, k2, kappa = k_constants(alpha, theta, omega, d)
+    k1, k2, kappa = k_constants(alpha, omega, d)
     bundle = GainBundle(
         alpha=alpha,
-        theta=theta,
+        theta=THETA,
         k1=k1,
         k2=k2,
         kappa=kappa,

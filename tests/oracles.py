@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.integrate
+import scipy.special
 
 from issgains.fattorini import GAP_PROBE_MODE, restrict
 from issgains.gains import PathSpec
@@ -409,6 +410,19 @@ def frac_semigroup_excess(sys, bundle, times) -> float:
     alpha, omega = bundle.alpha, bundle.beta_omega
     return max(float(np.max(mu**alpha * np.exp(-(mu - omega) * t)))
                / (bundle.k1 + bundle.k2 * t**-alpha) - 1.0 for t in times)
+
+
+def frac_norm_limit_p1(alpha: float, a: float) -> float:
+    """The limit over n of the fractional control norm at p = 1 and the max
+    input norm, finite for alpha < 1/4: sqrt(2C(zeta(s) + |eta(s)|)) with
+    s = 2 - 4 alpha, C = 2 a^(2 alpha) pi^(4 alpha - 2) and the Dirichlet
+    eta(s) = (1 - 2^(1 - s)) zeta(s).  The discrete norms rise toward it at
+    rate n^-(1 - 4 alpha)."""
+    s = 2.0 - 4.0 * alpha
+    zeta = float(scipy.special.zeta(s))
+    eta = (1.0 - 2.0 ** (1.0 - s)) * zeta
+    c = 2.0 * a ** (2.0 * alpha) * math.pi ** (4.0 * alpha - 2.0)
+    return math.sqrt(2.0 * c * (zeta + abs(eta)))
 
 
 # Digits of the decimal reference trajectories, far beyond the 17 of a

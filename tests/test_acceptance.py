@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from issgains.cli import main
-from issgains.config import CSV_HEADER, DEFAULT_THETA
-from issgains.gains import GainBundle, assemble_gains, frac_control_norm, k_constants
+from issgains.config import CSV_HEADER
+from issgains.gains import THETA, GainBundle, assemble_gains, frac_control_norm, k_constants
 from issgains.numerics import quad_cauchy_tail, quad_exp_tail
 from issgains.simulate import bang_bang, iss_margin, simulate
 from issgains.sweep import run_sweep
@@ -33,7 +33,7 @@ from oracles import (
 SCHEDULE = (250, 500, 1000, 2000, 4000)
 
 REFERENCE_BUNDLE = GainBundle(
-    alpha=0.5, theta=DEFAULT_THETA, k1=3.1408, k2=0.5626, kappa=0.6359,
+    alpha=0.5, theta=THETA, k1=3.1408, k2=0.5626, kappa=0.6359,
     frac_norm_limit=1.4136, beta_m=1.0, beta_omega=9.8647,
     gamma_slope=0.8989,
 )
@@ -74,8 +74,8 @@ def test_criterion_03_fractional_control_norm(records):
 
 
 def test_criterion_04_gain_constants(records):
-    k1, k2, kappa = k_constants(0.5, DEFAULT_THETA, 9.8647, 0.9991)
-    bundle = assemble_gains(records, 0.5, DEFAULT_THETA, 1.0, 1.0)
+    k1, k2, kappa = k_constants(0.5, 9.8647, 0.9991)
+    bundle = assemble_gains(records, 0.5, 1.0, 1.0)
     ok = (abs(k1 - 3.1408) <= 1e-3
           and 0.5620 <= k2 <= 0.5645
           and 0.6350 <= kappa <= 0.6370
@@ -117,8 +117,7 @@ def test_criterion_07_fractional_semigroup_bound():
     for n in (100, 1000):
         sys = build_heat_dirichlet(n, 1.0)
         # A sweep that ends at sys, so that omega is the decay rate of sys.
-        bundle = assemble_gains(run_sweep([n // 2, n], 1.0, 0.5, WINDOW), 0.5,
-                                DEFAULT_THETA, 1.0, 1.0)
+        bundle = assemble_gains(run_sweep([n // 2, n], 1.0, 0.5, WINDOW), 0.5, 1.0, 1.0)
         ok = ok and frac_semigroup_excess(sys, bundle, times) <= 1e-9
     _report(7, "fractional semigroup bound holds on 200 log times, n in {100, 1000}", ok)
 

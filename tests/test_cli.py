@@ -17,9 +17,11 @@ import pytest
 
 import issgains
 import issgains.cli as cli
+import issgains.config as config
 import issgains.gains as gains
 import issgains.numerics as numerics
 import issgains.sweep as sweep
+import issgains.systems as systems
 from issgains.cli import ConfigError, RunConfig, dispatch, main
 from issgains.config import MAX_LAMBDA_COUNT, MAX_N, file_overrides, validated
 from issgains.gains import assemble_gains
@@ -71,6 +73,18 @@ class TestParseConfig:
         assert main(["gains", "--config", str(cfg_file), "--output_dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {cfg_file}: line 3: duplicate key 'alpha' (first set on line 1)\n"
+
+    def test_theta_is_not_a_setting(self, tmp_path, capsys):
+        # The sector angle is the constant gains.THETA: as a key or a flag it
+        # is unknown, and refused before output_dir is made.
+        cfg_file = tmp_path / "theta.cfg"
+        cfg_file.write_text("theta = 3.0\n")
+        out_dir = tmp_path / "new"
+        assert main(["gains", "--config", str(cfg_file), "--output_dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg_file}: line 1: unknown key 'theta'\n"
+        assert main(["gains", "--theta", "3", "--output_dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == "error: unknown option --theta\n"
+        assert not out_dir.exists()
 
     def test_unknown_key_names_the_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "bogus.cfg"
@@ -317,10 +331,45 @@ class TestDispatch:
 
     @pytest.mark.parametrize("command", ["gains", "simulate"])
     def test_single_resolution_is_config_error(self, tmp_path, capsys, command):
-        code = main([command, "--n_schedule", "64", "--output_dir", str(tmp_path)])
+        # Refused before dispatch makes output_dir.
+        out_dir = tmp_path / "new"
+        code = main([command, "--n_schedule", "64", "--output_dir", str(out_dir)])
         assert code == 2
-        assert "n_schedule" in capsys.readouterr().err
-        assert not os.listdir(tmp_path)
+        assert capsys.readouterr().err == ("error: the gains are limits over n_schedule, "
+                                           "which needs at least 2 resolutions, got 1\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("max_n, schedule, error", [
+        (MAX_N, "10000000", "check pairs n = 10000000 with 20000000, above MAX_N = 10000000"),
+        (119, "60", "check pairs n = 60 with 120, above MAX_N = 119"),
+        (120, "60", None),
+    ])
+    def test_check_pair_within_max_n(self, tmp_path, capsys, monkeypatch, max_n, schedule,
+                                     error):
+        # check pairs a lone resolution n with 2n, which must not exceed MAX_N
+        # either: refused before any system or output_dir is made.
+        monkeypatch.setattr(config, "MAX_N", max_n)
+        built = []
+        build = systems.build_heat_dirichlet
+
+        def spy(n, *args, **kwargs):
+            built.append(n)
+            assert n <= 256, "check built a large system"
+            return build(n, *args, **kwargs)
+
+        # _cmd_check imports build_heat_dirichlet from systems at call time.
+        monkeypatch.setattr(systems, "build_heat_dirichlet", spy)
+        out_dir = tmp_path / "new"
+        code = main(["check", "--n_schedule", schedule, "--lambda_count", "50",
+                     "--output_dir", str(out_dir)])
+        captured = capsys.readouterr()
+        if error is None:
+            assert (code, captured.err) == (0, "")
+            assert built[:2] == [60, 120]
+        else:
+            assert (code, captured.out, captured.err) == (2, "", f"error: {error}\n")
+            assert built == []
+            assert not out_dir.exists()
 
     def test_single_resolution_sweep_and_plot(self, tmp_path, capsys):
         args = ["--n_schedule", "16", "--lambda_count", "50", "--output_dir", str(tmp_path)]
@@ -450,11 +499,12 @@ class TestExtremeOmega:
         code = main(["gains", "--a", a, "--n_schedule", "250,500,1000",
                      "--output_dir", str(tmp_path)])
         assert code == 0
-        [((records, alpha, theta), bundle)] = calls
-        # K1 = omega^alpha for M = 1, and K2 = D pi/sin(pi alpha) / (Gamma(1-alpha) pi |cos theta|).
+        [((records, alpha), bundle)] = calls
+        # K1 = omega^alpha for M = 1, and K2 = D pi/sin(pi alpha) / (Gamma(1-alpha) pi |cos theta|)
+        # with |cos theta| = 1.
         assert bundle.k1 == pytest.approx(bundle.beta_omega**alpha, rel=1e-10)
         d = max(r.d_n for r in records)
-        k2 = d / (math.gamma(1.0 - alpha) * abs(math.cos(theta)) * math.sin(math.pi * alpha))
+        k2 = d / (math.gamma(1.0 - alpha) * math.sin(math.pi * alpha))
         assert bundle.k2 == pytest.approx(k2, rel=1e-10)
         assert f"K1 = {bundle.k1:.10g}\n" in (tmp_path / "gains.kv").read_text()
 
@@ -860,6 +910,11 @@ class TestArgv:
     def test_unique_prefix(self, monkeypatch):
         _, cfg = self.parsed(monkeypatch, ["gains", "--n_sched", "8,16", "--weight=1"])
         assert (cfg.n_schedule, cfg.weight_exponent) == ((8, 16), 1)
+
+    def test_t_names_t_end(self, monkeypatch):
+        # t_end is the only option that starts with t.
+        _, cfg = self.parsed(monkeypatch, ["simulate", "--t", "2.0"])
+        assert cfg.t_end == 2.0
 
     def test_exact_key_wins_over_prefix(self, monkeypatch):
         # a is also a prefix of alpha, and h of help.

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from issgains.config import DEFAULT_THETA, LimitError
+from issgains.config import DEFAULT_SCHEDULE, LimitError
 from issgains.gains import (
     LIMIT_TOL,
+    THETA,
     GainBundle,
     PathSpec,
     assemble_gains,
@@ -18,7 +19,13 @@ from issgains.gains import (
 )
 from issgains.sweep import SweepRecord, run_sweep
 from issgains.systems import build_heat_dirichlet
-from oracles import WINDOW, frac_control_norm_gram, frac_semigroup_excess, resolvent_constant_scan
+from oracles import (
+    WINDOW,
+    frac_control_norm_gram,
+    frac_norm_limit_p1,
+    frac_semigroup_excess,
+    resolvent_constant_scan,
+)
 
 REFERENCE_OMEGA = 9.8647
 REFERENCE_D = 0.9991
@@ -108,7 +115,7 @@ class TestFracControlNorm:
 
 class TestKConstants:
     def test_reference_configuration(self):
-        k1, k2, kappa = k_constants(0.5, DEFAULT_THETA, REFERENCE_OMEGA, REFERENCE_D)
+        k1, k2, kappa = k_constants(0.5, REFERENCE_OMEGA, REFERENCE_D)
         assert k1 == pytest.approx(3.1408, abs=1e-3)
         assert k1 == pytest.approx(math.sqrt(9.8647), rel=1e-8)
         # Closed form D / sqrt(pi); the rounded reference 0.5626 is ~0.2% lower.
@@ -122,32 +129,26 @@ class TestKConstants:
             alpha = rng.uniform(0.1, 0.9)
             omega = rng.uniform(0.5, 50.0)
             d = rng.uniform(0.5, 2.0)
-            theta = rng.uniform(math.pi / 2 + 0.2, math.pi - 0.01)
-            k1, k2, _ = k_constants(alpha, theta, omega, d)
+            k1, k2, _ = k_constants(alpha, omega, d)
             assert k1 == pytest.approx(omega**alpha, rel=1e-8)
-            expected_k2 = d / (math.gamma(1.0 - alpha) * abs(math.cos(theta)) * math.sin(math.pi * alpha))
+            expected_k2 = d / (math.gamma(1.0 - alpha) * math.sin(math.pi * alpha))
             assert k2 == pytest.approx(expected_k2, rel=1e-8)
 
     def test_kappa_formula(self):
         alpha = 0.3
-        k1, k2, kappa = k_constants(alpha, DEFAULT_THETA, 4.0, 1.0)
+        k1, k2, kappa = k_constants(alpha, 4.0, 1.0)
         assert kappa == pytest.approx(k1 / 4.0 + k2 * 4.0**-alpha * math.gamma(alpha), rel=1e-12)
 
-    def test_theta_domain(self):
-        with pytest.raises(ValueError):
-            k_constants(0.5, math.pi / 2, REFERENCE_OMEGA, REFERENCE_D)
-
-    def test_theta_next_to_half_pi(self):
-        # The nearest admissible theta still has |cos theta| = 1.6e-16 > 0.
-        theta = math.nextafter(math.pi / 2, math.pi)
-        _, k2, _ = k_constants(0.5, theta, REFERENCE_OMEGA, REFERENCE_D)
-        assert k2 == pytest.approx(REFERENCE_D / (math.sqrt(math.pi) * abs(math.cos(theta))),
-                                   rel=1e-8)
+    def test_theta_is_the_best_admissible_angle(self):
+        # An admissible sector angle whose 1/|cos theta| is the infimum 1
+        # exactly, so no other angle gives a smaller K2.
+        assert math.pi / 2 < THETA < math.pi
+        assert abs(math.cos(THETA)) == 1.0
 
 
 class TestAssembleGains:
     def test_reference_chain_gamma_slope(self):
-        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, DEFAULT_THETA, 1.0, 1.0)
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, 1.0, 1.0)
         assert 0.896 <= bundle.gamma_slope <= 0.903
 
     def test_reported_slope_with_reference_kappa(self):
@@ -159,8 +160,9 @@ class TestAssembleGains:
 
     def test_bundle_invariants_recompute(self):
         mu_e = 1.0
-        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, DEFAULT_THETA, mu_p=1.0, mu_e=mu_e)
-        k1, k2, kappa = k_constants(bundle.alpha, bundle.theta, REFERENCE_OMEGA, REFERENCE_D)
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, mu_p=1.0, mu_e=mu_e)
+        k1, k2, kappa = k_constants(bundle.alpha, REFERENCE_OMEGA, REFERENCE_D)
+        assert bundle.theta == THETA
         assert bundle.k1 == pytest.approx(k1, abs=1e-12)
         assert bundle.k2 == pytest.approx(k2, abs=1e-12)
         assert bundle.kappa == pytest.approx(kappa, abs=1e-12)
@@ -168,7 +170,7 @@ class TestAssembleGains:
                                                    abs=1e-12)
 
     def test_gain_shape(self):
-        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, DEFAULT_THETA, 1.0, 1.0)
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, 1.0, 1.0)
         assert bundle.gamma(0.0) == 0.0
         assert bundle.gamma(2.0) > bundle.gamma(1.0) > 0.0
         times = np.array([0.5, 1.0])
@@ -182,7 +184,7 @@ class TestAssembleGains:
     def test_beta_matches_one_expression(self, t, s):
         # beta_M exp(-omega t) s as one expression, bit for bit, in an array
         # of t's shape.
-        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, DEFAULT_THETA, mu_p=1.1, mu_e=1.2)
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, mu_p=1.1, mu_e=1.2)
         expected = bundle.beta_m * np.exp(-bundle.beta_omega * t) * s
         got = bundle.beta(s, t)
         assert type(got) is type(expected)
@@ -199,10 +201,9 @@ class TestAssembleGains:
            previous_norm=st.floats(0.01, 9.99),
            last_step=st.floats(-2 * LIMIT_TOL, 2 * LIMIT_TOL),
            alpha=st.floats(0.05, 0.95),
-           theta=st.floats(math.pi / 2 + 0.1, DEFAULT_THETA),
            mu_p=st.floats(0.5, 2.0), mu_e=st.floats(0.5, 2.0))
     def test_limit_rules(self, omegas, d_values, norms, previous_norm, last_step,
-                         alpha, theta, mu_p, mu_e):
+                         alpha, mu_p, mu_e):
         # Synthetic sweeps: omega_n rises, and the last step of the fractional
         # norm straddles LIMIT_TOL times the last value.
         omegas = sorted(omegas)
@@ -212,11 +213,10 @@ class TestAssembleGains:
                    for k, (omega, d, norm) in enumerate(zip(omegas, d_values, norm_values))]
         if abs(norm_values[-1] - norm_values[-2]) > LIMIT_TOL * abs(norm_values[-1]):
             with pytest.raises(LimitError, match="frac_norm_limit did not converge"):
-                assemble_gains(records, alpha, theta, mu_p=mu_p, mu_e=mu_e)
+                assemble_gains(records, alpha, mu_p=mu_p, mu_e=mu_e)
             return
-        bundle = assemble_gains(records, alpha, theta, mu_p=mu_p, mu_e=mu_e)
-        k1, k2, kappa = k_constants(alpha, theta, omegas[-1],
-                                    mu_p * mu_e * max(d_values[:count]))
+        bundle = assemble_gains(records, alpha, mu_p=mu_p, mu_e=mu_e)
+        k1, k2, kappa = k_constants(alpha, omegas[-1], mu_p * mu_e * max(d_values[:count]))
         assert bundle.beta_omega == omegas[-1]
         assert bundle.beta_m == mu_p * mu_e
         assert (bundle.k1, bundle.k2, bundle.kappa) == (k1, k2, kappa)
@@ -235,11 +235,11 @@ class TestAssembleGains:
         records = [SweepRecord(n=r.n, omega_n=r.omega_n, d_n=r.d_n, frac_norm_n=norm)
                    for r in REFERENCE_RECORDS]
         with pytest.raises(LimitError, match=f"^{message} is not finite and positive"):
-            assemble_gains(records, 0.5, DEFAULT_THETA, mu_p=mu_p, mu_e=mu_e)
+            assemble_gains(records, 0.5, mu_p=mu_p, mu_e=mu_e)
 
     def test_single_record_rejected(self):
         with pytest.raises(ValueError, match="at least 2 records"):
-            assemble_gains(REFERENCE_RECORDS[:1], 0.5, DEFAULT_THETA, 1.0, 1.0)
+            assemble_gains(REFERENCE_RECORDS[:1], 0.5, 1.0, 1.0)
 
     @staticmethod
     def verdict(a, alpha):
@@ -247,7 +247,7 @@ class TestAssembleGains:
         if the limit fails its Cauchy test."""
         records = run_sweep((16, 32), a, alpha, WINDOW)
         try:
-            return assemble_gains(records, alpha, DEFAULT_THETA, 1.0, 1.0).frac_norm_limit
+            return assemble_gains(records, alpha, 1.0, 1.0).frac_norm_limit
         except LimitError:
             return None
 
@@ -262,6 +262,30 @@ class TestAssembleGains:
         assert self.verdict(a, 0.75) is None
 
 
+class TestFracNormLimitAtP1:
+    """At p = 1 and alpha < 1/4 the fractional norm rises toward the closed
+    form of ``frac_norm_limit_p1``, so its last value lies on the unsafe side."""
+
+    ALPHA = 0.05
+
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 7.0])
+    def test_oracle_is_the_extrapolated_limit(self, a):
+        # Richardson extrapolation at the rate n^-(1 - 4 alpha) of n = 2000, 4000.
+        coarse, fine = (r.frac_norm_n for r in run_sweep(
+            (2000, 4000), a, self.ALPHA, WINDOW, weight_exponent=1))
+        extrapolated = fine + (fine - coarse) / (2.0 ** (1.0 - 4.0 * self.ALPHA) - 1.0)
+        assert coarse < fine < frac_norm_limit_p1(self.ALPHA, a)
+        assert extrapolated == pytest.approx(frac_norm_limit_p1(self.ALPHA, a), rel=1e-6)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 2")
+    def test_certified_limit_is_not_below_the_limit(self):
+        # gains --weight_exponent 1 --alpha 0.05 certifies 1.168620125, below
+        # the limit 1.1693324348.
+        records = run_sweep(DEFAULT_SCHEDULE, 1.0, self.ALPHA, WINDOW, weight_exponent=1)
+        bundle = assemble_gains(records, self.ALPHA, 1.0, 1.0)
+        assert bundle.frac_norm_limit >= frac_norm_limit_p1(self.ALPHA, 1.0)
+
+
 class TestLemmaCheck:
     # From below the smallest 1/mu (about 1e-8 at n = 4000) to where
     # exp(-omega t) underflows at a = 1.
@@ -269,15 +293,14 @@ class TestLemmaCheck:
 
     def make_bundle(self, sys):
         # A sweep that ends at sys, so that omega is the decay rate of sys.
-        return assemble_gains(run_sweep([sys.n // 2, sys.n], 1.0, 0.5, WINDOW), 0.5,
-                              DEFAULT_THETA, 1.0, 1.0)
+        return assemble_gains(run_sweep([sys.n // 2, sys.n], 1.0, 0.5, WINDOW), 0.5, 1.0, 1.0)
 
     @staticmethod
     def own_bundle(sys, alpha):
         """K1 and K2 from the decay rate and the windowed D of sys itself."""
         omega = growth_bound(sys)
-        k1, k2, kappa = k_constants(alpha, DEFAULT_THETA, omega, sector_bound(sys, WINDOW))
-        return GainBundle(alpha=alpha, theta=DEFAULT_THETA, k1=k1, k2=k2, kappa=kappa,
+        k1, k2, kappa = k_constants(alpha, omega, sector_bound(sys, WINDOW))
+        return GainBundle(alpha=alpha, theta=THETA, k1=k1, k2=k2, kappa=kappa,
                           frac_norm_limit=math.nan, beta_m=1.0, beta_omega=omega,
                           gamma_slope=math.nan)
 
@@ -315,5 +338,5 @@ class TestLemmaCheck:
         # max over mu of mu^alpha exp(-mu t) = (alpha/(e t))^alpha stays below K2 t^-alpha.
         t = 1e-4
         envelope = (0.5 / (math.e * t)) ** 0.5
-        _, k2, _ = k_constants(0.5, DEFAULT_THETA, REFERENCE_OMEGA, REFERENCE_D)
+        _, k2, _ = k_constants(0.5, REFERENCE_OMEGA, REFERENCE_D)
         assert envelope <= k2 * t**-0.5

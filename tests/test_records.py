@@ -34,11 +34,10 @@ EIG = EigenDecomposition(eigenvalues=ARRAY, eigenvectors=ARRAY)
 # for the fields that have none.
 RECORDS = [
     (RunConfig,
-     ("n_schedule", "a", "alpha", "theta", "lambda_min", "lambda_max", "lambda_count",
+     ("n_schedule", "a", "alpha", "lambda_min", "lambda_max", "lambda_count",
       "weight_exponent", "u_norm", "mu_p", "mu_e", "t_end", "h", "seed", "output_dir"),
      {"n_schedule": (250, 500, 1000, 2000, 4000), "a": 1.0, "alpha": 0.5,
-      "theta": math.pi * (1.0 - 1e-9), "lambda_min": 1e-4, "lambda_max": 1e4,
-      "lambda_count": 400, "weight_exponent": 2, "u_norm": "max", "mu_p": 1.0, "mu_e": 1.0,
+      "lambda_min": 1e-4, "lambda_max": 1e4, "lambda_count": 400, "weight_exponent": 2, "u_norm": "max", "mu_p": 1.0, "mu_e": 1.0,
       "t_end": 3.0, "h": 0.05, "seed": 20240501, "output_dir": "out"},
      {}),
     (PathSpec, ("lambda_min", "lambda_max"), {}, {"lambda_min": 1e-4, "lambda_max": 1e4}),
@@ -154,7 +153,7 @@ def test_parsers_follow_the_fields():
     # The config keys and flags, in field order, with the parser of each.
     parse_schedule = config.PARSERS["n_schedule"]
     assert list(config.PARSERS.items()) == [
-        ("n_schedule", parse_schedule), ("a", float), ("alpha", float), ("theta", float),
+        ("n_schedule", parse_schedule), ("a", float), ("alpha", float),
         ("lambda_min", float), ("lambda_max", float), ("lambda_count", int),
         ("weight_exponent", int), ("u_norm", str), ("mu_p", float), ("mu_e", float),
         ("t_end", float), ("h", float), ("seed", int), ("output_dir", str),

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import issgains.simulate
-from issgains.config import DEFAULT_THETA, MAX_STEPS, step_count
-from issgains.gains import GainBundle
+from issgains.config import MAX_STEPS, step_count
+from issgains.gains import THETA, GainBundle
 from issgains.numerics import sym_tridiag_eig
 from issgains.simulate import (
     Trajectory,
@@ -29,7 +29,7 @@ from oracles import (DECIMAL_DIGITS, exact_norm, held_exact, prefix_states, simu
                      trotter_kato_gaps, with_dense_eig)
 
 REFERENCE_BUNDLE = GainBundle(
-    alpha=0.5, theta=DEFAULT_THETA, k1=3.1408, k2=0.5626, kappa=0.6359,
+    alpha=0.5, theta=THETA, k1=3.1408, k2=0.5626, kappa=0.6359,
     frac_norm_limit=1.4136, beta_m=1.0, beta_omega=9.8647,
     gamma_slope=0.8989,
 )

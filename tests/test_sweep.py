@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from issgains import systems
-from issgains.config import CSV_HEADER, DEFAULT_THETA
+from issgains.config import CSV_HEADER
 from issgains.gains import LIMIT_TOL, assemble_gains, k_constants
 from issgains.sweep import SweepRecord, emit_csv, run_sweep
 from oracles import WINDOW
@@ -59,7 +59,7 @@ class TestAggregate:
 
     def test_omega_cauchy_convergence(self):
         records = self.records([2000, 4000])
-        bundle = assemble_gains(records, 0.5, DEFAULT_THETA, 1.0, 1.0)
+        bundle = assemble_gains(records, 0.5, 1.0, 1.0)
         assert bundle.beta_omega == records[-1].omega_n
         last_delta = records[-1].omega_n - records[-2].omega_n
         assert 0.0 < last_delta <= 1e-4
@@ -70,18 +70,18 @@ class TestAggregate:
 
     def test_d_hat_is_supremum(self):
         records = self.records([100, 200, 400])
-        bundle = assemble_gains(records, 0.5, DEFAULT_THETA, 1.0, 1.0)
+        bundle = assemble_gains(records, 0.5, 1.0, 1.0)
         omega = records[-1].omega_n
         # K2 grows with D, so the supremum gives the largest K2 of any record.
-        k2_sup = k_constants(0.5, DEFAULT_THETA, omega, max(r.d_n for r in records))[1]
+        k2_sup = k_constants(0.5, omega, max(r.d_n for r in records))[1]
         assert bundle.k2 == k2_sup
-        assert all(bundle.k2 >= k_constants(0.5, DEFAULT_THETA, omega, r.d_n)[1]
+        assert all(bundle.k2 >= k_constants(0.5, omega, r.d_n)[1]
                    for r in records)
 
     def test_mu_scaling(self):
         records = self.records([100, 200])
-        plain = assemble_gains(records, 0.5, DEFAULT_THETA, 1.0, 1.0)
-        scaled = assemble_gains(records, 0.5, DEFAULT_THETA, mu_p=1.1, mu_e=1.2)
+        plain = assemble_gains(records, 0.5, 1.0, 1.0)
+        scaled = assemble_gains(records, 0.5, mu_p=1.1, mu_e=1.2)
         # K2 is linear in D, so D = mu_p mu_e max D_n scales it by 1.32.
         assert scaled.k2 == pytest.approx(1.32 * plain.k2, rel=1e-12)
         assert scaled.k1 == plain.k1
