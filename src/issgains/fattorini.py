@@ -1,13 +1,15 @@
 """The computable assumption diagnostics of the closed pair (A, B).
 
-They check uniform sectoriality, resolvent convergence, consistency of the
-discretized generator and the boundary right-inverse conditions of
-Fattorini's closure on finite probe families, each on the systems that
-``systems.build_heat_dirichlet`` builds.  Strong-operator-topology
-conditions are checked empirically on probes, not proven.
-Every resolvent comes from the eigendecomposition that each system's
-builder makes, and probe functions must accept arrays.  Only the check
-command loads this module.
+They check uniform sectoriality, resolvent convergence and consistency of
+the discretized generator on finite probe families, each on the systems
+that ``systems.build_heat_dirichlet`` builds.  Strong-operator-topology
+conditions are checked empirically on probes, not proven.  Fattorini's
+boundary right-inverse conditions are not checked: the stencil
+[b0 | A | b1] maps the linear profiles to zero exactly, so a check could
+only print rounding.
+Every resolvent comes from the spectrum that each system's builder makes,
+and probe functions must accept arrays.  Only the check command loads this
+module.
 """
 
 import math
@@ -16,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .gains import PathSpec, sector_bound
-from .numerics import apply_matrix_function
 from .systems import (
     ClosedControlSystem,
     WeightedSpace,
@@ -34,7 +35,6 @@ __all__ = [
     "sine_gap",
     "resolvent_gap",
     "consistency_diagnostic",
-    "right_inverse_gap",
     "estimate_mu",
 ]
 
@@ -79,12 +79,6 @@ class DiagnosticReport(_DiagnosticReport):
             lines.append(f"  {self.name}.{key} = {value:.10g}")
         return "\n".join(lines)
 
-    def as_kv(self) -> str:
-        lines = [f"{self.name}.verdict = {self.verdict}"]
-        for key, value in self.values.items():
-            lines.append(f"{self.name}.{key} = {value:.10g}")
-        return "\n".join(lines)
-
 
 def restrict(f, space: WeightedSpace) -> np.ndarray:
     """Sample a vectorised function at the interior nodes, in one call."""
@@ -108,7 +102,6 @@ def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
     top_half = d_list[len(d_list) // 2 :]
     spread = (max(top_half) - min(top_half)) / max(top_half)
     verdict = "pass" if spread < 0.01 else "warn"
-    values["sup"] = max(d_list)
     return DiagnosticReport(
         name="sector",
         values=values,
@@ -119,11 +112,6 @@ def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
             f"is {spread:.2e}"
         ),
     )
-
-
-def _resolvent(sys: ClosedControlSystem, shift: float, rhs: np.ndarray) -> np.ndarray:
-    """(shift I - A)^{-1} rhs."""
-    return apply_matrix_function(sys.eigendecomposition(), lambda lam: 1.0 / (shift - lam), rhs)
 
 
 def sine_gap(n: int, a: float, grid: np.ndarray) -> np.ndarray:
@@ -214,40 +202,6 @@ def _bounded(ratios: dict) -> bool:
     if not vals:
         return True
     return max(vals) / min(vals) <= 10.0
-
-
-def right_inverse_gap(systems) -> DiagnosticReport:
-    """Boundary right-inverse conditions of Fattorini's closure, on each
-    system's own pair (A, B): for the right inverse R of the boundary trace,
-    the linear profiles 1 - xi and xi at the nodes k/n, the stencil
-    A_init = [b0 | A | b1] annihilates R, and the
-    extrapolation-weighted image A^{-1} A_init R vanishes.  A_init is the
-    stencil on all n + 1 nodes by the Fattorini identity A_init x =
-    A x_int + B x_bdry.  Both are zero up to rounding; the stencil image
-    is compared relative to the stencil's largest entry, 2 a n^2 for the heat
-    pair, since its rounding grows with that entry."""
-    values = {}
-    worst = 0.0
-    for sys in systems:
-        n = sys.n
-        k = np.arange(n + 1, dtype=float)
-        rinv = np.column_stack([(n - k) / n, k / n])
-        a = np.diag(sys.a_diag) + np.diag(sys.a_offdiag, 1) + np.diag(sys.a_offdiag, -1)
-        ainit = np.column_stack([sys.b_matrix[:, 0], a, sys.b_matrix[:, 1]])
-        # The dense product, whose rounding is that of the closure's A_init R.
-        stencil_image = ainit @ rinv
-        stencil_norm = float(np.max(np.abs(stencil_image)))
-        extrap_norm = float(np.max(np.abs(_resolvent(sys, 0.0, -stencil_image))))
-        values[f"stencil_image_{n}"] = stencil_norm
-        values[f"extrap_image_{n}"] = extrap_norm
-        worst = max(worst, stencil_norm / float(np.max(np.abs(ainit))), extrap_norm)
-    verdict = "pass" if worst <= 1e-12 else "warn"
-    return DiagnosticReport(
-        name="right_inverse",
-        values=values,
-        verdict=verdict,
-        detail=f"boundary right-inverse conditions, worst deviation {worst:.3g}",
-    )
 
 
 def estimate_mu(n_list) -> tuple[float, float]:

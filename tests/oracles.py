@@ -425,6 +425,25 @@ def frac_norm_limit_p1(alpha: float, a: float) -> float:
     return math.sqrt(2.0 * c * (zeta + abs(eta)))
 
 
+def exact_gain_bracket(n: int, a: float, p: int, u_norm: str) -> tuple[float, float]:
+    """The exact gain (lower, upper) from inputs in the norm ``u_norm`` to
+    the states, in the norm dx^(p/2) l2, of the heat pair (A_n, B_n) from
+    x0 = 0.  A_n is Metzler and B_n >= 0, so exp(A_n t) B_n >= 0 entrywise
+    (Farina and Rinaldi, Positive Linear Systems, 2000), and from
+    ||u||_inf <= 1 every entry of x(t) is at most that of R 1 = 1 in
+    absolute value, where R = -A_n^{-1} B_n = [1 - xi, xi] is the discrete
+    harmonic extension of the boundary values.  The weighted norm is
+    monotone, so with max-norm inputs the gain is dx^(p/2) sqrt(n - 1) at
+    both ends, approached by u = (1, 1).  With Euclidean inputs
+    ||u||_inf <= ||u||_2 keeps that upper end, and the steady states give
+    the lower end dx^(p/2) ||R||_2: R^T R = [[s, c], [c, s]] with c >= 0 has
+    top eigenvalue s + c = sum xi = (n - 1)/2.  R does not depend on a,
+    and neither does the bracket."""
+    scale = (1.0 / n) ** (p / 2.0)
+    upper = scale * math.sqrt(n - 1)
+    return (scale * math.sqrt((n - 1) / 2.0) if u_norm == "euclidean" else upper), upper
+
+
 # Digits of the decimal reference trajectories, far beyond the 17 of a
 # double, so that their own rounding is negligible beside one ulp.
 DECIMAL_DIGITS = 40

@@ -634,7 +634,7 @@ class TestReferenceArtifacts:
         "twosided": "1a3e42006b643855ea3c49d6a707a9430197ab691058dee32a5007cb571565d5",
         "bangbang": "224c7af64fa333f340dce265af0d0b18746da19a9e4d28053e769b4c9e882a5d",
     }
-    CHECK_SHA256 = "236b42cdd30730151f34922186e9af6a5c584a870d1bf048f00bc74b9839fb78"
+    CHECK_SHA256 = "4ee61ea5ac2c9b333e6aa50cf9f11b63477fb029f208c7bd355aae80b1f37869"
     FIG_SHA256 = {
         "fig_omegan.svg": "2c08d17c804189a57c706fcab68d9c12f7a790ebea14271b60a3fe91aea1709b",
         "fig_dn.svg": "236be431b25d74b19e02579d28f07fd030e84e4bdddcba36b79c80beb91cf0e9",
@@ -681,45 +681,23 @@ class TestReferenceArtifacts:
         assert {name: sha256(tmp_path / name) for name in self.FIG_SHA256} == self.FIG_SHA256
 
 
-def value_lines(*values):
-    return ["  right_inverse." + v for v in values]
+class TestCheckRendering:
+    """check.txt is the report that check prints, byte for byte, and lists no
+    right-inverse diagnostic and no sector supremum."""
 
-
-class TestRightInverseCheck:
-    """check's right-inverse diagnostic: the stencil image is judged relative
-    to the stencil's entries of size 2 a n^2, and its non-zero values are the
-    digits of the dense product of the stencil with the right inverse, which
-    an O(n) form such as A R_int + B rounds differently at some (n, a)."""
-
-    VALUE_LINES = {
-        "3,6,12": value_lines(
-            "stencil_image_3 = 7.21644966e-16", "extrap_image_3 = 6.579099405e-17",
-            "stencil_image_6 = 4.884981308e-15", "extrap_image_6 = 1.377498938e-16",
-            "stencil_image_12 = 1.953992523e-14", "extrap_image_12 = 1.295260195e-16"),
-        "10,20,40 a 7.1": value_lines(
-            "stencil_image_10 = 1.452171716e-13", "extrap_image_10 = 1.638595363e-16",
-            "stencil_image_20 = 4.547473509e-13", "extrap_image_20 = 3.6027519e-16",
-            "stencil_image_40 = 3.637978807e-12", "extrap_image_40 = 8.766696289e-16"),
+    CONFIGS = {
+        "default": [],
+        "diagnostics": ["--n_schedule", "32,64,128,256", "--lambda_count", "4000"],
+        "2,3": ["--n_schedule", "2,3"],
     }
 
-    @staticmethod
-    def run_check(tmp_path, capsys, label):
-        schedule, _, a = label.partition(" a ")
-        args = ["--n_schedule", schedule] + (["--a", a] if a else [])
-        assert main(["check", *args, "--output_dir", str(tmp_path)]) == 0
-        return capsys.readouterr().out
-
-    @pytest.mark.parametrize("label", ["50,100 a 1e4", "10,20,40 a 7.1"])
-    def test_large_stencil_entries_pass(self, tmp_path, capsys, label):
-        # Stencil images of 5.6e-9 and 3.6e-12, rounding on entries of size
-        # 2 a n^2 = 5e7 and 22720.
-        assert "\n[PASS] right_inverse\n" in self.run_check(tmp_path, capsys, label)
-
-    @pytest.mark.parametrize("label", list(VALUE_LINES))
-    def test_value_lines(self, tmp_path, capsys, label):
-        out = self.run_check(tmp_path, capsys, label)
-        lines = [line for line in out.splitlines() if line.startswith("  right_inverse.")]
-        assert lines == self.VALUE_LINES[label]
+    @pytest.mark.parametrize("label", list(CONFIGS))
+    def test_check_txt_is_stdout(self, tmp_path, capsys, label):
+        assert main(["check", *self.CONFIGS[label], "--output_dir", str(tmp_path)]) == 0
+        text = (tmp_path / "check.txt").read_bytes()
+        assert text == capsys.readouterr().out.encode("ascii")
+        assert b"right_inverse" not in text
+        assert b"sector.sup" not in text
 
 
 class TestMain:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from issgains.config import DEFAULT_SCHEDULE, LimitError
+from issgains.cli import main
+from issgains.config import DEFAULT_SCHEDULE, LimitError, RunConfig
 from issgains.gains import (
     LIMIT_TOL,
     THETA,
@@ -17,10 +18,13 @@ from issgains.gains import (
     k_constants,
     sector_bound,
 )
+from issgains.simulate import simulate
 from issgains.sweep import SweepRecord, run_sweep
 from issgains.systems import build_heat_dirichlet
 from oracles import (
     WINDOW,
+    a_matrix,
+    exact_gain_bracket,
     frac_control_norm_gram,
     frac_norm_limit_p1,
     frac_semigroup_excess,
@@ -340,3 +344,59 @@ class TestLemmaCheck:
         envelope = (0.5 / (math.e * t)) ** 0.5
         _, k2, _ = k_constants(0.5, REFERENCE_OMEGA, REFERENCE_D)
         assert envelope <= k2 * t**-0.5
+
+
+class TestExactGainBracket:
+    """The exact gain of the discrete heat pair from x0 = 0, the bound that
+    every certified gamma_slope must reach."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 250, 4000])
+    def test_max_norm_ends_meet(self, n, p):
+        gain = (1.0 / n) ** (p / 2.0) * math.sqrt(n - 1)
+        assert exact_gain_bracket(n, 1.0, p, "max") == (gain, gain)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 17, 250, 4000])
+    def test_euclidean_lower_end_is_the_profile_norm(self, n, p):
+        xi = np.arange(1, n) / n
+        profiles = np.column_stack([1.0 - xi, xi])
+        lower, upper = exact_gain_bracket(n, 1.0, p, "euclidean")
+        assert lower == pytest.approx((1.0 / n) ** (p / 2.0) * np.linalg.norm(profiles, 2),
+                                      rel=1e-14, abs=0)
+        assert upper == exact_gain_bracket(n, 1.0, p, "max")[1]
+
+    def test_p1_bracket_at_the_largest_default_resolution(self):
+        lower, upper = exact_gain_bracket(4000, 1.0, 1, "euclidean")
+        assert (round(lower, 6), round(upper, 6)) == (0.707018, 0.999875)
+
+    @pytest.mark.parametrize("u_norm", ["max", "euclidean"])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("a", [1e-3, 1.0, 7.1, 1e6])
+    @pytest.mark.parametrize("n", [2, 3, 16, 250, 1000])
+    def test_steady_states_of_the_dense_solve(self, n, a, p, u_norm):
+        # u = (1, 1) reaches the upper end, and the steady map's norm over
+        # the unit ball of U is the lower end.
+        system = build_heat_dirichlet(n, a, weight_exponent=p, input_norm=u_norm)
+        dense = a_matrix(system)
+        lower, upper = exact_gain_bracket(n, a, p, u_norm)
+        steady = -np.linalg.solve(dense, system.b_matrix @ [1.0, 1.0])
+        assert system.space.state_norm(steady) == pytest.approx(upper, rel=1e-12, abs=0)
+        steady_map = -np.linalg.solve(dense, system.b_matrix)
+        assert system.space.op_norm(steady_map) == pytest.approx(lower, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [250, 4000])
+    def test_simulate_twosided_steady_norm(self, n):
+        # simulate's twosided input u = (1, 1) at p = 1, run to
+        # exp(-omega t) < 1e-21.
+        system = build_heat_dirichlet(n, 1.0, weight_exponent=1)
+        traj = simulate(system, np.zeros(n - 1), np.array([[1.0, 1.0]]), 5.0, 0.05)
+        assert traj.norms[-1] == pytest.approx(exact_gain_bracket(n, 1.0, 1, "max")[1],
+                                               rel=1e-13, abs=0)
+
+    def test_default_gamma_slope_reaches_the_upper_end(self, tmp_path, capsys):
+        cfg = RunConfig()
+        assert main(["gains", "--output_dir", str(tmp_path)]) == 0
+        kv = dict(line.split(" = ") for line in (tmp_path / "gains.kv").read_text().splitlines())
+        _, upper = exact_gain_bracket(max(cfg.n_schedule), cfg.a, cfg.weight_exponent, cfg.u_norm)
+        assert float(kv["gamma_slope"]) >= upper

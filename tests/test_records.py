@@ -9,9 +9,14 @@ import scipy.linalg
 
 from issgains import config
 from issgains.config import ConfigError, RunConfig
-from issgains.fattorini import DiagnosticReport, _resolvent, resolvent_gap
+from issgains.fattorini import DiagnosticReport, resolvent_gap
 from issgains.gains import GainBundle, PathSpec, frac_control_norm
-from issgains.numerics import EigenDecomposition, QuadratureResult, sym_tridiag_eig
+from issgains.numerics import (
+    EigenDecomposition,
+    QuadratureResult,
+    apply_matrix_function,
+    sym_tridiag_eig,
+)
 from issgains.simulate import Trajectory, simulate
 from issgains.sweep import SweepRecord
 from issgains.systems import ClosedControlSystem, WeightedSpace, build_heat_dirichlet
@@ -207,8 +212,9 @@ class TestBuiltSystem:
         assert frac_control_norm(system, 0.5) == pytest.approx(frac_control_norm_gram(system),
                                                                rel=1e-12)
         rhs = rng.standard_normal(n - 1)
-        np.testing.assert_allclose(_resolvent(system, 2.0, rhs), resolvent_dense(system, 2.0, rhs),
-                                   rtol=1e-12, atol=0)
+        resolvent = apply_matrix_function(system.eigendecomposition(),
+                                          lambda lam: 1.0 / (2.0 - lam), rhs)
+        np.testing.assert_allclose(resolvent, resolvent_dense(system, 2.0, rhs), rtol=1e-12, atol=0)
         # Held input: x(t) = exp(At) x0 + A^{-1} (exp(At) - I) B u, densely.
         x0, u, t = rng.standard_normal(n - 1), np.array([1.0, -0.5]), 1e-3
         a = a_matrix(system)
