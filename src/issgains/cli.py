@@ -95,7 +95,8 @@ def _records(cfg: RunConfig) -> list:
 def _run_chain(cfg: RunConfig):
     from .gains import assemble_gains
 
-    return assemble_gains(_records(cfg), cfg.alpha, mu_p=cfg.mu_p, mu_e=cfg.mu_e)
+    return assemble_gains(_records(cfg), cfg.alpha, mu_p=cfg.mu_p, mu_e=cfg.mu_e,
+                          weight_exponent=cfg.weight_exponent)
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -149,14 +150,13 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     # Each input is made when its scenario runs, and each trajectory is
     # dropped before the next is simulated, so that only one scenario's
     # step-length arrays are alive at a time.  The bang-bang input drives
-    # the left end only; it stores that one column and drives the system
-    # whose B keeps only that column.
-    left = [0]
+    # the left end only: one column, for the system whose B keeps only the
+    # left end's column.
     scenarios = (
         ("onesided", system, lambda: np.array([[1.0, 0.0]])),
         ("twosided", system, lambda: np.array([[1.0, 1.0]])),
-        ("bangbang", system._replace(b_matrix=system.b_matrix[:, left]),
-         lambda: bang_bang(steps, cfg.seed, active=left)),
+        ("bangbang", system._replace(b_matrix=system.b_matrix[:, :1]),
+         lambda: bang_bang(steps, cfg.seed, columns=1)),
     )
     status = 0
     for label, driven, make_input in scenarios:

@@ -6,7 +6,8 @@ sup over the ``PathSpec`` window of the real ray) and the control-operator
 norm in the negative fractional power space.  From the sweep records,
 ``assemble_gains`` takes the limit of each, the quadrature constants K1
 and K2, kappa, and finally the gain pair
-beta(s, t) = M exp(-omega t) s and gamma(s) = slope * s.
+beta(s, t) = M exp(-omega t) s and gamma(s) = slope * s, whose slope must
+reach the exact gain of the discrete heat pair.
 """
 
 import math
@@ -130,7 +131,8 @@ def k_constants(alpha: float, omega: float, d: float) -> tuple[float, float, flo
     return k1, k2, kappa
 
 
-def assemble_gains(records, alpha: float, mu_p: float, mu_e: float) -> GainBundle:
+def assemble_gains(records, alpha: float, mu_p: float, mu_e: float,
+                   weight_exponent: int) -> GainBundle:
     """Certified gains from a resolution sweep (records with ``omega_n``,
     ``d_n`` and ``frac_norm_n``, in increasing n).  Each limit over n is
     taken by a rule that keeps it on the safe side:
@@ -155,14 +157,30 @@ def assemble_gains(records, alpha: float, mu_p: float, mu_e: float) -> GainBundl
     here; the refusal below of a beta_omega that is not finite and positive
     is the one runtime gate.
 
-    Raises LimitError when the fractional norm fails its Cauchy check, or
-    when any of K1, K2, kappa, frac_norm_limit, beta_M, beta_omega and
+    The gains are then checked against every heat pair (A_m, B_m) with
+    m >= n, the last resolution, in the norm of p = weight_exponent.  The
+    pair is positive (A_m Metzler, B_m >= 0), so from x0 = 0 and inputs of
+    max norm at most 1 each |x_i(t)| stays below the steady state 1 of
+    u = (1, 1): the exact gain is m^(-p/2) sqrt(m - 1), an upper bound with
+    Euclidean inputs.  By superposition (beta, gamma) hold for the pair as
+    beta_M = mu_p mu_e >= 1 (each mu is at least 1) with
+    ||exp(A_m t)|| = exp(-omega_m t), as beta_omega = omega_n <= omega_m
+    (omega_m = 4 a m^2 sin^2(pi / 2m) rises with m), and if gamma_slope
+    reaches the sup of the gain over m >= n, 1 at p = 1 and sqrt(n - 1)/n
+    at p = 2, which is refused otherwise.  The coarser resolutions of the
+    sweep, whose omega_m lie below beta_omega, are not covered.
+
+    Raises LimitError when the fractional norm fails its Cauchy check, when
+    any of K1, K2, kappa, frac_norm_limit, beta_M, beta_omega and
     gamma_slope is not finite and positive (an overflowing or underflowing
-    mu_p mu_e, say): no certified gain exists then.
+    mu_p mu_e, say), or when gamma_slope is below the exact gain: no
+    certified gain exists then.
     """
     records = list(records)
     if len(records) < 2:
         raise ValueError("need at least 2 records: the limits are taken over the resolutions")
+    if weight_exponent not in (1, 2):
+        raise ValueError(f"weight exponent must be 1 or 2, got {weight_exponent}")
     omega = records[-1].omega_n
     d = mu_p * mu_e * max(r.d_n for r in records)
     frac_norm_limit = records[-1].frac_norm_n
@@ -188,4 +206,10 @@ def assemble_gains(records, alpha: float, mu_p: float, mu_e: float) -> GainBundl
         if not 0.0 < value < math.inf:
             raise LimitError(f"{name} = {value:.6g} is not finite and positive, "
                              "so no certified gain exists")
+    n = records[-1].n
+    exact = 1.0 if weight_exponent == 1 else math.sqrt(n - 1) / n
+    if bundle.gamma_slope < exact:
+        raise LimitError(f"gamma_slope = {bundle.gamma_slope:.6g} is below {exact:.6g}, the "
+                         f"exact gain of the heat pair at n >= {n} from x0 = 0, so no "
+                         "certified gain exists")
     return bundle

@@ -2,10 +2,10 @@
 eigendecomposition of a uniform tridiagonal (its sine eigenvectors applied
 by FFT and never formed) and spectral matrix functions.
 
-The quadrature is a double-exponential rule (tanh-sinh on (0, 1), exp-sinh
-on (1, inf)) on ``math`` floats, each level summed by ``math.fsum``: it
-needs no scipy, and computing the K constants runs none of numpy's
-kernels.
+The quadrature is one double-exponential rule, tanh-sinh on (0, 1), to
+which each K-constant integral is mapped in two smooth parts; it runs on
+``math`` floats, each level summed by ``math.fsum``, so it needs no scipy,
+and computing the K constants runs none of numpy's kernels.
 
 The spectral kernels each hold a fixed few m-length arrays, in units of
 8m B for an m x m decomposition applied to k columns: ``sym_tridiag_eig``
@@ -34,7 +34,7 @@ __all__ = [
     "apply_matrix_function",
 ]
 
-# Double-exponential quadrature: relative agreement of two successive step
+# Tanh-sinh quadrature: relative agreement of two successive step
 # halvings that ends the refinement, and the number of halvings allowed.
 QUAD_RTOL = 1e-13
 QUAD_MAX_LEVEL = 8
@@ -43,8 +43,8 @@ QUAD_MAX_LEVEL = 8
 class QuadratureResult(NamedTuple):
     """An integral's value, its absolute error estimate and the number of
     integrand evaluations it took.  ``_quad``, its one builder, makes the
-    estimate scale * |change| with scale >= 0, and level 0 of either rule
-    already has 3 or more nodes."""
+    estimate scale * |change| with scale >= 0, and level 0 already has 13
+    nodes."""
 
     value: float
     abs_error_estimate: float
@@ -160,30 +160,19 @@ def _tanh_sinh(t: float) -> tuple:
     return x, math.pi * math.cosh(t) * x / (1.0 + math.exp(u))
 
 
-def _exp_sinh(t: float) -> tuple:
-    """Node s = 1 + exp(pi/2 sinh t) in (1, inf) and weight ds/dt."""
-    e = math.exp(0.5 * math.pi * math.sinh(t))
-    return 1.0 + e, 0.5 * math.pi * math.cosh(t) * e
-
-
-# Truncation windows |t| <= T: the exponent of each map stays within +-700.
-# log(DBL_MAX) = 709.78 leaves room for the factor (pi/2) cosh T = 700 of the
-# largest exp-sinh weight, so every node and weight is finite (math.exp
-# raises no OverflowError), and the smallest tanh-sinh node, about
-# exp(-700) = 1e-304, is still a normal double above 0.  No term needs
+# Truncation window |t| <= _WINDOW: pi sinh t stays within +-700, so every
+# weight is finite (math.exp raises no OverflowError) and the smallest node,
+# about exp(-700) = 1e-304, is still a normal double above 0.  No term needs
 # masking.
-_TANH_SINH = (_tanh_sinh, math.asinh(700.0 / math.pi))
-_EXP_SINH = (_exp_sinh, math.asinh(1400.0 / math.pi))
+_WINDOW = math.asinh(700.0 / math.pi)
 
 
-def _level_abscissae(level: int, window: float) -> list:
-    """The points t = k 2^-level with |t| <= window that no coarser level has."""
+def _level_nodes(level: int) -> list:
+    """The (node, weight) pairs at t = k 2^-level, |t| <= _WINDOW, that no
+    coarser level has."""
     h = 2.0**-level
-    if level == 0:
-        reach = math.floor(window)
-        return [float(k) for k in range(-reach, reach + 1)]
-    ks = range(1, math.floor(window / h) + 1, 2)
-    return [-k * h for k in reversed(ks)] + [k * h for k in ks]
+    reach = math.floor(_WINDOW / h)
+    return [_tanh_sinh(k * h) for k in range(-reach, reach + 1) if level == 0 or k % 2]
 
 
 def _level_sum(terms: list) -> float:
@@ -196,27 +185,26 @@ def _level_sum(terms: list) -> float:
         return sum(terms)
 
 
-def _quad(name: str, parts, scale: float = 1.0) -> QuadratureResult:
-    """scale * (sum of the integrals of ``parts``) by the double-exponential
-    rule (Takahasi & Mori, 1974), in ``math`` floats.
+def _quad(name: str, integrands, scale: float = 1.0) -> QuadratureResult:
+    """scale * (sum of the integrals over (0, 1) of ``integrands``, each a
+    function of one float) by the tanh-sinh rule (Takahasi & Mori, 1974), in
+    ``math`` floats.
 
-    Each part is ``(rule, fn)`` with ``rule`` one of _TANH_SINH (over (0, 1))
-    or _EXP_SINH (over (1, inf)) and ``fn`` an integrand of one float.  The
-    trapezoid step on the t axis halves each level, reusing every earlier
-    node, until two successive estimates agree to QUAD_RTOL relative.  Each
-    level's terms are summed by ``math.fsum``.  The QUAD_MAX_LEVEL + 1
-    levels take 3123 nodes of a _TANH_SINH part and 3477 of an _EXP_SINH
-    part, so neither K-constant integral can take more than 6600
-    evaluations.
+    The trapezoid step on the t axis halves each level, reusing every
+    earlier node, until two successive estimates agree to QUAD_RTOL
+    relative.  Each level's nodes are computed once for all the integrands,
+    and each integrand's terms of a level are summed by ``math.fsum``.  The
+    QUAD_MAX_LEVEL + 1 levels take 3123 nodes, so neither K-constant
+    integral, of two integrands, can take more than 6246 evaluations.
     """
     total = 0.0
     evals = 0
     estimate = math.nan
     for level in range(QUAD_MAX_LEVEL + 1):
-        for (rule, window), fn in parts:
-            terms = [fn(x) * w for x, w in map(rule, _level_abscissae(level, window))]
-            total += _level_sum(terms)
-            evals += len(terms)
+        nodes = _level_nodes(level)
+        for fn in integrands:
+            total += _level_sum([fn(x) * w for x, w in nodes])
+        evals += len(nodes) * len(integrands)
         previous, estimate = estimate, total * 2.0**-level
         value = scale * estimate
         if not math.isfinite(value):
@@ -236,7 +224,10 @@ def quad_exp_tail(alpha: float, omega: float) -> QuadratureResult:
     The change of variables s = t/omega turns it into omega^(alpha-1) times
     the omega-free integral of t^(-alpha) exp(-t).  Its endpoint singularity
     on (0, 1) is removed by the power substitution t = r^(1/(1-alpha)); the
-    tail on (1, inf) is integrated directly.
+    tail on (1, inf) maps to (0, 1) by t = 1/r, as the integral of
+    r^(alpha-2) exp(-1/r), evaluated as one exp of (alpha - 2) ln r - 1/r:
+    that exponent is at most (2 - alpha)(ln(2 - alpha) - 1) < 0, so it never
+    overflows.
     """
     _check_alpha(alpha)
     if not 0.0 < omega < math.inf:
@@ -247,8 +238,8 @@ def quad_exp_tail(alpha: float, omega: float) -> QuadratureResult:
         scale = math.inf
     q = 1.0 / (1.0 - alpha)
     return _quad(f"quad_exp_tail(alpha={alpha!r}, omega={omega!r})", [
-        (_TANH_SINH, lambda r: q * math.exp(-r**q)),
-        (_EXP_SINH, lambda t: t**-alpha * math.exp(-t)),
+        lambda r: q * math.exp(-r**q),
+        lambda r: math.exp((alpha - 2.0) * math.log(r) - 1.0 / r),
     ], scale=scale)
 
 
@@ -262,8 +253,8 @@ def quad_cauchy_tail(alpha: float) -> QuadratureResult:
     qh = 1.0 / (1.0 - alpha)
     qt = 1.0 / alpha
     return _quad(f"quad_cauchy_tail(alpha={alpha!r})", [
-        (_TANH_SINH, lambda r: qh / (1.0 + r**qh)),
-        (_TANH_SINH, lambda r: qt / (1.0 + r**qt)),
+        lambda r: qh / (1.0 + r**qh),
+        lambda r: qt / (1.0 + r**qt),
     ])
 
 

@@ -85,13 +85,12 @@ BLOCK_BYTES = 2**16
 SETTLED = 746.0
 
 
-def bang_bang(steps: int, seed: int, active: tuple = (0, 1)) -> np.ndarray:
-    """Input samples, one row per step and one column per active boundary
-    component, in the order of ``active``, drawn uniformly from {-1, 0, 1};
-    reproducible from the 64-bit seed.  An all-zero draw gets a 1 in its
-    first entry.  The other components are zero and not stored, so such an
-    input drives the system whose B keeps only the active columns,
-    ``sys._replace(b_matrix=sys.b_matrix[:, list(active)])``.
+def bang_bang(steps: int, seed: int, columns: int = 2) -> np.ndarray:
+    """Input samples, one row per step and ``columns`` columns, drawn
+    uniformly from {-1, 0, 1}; reproducible from the 64-bit seed.  An
+    all-zero draw gets a 1 in its first entry.  The caller picks the
+    boundary ends the columns drive: a one-column input drives the system
+    whose B keeps only that end's column.
 
     The draws are the bytes of ``random.Random(seed)``, taken column by
     column, with 255 rejected so that b % 3 is uniform (255 = 3 * 85), and
@@ -99,12 +98,12 @@ def bang_bang(steps: int, seed: int, active: tuple = (0, 1)) -> np.ndarray:
     simulate command the load of numpy.random."""
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    if not active:
-        raise ValueError("active must name at least one boundary component")
+    if columns < 1:
+        raise ValueError(f"columns must be at least 1, got {columns}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     rng = random.Random(seed)
-    values = np.empty((steps, len(active)))
+    values = np.empty((steps, columns))
     for column in values.T:
         filled = 0
         while filled < steps:

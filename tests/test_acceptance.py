@@ -75,7 +75,7 @@ def test_criterion_03_fractional_control_norm(records):
 
 def test_criterion_04_gain_constants(records):
     k1, k2, kappa = k_constants(0.5, 9.8647, 0.9991)
-    bundle = assemble_gains(records, 0.5, 1.0, 1.0)
+    bundle = assemble_gains(records, 0.5, 1.0, 1.0, weight_exponent=2)
     ok = (abs(k1 - 3.1408) <= 1e-3
           and 0.5620 <= k2 <= 0.5645
           and 0.6350 <= kappa <= 0.6370
@@ -117,7 +117,8 @@ def test_criterion_07_fractional_semigroup_bound():
     for n in (100, 1000):
         sys = build_heat_dirichlet(n, 1.0)
         # A sweep that ends at sys, so that omega is the decay rate of sys.
-        bundle = assemble_gains(run_sweep([n // 2, n], 1.0, 0.5, WINDOW), 0.5, 1.0, 1.0)
+        bundle = assemble_gains(run_sweep([n // 2, n], 1.0, 0.5, WINDOW), 0.5, 1.0, 1.0,
+                                weight_exponent=2)
         ok = ok and frac_semigroup_excess(sys, bundle, times) <= 1e-9
     _report(7, "fractional semigroup bound holds on 200 log times, n in {100, 1000}", ok)
 
@@ -146,7 +147,7 @@ def test_criterion_09_empirical_iss_margins():
     worst = math.inf
     for seed in range(50):
         # The one-column input drives the end seed % 2 alone.
-        u = bang_bang(60, seed=seed, active=(seed % 2,))
+        u = bang_bang(60, seed=seed, columns=1)
         driven = sys_bb._replace(b_matrix=sys_bb.b_matrix[:, [seed % 2]])
         bb = simulate(driven, np.zeros(n_bb - 1), u, 3.0, 0.05)
         margin, _ = iss_margin(bb, REFERENCE_BUNDLE, 0.0)

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -318,6 +319,20 @@ class TestDispatch:
                     if name == "gains.kv" or name.startswith("traj_")]
 
     @pytest.mark.parametrize("command", ["gains", "simulate"])
+    def test_gain_below_the_exact_gain_exits_1(self, tmp_path, capsys, command):
+        # At p = 1 the state (1, ..., 1) of u = (1, 1) has norm sqrt((n-1)/n),
+        # which rises to 1, but the K route gives gamma_slope 0.0324547189.
+        code = main([command, "--weight_exponent", "1", "--alpha", "0.1", "--a", "1e6",
+                     "--n_schedule", "4000,8000,16000", "--output_dir", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: gamma_slope = 0.0324547 is below 1, the exact gain of "
+                                "the heat pair at n >= 16000 from x0 = 0, so no certified "
+                                "gain exists\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["gains", "simulate"])
     def test_quadrature_failure_exits_1(self, tmp_path, capsys, monkeypatch, command):
         # One step halving cannot reach the 1e-13 agreement of the rule.
         monkeypatch.setattr(numerics, "QUAD_MAX_LEVEL", 1)
@@ -595,18 +610,9 @@ class TestReferenceGains:
     # The sweep tables of the euclidean input norm, whose AnalphaBnnorm is 1
     # at every n, and of the Riemann weight p = 1 at alpha = 0.05: the two
     # branches of the operator norm and the state scale at p = 1.
-    SWEEP_SHA256 = {
-        "euclidean": (["--u_norm", "euclidean"],
-                      "b9f780f59b4ccb3c64489fb8f806d6696b60717fb96207908c4d6e6b0e0afd27"),
-        "riemann": (["--weight_exponent", "1", "--alpha", "0.05",
-                     "--n_schedule", "500,1000,2000"],
-                    "90ad9696fd595826b4411d91b82d54a587e6a030cfe602f59646ae6d6aa7d8b1"),
-    }
-
-    @pytest.mark.parametrize("flags, digest", SWEEP_SHA256.values(), ids=SWEEP_SHA256.keys())
-    def test_sweep_csv_digest(self, tmp_path, capsys, flags, digest):
-        assert main(["sweep", *flags, "--output_dir", str(tmp_path)]) == 0
-        assert sha256(tmp_path / "sweep.csv") == digest
+    @pytest.mark.parametrize("config", ["euclidean", "riemann"])
+    def test_sweep_csv_digest(self, tmp_path, capsys, config):
+        assert run_reference(config, tmp_path) == reference(config).digests
 
     def test_default_config(self, tmp_path, capsys):
         assert main(["gains", "--output_dir", str(tmp_path)]) == 0
@@ -621,64 +627,90 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+class Reference(NamedTuple):
+    commands: list
+    flags: list
+    digests: dict
+
+
+REFERENCE = Path(__file__).parent / "reference"
+
+
+def reference(config) -> Reference:
+    """The pinned config ``tests/reference/<config>.sha256``: a sha256sum -c
+    manifest of the artifacts, which CI checks too, whose comment lines name
+    the commands that write them and the flags they run with."""
+    commands, flags, digests = [], [], {}
+    for line in (REFERENCE / f"{config}.sha256").read_text().splitlines():
+        if line.startswith("# commands:"):
+            commands = line.split()[2:]
+        elif line.startswith("# flags:"):
+            flags = line.split()[2:]
+        elif not line.startswith("#"):
+            digest, name = line.split("  ")
+            digests[name] = digest
+    return Reference(commands, flags, digests)
+
+
+def run_reference(config, out_dir, commands=None) -> dict:
+    """Run the pinned config's commands, or ``commands`` of them, into
+    out_dir; the SHA-256 of every file written there."""
+    pinned = reference(config)
+    for command in commands or pinned.commands:
+        assert main([command, *pinned.flags, "--output_dir", str(out_dir)]) == 0
+    return {path.name: sha256(path) for path in sorted(out_dir.iterdir())}
+
+
 class TestReferenceArtifacts:
-    """simulate's, check's and plot's output at the default config, and
-    simulate's at the long-horizon one: the stdout of simulate and plot and
-    the SHA-256 of every file the three commands write."""
+    """Every file the pinned configs of tests/reference write, by SHA-256,
+    and the stdout of simulate and plot at the default and the long-horizon
+    config."""
 
     SIMULATE_OUT = ("onesided: min margin +0.322675 at t = 3\n"
                     "twosided: min margin -0.099958 at t = 3 (diagnostic only)\n"
                     "bangbang: min margin +0.374081 at t = 2.4\n")
-    TRAJ_SHA256 = {
-        "onesided": "3469c9aafc3503651a438b3a53e40c13fdb2b0b058690ec1a34544101622e45e",
-        "twosided": "1a3e42006b643855ea3c49d6a707a9430197ab691058dee32a5007cb571565d5",
-        "bangbang": "224c7af64fa333f340dce265af0d0b18746da19a9e4d28053e769b4c9e882a5d",
-    }
-    CHECK_SHA256 = "4ee61ea5ac2c9b333e6aa50cf9f11b63477fb029f208c7bd355aae80b1f37869"
-    FIG_SHA256 = {
-        "fig_omegan.svg": "2c08d17c804189a57c706fcab68d9c12f7a790ebea14271b60a3fe91aea1709b",
-        "fig_dn.svg": "236be431b25d74b19e02579d28f07fd030e84e4bdddcba36b79c80beb91cf0e9",
-        "fig_fracnorm.svg": "02974c3734293a21333d2b32dffd9fc8410f213fbb09b1727b88ffe2dc2d1644",
-        "fig_traj_bangbang.svg":
-            "61d3327df38c93efd3f0e4247dae324a9f6d573d169484a1140821840031a24e",
-        "fig_traj_onesided.svg":
-            "9cd1c5bb48bba8e4d08332aa0573639752b8098d360e6d09da0c048fcf495168",
-        "fig_traj_twosided.svg":
-            "ca3b2b400cb90a2d0df477f3af0229acad8c521a6a42cc8eb0e1103573baa9d0",
-    }
-
-    # The long-horizon config: 6000 recurrence steps at n = 1000.
-    HORIZON_ARGS = ["--n_schedule", "250,1000", "--h", "0.0005"]
     HORIZON_OUT = ("onesided: min margin +0.323001 at t = 3\n"
                    "twosided: min margin -0.099582 at t = 3 (diagnostic only)\n"
                    "bangbang: min margin +0.674438 at t = 1.125\n")
-    HORIZON_SHA256 = {
-        "onesided": "6e8ba6f27db26a145771833c8a0106d3f166275f074a224db51858d0910f5a0b",
-        "twosided": "5f23c7d226bc26d151fcbc58041f6256ec58651ff63bab3dc9213e0cb254eff3",
-        "bangbang": "7c072c4ac1fc88e7ab1da5f78178974ec383f75aaf30f2a3f042219ba1d9469f",
-    }
+    PLOT_OUT = ("wrote fig_omegan.svg, fig_dn.svg, fig_fracnorm.svg, fig_traj_bangbang.svg, "
+                "fig_traj_onesided.svg, fig_traj_twosided.svg")
+    DEFAULT = reference("default").digests
+
+    def pinned(self, written):
+        return {name: self.DEFAULT[name] for name in written}
+
+    def test_every_manifest_is_run(self):
+        # The configs the tests here and TestReferenceGains run.
+        assert sorted(path.name for path in REFERENCE.iterdir()) == [
+            f"{config}.sha256" for config in ("default", "diagnostics", "euclidean",
+                                              "long-horizon", "riemann", "scaled", "smallest")]
 
     def test_long_horizon_simulate(self, tmp_path, capsys):
-        assert main(["simulate", *self.HORIZON_ARGS, "--output_dir", str(tmp_path)]) == 0
+        assert run_reference("long-horizon", tmp_path) == reference("long-horizon").digests
         assert capsys.readouterr().out == self.HORIZON_OUT
-        assert {label: sha256(tmp_path / f"traj_{label}.csv")
-                for label in self.HORIZON_SHA256} == self.HORIZON_SHA256
+
+    def test_default_sweep_and_gains(self, tmp_path, capsys):
+        written = run_reference("default", tmp_path, ["sweep", "gains"])
+        assert written == self.pinned(["gains.kv", "gains.txt", "sweep.csv"])
 
     def test_default_simulate(self, tmp_path, capsys):
-        assert main(["simulate", "--output_dir", str(tmp_path)]) == 0
+        written = run_reference("default", tmp_path, ["simulate"])
         assert capsys.readouterr().out == self.SIMULATE_OUT
-        assert {label: sha256(tmp_path / f"traj_{label}.csv")
-                for label in self.TRAJ_SHA256} == self.TRAJ_SHA256
+        assert written == self.pinned(f"traj_{label}.csv"
+                                      for label in ("bangbang", "onesided", "twosided"))
 
     def test_default_check(self, tmp_path, capsys):
-        assert main(["check", "--output_dir", str(tmp_path)]) == 0
-        assert sha256(tmp_path / "check.txt") == self.CHECK_SHA256
+        assert run_reference("default", tmp_path, ["check"]) == self.pinned(["check.txt"])
 
     def test_default_plot(self, tmp_path, capsys):
-        for command in ("sweep", "simulate", "plot"):
-            assert main([command, "--output_dir", str(tmp_path)]) == 0
-        assert capsys.readouterr().out.splitlines()[-1] == "wrote " + ", ".join(self.FIG_SHA256)
-        assert {name: sha256(tmp_path / name) for name in self.FIG_SHA256} == self.FIG_SHA256
+        written = run_reference("default", tmp_path, ["sweep", "simulate", "plot"])
+        assert capsys.readouterr().out.splitlines()[-1] == self.PLOT_OUT
+        assert written == self.pinned(written)
+        assert len(written) == 10
+
+    @pytest.mark.parametrize("config", ["diagnostics", "scaled", "smallest"])
+    def test_check_digest(self, tmp_path, capsys, config):
+        assert run_reference(config, tmp_path) == reference(config).digests
 
 
 class TestCheckRendering:

@@ -152,7 +152,7 @@ class TestKConstants:
 
 class TestAssembleGains:
     def test_reference_chain_gamma_slope(self):
-        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, 1.0, 1.0)
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, 1.0, 1.0, weight_exponent=2)
         assert 0.896 <= bundle.gamma_slope <= 0.903
 
     def test_reported_slope_with_reference_kappa(self):
@@ -164,7 +164,7 @@ class TestAssembleGains:
 
     def test_bundle_invariants_recompute(self):
         mu_e = 1.0
-        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, mu_p=1.0, mu_e=mu_e)
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, mu_p=1.0, mu_e=mu_e, weight_exponent=2)
         k1, k2, kappa = k_constants(bundle.alpha, REFERENCE_OMEGA, REFERENCE_D)
         assert bundle.theta == THETA
         assert bundle.k1 == pytest.approx(k1, abs=1e-12)
@@ -174,7 +174,7 @@ class TestAssembleGains:
                                                    abs=1e-12)
 
     def test_gain_shape(self):
-        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, 1.0, 1.0)
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, 1.0, 1.0, weight_exponent=2)
         assert bundle.gamma(0.0) == 0.0
         assert bundle.gamma(2.0) > bundle.gamma(1.0) > 0.0
         times = np.array([0.5, 1.0])
@@ -188,7 +188,8 @@ class TestAssembleGains:
     def test_beta_matches_one_expression(self, t, s):
         # beta_M exp(-omega t) s as one expression, bit for bit, in an array
         # of t's shape.
-        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, mu_p=1.1, mu_e=1.2)
+        bundle = assemble_gains(REFERENCE_RECORDS, 0.5, mu_p=1.1, mu_e=1.2,
+                                weight_exponent=2)
         expected = bundle.beta_m * np.exp(-bundle.beta_omega * t) * s
         got = bundle.beta(s, t)
         assert type(got) is type(expected)
@@ -217,10 +218,15 @@ class TestAssembleGains:
                    for k, (omega, d, norm) in enumerate(zip(omegas, d_values, norm_values))]
         if abs(norm_values[-1] - norm_values[-2]) > LIMIT_TOL * abs(norm_values[-1]):
             with pytest.raises(LimitError, match="frac_norm_limit did not converge"):
-                assemble_gains(records, alpha, mu_p=mu_p, mu_e=mu_e)
+                assemble_gains(records, alpha, mu_p=mu_p, mu_e=mu_e, weight_exponent=2)
             return
-        bundle = assemble_gains(records, alpha, mu_p=mu_p, mu_e=mu_e)
         k1, k2, kappa = k_constants(alpha, omegas[-1], mu_p * mu_e * max(d_values[:count]))
+        n = records[-1].n
+        if mu_e * kappa * norm_values[-1] < math.sqrt(n - 1) / n:
+            with pytest.raises(LimitError, match="is below .* the exact gain"):
+                assemble_gains(records, alpha, mu_p=mu_p, mu_e=mu_e, weight_exponent=2)
+            return
+        bundle = assemble_gains(records, alpha, mu_p=mu_p, mu_e=mu_e, weight_exponent=2)
         assert bundle.beta_omega == omegas[-1]
         assert bundle.beta_m == mu_p * mu_e
         assert (bundle.k1, bundle.k2, bundle.kappa) == (k1, k2, kappa)
@@ -239,11 +245,16 @@ class TestAssembleGains:
         records = [SweepRecord(n=r.n, omega_n=r.omega_n, d_n=r.d_n, frac_norm_n=norm)
                    for r in REFERENCE_RECORDS]
         with pytest.raises(LimitError, match=f"^{message} is not finite and positive"):
-            assemble_gains(records, 0.5, mu_p=mu_p, mu_e=mu_e)
+            assemble_gains(records, 0.5, mu_p=mu_p, mu_e=mu_e, weight_exponent=2)
 
     def test_single_record_rejected(self):
         with pytest.raises(ValueError, match="at least 2 records"):
-            assemble_gains(REFERENCE_RECORDS[:1], 0.5, 1.0, 1.0)
+            assemble_gains(REFERENCE_RECORDS[:1], 0.5, 1.0, 1.0, weight_exponent=2)
+
+    def test_weight_exponent_domain(self):
+        # The exact gain is known in the two norms the space offers.
+        with pytest.raises(ValueError, match="weight exponent must be 1 or 2, got 3"):
+            assemble_gains(REFERENCE_RECORDS, 0.5, 1.0, 1.0, weight_exponent=3)
 
     @staticmethod
     def verdict(a, alpha):
@@ -251,7 +262,7 @@ class TestAssembleGains:
         if the limit fails its Cauchy test."""
         records = run_sweep((16, 32), a, alpha, WINDOW)
         try:
-            return assemble_gains(records, alpha, 1.0, 1.0).frac_norm_limit
+            return assemble_gains(records, alpha, 1.0, 1.0, weight_exponent=2).frac_norm_limit
         except LimitError:
             return None
 
@@ -286,7 +297,7 @@ class TestFracNormLimitAtP1:
         # gains --weight_exponent 1 --alpha 0.05 certifies 1.168620125, below
         # the limit 1.1693324348.
         records = run_sweep(DEFAULT_SCHEDULE, 1.0, self.ALPHA, WINDOW, weight_exponent=1)
-        bundle = assemble_gains(records, self.ALPHA, 1.0, 1.0)
+        bundle = assemble_gains(records, self.ALPHA, 1.0, 1.0, weight_exponent=1)
         assert bundle.frac_norm_limit >= frac_norm_limit_p1(self.ALPHA, 1.0)
 
 
@@ -297,7 +308,8 @@ class TestLemmaCheck:
 
     def make_bundle(self, sys):
         # A sweep that ends at sys, so that omega is the decay rate of sys.
-        return assemble_gains(run_sweep([sys.n // 2, sys.n], 1.0, 0.5, WINDOW), 0.5, 1.0, 1.0)
+        return assemble_gains(run_sweep([sys.n // 2, sys.n], 1.0, 0.5, WINDOW), 0.5, 1.0, 1.0,
+                              weight_exponent=2)
 
     @staticmethod
     def own_bundle(sys, alpha):
@@ -393,6 +405,26 @@ class TestExactGainBracket:
         traj = simulate(system, np.zeros(n - 1), np.array([[1.0, 1.0]]), 5.0, 0.05)
         assert traj.norms[-1] == pytest.approx(exact_gain_bracket(n, 1.0, 1, "max")[1],
                                                rel=1e-13, abs=0)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(a=st.floats(-3.0, 6.0).map(lambda exponent: 10.0**exponent),
+           u_norm=st.sampled_from(["max", "euclidean"]),
+           n0=st.integers(8, 256), count=st.integers(2, 4),
+           p1_alpha=st.none() | st.floats(0.02, 0.2))
+    def test_every_certified_gain_reaches_the_exact_gain(self, a, u_norm, n0, count, p1_alpha):
+        # p = 2 at alpha = 1/2, which is never refused, or p = 1 at a small
+        # alpha, where the K route's gamma_slope falls below 1 at large a.
+        p, alpha = (2, 0.5) if p1_alpha is None else (1, p1_alpha)
+        schedule = [n0 * 2**k for k in range(count)]
+        records = run_sweep(schedule, a, alpha, WINDOW, weight_exponent=p, input_norm=u_norm)
+        try:
+            bundle = assemble_gains(records, alpha, 1.0, 1.0, weight_exponent=p)
+        except LimitError:
+            assert p == 1
+            return
+        assert bundle.gamma_slope >= exact_gain_bracket(schedule[-1], a, p, u_norm)[1]
+        if p == 1:
+            assert bundle.gamma_slope >= 1.0
 
     def test_default_gamma_slope_reaches_the_upper_end(self, tmp_path, capsys):
         cfg = RunConfig()

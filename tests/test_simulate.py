@@ -436,7 +436,7 @@ class TestSimulate:
         np.testing.assert_array_equal(prefix_states(sys, np.zeros(7), u, 0.1, 10),
                                       prefix_states(sys, np.zeros(7), u[:10], 0.1, 10))
 
-    @pytest.mark.parametrize("u", [ONE_SIDED, TWO_SIDED, bang_bang(60, 20240501, active=(0,))],
+    @pytest.mark.parametrize("u", [ONE_SIDED, TWO_SIDED, bang_bang(60, 20240501, columns=1)],
                              ids=["onesided", "twosided", "bangbang"])
     def test_matches_stepwise_oracle(self, u):
         """The three scenarios of the simulate command.  The held rows take
@@ -660,7 +660,7 @@ class TestLiveModes:
         sys = l2_system(n)
         if columns == 1:
             sys = one_sided(sys)
-        u = bang_bang(steps, seed=11, active=tuple(range(columns)))
+        u = bang_bang(steps, seed=11, columns=columns)
         x0 = np.zeros(n - 1)
         # Memoizes the spectrum and the FFT's plan for this length.
         simulate(sys, x0, u, steps * h, h)
@@ -727,7 +727,7 @@ class TestModalStepping:
         the norms come from the modal rows or from the node values."""
         n, steps, h = 256, 2000, 0.001
         system = one_sided(l2_system(n))
-        u = bang_bang(steps, seed=20240501, active=(0,))
+        u = bang_bang(steps, seed=20240501, columns=1)
         traj = simulate(system, np.zeros(n - 1), u, steps * h, h)
         # The rows of simulate itself: no mode settles at this n and h, so
         # the stepwise oracle and simulate agree bit for bit, norms included.
@@ -779,7 +779,7 @@ class TestInputSignal:
 
     def test_bang_bang_one_sided(self):
         # One stored column, the first column of the two-sided draw.
-        u = bang_bang(40, seed=3, active=(0,))
+        u = bang_bang(40, seed=3, columns=1)
         assert u.shape == (40, 1)
         np.testing.assert_array_equal(u[:, 0], bang_bang(40, seed=3)[:, 0])
         assert input_sup_norm(u, "max") == 1.0
@@ -789,10 +789,10 @@ class TestInputSignal:
         with pytest.raises(ValueError, match="seed"):
             bang_bang(10, seed=seed)
 
-    @pytest.mark.parametrize("steps, active, name", [(0, (0, 1), "steps"), (3, (), "active")])
-    def test_bang_bang_nothing_to_draw(self, steps, active, name):
+    @pytest.mark.parametrize("steps, columns, name", [(0, 2, "steps"), (3, 0, "columns")])
+    def test_bang_bang_nothing_to_draw(self, steps, columns, name):
         with pytest.raises(ValueError, match=name):
-            bang_bang(steps, 1, active=active)
+            bang_bang(steps, 1, columns=columns)
 
     def test_bang_bang_levels_uniform(self):
         steps = 30000
@@ -813,7 +813,7 @@ class TestInputSignal:
         # Seed 1's first byte is b with b % 3 == 1, level 0, so its one-step
         # one-sided draw is all zero before the fix-up.
         assert random.Random(1).randbytes(1)[0] % 3 == 1
-        np.testing.assert_array_equal(bang_bang(1, seed=1, active=(0,)), [[1.0]])
+        np.testing.assert_array_equal(bang_bang(1, seed=1, columns=1), [[1.0]])
 
     @pytest.mark.parametrize("steps", [1, 12, 2000])
     def test_bang_bang_matches_byte_loop(self, steps):
@@ -833,7 +833,7 @@ class TestInputSignal:
     def test_bang_bang_golden(self):
         # The first draws of the simulate command's bang-bang input at the
         # default seed: a change to the draw changes the bang-bang artifacts.
-        u = bang_bang(12, seed=20240501, active=(0,))
+        u = bang_bang(12, seed=20240501, columns=1)
         np.testing.assert_array_equal(u[:, 0], [0, -1, 0, 0, 1, 1, 1, -1, 0, -1, 1, -1])
 
 
@@ -868,7 +868,7 @@ class TestIssMargin:
         sys = l2_system(n)
         worst = math.inf
         for seed in range(50):
-            u = bang_bang(60, seed=seed, active=(seed % 2,))
+            u = bang_bang(60, seed=seed, columns=1)
             traj = simulate(one_sided(sys, seed % 2), np.zeros(n - 1), u, 3.0, 0.05)
             margin, _ = iss_margin(traj, REFERENCE_BUNDLE, 0.0)
             worst = min(worst, margin)

@@ -59,7 +59,7 @@ class TestAggregate:
 
     def test_omega_cauchy_convergence(self):
         records = self.records([2000, 4000])
-        bundle = assemble_gains(records, 0.5, 1.0, 1.0)
+        bundle = assemble_gains(records, 0.5, 1.0, 1.0, weight_exponent=2)
         assert bundle.beta_omega == records[-1].omega_n
         last_delta = records[-1].omega_n - records[-2].omega_n
         assert 0.0 < last_delta <= 1e-4
@@ -70,7 +70,7 @@ class TestAggregate:
 
     def test_d_hat_is_supremum(self):
         records = self.records([100, 200, 400])
-        bundle = assemble_gains(records, 0.5, 1.0, 1.0)
+        bundle = assemble_gains(records, 0.5, 1.0, 1.0, weight_exponent=2)
         omega = records[-1].omega_n
         # K2 grows with D, so the supremum gives the largest K2 of any record.
         k2_sup = k_constants(0.5, omega, max(r.d_n for r in records))[1]
@@ -80,8 +80,8 @@ class TestAggregate:
 
     def test_mu_scaling(self):
         records = self.records([100, 200])
-        plain = assemble_gains(records, 0.5, 1.0, 1.0)
-        scaled = assemble_gains(records, 0.5, mu_p=1.1, mu_e=1.2)
+        plain = assemble_gains(records, 0.5, 1.0, 1.0, weight_exponent=2)
+        scaled = assemble_gains(records, 0.5, mu_p=1.1, mu_e=1.2, weight_exponent=2)
         # K2 is linear in D, so D = mu_p mu_e max D_n scales it by 1.32.
         assert scaled.k2 == pytest.approx(1.32 * plain.k2, rel=1e-12)
         assert scaled.k1 == plain.k1
