@@ -6,12 +6,13 @@ Commands: sweep, gains, simulate, check, plot.  Configuration comes from a
 flat key = value file plus --key value overrides; flags win.  The command
 may stand anywhere among the options; a key may be shortened to any prefix
 that names it alone, and the last of repeated flags wins.  Exit codes:
-0 success; 1 a failing diagnostic verdict, a negative certified margin, no
-certified gain (a sweep limit that did not converge, or a gain constant
-that is not finite and positive, as when mu_p mu_e overflows) or a
-K-constant integral that failed; 2 usage or config error,
-a missing, unreadable or malformed CSV given to plot, or an artifact that
-cannot be written (the artifacts written before it stay on disk).
+0 success; 1 a failing diagnostic verdict, a negative certified margin or
+no certified gain (a sweep limit that did not converge, a gain constant
+that is not finite and positive, as when mu_p mu_e overflows, a gamma
+slope below the exact gain, or a K-constant integral that failed); 2 usage
+or config error, a missing, unreadable or malformed CSV given to plot, or
+an artifact that cannot be written (the artifacts written before it stay
+on disk).
 
 Import rule: at module level this module imports the standard library and
 ``issgains.config`` alone, so that ``plot``, ``--help`` and every exit-2
@@ -42,7 +43,6 @@ from .config import (
     PARSERS,
     ConfigError,
     LimitError,
-    QuadratureError,
     RunConfig,
     file_overrides,
     step_count,
@@ -166,8 +166,9 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         del traj
         note = ""
         if label == "twosided":
-            # Reported as a diagnostic only: the two-sided constant case is
-            # norm-convention sensitive (see README).
+            # A diagnostic only: simulate measures in p = 1, where the steady
+            # state of u = (1, 1) has the exact gain sqrt((n-1)/n) as its norm,
+            # but gamma_slope is certified in weight_exponent (see README).
             note = " (diagnostic only)"
         elif margin < 0.0:
             note = " (ISS bound violated)"
@@ -295,7 +296,7 @@ def dispatch(command: str, cfg: RunConfig) -> int:
             raise ConfigError(f"cannot use output_dir {cfg.output_dir!r}: "
                               f"{exc.strerror or exc}") from None
         return COMMANDS[command](cfg)
-    except (LimitError, QuadratureError) as exc:
+    except LimitError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
     except ConfigError as exc:

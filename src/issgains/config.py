@@ -1,4 +1,4 @@
-"""Run configuration, the shared constants and the exit-1 errors, in the
+"""Run configuration, the shared constants and the two errors, in the
 standard library alone.
 
 The CLI front end needs these names before it knows its command, so they
@@ -17,7 +17,6 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "LimitError",
-    "QuadratureError",
     "DEFAULT_SCHEDULE",
     "CSV_HEADER",
     "MAX_STEPS",
@@ -50,14 +49,12 @@ class ConfigError(ValueError):
 
 
 class LimitError(RuntimeError):
-    """No certified gain exists: a sweep limit failed its Cauchy check, or a
-    certified constant is not finite and positive."""
-
-
-class QuadratureError(RuntimeError):
-    """Raised when an integral does not converge within
-    ``numerics.QUAD_MAX_LEVEL`` step halvings, or when its sum is not finite;
-    the message gives the best estimate."""
+    """No certified gain exists, the one exit-1 error.  Raised when a sweep
+    limit fails its Cauchy check, when a certified constant is not finite
+    and positive, when gamma_slope is below the exact gain, and when a
+    K-constant integral does not converge within ``numerics.QUAD_MAX_LEVEL``
+    step halvings (the message gives the best estimate) or has a non-finite
+    sum."""
 
 
 def step_count(t_end: float, h: float) -> int:

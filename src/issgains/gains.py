@@ -173,8 +173,8 @@ def assemble_gains(records, alpha: float, mu_p: float, mu_e: float,
     Raises LimitError when the fractional norm fails its Cauchy check, when
     any of K1, K2, kappa, frac_norm_limit, beta_M, beta_omega and
     gamma_slope is not finite and positive (an overflowing or underflowing
-    mu_p mu_e, say), or when gamma_slope is below the exact gain: no
-    certified gain exists then.
+    mu_p mu_e, say), when gamma_slope is below the exact gain, or when a K
+    integral fails in ``k_constants``: no certified gain exists then.
     """
     records = list(records)
     if len(records) < 2:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import QuadratureError
+from .config import LimitError
 
 __all__ = [
     "EigenDecomposition",
@@ -208,12 +208,12 @@ def _quad(name: str, integrands, scale: float = 1.0) -> QuadratureResult:
         previous, estimate = estimate, total * 2.0**-level
         value = scale * estimate
         if not math.isfinite(value):
-            raise QuadratureError(f"{name} has a non-finite sum {value!r}")
+            raise LimitError(f"{name} has a non-finite sum {value!r}")
         change = abs(estimate - previous)
         if change <= QUAD_RTOL * abs(estimate):
             return QuadratureResult(value=value, abs_error_estimate=scale * change,
                                     evaluations=evals)
-    raise QuadratureError(
+    raise LimitError(
         f"{name} did not converge within {QUAD_MAX_LEVEL} step halvings "
         f"(last change {scale * change:.3g}); best estimate {value:.17g}")
 

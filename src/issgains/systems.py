@@ -1,6 +1,6 @@
-"""Discretized state spaces, the one owner of every state, input and operator
-norm, and heat-equation system builders on the unit interval, with the
-extension operator and the L2 quadrature norm.
+"""Discretized state spaces, the owner of the state weight, the input norm and
+the operator norm, and heat-equation system builders on the unit interval,
+with the extension operator and the L2 quadrature norm.
 
 ``extend`` and ``function_l2_norm`` serve ``fattorini.consistency_diagnostic``
 alone; perfbench's traced run times them as ``systems.extend`` and
@@ -68,15 +68,6 @@ class WeightedSpace(_WeightedSpace):
     def state_scale(self) -> float:
         """Multiplier turning the plain l2 norm into the weighted norm."""
         return self.dx ** (self.weight_exponent / 2.0)
-
-    def state_norm(self, x) -> float:
-        """Weighted norm of one state x, state_scale * ||x||_2."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.interior_nodes,):
-            raise ValueError(
-                f"state length {x.shape} does not match {self.interior_nodes} interior nodes"
-            )
-        return self.state_scale * float(np.linalg.norm(x))
 
     def op_norm(self, m) -> float:
         """Operator norm of u -> m u from U into the weighted state space.

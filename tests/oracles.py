@@ -364,7 +364,8 @@ def extension_norm_search(n: int, vectors: int = 16, seed: int = 0) -> float:
     best = 0.0
     for _ in range(vectors):
         x = rng.standard_normal(space.interior_nodes)
-        best = max(best, function_l2_norm(extend(x, space), panels=panels) / space.state_norm(x))
+        norm = space.state_scale * np.linalg.norm(x)
+        best = max(best, function_l2_norm(extend(x, space), panels=panels) / norm)
     return best
 
 
@@ -394,7 +395,7 @@ def probe_ratio_mu(samples, n_list) -> float:
     for n in n_list:
         p1 = WeightedSpace(n, 1)
         for f, f_norm in zip(samples, norms):
-            mu_p = max(mu_p, p1.state_norm(restrict(f, p1)) / f_norm)
+            mu_p = max(mu_p, p1.state_scale * np.linalg.norm(restrict(f, p1)) / f_norm)
     return mu_p
 
 

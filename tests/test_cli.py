@@ -1,4 +1,5 @@
 import ast
+import builtins
 import gc
 import hashlib
 import json
@@ -345,6 +346,21 @@ class TestDispatch:
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("command", ["gains", "simulate"])
+    def test_non_finite_quadrature_sum_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # Infinite node weights: 0 * inf at the nodes where an integrand
+        # underflows makes the first K integral's sum NaN.
+        tanh_sinh = numerics._tanh_sinh
+        monkeypatch.setattr(numerics, "_tanh_sinh", lambda t: (tanh_sinh(t)[0], math.inf))
+        code = main([command, "--n_schedule", "16,32", "--lambda_count", "50",
+                     "--output_dir", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: quad_exp_tail(alpha=0.5, omega=9.861679775340777) "
+                                "has a non-finite sum nan\n")
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("command", ["gains", "simulate"])
     def test_single_resolution_is_config_error(self, tmp_path, capsys, command):
         # Refused before dispatch makes output_dir.
         out_dir = tmp_path / "new"
@@ -550,6 +566,32 @@ class TestOnlyFrontEndTouchesFiles:
 
     def test_layers_found(self):
         assert {"sweep.py", "svgplot.py", "simulate.py"} <= set(self.LAYERS)
+
+
+class TestTwoErrors:
+    """The package defines two exception classes, both in config.py:
+    ConfigError (exit 2) and LimitError (exit 1)."""
+
+    PACKAGE = Path(issgains.__file__).parent
+
+    def test_exception_classes(self):
+        # A class is an exception if one of its bases is a builtin exception
+        # or an exception class of the package, by name, in any module.
+        classes = [(path.name, node) for path in sorted(self.PACKAGE.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef)]
+        exceptions = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type) and issubclass(value, BaseException)}
+        found = set()
+        while True:
+            more = {(module, node.name) for module, node in classes
+                    if any(getattr(base, "id", getattr(base, "attr", None)) in exceptions
+                           for base in node.bases)}
+            if more == found:
+                break
+            found = more
+            exceptions |= {name for _, name in more}
+        assert sorted(found) == [("config.py", "ConfigError"), ("config.py", "LimitError")]
 
 
 class TestOnlySpaceNamesInputNorms:

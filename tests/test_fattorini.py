@@ -259,14 +259,15 @@ class TestEstimateMu:
         space = WeightedSpace(n, 1)
         sampled = restrict(lambda xi: c @ np.sin(np.pi * np.multiply.outer(k, xi)), space)
         expected = math.sqrt(float(np.sum(c * c)) / 2.0)
-        assert space.state_norm(sampled) == pytest.approx(expected, rel=1e-12, abs=0)
+        norm = space.state_scale * np.linalg.norm(sampled)
+        assert norm == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_narrow_hat_exceeds_one(self):
         # mu_p = 1 holds on the sine modes below n only: point sampling is
         # unbounded on L2, and a narrow hat sampled at its peak shows it.
         hat = lambda x: np.maximum(0.0, 1.0 - 1000.0 * np.abs(x - 0.5))
         spaces = [WeightedSpace(n, 1) for n in (250, 500)]
-        sampled = max(space.state_norm(restrict(hat, space)) for space in spaces)
+        sampled = max(space.state_scale * np.linalg.norm(restrict(hat, space)) for space in spaces)
         assert f"{sampled / function_l2_norm(hat):.10g}" == "2.449505511"
 
     def test_empty_samples(self):
@@ -308,7 +309,8 @@ class TestEstimateMu:
         # The first sine mode attains the norm; a larger n raises it.
         space = WeightedSpace(n, 1)
         mode = restrict(lambda xi: np.sin(np.pi * xi), space)
-        ratio = function_l2_norm(extend(mode, space), panels=panels_for(n)) / space.state_norm(mode)
+        norm = space.state_scale * np.linalg.norm(mode)
+        ratio = function_l2_norm(extend(mode, space), panels=panels_for(n)) / norm
         assert estimate_mu([n])[1] == pytest.approx(ratio, rel=1e-14, abs=0)
         assert estimate_mu([n, n // 2])[1] == estimate_mu([n])[1]
 

@@ -393,7 +393,8 @@ class TestExactGainBracket:
         dense = a_matrix(system)
         lower, upper = exact_gain_bracket(n, a, p, u_norm)
         steady = -np.linalg.solve(dense, system.b_matrix @ [1.0, 1.0])
-        assert system.space.state_norm(steady) == pytest.approx(upper, rel=1e-12, abs=0)
+        norm = system.space.state_scale * np.linalg.norm(steady)
+        assert norm == pytest.approx(upper, rel=1e-12, abs=0)
         steady_map = -np.linalg.solve(dense, system.b_matrix)
         assert system.space.op_norm(steady_map) == pytest.approx(lower, rel=1e-12, abs=0)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import issgains.numerics as numerics
-from issgains.config import QuadratureError
+from issgains.config import LimitError
 from issgains.gains import frac_control_norm
 from issgains.numerics import (
     apply_matrix_function,
@@ -133,19 +133,19 @@ class TestDoubleExponential:
 
     def test_non_finite_integrand(self):
         # The node t = 0 of the tanh-sinh rule is x = 1/2.
-        with pytest.raises(QuadratureError, match="^probe has a non-finite sum inf$"):
+        with pytest.raises(LimitError, match="^probe has a non-finite sum inf$"):
             numerics._quad("probe", [lambda x: math.inf if x == 0.5 else 1.0])
 
     def test_no_convergence_within_level_cap(self, monkeypatch):
         monkeypatch.setattr(numerics, "QUAD_MAX_LEVEL", 1)
-        with pytest.raises(QuadratureError, match=r"quad_exp_tail\(alpha=0.5.*best estimate") as info:
+        with pytest.raises(LimitError, match=r"quad_exp_tail\(alpha=0.5.*best estimate") as info:
             quad_exp_tail(0.5, 1.0)
         estimate = float(str(info.value).rpartition("best estimate ")[2])
         assert estimate == pytest.approx(math.sqrt(math.pi), rel=1e-2)
 
     def test_subnormal_omega_is_an_error(self):
         # omega^(alpha - 1) overflows a double.
-        with pytest.raises(QuadratureError, match="non-finite"):
+        with pytest.raises(LimitError, match="non-finite"):
             quad_exp_tail(0.01, 1e-320)
 
 
