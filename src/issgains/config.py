@@ -164,11 +164,14 @@ class RunConfig(namedtuple("RunConfig", list(PARSERS),
 
 def file_overrides(source: str) -> dict:
     """The parsed ``key = value`` pairs of a config file, not yet validated;
-    a key may be set only once."""
+    a key may be set only once.  A ``#`` at the start of a line or after
+    whitespace starts a comment; any other ``#`` is part of the value."""
     overrides = {}
     first_line = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        cut = next((i for i, ch in enumerate(raw)
+                    if ch == "#" and (i == 0 or raw[i - 1].isspace())), None)
+        line = raw[:cut].strip()
         if not line:
             continue
         if "=" not in line:

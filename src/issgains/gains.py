@@ -98,10 +98,14 @@ def sector_bound(sys: ClosedControlSystem, path: PathSpec) -> float:
     return path.resolvent_constant(growth_bound(sys))
 
 
-def frac_control_norm(sys: ClosedControlSystem, alpha: float) -> float:
-    """Norm of (-A)^(alpha - 1) B from U into the weighted state space."""
+def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def frac_control_norm(sys: ClosedControlSystem, alpha: float) -> float:
+    """Norm of (-A)^(alpha - 1) B from U into the weighted state space."""
+    _check_alpha(alpha)
     def power(lam):
         # (-lam) ** (alpha - 1) in one new array: **= is the same ufunc as **.
         mapped = -lam
@@ -121,9 +125,9 @@ def k_constants(alpha: float, omega: float, d: float) -> tuple[float, float, flo
     """Quadrature constants K1, K2 and kappa = K1/omega + K2 omega^-alpha Gamma(alpha)
     for the growth bound exp(-omega t) (M = 1) and the resolvent constant d.  The
     lemma behind kappa needs K2 >= (alpha/e)^alpha as t -> 0, false at d = 1 from
-    alpha ~ 0.78 (excess +0.014 at 0.8, n = 1000); ``gains`` exits 1 for alpha > 1/2."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha ~ 0.78 (excess +0.014 at 0.8, n = 1000); ``gains`` exits 1 for alpha > 1/2.
+    As the one caller of both K integrals, it refuses their alpha for them."""
+    _check_alpha(alpha)
     g1ma = math.gamma(1.0 - alpha)
     k1 = omega / g1ma * quad_exp_tail(alpha, omega).value
     k2 = d / (g1ma * math.pi * abs(math.cos(THETA))) * quad_cauchy_tail(alpha).value

@@ -219,7 +219,8 @@ def _quad(name: str, integrands, scale: float = 1.0) -> QuadratureResult:
 
 
 def quad_exp_tail(alpha: float, omega: float) -> QuadratureResult:
-    """Integral of s^(-alpha) exp(-omega s) over (0, inf).
+    """Integral of s^(-alpha) exp(-omega s) over (0, inf), for alpha in
+    (0, 1), which ``gains.k_constants``, the one caller, refuses outside.
 
     The change of variables s = t/omega turns it into omega^(alpha-1) times
     the omega-free integral of t^(-alpha) exp(-t).  Its endpoint singularity
@@ -229,7 +230,6 @@ def quad_exp_tail(alpha: float, omega: float) -> QuadratureResult:
     that exponent is at most (2 - alpha)(ln(2 - alpha) - 1) < 0, so it never
     overflows.
     """
-    _check_alpha(alpha)
     if not 0.0 < omega < math.inf:
         raise ValueError(f"omega must be positive and finite, got {omega}")
     try:
@@ -244,23 +244,18 @@ def quad_exp_tail(alpha: float, omega: float) -> QuadratureResult:
 
 
 def quad_cauchy_tail(alpha: float) -> QuadratureResult:
-    """Integral of s^(-alpha) / (1 + s) over (0, inf).
+    """Integral of s^(-alpha) / (1 + s) over (0, inf), for alpha in (0, 1)
+    as in ``quad_exp_tail``.
 
     Both halves reduce to smooth integrals on (0, 1): the head via
     s = r^(1/(1-alpha)), the tail via s = 1/t followed by t = r^(1/alpha).
     """
-    _check_alpha(alpha)
     qh = 1.0 / (1.0 - alpha)
     qt = 1.0 / alpha
     return _quad(f"quad_cauchy_tail(alpha={alpha!r})", [
         lambda r: qh / (1.0 + r**qh),
         lambda r: qt / (1.0 + r**qt),
     ])
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 def sym_tridiag_eig(diag, offdiag) -> EigenDecomposition:

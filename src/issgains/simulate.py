@@ -86,8 +86,9 @@ SETTLED = 746.0
 
 
 def bang_bang(steps: int, seed: int, columns: int = 2) -> np.ndarray:
-    """Input samples, one row per step and ``columns`` columns, drawn
-    uniformly from {-1, 0, 1}; reproducible from the 64-bit seed.  An
+    """Input samples, ``steps`` >= 1 rows and ``columns`` >= 1 columns,
+    drawn uniformly from {-1, 0, 1}; reproducible from the seed, which
+    ``RunConfig.validate`` keeps in [0, 2**64).  An
     all-zero draw gets a 1 in its first entry.  The caller picks the
     boundary ends the columns drive: a one-column input drives the system
     whose B keeps only that end's column.
@@ -96,12 +97,6 @@ def bang_bang(steps: int, seed: int, columns: int = 2) -> np.ndarray:
     column, with 255 rejected so that b % 3 is uniform (255 = 3 * 85), and
     mapped to b % 3 - 1.  The standard library's generator spares the
     simulate command the load of numpy.random."""
-    if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    if columns < 1:
-        raise ValueError(f"columns must be at least 1, got {columns}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     rng = random.Random(seed)
     values = np.empty((steps, columns))
     for column in values.T:
@@ -136,14 +131,12 @@ def step_exact(sys: ClosedControlSystem, x, u, h: float) -> np.ndarray:
     """One step of x' = Ax + Bu with u frozen on [0, h]:
     exp(Ah) x + A^{-1}(exp(Ah) - I) B u, ``simulate`` of the one sample u
     held over [0, h] (so A must be Hurwitz), mapped back from modal
-    coordinates.
+    coordinates; ``simulate`` refuses a u that is not one sample.
 
     No library code calls it; it stays here because perfbench's n-ladder
     times it as ``simulate.step_exact``, and the tests drive it."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != sys.b_matrix.shape[1:]:
-        raise ValueError(f"input must have shape {sys.b_matrix.shape[1:]}, got {u.shape}")
-    return sys.eig.eigenvectors @ simulate(sys, x, u[np.newaxis], h, h).states[0]
+    u = np.asarray(u, dtype=float)[np.newaxis]
+    return sys.eig.eigenvectors @ simulate(sys, x, u, h, h).states[0]
 
 
 def simulate(sys: ClosedControlSystem, x0, u, t_end: float, h: float) -> Trajectory:
@@ -378,11 +371,10 @@ def _held(lam, g, row, y0, times, norms) -> np.ndarray:
 
 
 def iss_margin(traj: Trajectory, bundle: GainBundle, x0_norm: float) -> tuple[float, float]:
-    """Minimum over the trajectory of beta(x0, t) + gamma(||u||_inf) - ||x(t)||;
-    positive means the ISS bound held at every sample.  The margins are
-    computed in one array (8 B a step), in the order (beta + gamma) - norm."""
-    if traj.times.size == 0:
-        raise ValueError("empty trajectory")
+    """Minimum over the trajectory (``simulate`` makes at least two samples)
+    of beta(x0, t) + gamma(||u||_inf) - ||x(t)||; positive means the ISS
+    bound held at every sample.  The margins are computed in one array
+    (8 B a step), in the order (beta + gamma) - norm."""
     margins = bundle.beta(x0_norm, traj.times)
     margins += bundle.gamma(traj.input_sup_norm)
     margins -= traj.norms

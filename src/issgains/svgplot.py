@@ -26,9 +26,8 @@ def _scale(value, lo, hi, out_lo, out_hi):
 
 
 def line_chart(xs, ys, label: str, xlabel: str, ylabel: str) -> str:
-    """One polyline through the points (xs, ys), labelled ``label``, as SVG."""
-    if len(xs) == 0:
-        raise ValueError("no data to plot")
+    """One polyline through the points (xs, ys), at least one, labelled
+    ``label``, as SVG."""
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if y_hi == y_lo:

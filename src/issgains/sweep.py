@@ -64,11 +64,9 @@ def _fmt(value: float) -> str:
 
 
 def emit_csv(records) -> str:
-    """The sweep table as ASCII text, one line per record and a newline
-    after the last; floats carry 10 significant digits."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records to write")
+    """The sweep table as ASCII text, one line per record (``run_sweep``
+    makes at least one) and a newline after the last; floats carry 10
+    significant digits."""
     lines = [CSV_HEADER]
     for r in records:
         lines.append(f"{r.n},{_fmt(r.omega_n)},{_fmt(r.d_n)},{_fmt(r.frac_norm_n)}")

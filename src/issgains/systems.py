@@ -141,13 +141,8 @@ def build_heat_dirichlet(n: int, a: float,
 
 
 def extend(x, space: WeightedSpace):
-    """Hat-function interpolant through the interior values, vanishing at
-    both endpoints. Returns a vectorized callable on [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (space.interior_nodes,):
-        raise ValueError(
-            f"coefficient length {x.shape} does not match {space.interior_nodes} interior nodes"
-        )
+    """Hat-function interpolant through the n - 1 interior values x,
+    vanishing at both endpoints. Returns a vectorized callable on [0, 1]."""
     xp = np.concatenate([[0.0], space.nodes(), [1.0]])
     fp = np.concatenate([[0.0], x, [0.0]])
 

@@ -60,6 +60,26 @@ class TestParseConfig:
         cfg = validated(file_overrides("# full comment\n\n a = 2.0  # trailing\n"))
         assert cfg.a == 2.0
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path, capsys):
+        # A # starts a comment only at the start of a line or after
+        # whitespace, so a path keeps its #, as it does from a flag.
+        out_dir = tmp_path / "hash#dir"
+        cfg_file = tmp_path / "hash.cfg"
+        cfg_file.write_text(f"n_schedule = 16,32\noutput_dir = {out_dir}\n")
+        assert main(["sweep", "--config", str(cfg_file)]) == 0
+        assert (out_dir / "sweep.csv").is_file()
+        assert capsys.readouterr().out.startswith(f"wrote {out_dir / 'sweep.csv'} ")
+
+    def test_hash_after_a_value_is_a_parse_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "hash.cfg"
+        cfg_file.write_text("n_schedule = 16,32#x\n")
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--output_dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}: line 1: bad value for n_schedule: entry 2 of 2 in "
+            "'16,32#x' is '32#x', not plain decimal digits\n")
+        assert not out_dir.exists()
+
     def test_schedule_and_overrides(self):
         cfg = validated(file_overrides("n_schedule = 500,1000\na = 2.0\n"))
         assert cfg.n_schedule == (500, 1000)

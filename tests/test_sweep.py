@@ -113,8 +113,9 @@ class TestEmitCsv:
         assert texts[0] == texts[1]
 
     def test_empty_records(self):
-        with pytest.raises(ValueError):
-            emit_csv([])
+        # emit_csv writes run_sweep's records, of which there is at least one.
+        with pytest.raises(ValueError, match="^empty resolution schedule$"):
+            run_sweep([], 1.0, 0.5, WINDOW)
 
     def test_non_finite_record_rejected(self):
         with pytest.raises(ValueError):
