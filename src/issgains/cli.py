@@ -177,25 +177,18 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     return status
 
 
-def _check_schedule(n_schedule) -> list:
-    """check's resolutions: those up to 256, or else the first two; a lone n pairs with 2n."""
-    small = [n for n in n_schedule if n <= 256] or list(n_schedule[:2])
-    return small if len(small) > 1 else [small[0], 2 * small[0]]
-
-
 def _cmd_check(cfg: RunConfig) -> int:
     from . import fattorini
     from .systems import build_heat_dirichlet
 
-    small = _check_schedule(cfg.n_schedule)
     path = _path(cfg)
-    systems = [build_heat_dirichlet(n, cfg.a) for n in small]
+    systems = [build_heat_dirichlet(n, cfg.a) for n in cfg.n_schedule]
     reports = [
         fattorini.sector_diagnostic(systems, path),
         fattorini.resolvent_gap(path, cfg.lambda_count, cfg.a),
         fattorini.consistency_diagnostic(systems, fattorini.PROBES),
     ]
-    mu_p, mu_e = fattorini.estimate_mu(small)
+    mu_p, mu_e = fattorini.estimate_mu(cfg.n_schedule)
     blocks = [r.as_text() for r in reports]
     blocks.append(f"[INFO] operator bounds\n  mu_p = {mu_p:.10g}\n  mu_e = {mu_e:.10g}")
     text = "\n\n".join(blocks) + "\n"
@@ -275,15 +268,11 @@ COMMANDS = {
 
 def _refuse(command: str, cfg: RunConfig) -> None:
     """Raise ConfigError if ``command`` cannot run on the valid ``cfg``."""
-    from .config import MAX_N
-
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
     if command in ("gains", "simulate") and len(cfg.n_schedule) < 2:
         raise ConfigError("the gains are limits over n_schedule, which needs at least "
                           f"2 resolutions, got {len(cfg.n_schedule)}")
-    if command == "check" and (top := _check_schedule(cfg.n_schedule)[-1]) > MAX_N:
-        raise ConfigError(f"check pairs n = {top // 2} with {top}, above MAX_N = {MAX_N}")
 
 
 def dispatch(command: str, cfg: RunConfig) -> int:

@@ -30,7 +30,6 @@ __all__ = [
     "DiagnosticReport",
     "PROBES",
     "restrict",
-    "panels_for",
     "sector_diagnostic",
     "sine_gap",
     "resolvent_gap",
@@ -73,16 +72,10 @@ def restrict(f, space: WeightedSpace) -> np.ndarray:
     return np.array(np.broadcast_to(f(space.nodes()), (space.interior_nodes,)), dtype=float)
 
 
-def panels_for(n: int) -> int:
-    """Smallest multiple of n that is >= 2048: a ``function_l2_norm`` panel
-    count that puts the kinks of an n-interval interpolant on edges."""
-    return -(-2048 // n) * n
-
-
 def sector_diagnostic(systems, path: PathSpec) -> DiagnosticReport:
     """Per-resolution resolvent constant D_n = sup (lambda+1) ||R(lambda, A_n)||
-    over the path, with a uniformity verdict across resolutions; ``check``
-    always passes at least two."""
+    over the path, with a uniformity verdict across resolutions; the spread
+    of a single resolution is 0."""
     values = {f"D_{sys.n}": sector_bound(sys, path) for sys in systems}
     d_list = list(values.values())
     top_half = d_list[len(d_list) // 2 :]
@@ -135,7 +128,8 @@ def resolvent_gap(path: PathSpec, count: int, a: float) -> DiagnosticReport:
     """The largest ``sine_gap`` over ``count`` >= 2 log-spaced points (the
     config's ``lambda_count``) of the path's window, at the coarse and fine
     resolutions of GAP_RESOLUTIONS; passes when refinement at least halves
-    the gap."""
+    the gap.  The pair is fixed, not read from ``n_schedule``: the verdict's
+    ratio >= 2 assumes one doubling, and a schedule need not double."""
     grid = np.geomspace(path.lambda_min, path.lambda_max, count)
     values = {f"gap_{n}": float(np.max(sine_gap(n, a, grid))) for n in GAP_RESOLUTIONS}
     ratio = values[f"gap_{GAP_RESOLUTIONS[0]}"] / values[f"gap_{GAP_RESOLUTIONS[1]}"]
@@ -152,20 +146,22 @@ def resolvent_gap(path: PathSpec, count: int, a: float) -> DiagnosticReport:
 def consistency_diagnostic(systems, probes) -> DiagnosticReport:
     """Uniform boundedness of the ratios ||E A_n P f|| / (||f|| + ||f''||) on
     smooth probes (name, f, ||f|| + ||f''||) vanishing at the boundary; only
-    the lifted images are integrated, and a probe of scale 0 reads 0.0."""
+    the lifted images are integrated, and a probe of scale 0 reads 0.0.
+
+    Each probe is sampled and lifted on the system's own grid.  The squared
+    lift is quadratic on each of the n grid intervals, so 4-point Gauss on
+    n panels, aligned with them, integrates it exactly."""
     for name, f, _ in probes:
         if abs(f(0.0)) > 1e-12 or abs(f(1.0)) > 1e-12:
             raise ValueError(f"probe {name!r} does not vanish at the boundary")
     values = {}
     for sys in systems:
-        n = sys.n
-        p1 = WeightedSpace(n, 1)
         for name, f, scale in probes:
             ratio = 0.0
             if scale:
-                lifted = extend(_apply_tridiag(sys, restrict(f, p1)), p1)
-                ratio = function_l2_norm(lifted, panels=panels_for(n)) / scale
-            values[f"strong.{name}_{n}"] = ratio
+                lifted = extend(_apply_tridiag(sys, restrict(f, sys.space)), sys.space)
+                ratio = function_l2_norm(lifted, panels=sys.n) / scale
+            values[f"strong.{name}_{sys.n}"] = ratio
     return DiagnosticReport(
         name="consistency",
         values=values,

@@ -64,8 +64,8 @@ __all__ = [
 
 # Byte budget of simulate's block arrays: for a full input, one block of steps
 # of the live modes (the forcing, then the states, then their norms), for two
-# or more input columns a scratch block of the forcing's terms, and two
-# arrays of the block's length for the settled modes' share of the norms;
+# or more input columns a scratch block of the forcing's terms, and the k
+# columns of G u_i for the settled modes' share of the norms;
 # for a held row, lambda t and the closed form of one block of samples, and
 # exp(lambda t) y0 beside them.  It also sizes the blocks of input rows over
 # which the input sup norm is taken.  No result depends on it, and it does not
@@ -239,13 +239,13 @@ def _stepped(decay, phi, g, u, y, norms) -> np.ndarray:
     of their entries is its forcing fl(fl(g u_i) phi) alone (adding the zero
     could change at most the sign of a zero entry, which no norm sees).  They
     are neither stepped nor stored: their share of norm_i^2 is u_i^T G u_i,
-    with the k x k Gram matrix G = W^T W of W = phi g over the settled modes
-    (``_settled_share``), and their entries of the final state are formed
-    once, from the last input row.  Only the live modes are stepped, in
-    blocks of rows held in a buffer of at most BLOCK_BYTES together with the
-    settled share's two arrays of a block's length.  Every entry of every
-    state is the one-step-at-a-time loop's bit for bit; only the summation
-    order of a norm with settled modes differs from it."""
+    with the k x k Gram matrix G = W^T W of W = phi g over the settled modes,
+    summed as u_i . (G u_i) with G u_i formed by ``_forcing``, and their
+    entries of the final state are formed once, from the last input row.
+    Only the live modes are stepped, in blocks of rows held in a buffer of at
+    most BLOCK_BYTES together with the k columns of G u_i for a block.  Every
+    entry of every state is the one-step-at-a-time loop's bit for bit; only
+    the summation order of a norm with settled modes differs from it."""
     steps, k = u.shape
     settled = int(np.searchsorted(decay, 0.0, side="right"))
     live = y.size - settled
@@ -255,10 +255,10 @@ def _stepped(decay, phi, g, u, y, norms) -> np.ndarray:
     g_live, phi_live, decay = g[settled:], phi[settled:], decay[settled:]
     # A row of a block: the forcing of the live modes, then their states,
     # with a scratch row beside it for two or more input columns, and the
-    # two entries of the settled share.
-    rows_max = max(1, min(steps, BLOCK_BYTES // (8 * ((1 if k == 1 else 2) * live + 2))))
+    # k entries of G u_i.
+    rows_max = max(1, min(steps, BLOCK_BYTES // (8 * ((1 if k == 1 else 2) * live + k))))
     block = np.empty((rows_max, live))
-    share = np.empty((2, rows_max))
+    gu = np.empty((rows_max, k))
     decayed = np.empty(live)
     y_live = y[settled:]
     for start in range(0, steps, rows_max):
@@ -280,7 +280,8 @@ def _stepped(decay, phi, g, u, y, norms) -> np.ndarray:
         sq = norms[start + 1:stop + 1]
         np.einsum("ij,ij->i", rows, rows, out=sq)
         if settled:
-            sq += _settled_share(gram, samples, share[:, :stop - start])
+            _forcing(gram, samples, gu[:stop - start])
+            sq += np.einsum("ij,ij->i", gu[:stop - start], samples)
         np.sqrt(sq, out=sq)
         y_live = rows[-1]
     final = np.empty(y.size)
@@ -288,23 +289,6 @@ def _stepped(decay, phi, g, u, y, norms) -> np.ndarray:
     final[:settled] *= phi[:settled]
     final[settled:] = y_live
     return final
-
-
-def _settled_share(gram, samples, out) -> np.ndarray:
-    """u_i^T G u_i for each row u_i of ``samples``, the sum over (j, l) in
-    row-major order of fl(fl(u_j G_jl) u_l), formed elementwise into out[0]
-    (returned) with out[1] as scratch, so a row rounds the same in a block of
-    any size."""
-    total, term = out
-    k = gram.shape[0]
-    for j in range(k):
-        for l in range(k):
-            dest = total if j == l == 0 else term
-            np.multiply(samples[:, j], gram[j, l], out=dest)
-            dest *= samples[:, l]
-            if dest is term:
-                total += term
-    return total
 
 
 def _held(lam, g, row, y0, times, norms) -> np.ndarray:

@@ -1,13 +1,17 @@
 import ast
 import builtins
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -16,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import issgains
 import issgains.cli as cli
@@ -23,7 +29,6 @@ import issgains.config as config
 import issgains.gains as gains
 import issgains.numerics as numerics
 import issgains.sweep as sweep
-import issgains.systems as systems
 from issgains.cli import ConfigError, RunConfig, dispatch, main
 from issgains.config import MAX_LAMBDA_COUNT, MAX_N, file_overrides, validated
 from issgains.gains import assemble_gains
@@ -390,37 +395,25 @@ class TestDispatch:
                                            "which needs at least 2 resolutions, got 1\n")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("max_n, schedule, error", [
-        (MAX_N, "10000000", "check pairs n = 10000000 with 20000000, above MAX_N = 10000000"),
-        (119, "60", "check pairs n = 60 with 120, above MAX_N = 119"),
-        (120, "60", None),
-    ])
-    def test_check_pair_within_max_n(self, tmp_path, capsys, monkeypatch, max_n, schedule,
-                                     error):
-        # check pairs a lone resolution n with 2n, which must not exceed MAX_N
-        # either: refused before any system or output_dir is made.
-        monkeypatch.setattr(config, "MAX_N", max_n)
-        built = []
-        build = systems.build_heat_dirichlet
-
-        def spy(n, *args, **kwargs):
-            built.append(n)
-            assert n <= 256, "check built a large system"
-            return build(n, *args, **kwargs)
-
-        # _cmd_check imports build_heat_dirichlet from systems at call time.
-        monkeypatch.setattr(systems, "build_heat_dirichlet", spy)
-        out_dir = tmp_path / "new"
-        code = main(["check", "--n_schedule", schedule, "--lambda_count", "50",
-                     "--output_dir", str(out_dir)])
-        captured = capsys.readouterr()
-        if error is None:
-            assert (code, captured.err) == (0, "")
-            assert built[:2] == [60, 120]
-        else:
-            assert (code, captured.out, captured.err) == (2, "", f"error: {error}\n")
-            assert built == []
-            assert not out_dir.exists()
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(schedule=st.lists(st.integers(2, 300), min_size=1, max_size=4, unique=True)
+           .map(sorted))
+    def test_check_runs_on_the_schedule_as_given(self, schedule):
+        # One system per configured n, a lone n included: each n has its
+        # sector line and its two consistency lines, and no other n has one.
+        # mu_e is the closed form at the largest n.
+        flag = ",".join(map(str, schedule))
+        with tempfile.TemporaryDirectory() as out_dir, \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert main(["check", "--n_schedule", flag, "--lambda_count", "50",
+                         "--output_dir", out_dir]) == 0
+            text = Path(out_dir, "check.txt").read_text()
+        sector = re.findall(r"^  sector\.D_(\d+) = ", text, re.M)
+        strong = re.findall(r"^  consistency\.strong\.\w+_(\d+) = ", text, re.M)
+        assert [int(n) for n in sector] == schedule
+        assert sorted(int(n) for n in strong) == sorted(schedule * 2)
+        mu_e = float(re.search(r"^  mu_e = (\S+)$", text, re.M).group(1))
+        assert mu_e == float(f"{math.sqrt((2 + math.cos(math.pi / schedule[-1])) / 3):.10g}")
 
     def test_single_resolution_sweep_and_plot(self, tmp_path, capsys):
         args = ["--n_schedule", "16", "--lambda_count", "50", "--output_dir", str(tmp_path)]

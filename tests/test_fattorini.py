@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from issgains.cli import _check_schedule
 from issgains.fattorini import (
     PROBES,
     DiagnosticReport,
     consistency_diagnostic,
     estimate_mu,
-    panels_for,
     resolvent_gap,
     restrict,
     sector_diagnostic,
@@ -115,11 +113,6 @@ class TestSectorDiagnostic:
         for mu in (0.2, 9.0, 150.0):
             values = (grid + 1.0) / (grid + mu)
             assert np.max(values) == pytest.approx(max(values[0], values[-1]))
-
-    def test_requires_two_systems(self):
-        # A lone resolution has no spread to judge; check always builds two.
-        for schedule in [(4,), (300,), (300, 600), (4, 300)]:
-            assert len(_check_schedule(schedule)) >= 2
 
 
 class TestResolventGap:
@@ -312,7 +305,7 @@ class TestEstimateMu:
         space = WeightedSpace(n, 1)
         mode = restrict(lambda xi: np.sin(np.pi * xi), space)
         norm = space.state_scale * np.linalg.norm(mode)
-        ratio = function_l2_norm(extend(mode, space), panels=panels_for(n)) / norm
+        ratio = function_l2_norm(extend(mode, space), panels=n) / norm
         assert estimate_mu([n])[1] == pytest.approx(ratio, rel=1e-14, abs=0)
         assert estimate_mu([n, n // 2])[1] == estimate_mu([n])[1]
 

@@ -170,9 +170,9 @@ def assert_norms_near_stepwise(sys, x0, u, h, oracle, norms):
     - |e_m - t_m| <= (k + 1) U a_m for t_m = sum_j phi_m g_mj u_j, so the
       squares' sum is within 2 (k + 1) U S of sum t_m^2;
     - each G_jl is within (s + 2) U sum_m |w_mj w_ml| of the exact one, and
-      the k^2 terms fl(fl(u_j G_jl) u_l) and their sum add (k^2 + 1) U
-      relative to each term, so u^T G u is within (s + k^2 + 3) U S of
-      sum t_m^2.
+      forming each (G u)_l as the column-order sum of fl(u_j G_lj), then
+      u . (G u), adds at most 2k U <= (k^2 + 1) U relative to each term
+      u_l G_lj u_j, so u^T G u is within (s + k^2 + 3) U S of sum t_m^2.
     S bounds the share and not the norm: for k >= 2, u^T G u can cancel.
     The l live squares sum within l U L of their exact sum L, the oracle's
     m squares within m U (L + S), and simulate's last add costs U (L + S):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from issgains import systems
-from issgains.fattorini import panels_for, restrict
+from issgains.fattorini import restrict
 from issgains.systems import WeightedSpace, build_heat_dirichlet, extend, function_l2_norm
 from oracles import a_matrix, analytic_heat_state, build_preclosure_heat, max_norm_corners
 
@@ -224,12 +224,18 @@ class TestQuadratureRule:
             total += w * float(np.sum(vals * vals))
         assert function_l2_norm(f, panels=panels) == float(np.sqrt(total * half))
 
-    def test_panels_for_is_next_multiple(self):
-        for n in [*range(2, 300), 2047, 2048, 2049, 4095, 4096, 4097, 5000]:
-            panels = 2048
-            while panels % n:
-                panels += 1
-            assert panels_for(n) == panels
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
+    def test_n_panels_integrate_the_hat_interpolant_exactly(self, n, seed):
+        # The squared hat interpolant is quadratic on each grid interval, so
+        # n Gauss panels give its hat mass-matrix form
+        # dx/3 sum (a_j^2 + a_j a_{j+1} + a_{j+1}^2) with a = [0, x, 0].
+        space = WeightedSpace(n)
+        x = np.random.default_rng(seed).standard_normal(n - 1)
+        a = np.concatenate([[0.0], x, [0.0]])
+        exact = space.dx / 3 * math.fsum(a[:-1] ** 2 + a[:-1] * a[1:] + a[1:] ** 2)
+        assert function_l2_norm(extend(x, space), panels=n) ** 2 == pytest.approx(
+            exact, rel=1e-13, abs=0)
 
 
 class TestRestrictExtend:
