@@ -186,7 +186,7 @@ def _cmd_check(cfg: RunConfig) -> int:
     reports = [
         fattorini.sector_diagnostic(systems, path),
         fattorini.resolvent_gap(path, cfg.lambda_count, cfg.a),
-        fattorini.consistency_diagnostic(systems, fattorini.PROBES),
+        fattorini.consistency_diagnostic(systems),
     ]
     mu_p, mu_e = fattorini.estimate_mu(cfg.n_schedule)
     blocks = [r.as_text() for r in reports]

@@ -31,8 +31,8 @@ __all__ = [
 DEFAULT_SCHEDULE = (250, 500, 1000, 2000, 4000)
 CSV_HEADER = "n,omegan,Dn,AnalphaBnnorm"
 MAX_STEPS = 10**7
-# The largest resolution n: the large-n commands peak at 167.6 MB at n = 10**6
-# and grow linearly in n, so about 1.7 GB at 10**7.
+# The largest resolution n: at n = 10**6 check peaks highest, at 209.7 MB, and
+# grows linearly in n above its 29.3 MB at n = 4, so about 1.8 GB at 10**7.
 MAX_N = 10**7
 # The largest lambda_count.  resolvent_gap evaluates a closed form at each
 # point: check --n_schedule 8,16 took 0.18 s and 29.4 MB peak RSS at 400

@@ -3,7 +3,9 @@ eigendecomposition of a uniform tridiagonal (its sine eigenvectors applied
 by FFT and never formed) and spectral matrix functions.
 
 The quadrature is one double-exponential rule, tanh-sinh on (0, 1), to
-which each K-constant integral is mapped in two smooth parts; it runs on
+which each K-constant integral is mapped in two smooth parts.  The two
+integrals, Gamma(1 - alpha) and pi/sin(pi alpha), are functions of alpha
+alone; ``gains.k_constants`` scales them by omega and D.  The rule runs on
 ``math`` floats, each level summed by ``math.fsum``, so it needs no scipy,
 and computing the K constants runs none of numpy's kernels.
 
@@ -43,7 +45,7 @@ QUAD_MAX_LEVEL = 8
 class QuadratureResult(NamedTuple):
     """An integral's value, its absolute error estimate and the number of
     integrand evaluations it took.  ``_quad``, its one builder, makes the
-    estimate scale * |change| with scale >= 0, and level 0 already has 13
+    estimate |change| of the last step halving, and level 0 already has 13
     nodes."""
 
     value: float
@@ -185,9 +187,9 @@ def _level_sum(terms: list) -> float:
         return sum(terms)
 
 
-def _quad(name: str, integrands, scale: float = 1.0) -> QuadratureResult:
-    """scale * (sum of the integrals over (0, 1) of ``integrands``, each a
-    function of one float) by the tanh-sinh rule (Takahasi & Mori, 1974), in
+def _quad(name: str, integrands) -> QuadratureResult:
+    """The sum of the integrals over (0, 1) of ``integrands``, each a
+    function of one float, by the tanh-sinh rule (Takahasi & Mori, 1974), in
     ``math`` floats.
 
     The trapezoid step on the t axis halves each level, reusing every
@@ -199,48 +201,39 @@ def _quad(name: str, integrands, scale: float = 1.0) -> QuadratureResult:
     """
     total = 0.0
     evals = 0
-    estimate = math.nan
+    value = math.nan
     for level in range(QUAD_MAX_LEVEL + 1):
         nodes = _level_nodes(level)
         for fn in integrands:
             total += _level_sum([fn(x) * w for x, w in nodes])
         evals += len(nodes) * len(integrands)
-        previous, estimate = estimate, total * 2.0**-level
-        value = scale * estimate
+        previous, value = value, total * 2.0**-level
         if not math.isfinite(value):
             raise LimitError(f"{name} has a non-finite sum {value!r}")
-        change = abs(estimate - previous)
-        if change <= QUAD_RTOL * abs(estimate):
-            return QuadratureResult(value=value, abs_error_estimate=scale * change,
-                                    evaluations=evals)
+        change = abs(value - previous)
+        if change <= QUAD_RTOL * abs(value):
+            return QuadratureResult(value=value, abs_error_estimate=change, evaluations=evals)
     raise LimitError(
         f"{name} did not converge within {QUAD_MAX_LEVEL} step halvings "
-        f"(last change {scale * change:.3g}); best estimate {value:.17g}")
+        f"(last change {change:.3g}); best estimate {value:.17g}")
 
 
-def quad_exp_tail(alpha: float, omega: float) -> QuadratureResult:
-    """Integral of s^(-alpha) exp(-omega s) over (0, inf), for alpha in
-    (0, 1), which ``gains.k_constants``, the one caller, refuses outside.
+def quad_exp_tail(alpha: float) -> QuadratureResult:
+    """Integral of t^(-alpha) exp(-t) over (0, inf), Gamma(1 - alpha), for
+    alpha in (0, 1), which ``gains.k_constants``, the one caller, refuses
+    outside; the decay rate omega enters K1 there alone.
 
-    The change of variables s = t/omega turns it into omega^(alpha-1) times
-    the omega-free integral of t^(-alpha) exp(-t).  Its endpoint singularity
-    on (0, 1) is removed by the power substitution t = r^(1/(1-alpha)); the
-    tail on (1, inf) maps to (0, 1) by t = 1/r, as the integral of
-    r^(alpha-2) exp(-1/r), evaluated as one exp of (alpha - 2) ln r - 1/r:
-    that exponent is at most (2 - alpha)(ln(2 - alpha) - 1) < 0, so it never
-    overflows.
+    The endpoint singularity on (0, 1) is removed by the power substitution
+    t = r^(1/(1-alpha)); the tail on (1, inf) maps to (0, 1) by t = 1/r, as
+    the integral of r^(alpha-2) exp(-1/r), evaluated as one exp of
+    (alpha - 2) ln r - 1/r: that exponent is at most
+    (2 - alpha)(ln(2 - alpha) - 1) < 0, so it never overflows.
     """
-    if not 0.0 < omega < math.inf:
-        raise ValueError(f"omega must be positive and finite, got {omega}")
-    try:
-        scale = omega ** (alpha - 1.0)
-    except OverflowError:  # a subnormal omega; _quad reports the non-finite value
-        scale = math.inf
     q = 1.0 / (1.0 - alpha)
-    return _quad(f"quad_exp_tail(alpha={alpha!r}, omega={omega!r})", [
+    return _quad(f"quad_exp_tail(alpha={alpha!r})", [
         lambda r: q * math.exp(-r**q),
         lambda r: math.exp((alpha - 2.0) * math.log(r) - 1.0 / r),
-    ], scale=scale)
+    ])
 
 
 def quad_cauchy_tail(alpha: float) -> QuadratureResult:

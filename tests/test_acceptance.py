@@ -90,11 +90,15 @@ def test_criterion_05_quadrature_closed_forms():
     for _ in range(20):
         alpha = rng.uniform(0.05, 0.95)
         omega = rng.uniform(0.1, 50.0)
-        exp_exact = math.gamma(1.0 - alpha) * omega ** (alpha - 1.0)
+        exp_exact = math.gamma(1.0 - alpha)
         cauchy_exact = math.pi / math.sin(math.pi * alpha)
+        # omega enters K1 = omega^alpha (the integral over its closed form) in
+        # k_constants alone.
+        k1_exact = omega**alpha
         worst = max(worst,
-                    abs(quad_exp_tail(alpha, omega).value - exp_exact) / exp_exact,
-                    abs(quad_cauchy_tail(alpha).value - cauchy_exact) / cauchy_exact)
+                    abs(quad_exp_tail(alpha).value - exp_exact) / exp_exact,
+                    abs(quad_cauchy_tail(alpha).value - cauchy_exact) / cauchy_exact,
+                    abs(k_constants(alpha, omega, 1.0)[0] - k1_exact) / k1_exact)
     _report(5, f"20-point quadrature sample, worst relative gap {worst:.2e} <= 1e-8",
             worst <= 1e-8)
 

@@ -366,7 +366,8 @@ class TestDispatch:
                      "--output_dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: quad_exp_tail(alpha=0.5, omega=")
+        assert err.startswith("error: quad_exp_tail(alpha=0.5) did not converge within 1 "
+                              "step halvings (last change ")
         assert "best estimate" in err
         assert not os.listdir(tmp_path)
 
@@ -381,8 +382,7 @@ class TestDispatch:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: quad_exp_tail(alpha=0.5, omega=9.861679775340777) "
-                                "has a non-finite sum nan\n")
+        assert captured.err == "error: quad_exp_tail(alpha=0.5) has a non-finite sum nan\n"
         assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("command", ["gains", "simulate"])

@@ -182,13 +182,13 @@ class TestResolventRoute:
 class TestConsistency:
     def test_bounded_on_smooth_probes(self):
         systems = [build_heat_dirichlet(n, 1.0) for n in (16, 32, 64, 128)]
-        report = consistency_diagnostic(systems, PROBES)
+        report = consistency_diagnostic(systems)
         assert report.verdict == "pass"
 
     def test_sine_probe_strong_norm_level(self):
         # E A P sin(pi xi) converges to -pi^2 sin(pi xi), whose L2 norm is pi^2/sqrt(2).
         systems = [build_heat_dirichlet(256, 1.0)]
-        report = consistency_diagnostic(systems, PROBES[:1])
+        report = consistency_diagnostic(systems)
         f_norm = 1.0 / math.sqrt(2.0)
         f2_norm = math.pi**2 / math.sqrt(2.0)
         expected_ratio = f2_norm / (f_norm + f2_norm)
@@ -206,22 +206,16 @@ class TestConsistency:
 
     def test_keys_are_the_strong_ratios(self):
         # One strong ratio per (n, probe), in that order, and nothing else.
-        report = consistency_diagnostic([build_heat_dirichlet(n, 1.0) for n in (8, 16)], PROBES)
+        report = consistency_diagnostic([build_heat_dirichlet(n, 1.0) for n in (8, 16)])
         assert list(report.values) == [f"strong.{name}_{n}" for n in (8, 16)
                                        for name, _, _ in PROBES]
 
-    def test_zero_probe_reads_zero(self):
-        zero = ("zero", lambda x: 0.0 * x, 0.0)
-        report = consistency_diagnostic([build_heat_dirichlet(n, 1.0) for n in (8, 16)],
-                                        [*PROBES, zero])
-        assert report.values["strong.zero_8"] == report.values["strong.zero_16"] == 0.0
-        assert report.verdict == "pass"
-
-    def test_rejects_probe_with_boundary_values(self):
-        systems = [build_heat_dirichlet(16, 1.0)]
-        bad = [("cos", lambda x: np.cos(np.pi * x), 1.0)]
-        with pytest.raises(ValueError, match="vanish"):
-            consistency_diagnostic(systems, bad)
+    def test_probes_vanish_at_the_ends_with_positive_scales(self):
+        # What makes every ratio finite and positive, and the verdict's
+        # max/min defined.
+        for name, f, scale in PROBES:
+            assert abs(f(0.0)) <= 1e-12 and abs(f(1.0)) <= 1e-12, name
+            assert scale > 0.0, name
 
 
 class TestEstimateMu:

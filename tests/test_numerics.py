@@ -28,19 +28,20 @@ def heat_diagonals(n, a=1.0):
 
 class TestQuadratures:
     def test_exp_tail_gamma_half(self):
-        res = quad_exp_tail(0.5, 1.0)
+        res = quad_exp_tail(0.5)
         assert res.value == pytest.approx(math.sqrt(math.pi), rel=1e-10)
         assert res.abs_error_estimate >= 0.0
         assert res.evaluations >= 1
 
     def test_exp_tail_reference_rate(self):
-        res = quad_exp_tail(0.5, 9.8647)
-        assert res.value == pytest.approx(math.sqrt(math.pi / 9.8647), rel=1e-10)
-        assert res.value == pytest.approx(0.56433, abs=5e-6)
+        # K1 = omega^alpha at the reference rate.
+        k1 = k_constants(0.5, 9.8647, 1.0)[0]
+        assert k1 == pytest.approx(math.sqrt(9.8647), rel=1e-10)
+        assert k1 == pytest.approx(3.14081, abs=5e-6)
 
     def test_exp_tail_quarter(self):
-        expected = math.gamma(0.75) * 2.0 ** (-0.75)
-        assert quad_exp_tail(0.25, 2.0).value == pytest.approx(expected, rel=1e-10)
+        assert quad_exp_tail(0.25).value == pytest.approx(math.gamma(0.75), rel=1e-10)
+        assert k_constants(0.25, 2.0, 1.0)[0] == pytest.approx(2.0**0.25, rel=1e-10)
 
     def test_cauchy_tail_half(self):
         assert quad_cauchy_tail(0.5).value == pytest.approx(math.pi, rel=1e-10)
@@ -54,8 +55,8 @@ class TestQuadratures:
         for _ in range(20):
             alpha = rng.uniform(0.05, 0.95)
             omega = rng.uniform(0.1, 100.0)
-            exp_exact = math.gamma(1.0 - alpha) * omega ** (alpha - 1.0)
-            assert quad_exp_tail(alpha, omega).value == pytest.approx(exp_exact, rel=1e-8)
+            assert quad_exp_tail(alpha).value == pytest.approx(math.gamma(1.0 - alpha), rel=1e-8)
+            assert k_constants(alpha, omega, 1.0)[0] == pytest.approx(omega**alpha, rel=1e-8)
             cauchy_exact = math.pi / math.sin(math.pi * alpha)
             assert quad_cauchy_tail(alpha).value == pytest.approx(cauchy_exact, rel=1e-8)
 
@@ -64,10 +65,6 @@ class TestQuadratures:
         # k_constants, the one caller of both integrals, refuses alpha first.
         with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)"):
             k_constants(alpha, 1.0, 1.0)
-
-    def test_omega_domain(self):
-        with pytest.raises(ValueError):
-            quad_exp_tail(0.5, 0.0)
 
 
 ALPHA_GRID = np.linspace(0.01, 0.99, 15)
@@ -86,22 +83,28 @@ def cauchy_tail_exact(alpha):
 class TestDoubleExponential:
     @pytest.mark.parametrize("omega", OMEGA_GRID)
     def test_exp_tail_closed_form(self, omega):
+        # omega enters K1 in k_constants alone, as omega^alpha times the
+        # integral over its closed form Gamma(1 - alpha).
         for alpha in ALPHA_GRID:
-            res = quad_exp_tail(alpha, omega)
-            exact = exp_tail_exact(alpha, omega)
-            assert abs(res.value - exact) <= 1e-12 * exact, (alpha, omega)
-            assert res.evaluations >= 1
-            assert res.abs_error_estimate >= 0.0
+            exact = omega**alpha
+            assert abs(k_constants(alpha, omega, 1.0)[0] - exact) <= 1e-12 * exact, (alpha, omega)
 
     def test_exp_tail_to_the_last_digits(self):
         # The exp tail mapped to (0, 1) by t = 1/r costs no accuracy: within
-        # 1e-15 of the closed form on every alpha of 0.01 steps and every
-        # decade of omega (the worst is 7.7e-16, at alpha = 0.94).
-        worst = max(abs(quad_exp_tail(alpha, omega).value - exp_tail_exact(alpha, omega))
-                    / exp_tail_exact(alpha, omega)
-                    for alpha in [k / 100 for k in range(1, 100)]
-                    for omega in [10.0**k for k in range(-6, 9)])
+        # 1e-15 of the closed form on every alpha of 0.01 steps (the worst
+        # is 6.6e-16, at alpha = 0.94).
+        worst = max(abs(quad_exp_tail(alpha).value - math.gamma(1.0 - alpha))
+                    / math.gamma(1.0 - alpha) for alpha in [k / 100 for k in range(1, 100)])
         assert worst <= 1e-15
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(alpha=st.floats(0.005, 0.995))
+    def test_integrals_match_closed_forms(self, alpha):
+        # At alpha = k/200 the worst gaps are 6.6e-16 and 3.0e-16.
+        exp_exact = math.gamma(1.0 - alpha)
+        assert abs(quad_exp_tail(alpha).value - exp_exact) <= 1e-13 * exp_exact
+        cauchy_exact = cauchy_tail_exact(alpha)
+        assert abs(quad_cauchy_tail(alpha).value - cauchy_exact) <= 1e-13 * cauchy_exact
 
     def test_cauchy_tail_closed_form(self):
         for alpha in ALPHA_GRID:
@@ -120,7 +123,8 @@ class TestDoubleExponential:
                 exact = exp_tail_exact(alpha, omega)
                 reference = quadpack_exp_tail(alpha, omega)
                 if abs(reference - exact) <= 1e-12 * exact:
-                    assert quad_exp_tail(alpha, omega).value == pytest.approx(reference, rel=2e-12)
+                    scaled = quad_exp_tail(alpha).value * omega ** (alpha - 1.0)
+                    assert scaled == pytest.approx(reference, rel=2e-12)
                     compared += 1
         for alpha in ALPHA_GRID:
             reference = quadpack_cauchy_tail(alpha)
@@ -137,15 +141,11 @@ class TestDoubleExponential:
 
     def test_no_convergence_within_level_cap(self, monkeypatch):
         monkeypatch.setattr(numerics, "QUAD_MAX_LEVEL", 1)
-        with pytest.raises(LimitError, match=r"quad_exp_tail\(alpha=0.5.*best estimate") as info:
-            quad_exp_tail(0.5, 1.0)
+        with pytest.raises(LimitError, match=r"^quad_exp_tail\(alpha=0.5\) did not converge "
+                                             r"within 1 step halvings .*best estimate") as info:
+            quad_exp_tail(0.5)
         estimate = float(str(info.value).rpartition("best estimate ")[2])
         assert estimate == pytest.approx(math.sqrt(math.pi), rel=1e-2)
-
-    def test_subnormal_omega_is_an_error(self):
-        # omega^(alpha - 1) overflows a double.
-        with pytest.raises(LimitError, match="non-finite"):
-            quad_exp_tail(0.01, 1e-320)
 
 
 class TestTridiagEig:
